@@ -9,10 +9,10 @@ in a certificate rather than trusted.
 """
 
 from .errors import (CapacityError, HypothesisViolation, InputError,
-                     SamplingError, StarsepError)
+                     NotAMember, SamplingError, StarsepError)
 from .graph_core import (Graph, WeightFn, bit_list, bits, components,
                          from_dimacs, from_graph6, graph_from_json_obj,
-                         graph_to_json_obj, induced, load_graph_file,
+                         graph_to_json_obj, load_graph_file,
                          mask_of, neighborhood, popcount, to_graph6)
 from .detectors import (ObstructionReport, WheelWitness, class_membership,
                         classify_wheels, clique_number, detect_fixed,

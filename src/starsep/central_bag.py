@@ -16,8 +16,7 @@ from .errors import HypothesisViolation, InputError
 from .graph_core import (FLOAT_TOL, Graph, WeightFn, bit_list, bits,
                          components, mask_of, neighborhood)
 from .separations import (HALF, Separation, canonical_separation,
-                          classify_balanced, nearly_noncrossing,
-                          validate_separation)
+                          nearly_noncrossing, validate_separation)
 
 
 @dataclass(frozen=True)
@@ -40,13 +39,9 @@ def revised_collection(g: Graph, w: WeightFn, x: int,
     C grows by every common neighborhood N(u) & N(v) over centers v
     adjacent to u.  The four containment relations tying the revised
     triple to the canonical one are validated; they are consequences of
-    the construction, so a failure is an internal error.
+    the construction, so a failure is an internal error.  A balanced
+    center has no canonical separation and raises InputError.
     """
-    _, unbal = classify_balanced(g, w)
-    if x & ~unbal:
-        raise InputError(
-            f"revised collection needs unbalanced centers; "
-            f"{bit_list(x & ~unbal)} are balanced")
     centers = tuple(order) if order is not None else tuple(bit_list(x))
     if mask_of(centers) != x:
         raise InputError("order does not enumerate the center set")

@@ -17,7 +17,7 @@ import click
 from .cutsets import clique_cutset_atoms
 from .detectors import class_membership
 from .errors import (CapacityError, HypothesisViolation, InputError,
-                     SamplingError)
+                     NotAMember, SamplingError)
 from .generators import make, sample_class
 from .graph_core import (Graph, WeightFn, bit_list, dumps_graph,
                          graph_to_json_obj, load_graph_file, to_graph6)
@@ -48,6 +48,9 @@ def _fail(code: int, kind: str, message: str, witness=None) -> None:
 def _guard(fn):
     try:
         return fn()
+    except NotAMember as e:
+        _emit(e.report.as_json())
+        sys.exit(EXIT_NONMEMBER)
     except InputError as e:
         _fail(EXIT_INPUT, "input", str(e))
     except CapacityError as e:
@@ -160,7 +163,10 @@ def separator(t, weights, balance, file):
         c = _parse_balance(balance)
         w = _weights(g, weights)
         cert = main_separator(g, w, t, c=c)
-        assert verify_certificate(g, w, cert)
+        if not verify_certificate(g, w, cert):
+            raise HypothesisViolation(
+                "separator certificate failed its balance re-check",
+                witness={"separator": bit_list(cert.separator)})
         return cert.as_json()
 
     _emit(_guard(run))
@@ -174,12 +180,7 @@ def decompose(t, variant, file):
     """Certified tree decomposition (atoms glued along cutset bags)."""
     g, _ = _load(file)
     var = "C_t_star" if variant == "star" else "C_t"
-    rep = class_membership(g, t, var)
-    if not rep.member:
-        _emit(rep.as_json())
-        sys.exit(EXIT_NONMEMBER)
-    res = _guard(lambda: certify(g, t, var))
-    _emit(res.as_json())
+    _emit(_guard(lambda: certify(g, t, var)).as_json())
 
 
 @main.command(name="exact-tw")
@@ -269,13 +270,14 @@ def _batch_row(args):
     name = Path(path).name
     try:
         g, _ = load_graph_file(path)
-        rep = class_membership(g, t, var)
-        row = {"instance": name, "n": g.num_vertices(), "member": rep.member}
-        if not rep.member:
-            row["obstruction"] = rep.kind
+        row = {"instance": name, "n": g.num_vertices()}
+        try:
+            res = certify(g, t, var)
+        except NotAMember as e:
+            row.update({"member": False, "obstruction": e.report.kind})
             return row
-        res = certify(g, t, var)
         row.update({
+            "member": True,
             "width": res.td.width,
             "exact_treewidth": res.report["exact_treewidth"],
             "separator_sizes": sorted(c.size for c in res.certificates),

@@ -493,19 +493,38 @@ def classify_wheels(g: Graph, within: int | None = None) -> list[WheelWitness]:
     return [seen[key] for key in sorted(seen, key=lambda kv: (kv[0], order[kv[1]]))]
 
 
+def _wheel_pairs(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Every wheel of g as (center, hole masks) per center: the holes on
+    which the center has three pairwise non-adjacent spokes.  Built from
+    one hole pass on first use and kept on the (immutable) graph."""
+    if g._wheel_pairs is None:
+        found: dict[int, list[int]] = {}
+        for hole in holes(g):
+            hole_mask = mask_of(hole)
+            for v in bits(g.verts & ~hole_mask):
+                nbrs_on = g.adj[v] & hole_mask
+                if popcount(nbrs_on) < 3:
+                    continue
+                spokes = tuple(u for u in hole if (nbrs_on >> u) & 1)
+                if _has_independent_triple(g, spokes):
+                    found.setdefault(v, []).append(hole_mask)
+        object.__setattr__(g, "_wheel_pairs", tuple(
+            (v, tuple(masks)) for v, masks in sorted(found.items())))
+    return g._wheel_pairs
+
+
 def hub_set(g: Graph, x: int) -> int:
-    """Vertices of x centering a wheel whose hole lies inside x."""
+    """Vertices of x centering a wheel whose hole lies inside x.
+
+    The holes of the subgraph induced on x are exactly the holes of g
+    inside x, and the spoke test depends only on g, the hole and the
+    center, so filtering the wheels of g by x is exact.
+    """
     g.check_vertex_set(x)
     hubs = 0
-    for hole in holes(g, within=x):
-        hole_mask = mask_of(hole)
-        for v in bits(x & ~hole_mask & ~hubs):
-            nbrs_on = g.adj[v] & hole_mask
-            if popcount(nbrs_on) < 3:
-                continue
-            spokes = tuple(u for u in hole if (nbrs_on >> u) & 1)
-            if _has_independent_triple(g, spokes):
-                hubs |= 1 << v
+    for v, hole_masks in _wheel_pairs(g):
+        if (x >> v) & 1 and any(not (m & ~x) for m in hole_masks):
+            hubs |= 1 << v
     return hubs
 
 

@@ -13,6 +13,15 @@ class InputError(StarsepError, ValueError):
     """Malformed input or a violated operation precondition."""
 
 
+class NotAMember(InputError):
+    """The input graph is outside the class; carries the
+    ObstructionReport that names the first obstruction found."""
+
+    def __init__(self, message, report):
+        super().__init__(message)
+        self.report = report
+
+
 class CapacityError(StarsepError):
     """Instance exceeds a desk-scale cap (see STARSEP_MAX_N)."""
 

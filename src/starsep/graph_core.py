@@ -7,7 +7,10 @@ Induced subgraphs keep the original vertex identities by carrying an
 active-vertex mask instead of relabeling.
 
 Everything here is immutable after construction; all operations are pure
-and safe to call concurrently on shared graphs.
+and safe to call concurrently on shared graphs.  The only state set after
+construction is lazily filled caches of values derived from an object's
+own fields, which immutability keeps from going stale; two threads that
+race to fill one store the same value.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, InputError
@@ -101,9 +105,13 @@ class Graph:
     ``verts`` is the mask of active vertices: induced subgraphs share the
     universe 0..n-1 and simply restrict the mask, so vertex identities are
     stable across restriction.  No loops, no parallel edges.
+
+    ``_wheel_pairs`` starts as None and is filled once, on first use, by
+    ``detectors.hub_set``; it depends only on the graph, so it can never
+    go stale.  It takes no part in equality or hashing.
     """
 
-    __slots__ = ("n", "verts", "adj")
+    __slots__ = ("n", "verts", "adj", "_wheel_pairs")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if n < 0:
@@ -124,6 +132,7 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "verts", full)
         object.__setattr__(self, "adj", tuple(adj))
+        object.__setattr__(self, "_wheel_pairs", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Graph is immutable")
@@ -134,6 +143,7 @@ class Graph:
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "verts", verts)
         object.__setattr__(g, "adj", adj)
+        object.__setattr__(g, "_wheel_pairs", None)
         return g
 
     # -- queries ------------------------------------------------------
@@ -223,14 +233,25 @@ def components(g: Graph, x: int) -> list[int]:
     return out
 
 
-def induced(g: Graph, x: int) -> Graph:
-    return g.induced(x)
-
-
 def is_connected(g: Graph, x: int | None = None) -> bool:
     if x is None:
         x = g.verts
     return len(components(g, x)) <= 1
+
+
+def degeneracy(g: Graph, within: int) -> int:
+    """Min-degree peeling bound on the subgraph induced on `within`."""
+    g.check_vertex_set(within)
+    remaining = within
+    deg = {v: popcount(g.adj[v] & within) for v in bits(within)}
+    best = 0
+    while remaining:
+        v = min(bits(remaining), key=lambda u: (deg[u], u))
+        best = max(best, deg[v])
+        remaining &= ~(1 << v)
+        for u in bits(g.adj[v] & remaining):
+            deg[u] -= 1
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +282,12 @@ class WeightFn:
     rationals, so threshold comparisons (such as against 1/2) have
     reproducible tie behavior.  Float inputs are compared with a 1e-9
     tolerance.  The total must be 1 (within tolerance for floats);
-    anything else is rejected rather than rescaled.
+    anything else is rejected rather than rescaled.  ``_common`` holds
+    the common denominator and scaled numerators of exact weights, set on
+    the first call to ``of``.
     """
 
-    __slots__ = ("n", "values", "exact")
+    __slots__ = ("n", "values", "exact", "_common")
 
     def __init__(self, n: int, values: Sequence):
         if len(values) != n:
@@ -285,6 +308,7 @@ class WeightFn:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", tuple(parsed))
         object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "_common", None)
 
     def __setattr__(self, *a):
         raise AttributeError("WeightFn is immutable")
@@ -310,14 +334,25 @@ class WeightFn:
         object.__setattr__(w, "n", n)
         object.__setattr__(w, "values", values)
         object.__setattr__(w, "exact", exact)
+        object.__setattr__(w, "_common", None)
         return w
 
     def of(self, mask: int):
-        """Total weight of a vertex mask."""
-        total = Fraction(0) if self.exact else 0.0
-        for v in bits(mask):
-            total += self.values[v]
-        return total
+        """Total weight of a vertex mask.  Exact weights are summed as
+        integer numerators over their common denominator, which gives the
+        same normalized Fraction as adding them one at a time."""
+        if not self.exact:
+            total = 0.0
+            for v in bits(mask):
+                total += self.values[v]
+            return total
+        if self._common is None:
+            den = lcm(*(v.denominator for v in self.values))
+            nums = tuple(v.numerator * (den // v.denominator)
+                         for v in self.values)
+            object.__setattr__(self, "_common", (den, nums))
+        den, nums = self._common
+        return Fraction(sum(nums[v] for v in bits(mask)), den)
 
     def leq(self, value, bound) -> bool:
         """value <= bound, with float tolerance when inexact."""

@@ -14,23 +14,9 @@ from dataclasses import dataclass
 from .central_bag import CentralBag, central_bag, revised_collection, validate_smooth
 from .detectors import hub_set, make_wheel_witness, holes
 from .errors import HypothesisViolation, InputError
-from .graph_core import (Graph, WeightFn, bit_list, bits, mask_of, popcount)
+from .graph_core import (Graph, WeightFn, bit_list, bits, degeneracy, mask_of,
+                         popcount)
 from .separations import canonical_separation, classify_balanced, minimal_under_leq_a
-
-
-def degeneracy(g: Graph, within: int) -> int:
-    """Min-degree peeling bound on the subgraph induced on `within`."""
-    sub = g.induced(within)
-    remaining = within
-    deg = {v: popcount(sub.adj[v]) for v in bits(within)}
-    best = 0
-    while remaining:
-        v = min(bits(remaining), key=lambda u: (deg[u], u))
-        best = max(best, deg[v])
-        remaining &= ~(1 << v)
-        for u in bits(sub.adj[v] & remaining):
-            deg[u] -= 1
-    return best
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from math import comb
 from .central_bag import grow_separator, is_balanced_separator
 from .detectors import clique_number, detect_pyramid, hub_set
 from .errors import HypothesisViolation, InputError
-from .graph_core import (Graph, WeightFn, bit_list, bits, components,
-                         mask_of, popcount, subsets_of_size)
+from .graph_core import (FLOAT_TOL, Graph, WeightFn, bit_list, bits,
+                         components, popcount, subsets_of_size)
 from .hub_division import HubDivision, hub_division
 from .separations import HALF
 
@@ -64,8 +64,7 @@ class AuxGraph:
                 "weights": [str(x) for x in self.weights]}
 
 
-def aux_graph(g: Graph, beta: int, w_bag: WeightFn, v: int,
-              hub_beta: int | None = None) -> AuxGraph:
+def aux_graph(g: Graph, beta: int, w_bag: WeightFn, v: int) -> AuxGraph:
     """Build and certify the auxiliary graph of a vertex of the bag.
 
     The neighborhood of v inside the bag, hubs removed, must split into
@@ -74,9 +73,7 @@ def aux_graph(g: Graph, beta: int, w_bag: WeightFn, v: int,
     """
     if not ((beta >> v) & 1):
         raise InputError("vertex is not in the bag")
-    if hub_beta is None:
-        hub_beta = hub_set(g, beta)
-    nbr_pieces = g.adj[v] & beta & ~hub_beta
+    nbr_pieces = g.adj[v] & beta & ~hub_set(g, beta)
     cliques = []
     for piece in components(g.induced(beta), nbr_pieces):
         piece_list = bit_list(piece)
@@ -158,7 +155,7 @@ def _aux_balanced_separator(aux: AuxGraph) -> int:
     def balanced(x):
         for comp in components(h, h.verts & ~x):
             wt = _aux_weight_of(aux, comp)
-            ok = wt <= HALF if exact else wt <= 0.5 + 1e-9
+            ok = wt <= HALF if exact else wt <= 0.5 + FLOAT_TOL
             if not ok:
                 return False
         return True
@@ -232,7 +229,6 @@ def verify_certificate(g: Graph, w: WeightFn, cert: SeparatorCertificate) -> boo
 
 
 def balanced_vertex_separator(g: Graph, beta: int, w_bag: WeightFn, v: int,
-                              hub_nbrs: int | None = None,
                               c=HALF) -> SeparatorCertificate:
     """Balanced separator of the bag grown around a balanced vertex.
 
@@ -242,12 +238,10 @@ def balanced_vertex_separator(g: Graph, beta: int, w_bag: WeightFn, v: int,
     Balance and the size bound (six times the bag clique number plus the
     hub neighbor count) are verified before returning.
     """
-    hub_beta = hub_set(g, beta)
-    if hub_nbrs is None:
-        hub_nbrs = g.adj[v] & hub_beta
+    hub_nbrs = g.adj[v] & hub_set(g, beta)
     if detect_pyramid(g.induced(beta), apex=v) is not None:
         raise InputError("vertex is a pyramid apex in the bag")
-    aux = aux_graph(g, beta, w_bag, v, hub_beta=hub_beta)
+    aux = aux_graph(g, beta, w_bag, v)
     x = _aux_balanced_separator(aux)
     t_nodes = aux.num_clique_nodes()
     y = (1 << v) | hub_nbrs
@@ -330,10 +324,7 @@ def central_bag_separator(g: Graph, div: HubDivision,
     if div.m == div.k + 1:
         cert = wheelfree_separator(g, beta, w_bag, budget, c)
     else:
-        v_m = div.v_m()
-        hub_beta = hub_set(g, beta)
-        cert = balanced_vertex_separator(g, beta, w_bag, v_m,
-                                         hub_nbrs=g.adj[v_m] & hub_beta, c=c)
+        cert = balanced_vertex_separator(g, beta, w_bag, div.v_m(), c=c)
     omega = cert.provenance.get("omega_beta", clique_number(sub))
     bound = max(budget, 6 * omega + div.partition.back_degree)
     entries = cert.ledger + (

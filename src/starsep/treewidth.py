@@ -15,10 +15,11 @@ from typing import Callable
 
 from .cutsets import AtomDecomposition, DecompositionStep, clique_cutset_atoms
 from .detectors import class_membership
-from .errors import CapacityError, HypothesisViolation, InputError
+from .errors import (CapacityError, HypothesisViolation, InputError,
+                     NotAMember)
 from .graph_core import (Graph, WeightFn, bit_list, bits, components,
-                         env_cap, lowest_bit, mask_of, neighborhood,
-                         popcount)
+                         degeneracy, env_cap, lowest_bit, mask_of,
+                         neighborhood, popcount)
 
 EXACT_TW_CAP = 14
 
@@ -48,24 +49,11 @@ def exact_treewidth(g: Graph, cap: int | None = None) -> int:
     adj = {v: g.adj[v] & g.verts for v in verts}
     if all(not m for m in adj.values()):
         return 0
-    low = _degeneracy_of(adj)
+    low = degeneracy(g, g.verts)
     for k in range(max(low, 1), n):
         if _tw_decision(adj, k):
             return k
     return n - 1
-
-
-def _degeneracy_of(adj):
-    work = dict(adj)
-    best = 0
-    while work:
-        v = min(work, key=lambda u: (popcount(work[u]), u))
-        best = max(best, popcount(work[v]))
-        del work[v]
-        for u in bit_list(adj[v]):
-            if u in work:
-                work[u] &= ~(1 << v)
-    return best
 
 
 def _eliminate(adj, v):
@@ -343,14 +331,15 @@ class CertifyResult:
 def certify(g: Graph, t: int, variant: str = "C_t") -> CertifyResult:
     """Atoms, per-atom decompositions driven by the full separator
     pipeline, gluing along cutset bags, validation, and a bound report
-    comparing the achieved width with the measured per-instance bounds."""
+    comparing the achieved width with the measured per-instance bounds.
+    A graph outside the class raises NotAMember with its obstruction."""
     from .separator_engine import main_separator, ramsey_vs_4
 
     membership = class_membership(g, t, variant)
     if not membership.member:
-        raise InputError(
+        raise NotAMember(
             f"not a class member: contains {membership.kind} on "
-            f"{list(membership.embedding)}")
+            f"{list(membership.embedding)}", membership)
     atoms = clique_cutset_atoms(g)
     certificates = []
 

@@ -3,6 +3,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import starsep.cli
+import starsep.treewidth
 from starsep.cli import main
 from starsep.graph_core import dumps_graph
 from starsep.generators import make
@@ -83,6 +85,33 @@ def test_separator_with_weights_file(runner, w93_file, tmp_path):
     assert res2.exit_code == 0
 
 
+def test_separator_failed_recheck_exits_4(runner, w93_file, monkeypatch):
+    monkeypatch.setattr(starsep.cli, "verify_certificate",
+                        lambda g, w, cert: False)
+    res = runner.invoke(main, ["separator", "--t", "4", w93_file])
+    assert res.exit_code == 4
+    out = _json_out(res)
+    assert out["error"] == "hypothesis_violation"
+    assert out["witness"] == {"separator": [0, 3, 6, 9]}
+
+
+def test_decompose_small_t_is_an_input_error(runner, w93_file):
+    res = runner.invoke(main, ["decompose", "--t", "3", w93_file])
+    assert res.exit_code == 2
+    assert _json_out(res) == {"error": "input",
+                              "message": "class membership needs t >= 4"}
+
+
+def test_decompose_nonmember_exit3_with_recognize_json(runner, tmp_path):
+    p = tmp_path / "w5.json"
+    p.write_text(dumps_graph(make("WHEEL(5,{1,2,3,4,5})")))
+    dec = runner.invoke(main, ["decompose", "--t", "4", str(p)])
+    rec = runner.invoke(main, ["recognize", "--t", "4", str(p)])
+    assert dec.exit_code == rec.exit_code == 3
+    assert dec.output == rec.output
+    assert _json_out(dec)["obstruction"]["kind"] == "diamond"
+
+
 def test_decompose_and_verify(runner, w93_file, tmp_path):
     res = runner.invoke(main, ["decompose", "--t", "4", w93_file])
     assert res.exit_code == 0
@@ -147,3 +176,23 @@ def test_batch_summary(runner, tmp_path):
     assert rows[2]["member"] is False and rows[2]["obstruction"] == "K_t"
     res2 = runner.invoke(main, ["batch", "--t", "4", str(d)])
     assert res2.output == res.output
+
+
+def test_batch_tests_membership_once_per_instance(runner, tmp_path,
+                                                  monkeypatch):
+    d = tmp_path / "graphs"
+    d.mkdir()
+    (d / "a_w93.json").write_text(dumps_graph(make("W93")))
+    (d / "b_k4.json").write_text(dumps_graph(make("K4")))
+    real = starsep.treewidth.class_membership
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (starsep.cli, starsep.treewidth):
+        monkeypatch.setattr(module, "class_membership", counting)
+    res = runner.invoke(main, ["batch", "--t", "4", str(d)])
+    assert res.exit_code == 0
+    assert len(calls) == 2

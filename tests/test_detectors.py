@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -181,4 +182,21 @@ class TestOracleAgreement:
         ours = {(w.center, kind) for w in classify_wheels(g)
                 for kind in w.kinds()}
         assert ours == oracles.wheel_pairs(h)
+        # wheels are recorded on the graph at the first hub_set call, so
+        # query sub-masks on a fresh copy both before and after the full
+        # mask to reach the record from either entry
+        fresh = g.induced(g.verts)
+        rng = random.Random(name)
+        subs = [mask_of(v for v in g.vertex_list() if rng.random() < 0.7)
+                for _ in range(4)]
+        subs = [x for x in subs if x != g.verts]
+
+        def agrees(x):
+            return set(bit_list(hub_set(fresh, x))) == \
+                oracles.hub_vertices(h, within=bit_list(x))
+
+        assert all(agrees(x) for x in subs[:2])
+        assert set(bit_list(hub_set(fresh, g.verts))) == \
+            oracles.hub_vertices(h)
+        assert all(agrees(x) for x in subs[2:])
         assert set(bit_list(hub_set(g, g.verts))) == oracles.hub_vertices(h)

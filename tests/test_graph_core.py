@@ -4,10 +4,11 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starsep.errors import InputError
-from starsep.graph_core import (Graph, WeightFn, components, dumps_graph,
-                                from_dimacs, from_graph6, induced,
+from starsep.graph_core import (Graph, WeightFn, bit_list, components,
+                                dumps_graph, from_dimacs, from_graph6,
                                 loads_graph, mask_of, neighborhood,
                                 to_graph6)
 
@@ -41,11 +42,11 @@ def test_components_examples(p9, c6, w93):
 
 
 def test_induced_examples(c6, w93):
-    tri = induced(c6, mask_of([0, 1, 2]))
+    tri = c6.induced(mask_of([0, 1, 2]))
     assert tri.num_edges() == 2 and tri.vertex_list() == [0, 1, 2]
-    nine = induced(w93, mask_of(range(9)))
+    nine = w93.induced(mask_of(range(9)))
     assert nine.num_edges() == 9  # the base cycle
-    assert induced(c6, c6.verts) == c6
+    assert c6.induced(c6.verts) == c6
 
 
 @given(small_graphs())
@@ -89,6 +90,42 @@ def test_weightfn_validation():
     wf = WeightFn(3, [0.5, 0.25, 0.25])
     assert not wf.exact
     assert wf.leq(wf.of(mask_of([0])), Fraction(1, 2))
+
+
+def _sum_one_by_one(w, mask):
+    total = Fraction(0)
+    for v in bit_list(mask):
+        total += w.values[v]
+    return total
+
+
+@st.composite
+def exact_weights_and_masks(draw):
+    """Exact weights, optionally shifted as inherited weights are, with a
+    few masks to sum over."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    raw = draw(st.lists(st.integers(min_value=0, max_value=40),
+                        min_size=n, max_size=n).filter(any))
+    w = WeightFn(n, [Fraction(r, sum(raw)) for r in raw])
+    if draw(st.booleans()):
+        deltas = draw(st.dictionaries(
+            st.integers(min_value=0, max_value=n - 1),
+            st.fractions(min_value=0, max_value=1, max_denominator=60),
+            max_size=n))
+        w = w.shifted(deltas)
+    masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
+                          min_size=1, max_size=4))
+    return w, masks
+
+
+@given(exact_weights_and_masks())
+@settings(max_examples=150, deadline=None)
+def test_exact_weight_sum_matches_fraction_sum(case):
+    w, masks = case
+    for mask in masks + masks:  # second round reads the cached denominator
+        got, want = w.of(mask), _sum_one_by_one(w, mask)
+        assert type(got) is Fraction
+        assert got == want and str(got) == str(want)
 
 
 def test_uniform_on_subset():

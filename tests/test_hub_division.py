@@ -6,8 +6,8 @@ from starsep.detectors import hub_set
 from starsep.errors import InputError
 from starsep.generators import (cycle_graph, sample_cutset_free_member,
                                 w93_graph)
-from starsep.graph_core import Graph, WeightFn, bits, mask_of
-from starsep.hub_division import (check_no_wheels_in_bag, degeneracy,
+from starsep.graph_core import Graph, WeightFn, bits, degeneracy, mask_of
+from starsep.hub_division import (check_no_wheels_in_bag,
                                   degeneracy_partition, hub_division)
 
 
@@ -39,6 +39,9 @@ def test_degeneracy_value():
     assert degeneracy(cycle_graph(6), cycle_graph(6).verts) == 2
     tree = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     assert degeneracy(tree, tree.verts) == 1
+    assert degeneracy(cycle_graph(6), mask_of([0, 1, 2])) == 1
+    with pytest.raises(InputError):
+        degeneracy(cycle_graph(6), 1 << 6)
 
 
 def test_hub_division_trivial_cases(p9, w93):

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from starsep.errors import CapacityError, InputError
-from starsep.generators import (complete_graph, sample_class, theta_graph,
+import starsep.detectors
+from starsep.errors import CapacityError, InputError, NotAMember
+from starsep.generators import (complete_graph, sample_class,
+                                sample_cutset_free_member, theta_graph,
                                 w93_graph)
 from starsep.graph_core import Graph, mask_of, popcount
 from starsep.treewidth import (TreeDecomposition, build_td, certify,
@@ -115,6 +117,31 @@ def test_certify_fixtures(p9, c6, w93):
 def test_certify_rejects_nonmember():
     with pytest.raises(InputError):
         certify(complete_graph(4), 4)
+
+
+def test_certify_nonmember_carries_its_report():
+    with pytest.raises(NotAMember) as e:
+        certify(complete_graph(4), 4)
+    assert e.value.report.kind == "K_t"
+    assert str(e.value) == "not a class member: contains K_t on [0, 1, 2, 3]"
+
+
+def test_certify_enumerates_holes_at_most_twice(monkeypatch):
+    """One hole pass for the even-wheel test of the graph and one for the
+    wheels of its single atom; every separator query reuses the latter."""
+    g = sample_cutset_free_member(16, 4, 3)  # two hubs, no clique cutset
+    real = starsep.detectors.holes
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(starsep.detectors, "holes", counting)
+    res = certify(g, 4, "C_t_star")
+    assert res.report["atoms"] == 1 and res.report["oracle_calls"] >= 5
+    assert res.report["validation_passed"]
+    assert len(calls) <= 2
 
 
 def test_certify_random_members():
