@@ -249,7 +249,10 @@ def gen(kind, n, t, seed, variant, g6, out):
 @click.argument("directory", type=click.Path(exists=True, file_okay=False))
 def batch(t, variant, jobs, directory):
     """Run the certification pipeline over every graph file in a
-    directory and aggregate a summary table."""
+    directory and aggregate a summary table.
+
+    Rows with an error set the exit code: 4 if any is a hypothesis
+    violation, else 5 if any is a capacity error, else 2."""
     var = "C_t_star" if variant == "star" else "C_t"
     paths = sorted(str(p) for p in Path(directory).iterdir()
                    if p.suffix in (".json", ".g6", ".graph6", ".col"))
@@ -261,8 +264,12 @@ def batch(t, variant, jobs, directory):
         rows = [_batch_row((p, t, var)) for p in paths]
     summary = {"t": t, "variant": var, "instances": rows}
     _emit(summary)
-    if any(r.get("error") for r in rows):
-        sys.exit(EXIT_HYPOTHESIS)
+    errors = {r.get("error") for r in rows}
+    for error, code in (("HypothesisViolation", EXIT_HYPOTHESIS),
+                        ("CapacityError", EXIT_CAPACITY),
+                        ("InputError", EXIT_INPUT)):
+        if error in errors:
+            sys.exit(code)
 
 
 def _batch_row(args):

@@ -2,9 +2,14 @@
 
 Strategy is bounded exhaustive search with pruning (degree filters, chord
 checks during extension), sized for graphs up to a few dozen vertices.
-Detectors return concrete vertex embeddings that re-verify against the
-definitions by direct adjacency checks; the test suite compares them with
-an independent subset-enumeration oracle that shares no code with them.
+C4 and diamond are common-neighborhood mask tests (a non-adjacent pair,
+or an edge, whose common neighbors hold a non-edge) that return the
+lexicographically least witness, the one a scan of all 4-subsets finds
+first.  Holes are enumerated in one pass over chordless paths, then
+ordered by length.  Detectors return concrete vertex embeddings that
+re-verify against the definitions by direct adjacency checks; the test
+suite compares them with an independent subset-enumeration oracle that
+shares no code with them.
 """
 
 from __future__ import annotations
@@ -41,38 +46,42 @@ def holes(g: Graph, within: int | None = None,
 
     Holes come out in increasing length; within one length, canonical
     tuples (minimum vertex first, then the smaller of its two hole
-    neighbors) in lexicographic order.  Extension prunes on chords.
+    neighbors) in lexicographic order.  One depth-first pass walks each
+    chordless path from its least vertex once, pruning on chords, and
+    closes it at every length; the holes are then yielded by length.
     """
     x = g.verts if within is None else within
     g.check_vertex_set(x)
     n_active = popcount(x)
     top = n_active if max_len is None else min(max_len, n_active)
-    for length in range(4, top + 1):
-        yield from _holes_of_length(g, x, length)
+    adj = g.adj
+    by_len: list[list[tuple[int, ...]]] = [[] for _ in range(top + 1)]
 
+    def extend(path, allowed, banned, closing):
+        # allowed = vertices above path[0] off the path; banned = neighbors
+        # of the inner vertices (chord makers); closing = neighbors of
+        # path[0] above path[1]
+        last = path[-1]
+        free = adj[last] & allowed & ~banned
+        if len(path) >= 3:
+            for w in bits(free & closing):
+                by_len[len(path) + 1].append(tuple(path) + (w,))
+        if len(path) < top - 1:
+            banned |= adj[last]
+            for w in bits(free & ~adj[path[0]]):
+                path.append(w)
+                extend(path, allowed & ~(1 << w), banned, closing)
+                path.pop()
 
-def _holes_of_length(g, x, length):
     for v0 in bits(x):
-        allowed = x & ~((1 << (v0 + 1)) - 1)  # only vertices above v0
-        for v1 in bits(g.adj[v0] & allowed):
-            yield from _extend_hole(g, allowed, length, (v0, v1),
-                                    (1 << v0) | (1 << v1), 0)
-
-
-def _extend_hole(g, allowed, length, path, used, banned):
-    # banned = vertices adjacent to some middle vertex (chord makers)
-    last = path[-1]
-    if len(path) == length - 1:
-        closers = g.adj[last] & g.adj[path[0]] & allowed & ~used & ~banned
-        for w in bits(closers):
-            if w > path[1]:
-                yield path + (w,)
-        return
-    cands = g.adj[last] & allowed & ~used & ~banned & ~g.adj[path[0]]
-    new_banned = banned | g.adj[last]
-    for w in bits(cands):
-        yield from _extend_hole(g, allowed, length, path + (w,),
-                                used | (1 << w), new_banned)
+        above = x & ~((1 << (v0 + 1)) - 1)
+        for v1 in bits(adj[v0] & above):
+            extend([v0, v1], above & ~(1 << v1), 0,
+                   adj[v0] & ~((1 << (v1 + 1)) - 1))
+    # the pass visits paths in lexicographic pre-order, so each length's
+    # holes are already in lexicographic order
+    for found in by_len[4:]:
+        yield from found
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +129,19 @@ def detect_fixed(g: Graph, kind: str, t: int = 4) -> Optional[tuple[int, ...]]:
 
 
 def _find_c4(g):
-    vl = g.vertex_list()
-    for quad in itertools.combinations(vl, 4):
-        m = mask_of(quad)
-        if all(popcount(g.adj[v] & m) == 2 for v in quad):
-            a = quad[0]
+    """Lexicographically least 4-set inducing a C4, as (a, b, c, d) around
+    the cycle from its least vertex a.  For the least a that has one: each
+    non-neighbor c > a with the least non-adjacent pair b < d among the
+    common neighbors of a and c above a, minimized as a sorted triple."""
+    for a in g.vertex_list():
+        above = g.verts & ~((1 << (a + 1)) - 1)
+        triples = []
+        for c in bits(above & ~g.adj[a]):
+            pair = _least_nonadjacent_pair(g, g.adj[a] & g.adj[c] & above)
+            if pair:
+                triples.append(sorted((c,) + pair))
+        if triples:
+            quad = (a, *min(triples))
             nb = [v for v in quad[1:] if g.has_edge(a, v)]
             far = next(v for v in quad[1:] if not g.has_edge(a, v))
             return (a, nb[0], far, nb[1])
@@ -132,16 +149,31 @@ def _find_c4(g):
 
 
 def _find_diamond(g):
-    vl = g.vertex_list()
-    for quad in itertools.combinations(vl, 4):
-        m = mask_of(quad)
-        edge_cnt = sum(popcount(g.adj[v] & m) for v in quad) // 2
-        if edge_cnt != 5:
-            continue
-        a, b = next((u, v) for u, v in itertools.combinations(quad, 2)
-                    if not g.has_edge(u, v))
-        hub = tuple(v for v in quad if v not in (a, b))
-        return (hub[0], hub[1], a, b)
+    """Lexicographically least 4-set inducing a diamond, as (hub0, hub1,
+    a, b).  A diamond is found once, from its hub edge, as the least
+    non-adjacent pair a < b among the common neighbors of that edge."""
+    quads = []
+    for u, v in g.edges():
+        pair = _least_nonadjacent_pair(g, g.adj[u] & g.adj[v])
+        if pair:
+            quads.append(sorted((u, v) + pair))
+    if not quads:
+        return None
+    quad = min(quads)
+    a, b = next((u, v) for u, v in itertools.combinations(quad, 2)
+                if not g.has_edge(u, v))
+    hub = tuple(v for v in quad if v not in (a, b))
+    return (hub[0], hub[1], a, b)
+
+
+def _least_nonadjacent_pair(g, mask):
+    """Lexicographically least pair of non-adjacent vertices in a mask.
+    Adding a common vertex keeps the order of sorted tuples, so the
+    least pair of a fixed rest gives the least 4-set."""
+    for b in bits(mask):
+        rest = mask & ~g.adj[b] & ~((1 << (b + 1)) - 1)
+        if rest:
+            return b, (rest & -rest).bit_length() - 1
     return None
 
 
@@ -611,15 +643,26 @@ def class_membership(g: Graph, t: int, variant: str = "C_t") -> ObstructionRepor
 
 def verify_obstruction(g: Graph, kind: str, embedding: tuple[int, ...],
                        t: int = 4) -> bool:
-    """Re-check that an embedding induces the claimed obstruction by
-    rerunning the matching detector on the induced subgraph."""
+    """Re-check that an embedding induces the claimed obstruction.
+
+    The fixed patterns are checked against their definitions, in any
+    vertex order: a C4 is 4 distinct vertices of g inducing 4 edges, each
+    vertex of degree 2; a diamond is 4 inducing exactly 5 edges; a K_t is
+    t pairwise adjacent ones.  The other kinds rerun their detector on
+    the induced subgraph."""
+    if kind in ("C4", "diamond", "K_t"):
+        size = t if kind == "K_t" else 4
+        if len(embedding) != size or len(set(embedding)) != size \
+                or not all(v >= 0 and (g.verts >> v) & 1 for v in embedding):
+            return False
+        m = mask_of(embedding)
+        degs = [popcount(g.adj[v] & m) for v in embedding]
+        if kind == "C4":
+            return degs == [2] * 4
+        if kind == "diamond":
+            return sum(degs) == 10
+        return degs == [size - 1] * size
     sub = g.induced(mask_of(embedding))
-    if kind == "C4":
-        return _find_c4(sub) is not None
-    if kind == "diamond":
-        return _find_diamond(sub) is not None
-    if kind == "K_t":
-        return _find_clique(sub, t) is not None
     if kind == "theta":
         return detect_theta(sub) is not None
     if kind == "pyramid":

@@ -292,3 +292,40 @@ def exhaustive_balanced_separator(h: nx.Graph, weights: dict, k: int, c):
                    for comp in nx.connected_components(g)):
                 return set(cand)
     return None
+
+
+# ---------------------------------------------------------------------------
+# least fixed-pattern witnesses, in the tuple layout the detectors document
+
+
+def _least_quad(h: nx.Graph, edge_count: int, degrees=None):
+    for quad in itertools.combinations(sorted(h.nodes), 4):
+        sub = h.subgraph(quad)
+        if sub.number_of_edges() == edge_count and \
+                (degrees is None or all(d == degrees for _, d in sub.degree)):
+            return quad, sub
+    return None, None
+
+
+def least_c4(h: nx.Graph):
+    """First 4-subset inducing a C4, as (a, b, c, d) around the cycle from
+    its least vertex a, with b < d; None if there is none."""
+    quad, sub = _least_quad(h, 4, degrees=2)
+    if quad is None:
+        return None
+    a = quad[0]
+    b, d = sorted(sub[a])
+    (c,) = set(quad) - {a, b, d}
+    return (a, b, c, d)
+
+
+def least_diamond(h: nx.Graph):
+    """First 4-subset inducing a diamond, as (hub0, hub1, a, b) with the
+    non-adjacent pair a < b last; None if there is none."""
+    quad, sub = _least_quad(h, 5)
+    if quad is None:
+        return None
+    a, b = next(p for p in itertools.combinations(quad, 2)
+                if not sub.has_edge(*p))
+    hub = [v for v in quad if v not in (a, b)]
+    return (hub[0], hub[1], a, b)

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 import starsep.cli
+import starsep.errors
 import starsep.treewidth
 from starsep.cli import main
 from starsep.graph_core import dumps_graph
@@ -196,3 +197,42 @@ def test_batch_tests_membership_once_per_instance(runner, tmp_path,
     res = runner.invoke(main, ["batch", "--t", "4", str(d)])
     assert res.exit_code == 0
     assert len(calls) == 2
+
+
+def test_batch_malformed_file_exits_2(runner, tmp_path):
+    d = tmp_path / "graphs"
+    d.mkdir()
+    (d / "a_w93.json").write_text(dumps_graph(make("W93")))
+    (d / "bad.json").write_text("{")
+    res = runner.invoke(main, ["batch", "--t", "4", str(d)])
+    assert res.exit_code == 2
+    rows = _json_out(res)["instances"]
+    assert rows[0]["instance"] == "a_w93.json" and rows[0]["member"] is True
+    assert rows[1]["instance"] == "bad.json"
+    assert rows[1]["error"] == "InputError"
+
+
+@pytest.mark.parametrize("raised,code", [
+    ((), 2),
+    (("CapacityError",), 5),
+    (("HypothesisViolation",), 4),
+    (("CapacityError", "HypothesisViolation"), 4),
+])
+def test_batch_exit_code_follows_worst_error(runner, tmp_path, monkeypatch,
+                                             raised, code):
+    # one unreadable file, plus one failing certify call per raised error
+    d = tmp_path / "graphs"
+    d.mkdir()
+    for i in range(len(raised)):
+        (d / f"g{i}.json").write_text(dumps_graph(make("W93")))
+    (d / "z_bad.json").write_text("{")
+    errors = iter(raised)
+
+    def failing(*args, **kwargs):
+        raise getattr(starsep.errors, next(errors))("forced")
+
+    monkeypatch.setattr(starsep.cli, "certify", failing)
+    res = runner.invoke(main, ["batch", "--t", "4", str(d)])
+    assert res.exit_code == code
+    rows = _json_out(res)["instances"]
+    assert [r["error"] for r in rows] == list(raised) + ["InputError"]

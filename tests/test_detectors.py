@@ -200,3 +200,74 @@ class TestOracleAgreement:
             oracles.hub_vertices(h)
         assert all(agrees(x) for x in subs[2:])
         assert set(bit_list(hub_set(g, g.verts))) == oracles.hub_vertices(h)
+
+
+def _sparse_mask(g, rng):
+    return mask_of(v for v in g.vertex_list() if rng.random() < 0.6)
+
+
+def test_fixed_witness_is_the_least_subset():
+    """C4 and diamond return exactly the witness the 4-subset scan finds
+    first, on whole graphs and on induced subgraphs."""
+    rng = random.Random(12)
+    graphs = list(named_graph_zoo().values()) + \
+        seeded_random_graphs(100, 12, 11)
+    for i, g in enumerate(graphs):
+        for sub in (g, g.induced(_sparse_mask(g, rng))):
+            h = oracles.to_nx(sub)
+            assert detect_fixed(sub, "C4") == oracles.least_c4(h), i
+            assert detect_fixed(sub, "diamond") == oracles.least_diamond(h), i
+
+
+def _canonical_hole(order):
+    """Rotate a cyclic order to its least vertex and orient it towards the
+    smaller of that vertex's two neighbors."""
+    i = order.index(min(order))
+    rot = order[i:] + order[:i]
+    return rot if rot[1] < rot[-1] else (rot[0],) + tuple(reversed(rot[1:]))
+
+
+def test_hole_order_is_pinned():
+    """Holes come out by length, each length in lexicographic order of
+    canonical tuples, inside any mask and up to any length cap."""
+    rng = random.Random(5)
+    for i, g in enumerate(seeded_random_graphs(50, 11, 21)):
+        h = oracles.to_nx(g)
+        for within in (None, _sparse_mask(g, rng)):
+            pool = None if within is None else bit_list(within)
+            want = sorted((_canonical_hole(tuple(o))
+                           for o in oracles.all_holes(h, pool)),
+                          key=lambda o: (len(o), o))
+            for cap in (None, 4, 6):
+                cut = [o for o in want if cap is None or len(o) <= cap]
+                assert list(holes(g, within=within, max_len=cap)) == cut, \
+                    (i, within, cap)
+
+
+def test_forged_fixed_embeddings_are_rejected():
+    c4 = cycle_graph(4)
+    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    k4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    d = diamond_graph()
+    # the definitions hold in any vertex order
+    assert verify_obstruction(c4, "C4", (0, 2, 1, 3))
+    assert verify_obstruction(d, "diamond", (3, 0, 2, 1))
+    assert verify_obstruction(k4, "K_t", (2, 0, 3, 1), 4)
+    # the wrong pattern
+    assert not verify_obstruction(p4, "C4", (0, 1, 2, 3))
+    assert not verify_obstruction(k4, "C4", (0, 1, 2, 3))
+    paw = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])  # four edges, not a C4
+    assert not verify_obstruction(paw, "C4", (0, 1, 2, 3))
+    assert not verify_obstruction(c4, "diamond", (0, 1, 2, 3))
+    assert not verify_obstruction(d, "K_t", (0, 1, 2, 3), 4)
+    # a repeated vertex
+    assert not verify_obstruction(c4, "C4", (0, 1, 2, 1))
+    assert not verify_obstruction(k4, "K_t", (0, 1, 2, 2), 4)
+    # the wrong size
+    assert not verify_obstruction(k4, "K_t", (0, 1, 2), 4)
+    assert not verify_obstruction(cycle_graph(5), "C4", (0, 1, 2, 3, 4))
+    # a vertex outside the graph
+    sub = c4.induced(0b0111)
+    assert not verify_obstruction(sub, "C4", (0, 1, 2, 3))
+    assert not verify_obstruction(c4, "C4", (0, 1, 2, 4))
+    assert not verify_obstruction(c4, "C4", (0, 1, 2, -1))
