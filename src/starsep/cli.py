@@ -71,7 +71,10 @@ def _weights(g: Graph, source: str) -> WeightFn:
     if source == "uniform":
         return WeightFn.uniform(g)
     with open(source) as fh:
-        values = json.load(fh)
+        try:
+            values = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise InputError(f"bad weights file {source}: {e}")
     return WeightFn(g.n, values)
 
 

@@ -19,6 +19,7 @@ import json
 import os
 from fractions import Fraction
 from math import lcm
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, InputError
@@ -106,23 +107,33 @@ class Graph:
     universe 0..n-1 and simply restrict the mask, so vertex identities are
     stable across restriction.  No loops, no parallel edges.
 
-    ``_wheel_pairs`` starts as None and is filled once, on first use, by
-    ``detectors.hub_set``; it depends only on the graph, so it can never
-    go stale.  It takes no part in equality or hashing.
+    Two slots start as None and are filled once, on first use, with
+    facts that depend only on the graph, so they can never go stale:
+    ``_wheel_pairs`` by ``detectors.hub_set``, and ``_far``, the
+    components of the graph minus each closed neighborhood, by
+    ``far_components``.  Neither takes part in equality or hashing.
     """
 
-    __slots__ = ("n", "verts", "adj", "_wheel_pairs")
+    __slots__ = ("n", "verts", "adj", "_wheel_pairs", "_far")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if n < 0:
             raise InputError("vertex count must be non-negative")
         adj = [0] * n
         full = (1 << n) - 1
+        try:
+            edges = iter(edges)
+        except TypeError:
+            raise InputError(f"edges {edges!r} is not a list of pairs")
         for e in edges:
             try:
                 u, v = e
             except (TypeError, ValueError):
                 raise InputError(f"edge {e!r} is not a pair")
+            try:
+                u, v = index(u), index(v)
+            except TypeError:
+                raise InputError(f"edge {e!r} has a non-integer endpoint")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge {e!r} out of range for n={n}")
             if u == v:
@@ -133,6 +144,7 @@ class Graph:
         object.__setattr__(self, "verts", full)
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "_wheel_pairs", None)
+        object.__setattr__(self, "_far", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Graph is immutable")
@@ -144,6 +156,7 @@ class Graph:
         object.__setattr__(g, "verts", verts)
         object.__setattr__(g, "adj", adj)
         object.__setattr__(g, "_wheel_pairs", None)
+        object.__setattr__(g, "_far", None)
         return g
 
     # -- queries ------------------------------------------------------
@@ -216,21 +229,36 @@ def components(g: Graph, x: int) -> list[int]:
     """Connected components of the subgraph induced on x, as masks,
     ordered by smallest contained vertex."""
     g.check_vertex_set(x)
+    adj = g.adj
     out = []
     rest = x
     while rest:
-        seed = rest & -rest
-        comp = seed
-        frontier = seed
+        comp = frontier = rest & -rest
         while frontier:
             grow = 0
-            for v in bits(frontier):
-                grow |= g.adj[v]
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = grow & x & ~comp
             comp |= frontier
         out.append(comp)
         rest &= ~comp
     return out
+
+
+def far_components(g: Graph, v: int) -> tuple[int, ...]:
+    """Components of the graph minus the closed neighborhood of v, ordered
+    by smallest contained vertex.  The first call computes them for every
+    vertex and keeps them on the graph."""
+    if not (0 <= v < g.n and (g.verts >> v) & 1):
+        raise InputError(f"vertex {v} is not in the graph")
+    if g._far is None:
+        far = [()] * g.n
+        for u in bits(g.verts):
+            far[u] = tuple(components(g, g.verts & ~g.closed_nbr(u)))
+        object.__setattr__(g, "_far", tuple(far))
+    return g._far[v]
 
 
 def is_connected(g: Graph, x: int | None = None) -> bool:
@@ -282,16 +310,21 @@ class WeightFn:
     rationals, so threshold comparisons (such as against 1/2) have
     reproducible tie behavior.  Float inputs are compared with a 1e-9
     tolerance.  The total must be 1 (within tolerance for floats);
-    anything else is rejected rather than rescaled.  ``_common`` holds
-    the common denominator and scaled numerators of exact weights, set on
-    the first call to ``of``.
+    anything else is rejected rather than rescaled.  ``_common`` is set on
+    the first call to ``of`` for exact weights: ``(den, ((num, mask),
+    ...))``, the common denominator and, for each distinct non-zero
+    numerator over it, the mask of vertices that carry it.
     """
 
     __slots__ = ("n", "values", "exact", "_common")
 
     def __init__(self, n: int, values: Sequence):
-        if len(values) != n:
-            raise InputError(f"expected {n} weights, got {len(values)}")
+        try:
+            count = len(values)
+        except TypeError:
+            raise InputError(f"weights {values!r} is not a list")
+        if count != n:
+            raise InputError(f"expected {n} weights, got {count}")
         parsed = [_parse_weight(v) for v in values]
         exact = all(isinstance(v, Fraction) for v in parsed)
         if not exact:
@@ -324,9 +357,13 @@ class WeightFn:
         k = popcount(support)
         if k == 0:
             raise InputError("uniform weight needs a nonempty support")
-        w = Fraction(1, k)
-        return cls(g.n, [w if (support >> v) & 1 else Fraction(0)
-                         for v in range(g.n)])
+        share, zero = Fraction(1, k), Fraction(0)
+        w = cls._raw(g.n, tuple(share if (support >> v) & 1 else zero
+                                for v in range(g.n)), True)
+        total = w.of(g.verts)
+        if total != 1:
+            raise InputError(f"weights must sum to 1, got {total}")
+        return w
 
     @classmethod
     def _raw(cls, n: int, values: tuple, exact: bool) -> "WeightFn":
@@ -339,8 +376,9 @@ class WeightFn:
 
     def of(self, mask: int):
         """Total weight of a vertex mask.  Exact weights are summed as
-        integer numerators over their common denominator, which gives the
-        same normalized Fraction as adding them one at a time."""
+        integer numerators over their common denominator, one term per
+        distinct value, which gives the same normalized Fraction as adding
+        them one at a time."""
         if not self.exact:
             total = 0.0
             for v in bits(mask):
@@ -348,11 +386,17 @@ class WeightFn:
             return total
         if self._common is None:
             den = lcm(*(v.denominator for v in self.values))
-            nums = tuple(v.numerator * (den // v.denominator)
-                         for v in self.values)
-            object.__setattr__(self, "_common", (den, nums))
-        den, nums = self._common
-        return Fraction(sum(nums[v] for v in bits(mask)), den)
+            classes: dict[int, int] = {}
+            for v, value in enumerate(self.values):
+                num = value.numerator * (den // value.denominator)
+                if num:
+                    classes[num] = classes.get(num, 0) | 1 << v
+            object.__setattr__(self, "_common", (den, tuple(classes.items())))
+        den, classes = self._common
+        total = 0
+        for num, m in classes:
+            total += num * (mask & m).bit_count()
+        return Fraction(total, den)
 
     def leq(self, value, bound) -> bool:
         """value <= bound, with float tolerance when inexact."""
@@ -396,7 +440,11 @@ def graph_from_json_obj(obj) -> tuple[Graph, WeightFn | None]:
         raise InputError(f"bad vertex count {n!r}")
     g = Graph(n, obj.get("edges", []))
     if "vertices" in obj:
-        g = g.induced(mask_of(obj["vertices"]))
+        try:
+            keep = mask_of(index(v) for v in obj["vertices"])
+        except (TypeError, ValueError):
+            raise InputError(f"bad vertex list {obj['vertices']!r}")
+        g = g.induced(keep)
     w = None
     if obj.get("weights") is not None:
         w = WeightFn(n, obj["weights"])
@@ -494,13 +542,14 @@ def from_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) < 3 or parts[1] not in ("edge", "edges", "col"):
                 raise InputError(f"line {lineno}: bad DIMACS header")
-            n = int(parts[2])
+            n = _dimacs_int(parts[2], lineno)
         elif parts[0] == "e":
             if n is None:
                 raise InputError(f"line {lineno}: edge before header")
             if len(parts) < 3:
                 raise InputError(f"line {lineno}: bad edge line")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            u = _dimacs_int(parts[1], lineno) - 1
+            v = _dimacs_int(parts[2], lineno) - 1
             if u == v:
                 continue
             edges.append((u, v))
@@ -516,10 +565,20 @@ def from_dimacs(text: str) -> Graph:
     return Graph(n, uniq)
 
 
+def _dimacs_int(field: str, lineno: int) -> int:
+    try:
+        return int(field)
+    except ValueError:
+        raise InputError(f"line {lineno}: {field!r} is not an integer")
+
+
 def load_graph_file(path: str) -> tuple[Graph, WeightFn | None]:
     """Load a graph by extension: .json (edge list), .g6/.graph6, .col."""
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read {path}: {e}")
     lower = path.lower()
     if lower.endswith(".g6") or lower.endswith(".graph6"):
         return from_graph6(text), None

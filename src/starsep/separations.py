@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import HypothesisViolation, InputError
 from .graph_core import (Graph, WeightFn, bit_list, bits, components,
-                         mask_of, neighborhood, popcount)
+                         far_components, neighborhood)
 
 HALF = Fraction(1, 2)
 
@@ -59,35 +59,23 @@ def classify_balanced(g: Graph, w: WeightFn) -> tuple[int, int]:
     component of the graph minus its closed neighborhood weighs <= 1/2."""
     balanced = 0
     for v in bits(g.verts):
-        rest = g.verts & ~g.closed_nbr(v)
-        if all(w.leq(w.of(d), HALF) for d in components(g, rest)):
+        if all(w.leq(w.of(d), HALF) for d in far_components(g, v)):
             balanced |= 1 << v
     return balanced, g.verts & ~balanced
 
 
-def heaviest_component(g: Graph, w: WeightFn, x: int) -> int:
-    """Heaviest component of the subgraph on x; ties favor the
-    lexicographically least vertex set (ascending-id comparison)."""
-    comps = components(g, x)
-    if not comps:
-        raise InputError("no components in an empty set")
-    best = comps[0]
-    best_w = w.of(best)
-    for comp in comps[1:]:
-        cw = w.of(comp)
-        if cw > best_w or (cw == best_w and bit_list(comp) < bit_list(best)):
-            best, best_w = comp, cw
-    return best
-
-
 def canonical_separation(g: Graph, w: WeightFn, v: int) -> Separation:
     """Canonical star separation of an unbalanced vertex: B is the
-    heaviest far component, C the center plus its neighbors seen from B."""
-    rest = g.verts & ~g.closed_nbr(v)
-    heavy = [d for d in components(g, rest) if not w.leq(w.of(d), HALF)]
-    if not heavy:
+    heaviest far component (ties favor the lexicographically least vertex
+    set), C the center plus its neighbors seen from B."""
+    b = best_w = None
+    for comp in far_components(g, v):
+        cw = w.of(comp)
+        if b is None or cw > best_w or (
+                cw == best_w and bit_list(comp) < bit_list(b)):
+            b, best_w = comp, cw
+    if b is None or w.leq(best_w, HALF):
         raise InputError(f"vertex {v} is balanced; no canonical separation")
-    b = heaviest_component(g, w, rest)
     c = (1 << v) | (g.adj[v] & neighborhood(g, b))
     a = g.verts & ~(b | c)
     sep = Separation(a=a, c=c, b=b, center=v)

@@ -18,7 +18,7 @@ from .central_bag import grow_separator, is_balanced_separator
 from .detectors import clique_number, detect_pyramid, hub_set
 from .errors import HypothesisViolation, InputError
 from .graph_core import (FLOAT_TOL, Graph, WeightFn, bit_list, bits,
-                         components, popcount, subsets_of_size)
+                         components, mask_of, popcount, subsets_of_size)
 from .hub_division import HubDivision, hub_division
 from .separations import HALF
 
@@ -128,13 +128,35 @@ def _certify_aux(aux: AuxGraph) -> None:
             raise HypothesisViolation(
                 "auxiliary component node has degree above two",
                 witness={"node": j, "neighbors": bit_list(h.adj[j])})
-    if h.n and h.n <= 20:
-        from .treewidth import exact_treewidth
-        tw = exact_treewidth(h, cap=20)
-        if tw > 2:
-            raise HypothesisViolation(
-                "auxiliary graph treewidth exceeds two",
-                witness={"treewidth": tw})
+    core = series_parallel_core(h)
+    if core:
+        raise HypothesisViolation(
+            "auxiliary graph treewidth exceeds two",
+            witness={"irreducible_nodes": bit_list(core)})
+
+
+def series_parallel_core(h: Graph) -> int:
+    """What is left of the graph after repeatedly deleting a vertex of
+    degree at most one or suppressing a vertex of degree two (joining its
+    two neighbors, if not yet adjacent).  The rest is empty iff the graph
+    has treewidth at most two (Arnborg & Proskurowski 1986)."""
+    adj = {v: h.adj[v] & h.verts for v in bits(h.verts)}
+    todo = list(adj)
+    while todo:
+        v = todo.pop()
+        nbrs = adj.get(v)
+        if nbrs is None or popcount(nbrs) > 2:
+            continue
+        del adj[v]
+        ends = bit_list(nbrs)
+        for u in ends:
+            adj[u] &= ~(1 << v)
+            todo.append(u)
+        if len(ends) == 2:
+            a, b = ends
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return mask_of(adj)
 
 
 def _aux_weight_of(aux: AuxGraph, node_mask: int):

@@ -8,6 +8,7 @@ search code is reused, so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 import networkx as nx
@@ -329,3 +330,36 @@ def least_diamond(h: nx.Graph):
                 if not sub.has_edge(*p))
     hub = [v for v in quad if v not in (a, b)]
     return (hub[0], hub[1], a, b)
+
+
+# ---------------------------------------------------------------------------
+# balanced vertices and canonical star separations, from the definitions
+
+
+def far_sides(h: nx.Graph, v) -> list[frozenset]:
+    """Components of h minus the closed neighbourhood of v, ordered by
+    least vertex."""
+    rest = set(h) - set(h[v]) - {v}
+    return sorted((frozenset(c) for c in
+                   nx.connected_components(h.subgraph(rest))), key=min)
+
+
+def classify_balanced(h: nx.Graph, weights: dict) -> tuple[set, set]:
+    """(balanced, unbalanced) vertex sets: v is balanced when every far
+    side weighs at most one half."""
+    balanced = {v for v in h
+                if all(sum(weights[u] for u in d) <= Fraction(1, 2)
+                       for d in far_sides(h, v))}
+    return balanced, set(h) - balanced
+
+
+def canonical_separation(h: nx.Graph, weights: dict, v):
+    """(A, C, B) of an unbalanced v: B is the heaviest far side (ties to
+    the lexicographically least sorted vertex list), C is v with its
+    neighbours that see B; None for a balanced v."""
+    sides = far_sides(h, v)
+    if all(sum(weights[u] for u in d) <= Fraction(1, 2) for d in sides):
+        return None
+    b = min(sides, key=lambda d: (-sum(weights[u] for u in d), sorted(d)))
+    c = {v} | {u for u in h[v] if any(x in b for x in h[u])}
+    return set(h) - b - c, c, set(b)

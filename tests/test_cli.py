@@ -212,6 +212,47 @@ def test_batch_malformed_file_exits_2(runner, tmp_path):
     assert rows[1]["error"] == "InputError"
 
 
+MALFORMED = {
+    "bad.col": b"p edge x 3\n",
+    "bad.json": b'{"n": 3, "edges": [[0, "1"]]}',
+    "bad_edges.json": b'{"n": 3, "edges": 5}',
+    "bad.g6": b"\xc3\x28\n",
+}
+
+
+def test_batch_keeps_going_past_malformed_files(runner, tmp_path):
+    d = tmp_path / "graphs"
+    d.mkdir()
+    (d / "a_w93.json").write_text(dumps_graph(make("W93")))
+    for name, data in MALFORMED.items():
+        (d / name).write_bytes(data)
+    res = runner.invoke(main, ["batch", "--t", "4", str(d)])
+    assert res.exit_code == 2
+    rows = _json_out(res)["instances"]
+    assert [r["instance"] for r in rows] == ["a_w93.json"] + sorted(MALFORMED)
+    assert rows[0]["member"] is True and rows[0]["checks"]["validation"]
+    assert all(r["error"] == "InputError" for r in rows[1:])
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_recognize_malformed_file_exits_2(runner, tmp_path, name):
+    p = tmp_path / name
+    p.write_bytes(MALFORMED[name])
+    res = runner.invoke(main, ["recognize", "--t", "4", str(p)])
+    assert res.exit_code == 2
+    assert _json_out(res)["error"] == "input"
+
+
+def test_malformed_weights_file_exits_2(runner, w93_file, tmp_path):
+    wp = tmp_path / "w.json"
+    for text in ("[", "5", '{"a": 1}'):
+        wp.write_text(text)
+        res = runner.invoke(main, ["separator", "--t", "4",
+                                   "--weights", str(wp), w93_file])
+        assert res.exit_code == 2
+        assert _json_out(res)["error"] == "input"
+
+
 @pytest.mark.parametrize("raised,code", [
     ((), 2),
     (("CapacityError",), 5),

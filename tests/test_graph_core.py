@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from starsep.errors import InputError
 from starsep.graph_core import (Graph, WeightFn, bit_list, components,
-                                dumps_graph, from_dimacs, from_graph6,
-                                loads_graph, mask_of, neighborhood,
-                                to_graph6)
+                                dumps_graph, far_components, from_dimacs,
+                                from_graph6, load_graph_file, loads_graph,
+                                mask_of, neighborhood, to_graph6)
 
+from . import oracles
 from .conftest import small_graphs
 
 
@@ -49,9 +50,9 @@ def test_induced_examples(c6, w93):
     assert c6.induced(c6.verts) == c6
 
 
-@given(small_graphs())
+@given(small_graphs(), st.randoms(use_true_random=False))
 @settings(max_examples=120, deadline=None)
-def test_components_partition_property(g):
+def test_components_partition_property(g, rng):
     comps = components(g, g.verts)
     union = 0
     for comp in comps:
@@ -63,6 +64,23 @@ def test_components_partition_property(g):
         sub = g.induced(comp)
         assert len(components(sub, comp)) == 1
     assert union == g.verts
+    for x in (g.verts, rng.getrandbits(g.n) & g.verts):
+        ref = nx.connected_components(oracles.to_nx(g.induced(x)))
+        assert components(g, x) == sorted((mask_of(c) for c in ref),
+                                          key=lambda m: m & -m)
+
+
+@given(small_graphs())
+@settings(max_examples=80, deadline=None)
+def test_far_components_match_fresh_search(g):
+    want = {v: tuple(components(g, g.verts & ~g.closed_nbr(v)))
+            for v in g.vertex_list()}
+    for _ in range(2):  # the first round fills the cache, the second reads it
+        for v in g.vertex_list():
+            assert far_components(g, v) == want[v]
+    for graph, v in ((g, -1), (g, g.n), (g.induced(g.verts & ~1), 0)):
+        with pytest.raises(InputError):
+            far_components(graph, v)
 
 
 @given(small_graphs())
@@ -118,14 +136,29 @@ def exact_weights_and_masks(draw):
     return w, masks
 
 
-@given(exact_weights_and_masks())
-@settings(max_examples=150, deadline=None)
+@st.composite
+def uniform_weights_and_masks(draw):
+    """uniform_on weights on a random support, with a few masks."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    support = draw(st.integers(min_value=1, max_value=(1 << n) - 1))
+    w = WeightFn.uniform_on(Graph(n, []), support)
+    masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
+                          min_size=1, max_size=4))
+    return w, masks
+
+
+@given(exact_weights_and_masks() | uniform_weights_and_masks())
+@settings(max_examples=200, deadline=None)
 def test_exact_weight_sum_matches_fraction_sum(case):
     w, masks = case
     for mask in masks + masks:  # second round reads the cached denominator
         got, want = w.of(mask), _sum_one_by_one(w, mask)
         assert type(got) is Fraction
         assert got == want and str(got) == str(want)
+    if sum(w.values) == 1:  # built through __init__, uniform_on matches it
+        checked = WeightFn(w.n, list(w.values))
+        assert checked.values == w.values and checked.exact
+        assert [checked.of(m) for m in masks] == [w.of(m) for m in masks]
 
 
 def test_uniform_on_subset():
@@ -163,6 +196,25 @@ def test_graph6_matches_networkx_encoding(w93):
         theirs = nx.to_graph6_bytes(h, nodes=sorted(h),
                                     header=False).decode().strip()
         assert to_graph6(g) == theirs
+
+
+def test_malformed_inputs_are_input_errors(tmp_path):
+    for edges in (5, [(0, "1")], [(0, 1.0)], [(0, None)]):
+        with pytest.raises(InputError):
+            Graph(3, edges)
+    for text in ('{"n": 3, "edges": [[0, "1"]]}', '{"n": 3, "edges": 5}',
+                 '{"n": 3, "vertices": ["a"]}', '{"n": 3, "weights": 5}'):
+        with pytest.raises(InputError):
+            loads_graph(text)
+    for text in ("p edge x 3\n", "p edge 3 1\ne 1 two\n"):
+        with pytest.raises(InputError, match="line"):
+            from_dimacs(text)
+    bad = tmp_path / "bad.g6"
+    bad.write_bytes(b"\xc3\x28\n")
+    with pytest.raises(InputError, match="bad.g6"):
+        load_graph_file(str(bad))
+    with pytest.raises(InputError, match="missing.json"):
+        load_graph_file(str(tmp_path / "missing.json"))
 
 
 def test_dimacs_read():

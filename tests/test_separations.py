@@ -12,6 +12,7 @@ from starsep.separations import (Separation, canonical_separation,
                                  nearly_noncrossing, shield_check,
                                  validate_separation)
 
+from . import oracles
 from .conftest import small_graphs
 
 
@@ -135,3 +136,47 @@ def test_canonical_invariants_random(g):
         s = canonical_separation(g, w, v)
         validate_separation(g, s)
         assert s.center == v
+
+
+def _reference_weightings(g, seed):
+    """Uniform, uniform on a subset, random exact, and shifted weights.
+    Shifted totals need not be one: adding one everywhere makes every far
+    side heavy, so equal heaviest sides exercise the tie rule."""
+    import random
+    rng = random.Random(seed)
+    uniform = WeightFn.uniform(g)
+    exact = _random_rational_weights(g, seed)
+    deltas = {v: Fraction(rng.randint(0, 6), 7 * g.n)
+              for v in rng.sample(g.vertex_list(), 3)}
+    return (uniform, exact, exact.shifted(deltas),
+            uniform.shifted({v: 1 for v in g.vertex_list()}),
+            WeightFn.uniform_on(g, mask_of(rng.sample(g.vertex_list(), 4))))
+
+
+def test_classification_matches_reference():
+    """Cached far sides give the masks and separations that a fresh
+    component search gives, weighting after weighting on one graph."""
+    from starsep.generators import sample_class
+    graphs = [sample_c4_diamond_free_no_clique_cutset(8 + seed % 5, seed)
+              for seed in range(16)]
+    # members with isolated vertices and trees have many far sides
+    graphs += [sample_class(8 + seed % 5, 4, seed).graph
+               for seed in range(16)]
+    checked = 0
+    for seed, g in enumerate(graphs):
+        h = oracles.to_nx(g)
+        for w in _reference_weightings(g, seed):
+            weights = dict(enumerate(w.values))
+            bal, unbal = classify_balanced(g, w)
+            ref_bal, ref_unbal = oracles.classify_balanced(h, weights)
+            assert (bal, unbal) == (mask_of(ref_bal), mask_of(ref_unbal))
+            for v in g.vertex_list():
+                ref = oracles.canonical_separation(h, weights, v)
+                if ref is None:
+                    with pytest.raises(InputError):
+                        canonical_separation(g, w, v)
+                    continue
+                s = canonical_separation(g, w, v)
+                assert s == Separation(*map(mask_of, ref), center=v)
+                checked += 1
+    assert checked > 1000

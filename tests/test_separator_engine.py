@@ -1,18 +1,24 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from starsep.central_bag import is_balanced_separator
 from starsep.detectors import holes
-from starsep.errors import InputError
-from starsep.generators import cycle_graph, sample_cutset_free_member
+from starsep.errors import HypothesisViolation, InputError
+from starsep.generators import (complete_graph, cycle_graph,
+                                sample_cutset_free_member)
 from starsep.graph_core import Graph, WeightFn, bit_list, mask_of
 from starsep.hub_division import hub_division
-from starsep.separator_engine import (aux_graph, balanced_vertex_separator,
+from starsep.separator_engine import (AuxGraph, _certify_aux, aux_graph,
+                                      balanced_vertex_separator,
                                       central_bag_separator, main_separator,
-                                      ramsey_vs_4, verify_certificate,
+                                      ramsey_vs_4, series_parallel_core,
+                                      verify_certificate,
                                       wheelfree_separator)
+from starsep.treewidth import exact_treewidth
 
+from .conftest import seeded_random_graphs
 
 
 def test_ramsey_budgets():
@@ -35,6 +41,66 @@ def test_aux_graph_w93_is_six_cycle(w93):
     assert aux.graph.n == 6
     found = list(holes(aux.graph))
     assert len(found) == 1 and len(found[0]) == 6
+
+
+def _subdivided_k4(inner):
+    """K4 on nodes 0..3 with its i-th edge replaced by a path through
+    inner[i] new nodes."""
+    edges, n = [], 4
+    for (a, b), k in zip(itertools.combinations(range(4), 2), inner):
+        path = [a, *range(n, n + k), b]
+        n += k
+        edges += zip(path, path[1:])
+    return Graph(n, edges)
+
+
+def test_series_parallel_core_matches_exact_treewidth():
+    cases = seeded_random_graphs(150, 12, base_seed=4242)
+    cases += [g.induced(g.verts & ~0b101) for g in cases[:30]]
+    cases += [cycle_graph(k) for k in range(3, 11)]
+    cases += [complete_graph(4), _subdivided_k4((0, 1, 0, 2, 0, 3)),
+              _subdivided_k4((1,) * 6), complete_graph(3), Graph(0, [])]
+    verdicts = set()
+    for h in cases:
+        small = series_parallel_core(h) == 0
+        assert small == (exact_treewidth(h) <= 2)
+        verdicts.add(small)
+    assert verdicts == {True, False}
+
+
+def _aux_of_paths(n_cliques, paths):
+    """Auxiliary graph whose clique nodes 0..n_cliques-1 are joined by
+    paths (a, b, k): k inner nodes (k odd) alternating component node,
+    clique node, ..., component node."""
+    t, comps, raw = n_cliques, 0, []
+    for a, b, k in paths:
+        prev = ("clique", a)
+        for i in range(k):
+            if i % 2:
+                cur, t = ("clique", t), t + 1
+            else:
+                cur, comps = ("comp", comps), comps + 1
+            raw.append((prev, cur))
+            prev = cur
+        raw.append((prev, ("clique", b)))
+
+    def node(x):
+        return x[1] if x[0] == "clique" else t + x[1]
+
+    h = Graph(t + comps, [(node(u), node(v)) for u, v in raw])
+    return AuxGraph(graph=h, cliques=(0,) * t, comps=(0,) * comps,
+                    weights=(), normalized=())
+
+
+def test_certify_aux_checks_treewidth_above_twenty_nodes():
+    ring = _aux_of_paths(15, [(j, (j + 1) % 15, 1) for j in range(15)])
+    assert ring.graph.n == 30
+    _certify_aux(ring)  # an even cycle has treewidth two
+    k4 = _aux_of_paths(4, [(a, b, k) for (a, b), k in zip(
+        itertools.combinations(range(4), 2), (3, 3, 3, 3, 3, 5))])
+    assert k4.graph.n == 24
+    with pytest.raises(HypothesisViolation, match="treewidth"):
+        _certify_aux(k4)
 
 
 def test_aux_graph_isolated_vertex():

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 import starsep.detectors
+import starsep.graph_core
 from starsep.errors import CapacityError, InputError, NotAMember
 from starsep.generators import (complete_graph, sample_class,
                                 sample_cutset_free_member, theta_graph,
                                 w93_graph)
-from starsep.graph_core import Graph, mask_of, popcount
+from starsep.graph_core import Graph, WeightFn, mask_of, popcount
+from starsep.separations import classify_balanced
 from starsep.treewidth import (TreeDecomposition, build_td, certify,
                                exact_treewidth, validate_td)
 
@@ -142,6 +144,32 @@ def test_certify_enumerates_holes_at_most_twice(monkeypatch):
     assert res.report["atoms"] == 1 and res.report["oracle_calls"] >= 5
     assert res.report["validation_passed"]
     assert len(calls) <= 2
+
+
+def test_far_sides_are_computed_once_per_graph(monkeypatch):
+    """Far sides depend only on the graph: a second classification with
+    other weights searches no component, and certify searches each far
+    side of its single atom once across all separator queries."""
+    g = sample_cutset_free_member(16, 4, 3)
+    real = starsep.graph_core.components
+    calls = []
+
+    def counting(graph, x):
+        calls.append(x)
+        return real(graph, x)
+
+    monkeypatch.setattr(starsep.graph_core, "components", counting)
+    fresh = Graph(g.n, g.edges())
+    far = sorted(fresh.verts & ~fresh.closed_nbr(v)
+                 for v in fresh.vertex_list())
+    classify_balanced(fresh, WeightFn.uniform(fresh))
+    assert sorted(calls) == far
+    calls.clear()
+    classify_balanced(fresh, WeightFn.uniform_on(fresh, mask_of([0, 5])))
+    assert calls == []
+    res = certify(g, 4, "C_t_star")
+    assert res.report["atoms"] == 1 and res.report["oracle_calls"] >= 5
+    assert sorted(calls) == far
 
 
 def test_certify_random_members():
