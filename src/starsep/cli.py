@@ -20,7 +20,7 @@ from .errors import (CapacityError, HypothesisViolation, InputError,
                      NotAMember, SamplingError)
 from .generators import make, sample_class
 from .graph_core import (Graph, WeightFn, bit_list, dumps_graph,
-                         graph_to_json_obj, load_graph_file, to_graph6)
+                         load_graph_file, to_graph6)
 from .hub_division import check_no_wheels_in_bag, hub_division
 from .separations import canonical_separation, classify_balanced, leq_a_order
 from .separator_engine import main_separator, verify_certificate
@@ -146,8 +146,12 @@ def hubdiv(t, weights, file):
 
 
 def _parse_balance(text: str):
-    value = Fraction(text) if "/" in text or text.isdigit() else float(text)
-    if not Fraction(1, 2) <= Fraction(str(value)) < 1:
+    try:
+        value = Fraction(text) if "/" in text or text.isdigit() else float(text)
+        exact = Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"balance constant must be a number, got {text}")
+    if not Fraction(1, 2) <= exact < 1:
         raise InputError(f"balance constant must lie in [1/2, 1), got {text}")
     return value
 
@@ -204,7 +208,13 @@ def verify_cert(graph_file, td_file):
 
     def run():
         with open(td_file) as fh:
-            obj = json.load(fh)
+            try:
+                obj = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as e:
+                raise InputError(f"bad decomposition file {td_file}: {e}")
+        if not isinstance(obj, dict):
+            raise InputError(f"decomposition file {td_file} must hold a "
+                             "JSON object")
         td = TreeDecomposition.from_json(obj.get("decomposition", obj))
         return validate_td(g, td), td
 

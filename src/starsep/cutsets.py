@@ -7,10 +7,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .detectors import WheelWitness, _triangles
+from .detectors import WheelWitness
 from .errors import HypothesisViolation, InputError
-from .graph_core import (Graph, bit_list, bits, components, mask_of,
-                         neighborhood, popcount)
+from .graph_core import (Graph, bit_list, bits, cliques, components, mask_of,
+                         popcount)
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +29,7 @@ def find_clique_cutset(g: Graph, within: int) -> int | None:
         return 0
     max_size = min(n_active - 2, _greedy_clique_bound(sub))
     for size in range(1, max_size + 1):
-        for clique in _cliques_of_size(sub, size):
+        for clique in map(mask_of, cliques(sub, size)):
             rest = within & ~clique
             if rest and len(components(sub, rest)) > 1:
                 return clique
@@ -42,20 +42,6 @@ def _greedy_clique_bound(g):
     for v in g.vertex_list():
         best = max(best, g.degree(v) + 1)
     return best
-
-
-def _cliques_of_size(g, size):
-    """All cliques of exactly `size` vertices, ascending-tuple lex order."""
-    def grow(cur, cand):
-        if len(cur) == size:
-            yield mask_of(cur)
-            return
-        for v in bits(cand):
-            yield from grow(cur + [v], cand & g.adj[v])
-
-    for v in g.vertex_list():
-        above = g.adj[v] & g.verts & ~((1 << (v + 1)) - 1)
-        yield from grow([v], above)
 
 
 @dataclass(frozen=True)
@@ -292,7 +278,7 @@ def _minimize_attachment(g, xs, h):
 
 def _classify_attachment(g, xs, h):
     sub = g.induced(h)
-    tri = next(iter(_triangles(sub)), None)
+    tri = next(cliques(sub, 3), None)
     if tri is not None:
         w = _match_case_iii(g, xs, h, tri)
         if w is not None:
@@ -313,27 +299,31 @@ def _classify_attachment(g, xs, h):
         witness={"H": bit_list(h)})
 
 
+def _walk(sub, start, comp):
+    """The path covering comp from the single vertex in the mask start,
+    each step going to the only unvisited neighbor; None if start is not
+    one vertex, a step branches, or the walk stops before covering comp.
+    A walk that covers comp this way has no chord: each vertex saw only
+    its successor among the vertices after it."""
+    if popcount(start) != 1:
+        return None
+    order = [start.bit_length() - 1]
+    seen = start
+    while nxt := sub.adj[order[-1]] & comp & ~seen:
+        if popcount(nxt) > 1:
+            return None
+        order.append(nxt.bit_length() - 1)
+        seen |= nxt
+    return tuple(order) if seen == comp else None
+
+
 def _as_path(sub, h):
     """Vertex order if the induced subgraph is a path, else None."""
     verts = bit_list(h)
     if len(verts) == 1:
         return tuple(verts)
-    degs = {v: popcount(sub.adj[v]) for v in verts}
-    ends = [v for v in verts if degs[v] == 1]
-    if len(ends) != 2 or any(degs[v] > 2 for v in verts):
-        return None
-    if len(components(sub, h)) != 1:
-        return None
-    order = [ends[0]]
-    seen = 1 << ends[0]
-    while len(order) < len(verts):
-        nxt = sub.adj[order[-1]] & h & ~seen
-        if not nxt:
-            return None
-        v = bit_list(nxt)[0]
-        order.append(v)
-        seen |= 1 << v
-    return tuple(order)
+    ends = [v for v in verts if popcount(sub.adj[v]) == 1]
+    return _walk(sub, 1 << ends[0], h) if len(ends) == 2 else None
 
 
 def _match_case_i(g, xs, path):
@@ -381,26 +371,12 @@ def _match_case_ii(g, xs, h):
 def _legs_from(sub, h, a):
     """Split H minus a into directed legs hanging off a; each must be a
     path attached to a at one end.  Returns leg tuples ordered from a."""
-    rest = h & ~(1 << a)
     legs = []
-    for comp in components(sub, rest):
-        start = sub.adj[a] & comp
-        if popcount(start) != 1:
+    for comp in components(sub, h & ~(1 << a)):
+        leg = _walk(sub, sub.adj[a] & comp, comp)
+        if leg is None:
             return None
-        order = [bit_list(start)[0]]
-        seen = start
-        while True:
-            nxt = sub.adj[order[-1]] & comp & ~seen
-            if not nxt:
-                break
-            if popcount(nxt) > 1:
-                return None
-            v = bit_list(nxt)[0]
-            order.append(v)
-            seen |= 1 << v
-        if popcount(comp) != len(order):
-            return None
-        legs.append(tuple(order))
+        legs.append(leg)
     return legs
 
 
@@ -443,23 +419,9 @@ def _match_case_iii(g, xs, h, tri):
         c = owners[0]
         if legs[c]:
             return None
-        start = sub.adj[c] & comp
-        if popcount(start) != 1:
+        legs[c] = _walk(sub, sub.adj[c] & comp, comp)
+        if legs[c] is None:
             return None
-        order = [bit_list(start)[0]]
-        seen = start
-        while True:
-            nxt = sub.adj[order[-1]] & comp & ~seen
-            if not nxt:
-                break
-            if popcount(nxt) > 1:
-                return None
-            v = bit_list(nxt)[0]
-            order.append(v)
-            seen |= 1 << v
-        if popcount(comp) != len(order):
-            return None
-        legs[c] = tuple(order)
     options = []
     for x in xs:
         nx = g.adj[x] & h

@@ -5,11 +5,14 @@ checks during extension), sized for graphs up to a few dozen vertices.
 C4 and diamond are common-neighborhood mask tests (a non-adjacent pair,
 or an edge, whose common neighbors hold a non-edge) that return the
 lexicographically least witness, the one a scan of all 4-subsets finds
-first.  Holes are enumerated in one pass over chordless paths, then
-ordered by length.  Detectors return concrete vertex embeddings that
-re-verify against the definitions by direct adjacency checks; the test
-suite compares them with an independent subset-enumeration oracle that
-shares no code with them.
+first.  K_t, the clique number and the triangles of pyramids and prisms
+come from ``graph_core.cliques``.  Holes are enumerated in one pass over
+chordless paths, then ordered by length; every wheel scan (the even-wheel
+test, the taxonomy, the hub record) walks them through ``_spoked``, which
+pairs each hole with the vertices that have three or more spokes on it.
+Detectors return concrete vertex embeddings that re-verify against the
+definitions by direct adjacency checks; the test suite compares them with
+an independent subset-enumeration oracle that shares no code with them.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from enum import Enum
 from typing import Iterator, Optional
 
 from .errors import InputError
-from .graph_core import Graph, bits, mask_of, popcount
+from .graph_core import Graph, bits, cliques, mask_of, popcount
 
 # deterministic obstruction search order for membership tests
 _KIND_ORDER = ("C4", "diamond", "K_t", "theta", "pyramid", "prism", "even_wheel")
@@ -124,7 +127,7 @@ def detect_fixed(g: Graph, kind: str, t: int = 4) -> Optional[tuple[int, ...]]:
     if kind in ("K_t", "K"):
         if t < 3:
             raise InputError("clique detection needs t >= 3")
-        return _find_clique(g, t)
+        return next(cliques(g, t), None)
     raise InputError(f"unknown fixed pattern {kind!r}")
 
 
@@ -177,43 +180,14 @@ def _least_nonadjacent_pair(g, mask):
     return None
 
 
-def _find_clique(g, t):
-    def grow(cur, cand_mask):
-        if len(cur) == t:
-            return tuple(cur)
-        for v in bits(cand_mask):
-            got = grow(cur + [v], cand_mask & g.adj[v])
-            if got:
-                return got
-        return None
-
-    for v in g.vertex_list():
-        above = g.adj[v] & g.verts & ~((1 << (v + 1)) - 1)
-        got = grow([v], above)
-        if got:
-            return got
-    return None
-
-
 def clique_number(g: Graph) -> int:
     """Size of the largest clique, by incremental clique sweeps."""
     if not g.verts:
         return 0
     w = 1
-    while popcount(g.verts) > w and _find_clique(g, w + 1):
+    while popcount(g.verts) > w and next(cliques(g, w + 1), None):
         w += 1
     return w
-
-
-def _triangles(g):
-    out = []
-    for u in g.vertex_list():
-        above_u = g.adj[u] & g.verts & ~((1 << (u + 1)) - 1)
-        for v in bits(above_u):
-            both = above_u & g.adj[v] & ~((1 << (v + 1)) - 1)
-            for w in bits(both):
-                out.append((u, v, w))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +259,7 @@ def detect_pyramid(g: Graph, apex: int | None = None) -> Optional[PyramidWitness
     """Apex joined to a triangle by three paths meeting only at the apex,
     at least two of them of length >= 2; the only edges between different
     legs are the triangle edges.  An explicit apex restricts the search."""
-    tris = _triangles(g)
+    tris = list(cliques(g, 3))
     if not tris:
         return None
     apexes = g.vertex_list() if apex is None else [apex]
@@ -351,7 +325,7 @@ class PrismWitness:
 def detect_prism(g: Graph) -> Optional[PrismWitness]:
     """Two disjoint triangles joined by three paths whose only cross edges
     are the triangle edges."""
-    tris = _triangles(g)
+    tris = list(cliques(g, 3))
     for ta, tb in itertools.combinations(tris, 2):
         if mask_of(ta) & mask_of(tb):
             continue
@@ -419,6 +393,9 @@ class WheelWitness:
     is_proper_wheel: bool
     is_universal_wheel: bool
     sectors: tuple[tuple[int, ...], ...] = field(default=())
+
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(sorted(set(self.hole) | {self.center}))
 
     def long_sectors(self) -> tuple[tuple[int, ...], ...]:
         return tuple(s for s in self.sectors if len(s) > 2)
@@ -508,19 +485,25 @@ def _sectors(hole, nbr_mask):
     return tuple(out)
 
 
+def _spoked(g: Graph, x: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """(hole, hole mask, v) for every hole inside x, in hole order, and
+    every vertex v of x off the hole with at least three neighbors on it."""
+    for hole in holes(g, within=x):
+        hole_mask = mask_of(hole)
+        for v in bits(x & ~hole_mask):
+            if popcount(g.adj[v] & hole_mask) >= 3:
+                yield hole, hole_mask, v
+
+
 def classify_wheels(g: Graph, within: int | None = None) -> list[WheelWitness]:
     """One witness per (center, kind); holes are scanned in increasing
     length, so each witness uses the earliest qualifying hole."""
     x = g.verts if within is None else within
     seen: dict[tuple[int, str], WheelWitness] = {}
-    for hole in holes(g, within=x):
-        hole_mask = mask_of(hole)
-        for v in bits(x & ~hole_mask):
-            if popcount(g.adj[v] & hole_mask) < 3:
-                continue
-            w = make_wheel_witness(g, hole, v)
-            for kind in w.kinds():
-                seen.setdefault((v, kind), w)
+    for hole, _, v in _spoked(g, x):
+        w = make_wheel_witness(g, hole, v)
+        for kind in w.kinds():
+            seen.setdefault((v, kind), w)
     order = {k.value: i for i, k in enumerate(WheelKind)}
     return [seen[key] for key in sorted(seen, key=lambda kv: (kv[0], order[kv[1]]))]
 
@@ -531,15 +514,10 @@ def _wheel_pairs(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
     one hole pass on first use and kept on the (immutable) graph."""
     if g._wheel_pairs is None:
         found: dict[int, list[int]] = {}
-        for hole in holes(g):
-            hole_mask = mask_of(hole)
-            for v in bits(g.verts & ~hole_mask):
-                nbrs_on = g.adj[v] & hole_mask
-                if popcount(nbrs_on) < 3:
-                    continue
-                spokes = tuple(u for u in hole if (nbrs_on >> u) & 1)
-                if _has_independent_triple(g, spokes):
-                    found.setdefault(v, []).append(hole_mask)
+        for hole, hole_mask, v in _spoked(g, g.verts):
+            spokes = tuple(u for u in hole if (g.adj[v] >> u) & 1)
+            if _has_independent_triple(g, spokes):
+                found.setdefault(v, []).append(hole_mask)
         object.__setattr__(g, "_wheel_pairs", tuple(
             (v, tuple(masks)) for v, masks in sorted(found.items())))
     return g._wheel_pairs
@@ -561,14 +539,10 @@ def hub_set(g: Graph, x: int) -> int:
 
 
 def find_even_wheel(g: Graph) -> Optional[WheelWitness]:
-    for hole in holes(g):
-        hole_mask = mask_of(hole)
-        for v in bits(g.verts & ~hole_mask):
-            if popcount(g.adj[v] & hole_mask) < 3:
-                continue
-            w = make_wheel_witness(g, hole, v)
-            if w.is_even_wheel:
-                return w
+    for hole, _, v in _spoked(g, g.verts):
+        w = make_wheel_witness(g, hole, v)
+        if w.is_even_wheel:
+            return w
     return None
 
 
@@ -609,36 +583,28 @@ def class_membership(g: Graph, t: int, variant: str = "C_t") -> ObstructionRepor
     for kind in _KIND_ORDER:
         if kind == "pyramid" and star:
             continue
-        if kind in ("C4", "diamond"):
-            emb = detect_fixed(g, kind)
-            if emb:
-                return ObstructionReport(False, t, variant, kind, emb)
-        elif kind == "K_t":
-            emb = detect_fixed(g, "K_t", t)
-            if emb:
-                return ObstructionReport(False, t, variant, "K_t", emb)
-        elif kind == "theta":
-            w = detect_theta(g)
-            if w:
-                return ObstructionReport(False, t, variant, "theta",
-                                         w.vertices(), w)
-        elif kind == "pyramid":
-            w = detect_pyramid(g)
-            if w:
-                return ObstructionReport(False, t, variant, "pyramid",
-                                         w.vertices(), w)
-        elif kind == "prism":
-            w = detect_prism(g)
-            if w:
-                return ObstructionReport(False, t, variant, "prism",
-                                         w.vertices(), w)
-        else:
-            w = find_even_wheel(g)
-            if w:
-                emb = tuple(sorted(set(w.hole) | {w.center}))
-                return ObstructionReport(False, t, variant, "even_wheel",
-                                         emb, w)
+        found = _search(g, kind, t)
+        if isinstance(found, tuple):
+            return ObstructionReport(False, t, variant, kind, found)
+        if found is not None:
+            return ObstructionReport(False, t, variant, kind,
+                                     found.vertices(), found)
     return ObstructionReport(True, t, variant)
+
+
+def _search(g: Graph, kind: str, t: int):
+    """The first obstruction of one kind: a vertex tuple for the fixed
+    patterns, a witness object for the others, or None.  Detectors are
+    looked up when called, so a rebound module attribute takes effect."""
+    if kind == "theta":
+        return detect_theta(g)
+    if kind == "pyramid":
+        return detect_pyramid(g)
+    if kind == "prism":
+        return detect_prism(g)
+    if kind == "even_wheel":
+        return find_even_wheel(g)
+    return detect_fixed(g, kind, t)
 
 
 def verify_obstruction(g: Graph, kind: str, embedding: tuple[int, ...],

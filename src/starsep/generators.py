@@ -12,11 +12,12 @@ import random
 import re
 from dataclasses import dataclass
 
+from .cutsets import find_clique_cutset
 from .detectors import (class_membership, detect_fixed, detect_prism,
                         detect_pyramid, detect_theta, hub_set,
                         ObstructionReport)
 from .errors import InputError, SamplingError
-from .graph_core import Graph, bit_list, env_cap
+from .graph_core import Graph, bit_list, components, env_cap
 
 SAMPLE_CAP = 32
 
@@ -306,7 +307,6 @@ def sample_c4_diamond_free_no_clique_cutset(n: int, seed: int) -> Graph:
 
 def _clique_pair_cutset(g: Graph):
     """An adjacent pair whose removal disconnects the graph, or None."""
-    from .graph_core import components
     for u, v in g.edges():
         rest = g.verts & ~(1 << u) & ~(1 << v)
         if rest and len(components(g, rest)) > 1:
@@ -331,7 +331,7 @@ def sample_cutset_free_member(n: int, t: int, seed: int,
             continue
         if not class_membership(g, t, variant).member:
             continue
-        if _has_clique_cutset_quick(g):
+        if find_clique_cutset(g, g.verts) is not None:
             continue
         return g
     # deterministic fallback: the plain cycle is always valid
@@ -394,8 +394,3 @@ def _spaced_spokes(cyc: int, count: int, rng: random.Random):
         if all(gap >= 3 for gap in gaps):
             return set(pos)
     return None
-
-
-def _has_clique_cutset_quick(g: Graph) -> bool:
-    from .cutsets import find_clique_cutset
-    return find_clique_cutset(g, g.verts) is not None

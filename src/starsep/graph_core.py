@@ -282,6 +282,31 @@ def degeneracy(g: Graph, within: int) -> int:
     return best
 
 
+def cliques(g: Graph, size: int) -> Iterator[tuple[int, ...]]:
+    """Every clique of exactly `size` vertices, once each, as an ascending
+    tuple, in lexicographic order.  A depth-first search with an explicit
+    stack extends a clique by its common neighbors above its last vertex
+    and never enters a branch with fewer candidates than it still needs."""
+    adj = g.adj
+    stack = [((), g.verts)]
+    while stack:
+        clique, cand = stack.pop()
+        need = size - len(clique) - 1
+        if need < 0:
+            yield clique
+            continue
+        children = []
+        while cand:
+            low = cand & -cand
+            cand ^= low  # now the candidates above v
+            v = low.bit_length() - 1
+            if not need:
+                yield clique + (v,)
+            elif (rest := cand & adj[v]).bit_count() >= need:
+                children.append((clique + (v,), rest))
+        stack.extend(reversed(children))
+
+
 # ---------------------------------------------------------------------------
 # weight functions
 

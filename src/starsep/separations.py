@@ -147,12 +147,8 @@ def leq_a_order(g: Graph, w: WeightFn) -> OrderDigest:
                 raise HypothesisViolation(
                     "A-side order is not transitive",
                     witness={"x": x, "y": y, "z": z})
-    minimal = 0
-    for x in bits(u):
-        if not any((y, x) in pairs for y in bits(u) if y != x):
-            minimal |= 1 << x
     return OrderDigest(unbalanced=u, pairs=frozenset(pairs),
-                       minimal=minimal, separations=seps)
+                       minimal=minimal_under_leq_a(seps, u), separations=seps)
 
 
 def minimal_under_leq_a(seps: dict[int, Separation], subset: int) -> int:

@@ -17,8 +17,8 @@ from math import comb
 from .central_bag import grow_separator, is_balanced_separator
 from .detectors import clique_number, detect_pyramid, hub_set
 from .errors import HypothesisViolation, InputError
-from .graph_core import (FLOAT_TOL, Graph, WeightFn, bit_list, bits,
-                         components, mask_of, popcount, subsets_of_size)
+from .graph_core import (Graph, WeightFn, bit_list, bits, components, mask_of,
+                         popcount, subsets_of_size)
 from .hub_division import HubDivision, hub_division
 from .separations import HALF
 
@@ -159,36 +159,30 @@ def series_parallel_core(h: Graph) -> int:
     return mask_of(adj)
 
 
-def _aux_weight_of(aux: AuxGraph, node_mask: int):
-    exact = all(isinstance(x, Fraction) for x in aux.normalized)
-    total = Fraction(0) if exact else 0.0
-    for i in bits(node_mask):
-        total += aux.normalized[i]
-    return total
-
-
 def _aux_balanced_separator(aux: AuxGraph) -> int:
     """Smallest (then lexicographically least) node set of size <= 3 whose
     removal leaves every component of the auxiliary graph at normalized
     weight <= 1/2."""
     h = aux.graph
     exact = all(isinstance(x, Fraction) for x in aux.normalized)
+    x = _least_balanced_separator(
+        h, WeightFn._raw(h.n, aux.normalized, exact), h.verts, 3, HALF)
+    if x is None:
+        raise HypothesisViolation(
+            "no balanced separator of size three in the auxiliary graph",
+            witness=aux.as_json())
+    return x
 
-    def balanced(x):
-        for comp in components(h, h.verts & ~x):
-            wt = _aux_weight_of(aux, comp)
-            ok = wt <= HALF if exact else wt <= 0.5 + FLOAT_TOL
-            if not ok:
-                return False
-        return True
 
-    for size in range(0, min(3, h.n) + 1):
-        for x in subsets_of_size(h.verts, size):
-            if balanced(x):
+def _least_balanced_separator(g: Graph, w: WeightFn, region: int,
+                              budget: int, c) -> int | None:
+    """Smallest, then lexicographically least, subset of the region of at
+    most `budget` vertices that is a balanced separator of it, or None."""
+    for size in range(0, min(budget, popcount(region)) + 1):
+        for x in subsets_of_size(region, size):
+            if is_balanced_separator(g, w, region, x, c):
                 return x
-    raise HypothesisViolation(
-        "no balanced separator of size three in the auxiliary graph",
-        witness=aux.as_json())
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +301,7 @@ def wheelfree_separator(g: Graph, beta: int, w_bag: WeightFn, budget: int,
     search (smallest size, then lexicographically least)."""
     if hub_set(g, beta):
         raise InputError("bag is not wheel-free")
-    top = min(budget, popcount(beta))
-    found = None
-    for size in range(0, top + 1):
-        for x in subsets_of_size(beta, size):
-            if is_balanced_separator(g, w_bag, beta, x, c):
-                found = x
-                break
-        if found is not None:
-            break
+    found = _least_balanced_separator(g, w_bag, beta, budget, c)
     if found is None:
         raise HypothesisViolation(
             "no balanced separator within the wheel-free budget",

@@ -176,8 +176,9 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdValidation:
             break
     nbrs = [[] for _ in range(n_nodes)]
     for a, b in td.edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
+        if 0 <= a < n_nodes and 0 <= b < n_nodes:  # else a tree_shape failure
+            nbrs[a].append(b)
+            nbrs[b].append(a)
     for v in bits(g.verts & covered):
         nodes = [i for i, b in enumerate(td.bags) if (b >> v) & 1]
         if not nodes:

@@ -277,3 +277,36 @@ def test_batch_exit_code_follows_worst_error(runner, tmp_path, monkeypatch,
     assert res.exit_code == code
     rows = _json_out(res)["instances"]
     assert [r["error"] for r in rows] == list(raised) + ["InputError"]
+
+
+@pytest.mark.parametrize("balance", ["abc", "nan", "inf", "-inf", "1e400",
+                                     "1/0", "1/3", "1"])
+def test_separator_bad_balance_exits_2(runner, w93_file, balance):
+    res = runner.invoke(main, ["separator", "--t", "4",
+                               "--balance", balance, w93_file])
+    assert res.exit_code == 2
+    assert _json_out(res)["error"] == "input"
+
+
+@pytest.mark.parametrize("content", [
+    b"{not json", b"[1, 2]", b'"bags"', b"\xc3\x28",
+    b'{"decomposition": "x"}', b'{"bags": [[-1]], "edges": []}',
+    b'{"bags": [[0, 1]], "edges": [[0, 1, 2]]}',
+])
+def test_verify_cert_malformed_decomposition_exits_2(runner, w93_file,
+                                                     tmp_path, content):
+    td = tmp_path / "td.json"
+    td.write_bytes(content)
+    res = runner.invoke(main, ["verify-cert", w93_file, str(td)])
+    assert res.exit_code == 2
+    assert _json_out(res)["error"] == "input"
+
+
+def test_verify_cert_dangling_tree_edge_fails_validation(runner, w93_file,
+                                                         tmp_path):
+    td = tmp_path / "td.json"
+    td.write_text(json.dumps({"bags": [list(range(10))], "edges": [[0, 5]]}))
+    res = runner.invoke(main, ["verify-cert", w93_file, str(td)])
+    assert res.exit_code == 4
+    failures = _json_out(res)["validation"]["failures"]
+    assert [f["condition"] for f in failures] == ["tree_shape"]

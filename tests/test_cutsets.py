@@ -1,3 +1,7 @@
+import itertools
+import random
+
+import networkx as nx
 import pytest
 
 from starsep.cutsets import (attachment_trichotomy, clique_cutset_atoms,
@@ -7,6 +11,8 @@ from starsep.errors import InputError
 from starsep.generators import bowtie_graph, sample_class, wheel_graph
 from starsep.graph_core import Graph, bit_list, mask_of, popcount
 from starsep.treewidth import exact_treewidth
+
+from . import oracles
 
 
 def test_atoms_examples(p9, c6):
@@ -113,3 +119,86 @@ def test_trichotomy_validates_inputs():
         attachment_trichotomy(g, 0, 0, 4, 1 << 2)
     with pytest.raises(InputError):
         attachment_trichotomy(g, 0, 2, 4, mask_of([1, 3]))  # disconnected D
+
+
+def test_walk_and_as_path():
+    from starsep.cutsets import _as_path, _walk
+    g = Graph(5, [(0, 1), (1, 2), (2, 3)])
+    p4 = mask_of([0, 1, 2, 3])
+    assert _walk(g, 1 << 0, p4) == (0, 1, 2, 3)
+    assert _walk(g, mask_of([0, 3]), p4) is None     # two start vertices
+    assert _walk(g, 0, p4) is None                    # no start vertex
+    assert _walk(g, 1 << 1, p4) is None               # branches at once
+    assert _walk(g, 1 << 0, mask_of([0, 1, 2, 4])) is None  # stops short
+    tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    assert _walk(tri, 1 << 0, tri.verts) is None      # branches, yet covers
+    assert _as_path(g, p4) == (0, 1, 2, 3)
+    assert _as_path(g, 1 << 4) == (4,)
+    c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    assert _as_path(c5, c5.verts) is None
+    claw = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert _as_path(claw, claw.verts) is None
+
+
+def _is_induced_path(h, path, closed=False):
+    """The vertices in order form a path of h with no chord, except the
+    edge between the two ends when `closed`."""
+    return (len(set(path)) == len(path)
+            and all(h.has_edge(u, v) for u, v in zip(path, path[1:]))
+            and h.subgraph(path).number_of_edges() == len(path) - 1 + closed
+            and (not closed or h.has_edge(path[0], path[-1])))
+
+
+def _check_trichotomy(g, h, xs, d, tr):
+    from starsep.cutsets import _attachment_ok
+    hv = set(bit_list(tr.h))
+    assert hv <= set(bit_list(d)) and _attachment_ok(g, xs, tr.h)
+    for v in hv:
+        assert not _attachment_ok(g, xs, tr.h & ~(1 << v))
+    w = tr.witness
+    if tr.case == "i":
+        path = w["path"]
+        xi, xj = w["ends"]
+        assert (path[0], path[-1]) == (xi, xj) and w["third"] in xs
+        assert sorted((xi, xj, w["third"])) == sorted(xs)
+        assert set(path[1:-1]) == hv
+        assert _is_induced_path(h, path, closed=w["closes_hole"])
+        return
+    paths = w["paths"]
+    assert [p[-1] for p in paths] == list(xs)
+    assert all(_is_induced_path(h, p) for p in paths)
+    if tr.case == "ii":
+        assert all(p[0] == w["center"] for p in paths)
+        legs = [set(p[1:-1]) for p in paths]
+        assert all(not (a & b) for a, b in itertools.combinations(legs, 2))
+        assert set().union(*legs) | {w["center"]} == hv
+    else:
+        tri = w["triangle"]
+        assert h.subgraph(tri).number_of_edges() == 3
+        assert sorted(p[0] for p in paths) == sorted(tri)
+        legs = [set(p[:-1]) for p in paths]
+        assert all(not (a & b) for a, b in itertools.combinations(legs, 2))
+        assert set().union(*legs) == hv
+
+
+def test_trichotomy_witnesses_match_definitions():
+    """On seeded random inputs every case-i path runs from x_i to x_j
+    through all of H, case-ii legs meet only at the center, case-iii legs
+    start at distinct triangle corners, every path is induced, and H is
+    minimal."""
+    seen = {"i": 0, "ii": 0, "iii": 0}
+    for seed in range(3000):
+        rng = random.Random(seed)
+        n = rng.randint(4, 11)
+        p = rng.choice((0.2, 0.3, 0.4, 0.5))
+        g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                      if rng.random() < p])
+        h = oracles.to_nx(g)
+        xs = tuple(rng.sample(range(n), 3))
+        for comp in nx.connected_components(h.subgraph(set(range(n)) - set(xs))):
+            d = mask_of(comp)
+            if all(g.adj[x] & d for x in xs):
+                tr = attachment_trichotomy(g, *xs, d)
+                _check_trichotomy(g, h, xs, d, tr)
+                seen[tr.case] += 1
+    assert min(seen.values()) >= 5, seen

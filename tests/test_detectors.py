@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -121,6 +122,18 @@ def test_clique_number():
     assert clique_number(Graph(1, [])) == 1
     assert clique_number(Graph(4, [(i, j) for i in range(4)
                                    for j in range(i + 1, 4)])) == 4
+    rng = random.Random(47)
+    for i, g in enumerate(seeded_random_graphs(80, 12, 91)):
+        for sub in (g, g.induced(_sparse_mask(g, rng))):
+            h = oracles.to_nx(sub)
+            omega = max((len(c) for c in nx.find_cliques(h)), default=0)
+            assert clique_number(sub) == omega, i
+            for t in (3, 4, 5):
+                first = next((c for c in itertools.combinations(
+                    sub.vertex_list(), t) if all(
+                        sub.has_edge(u, v)
+                        for u, v in itertools.combinations(c, 2))), None)
+                assert detect_fixed(sub, "K_t", t) == first, (i, t)
 
 
 @given(small_graphs())

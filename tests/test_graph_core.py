@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import networkx as nx
@@ -7,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starsep.errors import InputError
-from starsep.graph_core import (Graph, WeightFn, bit_list, components,
+from starsep.graph_core import (Graph, WeightFn, bit_list, cliques, components,
                                 dumps_graph, far_components, from_dimacs,
                                 from_graph6, load_graph_file, loads_graph,
                                 mask_of, neighborhood, to_graph6)
 
 from . import oracles
-from .conftest import small_graphs
+from .conftest import seeded_random_graphs, small_graphs
 
 
 def test_simple_graph_invariants():
@@ -223,3 +225,17 @@ def test_dimacs_read():
     assert g.n == 4 and g.num_edges() == 3 and g.has_edge(0, 1)
     with pytest.raises(InputError):
         from_dimacs("e 1 2\n")
+
+
+def test_cliques_match_pairwise_adjacent_combinations():
+    """Each k-clique comes out once, in the order of a k-subset scan of
+    the sorted vertex list, on whole graphs and on induced subgraphs."""
+    rng = random.Random(31)
+    for i, g in enumerate(seeded_random_graphs(80, 12, 61)):
+        mask = mask_of(v for v in g.vertex_list() if rng.random() < 0.7)
+        for h in (g, g.induced(mask)):
+            for k in range(0, 6):
+                want = [c for c in itertools.combinations(h.vertex_list(), k)
+                        if all(h.has_edge(u, v)
+                               for u, v in itertools.combinations(c, 2))]
+                assert list(cliques(h, k)) == want, (i, k)

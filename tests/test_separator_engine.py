@@ -1,16 +1,20 @@
 import itertools
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from starsep.central_bag import is_balanced_separator
-from starsep.detectors import holes
+from starsep.detectors import holes, hub_set
 from starsep.errors import HypothesisViolation, InputError
-from starsep.generators import (complete_graph, cycle_graph,
+from starsep.generators import (complete_graph, cycle_graph, sample_class,
                                 sample_cutset_free_member)
 from starsep.graph_core import Graph, WeightFn, bit_list, mask_of
 from starsep.hub_division import hub_division
-from starsep.separator_engine import (AuxGraph, _certify_aux, aux_graph,
+from starsep.separations import HALF
+from starsep.separator_engine import (AuxGraph, _aux_balanced_separator,
+                                      _certify_aux, aux_graph,
                                       balanced_vertex_separator,
                                       central_bag_separator, main_separator,
                                       ramsey_vs_4, series_parallel_core,
@@ -18,6 +22,7 @@ from starsep.separator_engine import (AuxGraph, _certify_aux, aux_graph,
                                       wheelfree_separator)
 from starsep.treewidth import exact_treewidth
 
+from . import oracles
 from .conftest import seeded_random_graphs
 
 
@@ -135,6 +140,64 @@ def test_wheelfree_separator_examples(p9, c6):
     single = Graph(1, [])
     certs = wheelfree_separator(single, single.verts, WeightFn.uniform(single), 5)
     assert certs.separator == 1 << 0  # the empty set leaves weight 1
+
+
+def _exact_weights(rng, n):
+    raw = [rng.randint(0, 4) for _ in range(n)]
+    raw[rng.randrange(n)] += 1
+    return [Fraction(x, sum(raw)) for x in raw]
+
+
+def _eighths(rng, n):
+    """Float weights in multiples of 1/8 summing to 1: every partial sum
+    is exact, so the oracle's plain <= agrees with the tolerant test."""
+    counts = [0] * n
+    for _ in range(8):
+        counts[rng.randrange(n)] += 1
+    return [k / 8 for k in counts]
+
+
+def test_wheelfree_separator_matches_exhaustive_oracle():
+    rng = random.Random(71)
+    checked = 0
+    for g in seeded_random_graphs(120, 10, 131):
+        beta = mask_of(v for v in g.vertex_list() if rng.random() < 0.8)
+        if not beta or hub_set(g, beta):
+            continue
+        h = oracles.to_nx(g.induced(beta))
+        for values in (_exact_weights(rng, g.n), _eighths(rng, g.n)):
+            w = WeightFn(g.n, values)
+            for c in (HALF, Fraction(3, 4)):
+                budget = rng.randint(1, 4)
+                want = oracles.exhaustive_balanced_separator(
+                    h, dict(enumerate(values)), budget, c)
+                if want is None:
+                    with pytest.raises(HypothesisViolation):
+                        wheelfree_separator(g, beta, w, budget, c)
+                else:
+                    cert = wheelfree_separator(g, beta, w, budget, c)
+                    assert cert.separator == mask_of(want)
+                checked += 1
+    assert checked >= 200
+
+
+def test_aux_separator_matches_exhaustive_oracle():
+    rng = random.Random(83)
+    graphs = [sample_cutset_free_member(14 + 2 * (s % 4), 4, s)
+              for s in range(8)]
+    graphs += [sample_class(16, 4, s).graph for s in range(8)]
+    for g in graphs:
+        for v in g.vertex_list():
+            aux = aux_graph(g, g.verts, WeightFn.uniform(g), v)
+            h = oracles.to_nx(aux.graph)
+            n = aux.graph.n
+            for normalized in (aux.normalized, tuple(_exact_weights(rng, n)),
+                               tuple(_eighths(rng, n))):
+                want = oracles.exhaustive_balanced_separator(
+                    h, dict(enumerate(normalized)), 3, HALF)
+                got = _aux_balanced_separator(
+                    replace(aux, normalized=normalized))
+                assert got == mask_of(want)
 
 
 def test_wheelfree_rejects_wheel(w93):
