@@ -10,6 +10,15 @@ come from ``graph_core.cliques``.  Holes are enumerated in one pass over
 chordless paths, then ordered by length; every wheel scan (the even-wheel
 test, the taxonomy, the hub record) walks them through ``_spoked``, which
 pairs each hole with the vertices that have three or more spokes on it.
+The three-path configurations (theta, pyramid, prism) build one leg
+record ``(path, body, conflict)`` per induced path between two ends
+(``_legs``).  The body is what no other leg may use: the interior for a
+theta, all but the apex for a pyramid, the whole path for a prism.  The
+conflict adds the neighbors of the interior and, at each end that is a
+triangle corner, that end's neighbors outside its triangle.  Two legs
+fit iff one's conflict misses the other's body; theta takes the first
+fitting triple i < j < l of one leg list, pyramid and prism the first in
+product order over three (``_join``).
 Detectors return concrete vertex embeddings that re-verify against the
 definitions by direct adjacency checks; the test suite compares them with
 an independent subset-enumeration oracle that shares no code with them.
@@ -91,9 +100,9 @@ def holes(g: Graph, within: int | None = None,
 # induced path enumeration (shared by the three-path detectors)
 
 
-def _induced_paths(g, a, b, within, min_edges=1):
-    """All induced a-b paths of length >= min_edges inside a mask, as
-    vertex tuples starting at a, in lexicographic extension order."""
+def _induced_paths(g, a, b, within):
+    """All induced a-b paths inside a mask, as vertex tuples starting at
+    a, in lexicographic extension order."""
     if not ((within >> a) & 1 and (within >> b) & 1):
         return []
     out = []
@@ -102,8 +111,7 @@ def _induced_paths(g, a, b, within, min_edges=1):
     def extend(path, forbidden):
         # forbidden = path so far plus everything adjacent to path[:-1]
         last = path[-1]
-        if (g.adj[last] & b_bit) and not (forbidden & b_bit) \
-                and len(path) >= min_edges:
+        if (g.adj[last] & b_bit) and not (forbidden & b_bit):
             out.append(path + (b,))
         new_forbidden = forbidden | g.adj[last] | (1 << last)
         for w in bits(g.adj[last] & within & ~forbidden & ~b_bit):
@@ -194,132 +202,121 @@ def clique_number(g: Graph) -> int:
 # three-path configurations
 
 
-@dataclass(frozen=True)
-class ThetaWitness:
-    a: int
-    b: int
-    paths: tuple[tuple[int, ...], ...]
+def _legs(g, a, b, within, shared=0, tri_masks=()):
+    """One leg record (path, body, conflict) per induced a-b path inside
+    a mask.  body is the path minus the shared ends, the vertices no
+    other leg may use; conflict is the body, the neighbors of the
+    interior and, for each end that is a corner of a triangle in
+    tri_masks, that end's neighbors outside its triangle.  Legs p and q
+    fit iff p's conflict misses q's body (adjacency is symmetric)."""
+    corner_nbrs = 0
+    for m in tri_masks:
+        for end in (a, b):
+            if (m >> end) & 1:
+                corner_nbrs |= g.adj[end] & ~m
+    out = []
+    for p in _induced_paths(g, a, b, within):
+        body = mask_of(p) & ~shared
+        conflict = body | corner_nbrs
+        for v in p[1:-1]:
+            conflict |= g.adj[v]
+        out.append((p, body, conflict))
+    return out
+
+
+def _join(g, ends, tri_masks, shared=0):
+    """The first leg triple, in product order over the leg lists of the
+    three end pairs, whose legs pairwise fit; None as soon as an end pair
+    has no leg.  Leg i runs ends[i][0] .. ends[i][1] and avoids the other
+    triangle corners, which only prunes: each lies in another leg's body."""
+    corners = 0
+    for m in tri_masks:
+        corners |= m
+    lists = []
+    for a, b in ends:
+        others = corners & ~(1 << a) & ~(1 << b)
+        legs = _legs(g, a, b, g.verts & ~others, shared, tri_masks)
+        if not legs:
+            return None
+        lists.append(legs)
+    for p, _, pc in lists[0]:
+        for q, qb, qc in lists[1]:
+            if pc & qb:
+                continue
+            c = pc | qc
+            for r, rb, _ in lists[2]:
+                if not c & rb:
+                    return (p, q, r)
+    return None
+
+
+class _ThreePaths:
+    """The vertices() of a witness made of three paths."""
 
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted(set(v for p in self.paths for v in p)))
 
 
+@dataclass(frozen=True)
+class ThetaWitness(_ThreePaths):
+    a: int
+    b: int
+    paths: tuple[tuple[int, ...], ...]
+
+
 def detect_theta(g: Graph) -> Optional[ThetaWitness]:
     """Two non-adjacent branch vertices joined by three induced paths of
-    length >= 2 with pairwise disjoint, anticomplete interiors."""
+    length >= 2 with pairwise disjoint, anticomplete interiors: the
+    first leg triple i < j < l whose legs pairwise fit."""
     vl = g.vertex_list()
     for a, b in itertools.combinations(vl, 2):
         if g.has_edge(a, b):
             continue
         if popcount(g.adj[a] & g.verts) < 3 or popcount(g.adj[b] & g.verts) < 3:
             continue
-        paths = _induced_paths(g, a, b, g.verts, min_edges=2)
-        triple = _compatible_triple(g, paths)
-        if triple:
-            return ThetaWitness(a, b, triple)
-    return None
-
-
-def _compatible_triple(g, paths):
-    """First path triple whose interiors are pairwise disjoint and
-    anticomplete."""
-    interiors = []
-    conflicts = []
-    for p in paths:
-        im = mask_of(p[1:-1])
-        cm = im
-        for v in p[1:-1]:
-            cm |= g.adj[v]
-        interiors.append(im)
-        conflicts.append(cm)
-    k = len(paths)
-    for i in range(k):
-        ci = conflicts[i]
-        for j in range(i + 1, k):
-            if interiors[j] & ci:
-                continue
-            cij = ci | conflicts[j]
-            for l in range(j + 1, k):
-                if not (interiors[l] & cij):
-                    return (paths[i], paths[j], paths[l])
+        legs = _legs(g, a, b, g.verts, (1 << a) | (1 << b))
+        for i, (p, _, pc) in enumerate(legs):
+            for j in range(i + 1, len(legs)):
+                q, qb, qc = legs[j]
+                if pc & qb:
+                    continue
+                c = pc | qc
+                for r, rb, _ in legs[j + 1:]:
+                    if not c & rb:
+                        return ThetaWitness(a, b, (p, q, r))
     return None
 
 
 @dataclass(frozen=True)
-class PyramidWitness:
+class PyramidWitness(_ThreePaths):
     apex: int
     base: tuple[int, int, int]
     paths: tuple[tuple[int, ...], ...]  # paths[i] runs apex .. base[i]
-
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(set(v for p in self.paths for v in p)))
 
 
 def detect_pyramid(g: Graph, apex: int | None = None) -> Optional[PyramidWitness]:
     """Apex joined to a triangle by three paths meeting only at the apex,
     at least two of them of length >= 2; the only edges between different
-    legs are the triangle edges.  An explicit apex restricts the search."""
-    tris = list(cliques(g, 3))
-    if not tris:
-        return None
+    legs are the triangle edges.  An explicit apex restricts the search.
+    Apexes next to two corners are skipped; from any other apex at most
+    one leg, the edge to an adjacent corner, has length one."""
     apexes = g.vertex_list() if apex is None else [apex]
-    for tri in tris:
+    for tri in cliques(g, 3):
         tri_mask = mask_of(tri)
         for a in apexes:
-            if (1 << a) & tri_mask:
+            if (tri_mask >> a) & 1 or popcount(g.adj[a] & tri_mask) >= 2:
                 continue
-            if popcount(g.adj[a] & tri_mask) >= 2:
-                continue  # would force two legs of length one
-            per_corner = []
-            for b in tri:
-                others = tri_mask & ~(1 << b)
-                per_corner.append(_induced_paths(g, a, b, g.verts & ~others))
-            w = _pyramid_join(g, a, tri, per_corner)
-            if w:
-                return w
+            legs = _join(g, [(a, b) for b in tri], (tri_mask,), 1 << a)
+            if legs:
+                return PyramidWitness(a, tri, legs)
     return None
-
-
-def _pyramid_join(g, a, tri, per_corner):
-    b1, b2, b3 = tri
-    for p1 in per_corner[0]:
-        for p2 in per_corner[1]:
-            if not _legs_ok(g, p1, p2, (b1, b2)):
-                continue
-            for p3 in per_corner[2]:
-                if not (_legs_ok(g, p1, p3, (b1, b3))
-                        and _legs_ok(g, p2, p3, (b2, b3))):
-                    continue
-                lens = sorted(len(p) - 1 for p in (p1, p2, p3))
-                if lens[1] < 2:  # need at least two legs of length >= 2
-                    continue
-                return PyramidWitness(a, tri, (p1, p2, p3))
-    return None
-
-
-def _legs_ok(g, p, q, base_edge):
-    """Legs share only the apex; the sole edge between p[1:] and q[1:]
-    is the base edge."""
-    pm = mask_of(p[1:])
-    qm = mask_of(q[1:])
-    if pm & qm:
-        return False
-    eb, ee = base_edge
-    for v in p[1:]:
-        allowed = (1 << ee) if v == eb else 0
-        if g.adj[v] & qm & ~allowed:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
-class PrismWitness:
+class PrismWitness(_ThreePaths):
     tri_a: tuple[int, int, int]
     tri_b: tuple[int, int, int]
     paths: tuple[tuple[int, ...], ...]  # paths[i] runs tri_a[i] .. tri_b[i]
-
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(set(v for p in self.paths for v in p)))
 
 
 def detect_prism(g: Graph) -> Optional[PrismWitness]:
@@ -327,52 +324,14 @@ def detect_prism(g: Graph) -> Optional[PrismWitness]:
     are the triangle edges."""
     tris = list(cliques(g, 3))
     for ta, tb in itertools.combinations(tris, 2):
-        if mask_of(ta) & mask_of(tb):
+        ma, mb = mask_of(ta), mask_of(tb)
+        if ma & mb:
             continue
         for perm in itertools.permutations(tb):
-            w = _prism_join(g, ta, perm)
-            if w:
-                return w
+            legs = _join(g, tuple(zip(ta, perm)), (ma, mb))
+            if legs:
+                return PrismWitness(ta, perm, legs)
     return None
-
-
-def _prism_join(g, ta, tb):
-    legs = []
-    corner_mask = mask_of(ta) | mask_of(tb)
-    for i in range(3):
-        exclude = corner_mask & ~(1 << ta[i]) & ~(1 << tb[i])
-        ps = _induced_paths(g, ta[i], tb[i], g.verts & ~exclude)
-        if not ps:
-            return None
-        legs.append(ps)
-    for p1 in legs[0]:
-        for p2 in legs[1]:
-            if not _prism_pair_ok(g, p1, p2, (ta[0], ta[1]), (tb[0], tb[1])):
-                continue
-            for p3 in legs[2]:
-                if (_prism_pair_ok(g, p1, p3, (ta[0], ta[2]), (tb[0], tb[2]))
-                        and _prism_pair_ok(g, p2, p3, (ta[1], ta[2]),
-                                           (tb[1], tb[2]))):
-                    return PrismWitness(ta, tb, (p1, p2, p3))
-    return None
-
-
-def _prism_pair_ok(g, p, q, a_edge, b_edge):
-    """Exactly the two triangle edges run between the full paths."""
-    pm, qm = mask_of(p), mask_of(q)
-    if pm & qm:
-        return False
-    if not (g.has_edge(*a_edge) and g.has_edge(*b_edge)):
-        return False
-    for v in p:
-        allowed = 0
-        if v == a_edge[0]:
-            allowed |= 1 << a_edge[1]
-        if v == b_edge[0]:
-            allowed |= 1 << b_edge[1]
-        if g.adj[v] & qm & ~allowed:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

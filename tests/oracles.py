@@ -48,7 +48,7 @@ def has_clique(h: nx.Graph, t: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# three-path configuration catalogs
+# three-path configurations: catalogs, and witnesses against the definitions
 
 
 @lru_cache(maxsize=None)
@@ -150,6 +150,57 @@ def has_pyramid(h: nx.Graph) -> bool:
 
 def has_prism(h: nx.Graph) -> bool:
     return _has_pattern(h, prism_patterns, excess=3, min_k=6)
+
+
+def _three_legs_ok(h: nx.Graph, paths, ends, shared, triangles) -> bool:
+    """Three legs: paths[i] is an induced path of h from ends[i][0] to
+    ends[i][1]; the legs minus the shared vertices are pairwise disjoint;
+    every given triangle is three pairwise adjacent vertices of h, and
+    the only edges between different legs lie inside one of them."""
+    if len(paths) != 3:
+        return False
+    for tri in triangles:
+        if len(set(tri)) != 3 or not all(v in h for v in tri) or \
+                not all(h.has_edge(u, v)
+                        for u, v in itertools.combinations(tri, 2)):
+            return False
+    for p, (x, y) in zip(paths, ends):
+        if len(p) < 2 or (p[0], p[-1]) != (x, y) or len(set(p)) != len(p) \
+                or not all(v in h for v in p):
+            return False
+        steps = {frozenset(e) for e in zip(p, p[1:])}
+        if {frozenset(e) for e in h.subgraph(p).edges} != steps:
+            return False
+    allowed = {frozenset(e) for tri in triangles
+               for e in itertools.combinations(tri, 2)}
+    bodies = [set(p) - set(shared) for p in paths]
+    for s, t in itertools.combinations(bodies, 2):
+        if s & t or any(h.has_edge(u, v) and frozenset((u, v)) not in allowed
+                        for u in s for v in t):
+            return False
+    return True
+
+
+def is_theta_witness(h: nx.Graph, a, b, paths) -> bool:
+    """Non-adjacent a and b joined by three induced paths with disjoint,
+    anticomplete interiors."""
+    return a != b and not h.has_edge(a, b) and \
+        _three_legs_ok(h, paths, [(a, b)] * 3, {a, b}, ())
+
+
+def is_pyramid_witness(h: nx.Graph, apex, base, paths) -> bool:
+    """An apex joined to the corners of a triangle by three induced paths
+    meeting only at the apex, at least two of them of length >= 2, with
+    only triangle edges between them."""
+    return apex not in base and sum(len(p) >= 3 for p in paths) >= 2 and \
+        _three_legs_ok(h, paths, [(apex, c) for c in base], {apex}, (base,))
+
+
+def is_prism_witness(h: nx.Graph, tri_a, tri_b, paths) -> bool:
+    """Two disjoint triangles joined corner to corner by three disjoint
+    induced paths with only triangle edges between them."""
+    return not set(tri_a) & set(tri_b) and \
+        _three_legs_ok(h, paths, list(zip(tri_a, tri_b)), (), (tri_a, tri_b))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import itertools
+import json
 import random
 
 import networkx as nx
@@ -284,3 +287,69 @@ def test_forged_fixed_embeddings_are_rejected():
     assert not verify_obstruction(sub, "C4", (0, 1, 2, 3))
     assert not verify_obstruction(c4, "C4", (0, 1, 2, 4))
     assert not verify_obstruction(c4, "C4", (0, 1, 2, -1))
+
+
+def test_three_path_witnesses_match_definitions():
+    """Every theta, pyramid and prism witness, and every pyramid found
+    from a given apex, satisfies its definition as checked by networkx;
+    each kind's zoo graphs yield one."""
+    zoo = named_graph_zoo()
+    graphs = list(zoo.items()) + [
+        (f"rand{i}", g)
+        for i, g in enumerate(seeded_random_graphs(150, 12, 91))]
+    found = {"theta": 0, "pyramid": 0, "prism": 0, "apex": 0}
+    for name, g in graphs:
+        h = oracles.to_nx(g)
+        w = detect_theta(g)
+        if w is not None:
+            found["theta"] += 1
+            assert oracles.is_theta_witness(h, w.a, w.b, w.paths), (name, w)
+        w = detect_pyramid(g)
+        if w is not None:
+            found["pyramid"] += 1
+            assert oracles.is_pyramid_witness(h, w.apex, w.base, w.paths), \
+                (name, w)
+        w = detect_prism(g)
+        if w is not None:
+            found["prism"] += 1
+            assert oracles.is_prism_witness(h, w.tri_a, w.tri_b, w.paths), \
+                (name, w)
+        for v in g.vertex_list():
+            w = detect_pyramid(g, apex=v)
+            if w is not None:
+                found["apex"] += 1
+                assert w.apex == v and oracles.is_pyramid_witness(
+                    h, w.apex, w.base, w.paths), (name, v, w)
+    for name in ("THETA233", "THETA222"):
+        assert detect_theta(zoo[name]) is not None, name
+    for name in ("PYR122", "PYR222"):
+        assert detect_pyramid(zoo[name]) is not None, name
+    for name in ("PRISM111", "PRISM122"):
+        assert detect_prism(zoo[name]) is not None, name
+    assert min(found.values()) >= 5, found
+
+
+def _witness_json(w):
+    return None if w is None else dataclasses.asdict(w)
+
+
+def test_three_path_witnesses_are_pinned():
+    """The theta, pyramid and prism witnesses (and the pyramid from every
+    apex) on fixed seeded graphs and induced subgraphs hash to a pinned
+    digest, so a refactor of the leg search keeps them byte-identical."""
+    rng = random.Random(17)
+    graphs = list(named_graph_zoo().values()) + \
+        seeded_random_graphs(80, 12, 61)
+    rows = []
+    for g in graphs:
+        keep = mask_of(v for v in g.vertex_list() if rng.random() < 0.7)
+        for sub in (g, g.induced(keep)):
+            rows.append([
+                _witness_json(detect_theta(sub)),
+                _witness_json(detect_pyramid(sub)),
+                _witness_json(detect_prism(sub)),
+                [_witness_json(detect_pyramid(sub, apex=v))
+                 for v in sub.vertex_list()]])
+    blob = json.dumps(rows, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == \
+        "1d3a1132303cc76b172176c218d1ddf579765718fe4e75fdbfc1c0e23b3c8543"
