@@ -6,11 +6,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .detectors import WheelWitness
 from .errors import HypothesisViolation, InputError
 from .graph_core import (Graph, bit_list, bits, cliques, components, mask_of,
                          popcount)
+
+if TYPE_CHECKING:
+    from .detectors import WheelWitness
 
 
 # ---------------------------------------------------------------------------
@@ -20,20 +23,79 @@ from .graph_core import (Graph, bit_list, bits, cliques, components, mask_of,
 def find_clique_cutset(g: Graph, within: int) -> int | None:
     """Smallest clique (then lexicographically least) whose removal
     disconnects the subgraph induced on `within`; None if there is none.
-    The empty clique counts when the subgraph is disconnected."""
-    sub = g.induced(within)
-    n_active = popcount(within)
-    if n_active <= 1:
+    The empty clique counts when the subgraph is disconnected.  Sizes 0
+    and 1 come from one depth-first search; larger cliques are tried only
+    on 2-connected subgraphs of at least four vertices."""
+    g.check_vertex_set(within)
+    if popcount(within) <= 1:
         return None
-    if len(components(sub, within)) > 1:
+    return _least_cutset(g, within, *_cut_vertices(g, within))
+
+
+def _least_cutset(g, within, cut_vertices, connected):
+    """find_clique_cutset on two or more vertices whose cut vertices (the
+    mask `cut_vertices`) and connectivity are known."""
+    if not connected:
         return 0
+    if cut_vertices:
+        return cut_vertices & -cut_vertices
+    n_active = popcount(within)
+    if n_active < 4:
+        return None
+    sub = g.induced(within)
     max_size = min(n_active - 2, _greedy_clique_bound(sub))
-    for size in range(1, max_size + 1):
+    for size in range(2, max_size + 1):
         for clique in map(mask_of, cliques(sub, size)):
-            rest = within & ~clique
-            if rest and len(components(sub, rest)) > 1:
+            if len(components(g, within & ~clique)) > 1:
                 return clique
     return None
+
+
+def _cut_vertices(g, within):
+    """(cut vertices, connected) for the subgraph induced on a nonempty
+    `within`: the mask of the vertices whose removal splits their
+    component, and whether there is one component.  One depth-first
+    search per component, from its least vertex, with lowpoints (Hopcroft
+    & Tarjan 1973): a vertex other than the root is a cut vertex iff
+    some child's subtree reaches no higher than it; the root iff it has
+    two children."""
+    adj = g.adj
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    seen = cut = 0
+    parts = 0
+    while rest := within & ~seen:
+        root = (rest & -rest).bit_length() - 1
+        parts += 1
+        disc[root] = low[root] = len(disc)
+        seen |= 1 << root
+        stack = [[root, adj[root] & within]]
+        root_children = 0
+        while stack:
+            frame = stack[-1]
+            v, todo = frame
+            if todo:
+                bit = todo & -todo
+                frame[1] = todo ^ bit
+                u = bit.bit_length() - 1
+                if seen & bit:
+                    low[v] = min(low[v], disc[u])
+                else:
+                    seen |= bit
+                    disc[u] = low[u] = len(disc)
+                    stack.append([u, adj[u] & within])
+                continue
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                low[p] = min(low[p], low[v])
+                if p == root:
+                    root_children += 1
+                elif low[v] >= disc[p]:
+                    cut |= 1 << p
+        if root_children > 1:
+            cut |= 1 << root
+    return cut, parts == 1
 
 
 def _greedy_clique_bound(g):
@@ -66,29 +128,39 @@ class AtomDecomposition:
 
 def clique_cutset_atoms(g: Graph) -> AtomDecomposition:
     """Recursive decomposition along clique cutsets; atoms are induced
-    subgraphs with no clique cutset.  Deterministic: smallest cutset
-    first, pieces in component order."""
+    subgraphs with no clique cutset.  Deterministic: find_clique_cutset's
+    cutset first, pieces in component order.  The first call keeps the
+    result on the graph.
+
+    Cut vertices are searched once and then inherited: a piece's cut
+    vertices are the region's inside it.  Split into components, that is
+    immediate.  Split at a cut vertex v, a piece (a component C of the
+    rest, plus v) has as cut vertices those of the region inside C.  A
+    larger clique splits only a 2-connected region, and every piece is
+    2-connected too: a cut vertex of a piece would be one of the region.
+    Every piece is connected.
+    """
+    if g._atoms is not None:
+        return g._atoms
     atoms: list[int] = []
     cutsets: list[int] = []
 
-    def rec(region: int):
-        cut = find_clique_cutset(g, region)
+    def rec(region: int, cut_vertices: int, connected=True):
+        cut = None
+        if popcount(region) > 1:
+            cut = _least_cutset(g, region, cut_vertices, connected)
         if cut is None:
             atoms.append(region)
             return region
         cutsets.append(cut)
-        pieces = tuple(rec(comp | cut)
-                       for comp in components(g.induced(region), region & ~cut))
-        return DecompositionStep(cut, pieces)
+        return DecompositionStep(cut, tuple(
+            rec(comp | cut, cut_vertices & comp)
+            for comp in components(g, region & ~cut)))
 
-    tree = rec(g.verts) if g.verts else 0
-    seen = set()
-    uniq = []
-    for a in atoms:
-        if a not in seen:
-            seen.add(a)
-            uniq.append(a)
-    return AtomDecomposition(tuple(uniq), tuple(cutsets), tree)
+    tree = rec(g.verts, *_cut_vertices(g, g.verts)) if g.verts else 0
+    object.__setattr__(g, "_atoms", AtomDecomposition(
+        tuple(dict.fromkeys(atoms)), tuple(cutsets), tree))
+    return g._atoms
 
 
 # ---------------------------------------------------------------------------

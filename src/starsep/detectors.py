@@ -19,6 +19,13 @@ triangle corner, that end's neighbors outside its triangle.  Two legs
 fit iff one's conflict misses the other's body; theta takes the first
 fitting triple i < j < l of one leg list, pyramid and prism the first in
 product order over three (``_join``).
+``class_membership`` runs C4, diamond and K_t on the whole graph: they
+are cheap mask tests, and a graph that has one never pays for a
+clique-cutset decomposition.  Theta, pyramid, prism and even wheel have
+no clique cutset, so it searches them on each atom that is not a clique
+and merges the atoms' witnesses by the order of the whole-graph search
+(``_ATOM_KEYS``); a chain of atoms then costs the sum of its atoms, not
+the product of their path counts.
 Detectors return concrete vertex embeddings that re-verify against the
 definitions by direct adjacency checks; the test suite compares them with
 an independent subset-enumeration oracle that shares no code with them.
@@ -31,6 +38,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional
 
+from .cutsets import clique_cutset_atoms, find_clique_cutset
 from .errors import InputError
 from .graph_core import Graph, bits, cliques, mask_of, popcount
 
@@ -533,27 +541,58 @@ class ObstructionReport:
 def class_membership(g: Graph, t: int, variant: str = "C_t") -> ObstructionReport:
     """Decide membership by searching obstructions in a fixed order
     (C4, diamond, K_t, theta, pyramid, prism, even wheel); the 'C_t_star'
-    variant skips the pyramid test."""
+    variant skips the pyramid test.  The fixed patterns are searched on
+    the whole graph, the other kinds on each clique-cutset atom that is
+    not a clique; of the witnesses the atoms give, the one the
+    whole-graph search would meet first is returned."""
     if t < 4:
         raise InputError("class membership needs t >= 4")
     if variant not in ("C_t", "C_t_star", "star"):
         raise InputError(f"unknown variant {variant!r}")
     star = variant != "C_t"
-    for kind in _KIND_ORDER:
+    for kind in _KIND_ORDER[:3]:
+        found = detect_fixed(g, kind, t)
+        if found is not None:
+            return ObstructionReport(False, t, variant, kind, found)
+    atoms = _atom_graphs(g)
+    for kind, first in _ATOM_KEYS:
         if kind == "pyramid" and star:
             continue
-        found = _search(g, kind, t)
-        if isinstance(found, tuple):
-            return ObstructionReport(False, t, variant, kind, found)
-        if found is not None:
-            return ObstructionReport(False, t, variant, kind,
-                                     found.vertices(), found)
+        found = [w for sub in atoms if (w := _search(sub, kind)) is not None]
+        if found:
+            w = min(found, key=first)
+            return ObstructionReport(False, t, variant, kind, w.vertices(), w)
     return ObstructionReport(True, t, variant)
 
 
-def _search(g: Graph, kind: str, t: int):
-    """The first obstruction of one kind: a vertex tuple for the fixed
-    patterns, a witness object for the others, or None.  Detectors are
+# The kinds searched per atom, in _KIND_ORDER, each with the key that
+# orders witnesses as the whole-graph search meets them.  None of these
+# structures has a clique cutset, so each lies inside one atom, and an
+# induced path between two vertices of an atom never leaves it (leaving
+# through one vertex of a clique cutset and coming back through another
+# would make a chord).  So every end pair, triangle and hole sees the
+# same legs and spokes in its atom as in the whole graph, and two
+# non-adjacent vertices share at most one atom.
+_ATOM_KEYS = (
+    ("theta", lambda w: (w.a, w.b)),
+    ("pyramid", lambda w: (w.base, w.apex)),
+    ("prism", lambda w: (w.tri_a, tuple(sorted(w.tri_b)), w.tri_b)),
+    ("even_wheel", lambda w: (len(w.hole), w.hole, w.center)),
+)
+
+
+def _atom_graphs(g: Graph) -> list[Graph]:
+    """The graph itself when it has no clique cutset, which one search
+    tells; else the subgraph of every clique-cutset atom that is not a
+    clique (a clique holds no hole, so none of the per-atom kinds)."""
+    if find_clique_cutset(g, g.verts) is None:
+        return [g]
+    return [g.induced(a) for a in clique_cutset_atoms(g).atoms
+            if any(a & ~g.adj[v] != 1 << v for v in bits(a))]
+
+
+def _search(g: Graph, kind: str):
+    """The first witness of one per-atom kind, or None.  Detectors are
     looked up when called, so a rebound module attribute takes effect."""
     if kind == "theta":
         return detect_theta(g)
@@ -561,9 +600,7 @@ def _search(g: Graph, kind: str, t: int):
         return detect_pyramid(g)
     if kind == "prism":
         return detect_prism(g)
-    if kind == "even_wheel":
-        return find_even_wheel(g)
-    return detect_fixed(g, kind, t)
+    return find_even_wheel(g)
 
 
 def verify_obstruction(g: Graph, kind: str, embedding: tuple[int, ...],

@@ -107,14 +107,16 @@ class Graph:
     universe 0..n-1 and simply restrict the mask, so vertex identities are
     stable across restriction.  No loops, no parallel edges.
 
-    Two slots start as None and are filled once, on first use, with
+    Three slots start as None and are filled once, on first use, with
     facts that depend only on the graph, so they can never go stale:
-    ``_wheel_pairs`` by ``detectors.hub_set``, and ``_far``, the
-    components of the graph minus each closed neighborhood, by
-    ``far_components``.  Neither takes part in equality or hashing.
+    ``_wheel_pairs`` by ``detectors.hub_set``; ``_far``, the components
+    of the graph minus each closed neighborhood, by ``far_components``;
+    and ``_atoms``, the clique-cutset decomposition, by
+    ``cutsets.clique_cutset_atoms``.  None takes part in equality or
+    hashing.
     """
 
-    __slots__ = ("n", "verts", "adj", "_wheel_pairs", "_far")
+    __slots__ = ("n", "verts", "adj", "_wheel_pairs", "_far", "_atoms")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if n < 0:
@@ -145,6 +147,7 @@ class Graph:
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "_wheel_pairs", None)
         object.__setattr__(self, "_far", None)
+        object.__setattr__(self, "_atoms", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Graph is immutable")
@@ -157,6 +160,7 @@ class Graph:
         object.__setattr__(g, "adj", adj)
         object.__setattr__(g, "_wheel_pairs", None)
         object.__setattr__(g, "_far", None)
+        object.__setattr__(g, "_atoms", None)
         return g
 
     # -- queries ------------------------------------------------------

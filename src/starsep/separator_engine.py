@@ -10,6 +10,7 @@ downstream needs to be trusted.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -75,7 +76,7 @@ def aux_graph(g: Graph, beta: int, w_bag: WeightFn, v: int) -> AuxGraph:
         raise InputError("vertex is not in the bag")
     nbr_pieces = g.adj[v] & beta & ~hub_set(g, beta)
     cliques = []
-    for piece in components(g.induced(beta), nbr_pieces):
+    for piece in components(g, nbr_pieces):
         piece_list = bit_list(piece)
         for i, a in enumerate(piece_list):
             for b in piece_list[i + 1:]:
@@ -244,6 +245,11 @@ def verify_certificate(g: Graph, w: WeightFn, cert: SeparatorCertificate) -> boo
 # separator constructions
 
 
+# (host graph, bag subgraph) while central_bag_separator, which has just
+# found the whole bag pyramid-free, builds the separator at a vertex of it
+_PYRAMID_FREE_BAG: ContextVar = ContextVar("_PYRAMID_FREE_BAG", default=None)
+
+
 def balanced_vertex_separator(g: Graph, beta: int, w_bag: WeightFn, v: int,
                               c=HALF) -> SeparatorCertificate:
     """Balanced separator of the bag grown around a balanced vertex.
@@ -252,11 +258,18 @@ def balanced_vertex_separator(g: Graph, beta: int, w_bag: WeightFn, v: int,
     because its treewidth is at most two; the returned set is the vertex,
     its hub neighbors, and the cliques the auxiliary separator touches.
     Balance and the size bound (six times the bag clique number plus the
-    hub neighbor count) are verified before returning.
+    hub neighbor count) are verified before returning.  The vertex must
+    not be a pyramid apex in the bag; that is checked unless the caller
+    is central_bag_separator, which has checked the whole bag.
     """
     hub_nbrs = g.adj[v] & hub_set(g, beta)
-    if detect_pyramid(g.induced(beta), apex=v) is not None:
-        raise InputError("vertex is a pyramid apex in the bag")
+    checked = _PYRAMID_FREE_BAG.get()
+    if checked is not None and checked[0] is g and checked[1].verts == beta:
+        sub = checked[1]
+    else:
+        sub = g.induced(beta)
+        if detect_pyramid(sub, apex=v) is not None:
+            raise InputError("vertex is a pyramid apex in the bag")
     aux = aux_graph(g, beta, w_bag, v)
     x = _aux_balanced_separator(aux)
     t_nodes = aux.num_clique_nodes()
@@ -268,7 +281,7 @@ def balanced_vertex_separator(g: Graph, beta: int, w_bag: WeightFn, v: int,
         raise HypothesisViolation(
             "grown separator is not balanced on the bag",
             witness={"Y": bit_list(y)})
-    omega = clique_number(g.induced(beta))
+    omega = clique_number(sub)
     bound = 6 * omega + popcount(hub_nbrs)
     entries = (
         _entry("aux_separator_size", popcount(x), 3),
@@ -288,6 +301,16 @@ def balanced_vertex_separator(g: Graph, beta: int, w_bag: WeightFn, v: int,
         host_n=g.n, region=beta, separator=y, balance=c,
         component_weights=_component_weights(g, w_bag, beta, y),
         ledger=entries, provenance=prov)
+
+
+def _in_pyramid_free_bag(g, sub, w_bag, v, c):
+    """balanced_vertex_separator on a bag whose subgraph `sub` is known
+    to be pyramid-free: the apex check is skipped and `sub` reused."""
+    token = _PYRAMID_FREE_BAG.set((g, sub))
+    try:
+        return balanced_vertex_separator(g, sub.verts, w_bag, v, c=c)
+    finally:
+        _PYRAMID_FREE_BAG.reset(token)
 
 
 def _entry(name, measured, bound):
@@ -332,7 +355,7 @@ def central_bag_separator(g: Graph, div: HubDivision,
     if div.m == div.k + 1:
         cert = wheelfree_separator(g, beta, w_bag, budget, c)
     else:
-        cert = balanced_vertex_separator(g, beta, w_bag, div.v_m(), c=c)
+        cert = _in_pyramid_free_bag(g, sub, w_bag, div.v_m(), c)
     omega = cert.provenance.get("omega_beta")
     if omega is None:
         omega = clique_number(sub)

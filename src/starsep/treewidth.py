@@ -341,7 +341,7 @@ def certify(g: Graph, t: int, variant: str = "C_t") -> CertifyResult:
         raise NotAMember(
             f"not a class member: contains {membership.kind} on "
             f"{list(membership.embedding)}", membership)
-    atoms = clique_cutset_atoms(g)
+    atoms = clique_cutset_atoms(g)  # kept on g if class_membership split it
     certificates = []
 
     def decompose_atom(mask):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -78,3 +79,28 @@ def small_graphs(draw, max_n: int = 8):
                           else st.nothing(), unique=True,
                           max_size=len(all_edges))) if all_edges else []
     return Graph(n, picks)
+
+
+def glue(g: Graph, h: Graph, size: int, rng: random.Random) -> Graph | None:
+    """g and h joined along a clique of `size` vertices, or their disjoint
+    union for size 0: a random clique of h is identified with a random
+    clique of g, and the vertices of the result are shuffled.  None if
+    either graph has no clique of that size."""
+    def pick(x):
+        found = [c for c in itertools.combinations(x.vertex_list(), size)
+                 if all(x.has_edge(u, v)
+                        for u, v in itertools.combinations(c, 2))]
+        return rng.choice(found) if found else None
+
+    cg, ch = pick(g), pick(h)
+    if cg is None or ch is None:
+        return None
+    name = dict(zip(ch, cg))
+    for v in h.vertex_list():
+        if v not in name:
+            name[v] = g.n + len(name) - size
+    n = g.n + h.n - size
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = g.edges() + [(name[u], name[v]) for u, v in h.edges()]
+    return Graph(n, {tuple(sorted((perm[u], perm[v]))) for u, v in edges})

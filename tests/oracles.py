@@ -23,24 +23,34 @@ def to_nx(g: Graph) -> nx.Graph:
     return h
 
 
+def _adjacency(h: nx.Graph) -> dict:
+    """Neighbour sets of h, built once per graph: degrees and edge counts
+    of many induced subgraphs are then set intersections, not subgraph
+    views."""
+    return {v: frozenset(h[v]) for v in h}
+
+
+def _induced_degrees(adj: dict, nodes) -> list[int]:
+    """Degree of each node in the subgraph induced on nodes; their sum is
+    twice its edge count."""
+    s = set(nodes)
+    return [len(adj[v] & s) for v in nodes]
+
+
 # ---------------------------------------------------------------------------
 # fixed patterns by direct subset checks
 
 
 def has_induced_c4(h: nx.Graph) -> bool:
-    for quad in itertools.combinations(h.nodes, 4):
-        sub = h.subgraph(quad)
-        if sub.number_of_edges() == 4 and all(d == 2 for _, d in sub.degree):
-            return True
-    return False
+    adj = _adjacency(h)
+    return any(_induced_degrees(adj, quad) == [2] * 4
+               for quad in itertools.combinations(h.nodes, 4))
 
 
 def has_induced_diamond(h: nx.Graph) -> bool:
-    for quad in itertools.combinations(h.nodes, 4):
-        sub = h.subgraph(quad)
-        if sub.number_of_edges() == 5:
-            return True
-    return False
+    adj = _adjacency(h)
+    return any(sum(_induced_degrees(adj, quad)) == 10
+               for quad in itertools.combinations(h.nodes, 4))
 
 
 def has_clique(h: nx.Graph, t: int) -> bool:
@@ -124,18 +134,19 @@ def _has_pattern(h, patterns_for, excess, min_k):
     """Subset enumeration with edge-count and degree-sequence prefilters,
     then isomorphism against the catalog."""
     nodes = sorted(h.nodes)
+    adj = _adjacency(h)
     for k in range(min_k, len(nodes) + 1):
         pats = patterns_for(k)
         if not pats:
             continue
         pat_degs = [tuple(sorted(d for _, d in p.degree)) for p in pats]
         for sub_nodes in itertools.combinations(nodes, k):
-            sub = h.subgraph(sub_nodes)
-            if sub.number_of_edges() != k + excess:
+            degs = _induced_degrees(adj, sub_nodes)
+            if sum(degs) != 2 * (k + excess):
                 continue
-            degs = tuple(sorted(d for _, d in sub.degree))
+            degs = tuple(sorted(degs))
             for p, pd in zip(pats, pat_degs):
-                if degs == pd and nx.is_isomorphic(sub, p):
+                if degs == pd and nx.is_isomorphic(h.subgraph(sub_nodes), p):
                     return True
     return False
 
@@ -212,14 +223,13 @@ def all_holes(h: nx.Graph, within=None) -> list[tuple]:
     a subset induces a hole iff the induced subgraph is connected and
     2-regular with at least four vertices."""
     nodes = sorted(within if within is not None else h.nodes)
+    adj = _adjacency(h)
     out = []
     for k in range(4, len(nodes) + 1):
         for sub_nodes in itertools.combinations(nodes, k):
+            if _induced_degrees(adj, sub_nodes) != [2] * k:
+                continue
             sub = h.subgraph(sub_nodes)
-            if sub.number_of_edges() != k:
-                continue
-            if not all(d == 2 for _, d in sub.degree):
-                continue
             if not nx.is_connected(sub):
                 continue
             order = [sub_nodes[0]]
@@ -351,11 +361,12 @@ def exhaustive_balanced_separator(h: nx.Graph, weights: dict, k: int, c):
 
 
 def _least_quad(h: nx.Graph, edge_count: int, degrees=None):
+    adj = _adjacency(h)
     for quad in itertools.combinations(sorted(h.nodes), 4):
-        sub = h.subgraph(quad)
-        if sub.number_of_edges() == edge_count and \
-                (degrees is None or all(d == degrees for _, d in sub.degree)):
-            return quad, sub
+        degs = _induced_degrees(adj, quad)
+        if sum(degs) == 2 * edge_count and \
+                (degrees is None or all(d == degrees for d in degs)):
+            return quad, h.subgraph(quad)
     return None, None
 
 
@@ -414,3 +425,48 @@ def canonical_separation(h: nx.Graph, weights: dict, v):
     b = min(sides, key=lambda d: (-sum(weights[u] for u in d), sorted(d)))
     c = {v} | {u for u in h[v] if any(x in b for x in h[u])}
     return set(h) - b - c, c, set(b)
+
+
+# ---------------------------------------------------------------------------
+# clique-cutset decomposition, from the definition
+
+
+def least_clique_cutset(h: nx.Graph, region):
+    """The smallest, then lexicographically least, clique whose removal
+    disconnects the subgraph induced on region, as a sorted tuple; () if
+    that subgraph is disconnected, None if it has no clique cutset."""
+    nodes = sorted(region)
+    if len(nodes) <= 1:
+        return None
+    sub = h.subgraph(nodes)
+    if not nx.is_connected(sub):
+        return ()
+    for size in range(1, len(nodes) - 1):
+        for cand in itertools.combinations(nodes, size):
+            if all(h.has_edge(u, v)
+                   for u, v in itertools.combinations(cand, 2)) and \
+                    not nx.is_connected(sub.subgraph(set(nodes) - set(cand))):
+                return cand
+    return None
+
+
+def clique_cutset_decomposition(h: nx.Graph):
+    """(atoms, cutsets, tree) of the recursive split along
+    least_clique_cutset, each piece being a component plus the cutset,
+    pieces in order of least vertex.  A leaf of the tree is its atom as a
+    sorted tuple, an inner node (cutset, [pieces]); atoms are listed once,
+    at their first leaf, and cutsets in the order they are used."""
+    atoms, cutsets = [], []
+
+    def rec(region):
+        cut = least_clique_cutset(h, region)
+        if cut is None:
+            atoms.append(tuple(sorted(region)))
+            return atoms[-1]
+        cutsets.append(cut)
+        comps = sorted(nx.connected_components(
+            h.subgraph(set(region) - set(cut))), key=min)
+        return cut, [rec(set(c) | set(cut)) for c in comps]
+
+    tree = rec(set(h.nodes)) if len(h) else ()
+    return list(dict.fromkeys(atoms)), cutsets, tree

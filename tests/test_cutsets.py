@@ -8,11 +8,13 @@ from starsep.cutsets import (attachment_trichotomy, clique_cutset_atoms,
                              find_clique_cutset, wheel_star_cutset)
 from starsep.detectors import classify_wheels
 from starsep.errors import InputError
-from starsep.generators import bowtie_graph, sample_class, wheel_graph
+from starsep.generators import (bowtie_graph, cycle_graph, sample_class,
+                                wheel_graph)
 from starsep.graph_core import Graph, bit_list, mask_of, popcount
 from starsep.treewidth import exact_treewidth
 
 from . import oracles
+from .conftest import glue, seeded_random_graphs
 
 
 def test_atoms_examples(p9, c6):
@@ -51,6 +53,47 @@ def test_disconnected_graph_uses_empty_cutset():
     ad = clique_cutset_atoms(g)
     assert 0 in ad.cutsets
     assert sorted(map(bit_list, ad.atoms)) == [[0, 1], [2, 3]]
+
+
+def _decomposition_tuples(ad):
+    """An AtomDecomposition in the layout of
+    oracles.clique_cutset_decomposition."""
+    def tree(node):
+        if isinstance(node, int):
+            return tuple(bit_list(node))
+        return tuple(bit_list(node.cutset)), [tree(p) for p in node.pieces]
+
+    return ([tuple(bit_list(a)) for a in ad.atoms],
+            [tuple(bit_list(c)) for c in ad.cutsets], tree(ad.tree))
+
+
+def test_atoms_match_reference():
+    """Atoms, cutsets and tree equal the networkx reference on seeded
+    random graphs and on graphs glued along an empty set (disjoint
+    unions), a vertex, an edge and a triangle."""
+    rng = random.Random(31)
+    graphs = seeded_random_graphs(150, 11, base_seed=300) + [Graph(0)]
+    pieces = [cycle_graph(5), wheel_graph(6, (1, 3, 5)), bowtie_graph()] + \
+        seeded_random_graphs(20, 6, base_seed=400)
+    sizes = set()
+    while len(graphs) < 330:
+        size = len(graphs) % 4
+        g = glue(rng.choice(pieces), rng.choice(pieces), size, rng)
+        if g is not None:
+            graphs.append(glue(g, rng.choice(pieces), size, rng) or g)
+    for i, g in enumerate(graphs):
+        ours = _decomposition_tuples(clique_cutset_atoms(g))
+        assert ours == oracles.clique_cutset_decomposition(
+            oracles.to_nx(g)), i
+        sizes |= {len(c) for c in ours[1]}
+    assert sizes >= {0, 1, 2, 3}
+
+
+def test_atoms_are_kept_on_the_graph():
+    g = sample_class(12, 4, 3).graph
+    ad = clique_cutset_atoms(g)
+    assert clique_cutset_atoms(g) is ad
+    assert clique_cutset_atoms(Graph(g.n, g.edges())) == ad
 
 
 def test_wheel_cutset_w93(w93):

@@ -8,17 +8,20 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from starsep.detectors import (class_membership, classify_wheels,
+from starsep.detectors import (_KIND_ORDER, class_membership, classify_wheels,
                                clique_number, detect_fixed, detect_prism,
                                detect_pyramid, detect_theta, find_even_wheel,
                                holes, hub_set, make_wheel_witness,
                                verify_obstruction)
 from starsep.generators import (cycle_graph, diamond_graph, prism_graph,
-                                pyramid_graph, theta_graph, wheel_graph)
+                                pyramid_graph, sample_class, theta_graph,
+                                w93_graph, wheel_graph)
 from starsep.graph_core import Graph, bit_list, mask_of
+from starsep.treewidth import certify, validate_td
 
 from . import oracles
-from .conftest import named_graph_zoo, seeded_random_graphs, small_graphs
+from .conftest import (glue, named_graph_zoo, seeded_random_graphs,
+                       small_graphs)
 
 
 def test_detect_fixed_examples(c6):
@@ -353,3 +356,160 @@ def test_three_path_witnesses_are_pinned():
     blob = json.dumps(rows, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == \
         "1d3a1132303cc76b172176c218d1ddf579765718fe4e75fdbfc1c0e23b3c8543"
+
+
+# ---------------------------------------------------------------------------
+# per-atom recognition
+
+
+def _whole_graph_search(g, t, variant):
+    """The first obstruction of every detector run on the whole graph in
+    _KIND_ORDER, as (kind, embedding, detail); None for a member."""
+    search = {"theta": detect_theta, "pyramid": detect_pyramid,
+              "prism": detect_prism, "even_wheel": find_even_wheel}
+    for kind in _KIND_ORDER:
+        if kind == "pyramid" and variant != "C_t":
+            continue
+        if kind in search:
+            w = search[kind](g)
+            if w is not None:
+                return kind, w.vertices(), w
+        elif (emb := detect_fixed(g, kind, t)) is not None:
+            return kind, emb, None
+    return None
+
+
+def _assert_same_as_whole_graph(g, label):
+    for variant in ("C_t", "C_t_star"):
+        rep = class_membership(g, 4, variant)
+        got = None if rep.member else (rep.kind, rep.embedding, rep.detail)
+        assert got == _whole_graph_search(g, 4, variant), (label, variant)
+
+
+def _c4_diamond_free_graphs(count, base_seed):
+    """Seeded random graphs with 5 <= n <= 15 and n to 2n edges, each
+    edge kept only if the graph stays C4- and diamond-free, so that the
+    searches past the fixed patterns run."""
+    out = []
+    for i in range(count):
+        rng = random.Random(base_seed + i)
+        n = rng.randint(5, 15)
+        pairs = list(itertools.combinations(range(n), 2))
+        rng.shuffle(pairs)
+        budget = rng.randint(n, 2 * n)
+        edges = []
+        for e in pairs:
+            g = Graph(n, edges + [e])
+            if detect_fixed(g, "C4") is None and \
+                    detect_fixed(g, "diamond") is None:
+                edges.append(e)
+                if len(edges) == budget:
+                    break
+        out.append(Graph(n, edges))
+    return out
+
+
+def test_per_atom_membership_equals_whole_graph_search():
+    """Kind, embedding and witness of the per-atom search equal those of
+    the whole-graph search on 3000 seeded random graphs with n <= 15,
+    a third of them C4- and diamond-free."""
+    graphs = seeded_random_graphs(2000, 15, base_seed=5000) + \
+        _c4_diamond_free_graphs(1000, 9000)
+    for i, g in enumerate(graphs):
+        _assert_same_as_whole_graph(g, i)
+
+
+# C4-free obstructions of each per-atom kind, two or three shapes each
+_PLANTED = {
+    "theta": (theta_graph(2, 3, 3), theta_graph(3, 3, 3),
+              theta_graph(2, 3, 4)),
+    "pyramid": (pyramid_graph(2, 2, 2), pyramid_graph(2, 2, 3),
+                pyramid_graph(2, 3, 3)),
+    "prism": (prism_graph(1, 2, 2), prism_graph(2, 2, 2),
+              prism_graph(1, 2, 3)),
+    "even_wheel": (wheel_graph(12, (1, 4, 7, 10)),
+                   wheel_graph(13, (1, 4, 7, 10))),
+}
+
+
+def test_per_atom_membership_on_glued_graphs():
+    """The same on members joined at a vertex, an edge or a triangle, or
+    put side by side; then with obstructions planted among them, and on
+    several obstructions of one kind glued together, so that atoms whose
+    first witnesses come in another order than the whole-graph search
+    meets them must be merged by the kind's key."""
+    rng = random.Random(23)
+    members = [sample_class(rng.randint(6, 10), 4, s).graph
+               for s in range(10)]
+    members += [cycle_graph(5), cycle_graph(7), w93_graph()]
+    planted = [g for shapes in _PLANTED.values() for g in shapes]
+    kinds = set()
+    for i in range(400):
+        pool = members + planted if i % 2 else members
+        g = rng.choice(pool)
+        for _ in range(rng.randint(1, 3)):
+            g = glue(g, rng.choice(pool), rng.randint(0, 3), rng) or g
+        _assert_same_as_whole_graph(g, i)
+        kinds.add(class_membership(g, 4).kind)
+    for kind, shapes in sorted(_PLANTED.items()):
+        for i in range(60):
+            a, b = rng.choice(shapes), rng.choice(shapes)
+            g = glue(a, b, i % 4, rng) or glue(a, b, i % 2, rng)
+            _assert_same_as_whole_graph(g, (kind, i))
+    assert {None, "theta", "pyramid", "prism", "even_wheel"} <= kinds
+
+
+def c5_chain(k):
+    """k five-holes in a row, n = 4k + 1: hole i runs 4i, 4i+1, 4i+4,
+    4i+2, 4i+3, so consecutive holes share one vertex and the two shared
+    vertices of a hole are at distance two on it."""
+    edges = []
+    for i in range(k):
+        s = 4 * i
+        edges += [(s, s + 1), (s + 1, s + 4), (s + 4, s + 2),
+                  (s + 2, s + 3), (s + 3, s)]
+    return Graph(4 * k + 1, edges)
+
+
+def test_c5_chains_are_recognised_atom_by_atom(monkeypatch):
+    """Every C5 chain up to k = 16 is a member, and the work counted by
+    cut-vertex searches, holes yielded and induced paths listed grows
+    linearly in k (a whole-graph search lists exponentially many induced
+    paths between the shared vertices)."""
+    import starsep.cutsets as cutsets_mod
+    import starsep.detectors as det
+    count = {"cutsets": 0, "holes": 0, "paths": 0}
+    cut_vertices, all_holes, paths = (cutsets_mod._cut_vertices,
+                                      det.holes, det._induced_paths)
+
+    def counted_cutset(g, within):
+        count["cutsets"] += 1
+        return cut_vertices(g, within)
+
+    def counted_holes(*args, **kwargs):
+        for hole in all_holes(*args, **kwargs):
+            count["holes"] += 1
+            yield hole
+
+    def counted_paths(*args):
+        out = paths(*args)
+        count["paths"] += 1 + len(out)
+        return out
+
+    monkeypatch.setattr(cutsets_mod, "_cut_vertices", counted_cutset)
+    monkeypatch.setattr(det, "holes", counted_holes)
+    monkeypatch.setattr(det, "_induced_paths", counted_paths)
+    for k in range(1, 17):
+        for key in count:
+            count[key] = 0
+        assert class_membership(c5_chain(k), 4).member, k
+        assert count["cutsets"] <= 2 * k, (k, count)
+        assert count["holes"] <= k, (k, count)
+        assert count["paths"] <= 4 * k, (k, count)
+
+
+def test_c5_chain_certifies():
+    g = c5_chain(10)
+    res = certify(g, 4)
+    assert len(res.atoms.atoms) == 10
+    assert res.report["validation_passed"] and validate_td(g, res.td).passed

@@ -8,8 +8,8 @@ import pytest
 from starsep.central_bag import is_balanced_separator
 from starsep.detectors import holes, hub_set
 from starsep.errors import HypothesisViolation, InputError
-from starsep.generators import (complete_graph, cycle_graph, sample_class,
-                                sample_cutset_free_member)
+from starsep.generators import (complete_graph, cycle_graph, pyramid_graph,
+                                sample_class, sample_cutset_free_member)
 from starsep.graph_core import Graph, WeightFn, bit_list, mask_of
 from starsep.hub_division import hub_division
 from starsep.separations import HALF
@@ -126,6 +126,38 @@ def test_balanced_vertex_separator_examples(w93):
     sizes = {e["check"]: e for e in certw.ledger}
     assert sizes["aux_separator_size"]["measured"] <= 3
     assert sizes["separator_size_vs_6omega_plus_hubnbrs"]["ok"]
+
+
+def test_balanced_vertex_separator_rejects_a_pyramid_apex():
+    pyr = pyramid_graph(2, 2, 2)
+    with pytest.raises(InputError, match="pyramid apex"):
+        balanced_vertex_separator(pyr, pyr.verts, WeightFn.uniform(pyr), 0)
+
+
+def test_bag_is_searched_for_pyramids_once_per_query(monkeypatch):
+    """On the central-bag path only the whole-bag pyramid search runs:
+    the apex check of balanced_vertex_separator is skipped there, and
+    the certificates are those of direct calls, which make the check."""
+    import starsep.separator_engine as engine
+    apexes = []
+    search = engine.detect_pyramid
+
+    def counted(g, apex=None):
+        apexes.append(apex)
+        return search(g, apex=apex)
+
+    g = sample_cutset_free_member(16, 4, 0)
+    w = WeightFn.uniform(g)
+    div = hub_division(g, w, 4)
+    monkeypatch.setattr(engine, "detect_pyramid", counted)
+    cert = central_bag_separator(g, div)
+    assert cert.provenance["branch"] == "balanced_vertex"
+    assert apexes == [None]
+    direct = balanced_vertex_separator(g, div.bag.beta, div.bag.weights,
+                                       div.v_m())
+    assert apexes == [None, div.v_m()]
+    assert cert.separator == direct.separator
+    assert cert.ledger[:len(direct.ledger)] == direct.ledger
 
 
 def test_wheelfree_separator_examples(p9, c6):
