@@ -160,16 +160,14 @@ def central_bag(g: Graph, w: WeightFn, coll: SmoothCollection) -> CentralBag:
                 "a component of the union of A sides fits no member",
                 witness={"component": bit_list(comp)})
         a_star[owner] |= comp
-    deltas = {}
-    for i, v in enumerate(coll.centers):
-        deltas[v] = w.of(a_star[i])
-    w_bag = w.shifted(deltas) if deltas else w
-    total = w_bag.of(beta)
-    ok = (total == 1) if w_bag.exact else abs(float(total) - 1.0) <= FLOAT_TOL
+    parts = dict(zip(coll.centers, a_star))
+    w_bag = w.inherited(parts) if parts else w
+    total = w_bag.num(beta)
+    ok = (total == w_bag.den) if w_bag.exact else abs(total - 1.0) <= FLOAT_TOL
     if coll.centers and not ok:
         raise HypothesisViolation(
             "inherited weights do not total 1 on the central bag",
-            witness={"total": str(total)})
+            witness={"total": str(w_bag.of(beta))})
     if coll.center_mask() & ~beta:
         raise HypothesisViolation(
             "a center fell outside the central bag",
@@ -189,7 +187,7 @@ def is_balanced_separator(g: Graph, w: WeightFn, region: int, x: int,
                           c=HALF) -> bool:
     """Every component of region minus x weighs at most c under w."""
     rest = region & ~x
-    return all(w.leq(w.of(d), c) for d in components(g, rest))
+    return all(w.at_most(d, c) for d in components(g, rest))
 
 
 def grow_separator(g: Graph, w: WeightFn, bag: CentralBag, x: int,
@@ -206,7 +204,7 @@ def grow_separator(g: Graph, w: WeightFn, bag: CentralBag, x: int,
     if not is_balanced_separator(g, bag.weights, bag.beta, x, c):
         raise InputError("input is not a balanced separator of the bag")
     for s in bag.collection.separations:
-        if not w.leq(w.of(s.a), HALF):
+        if not w.at_most(s.a, HALF):
             raise HypothesisViolation(
                 "an A side outweighs 1/2",
                 witness={"center": s.center, "weight": str(w.of(s.a))})
@@ -216,7 +214,7 @@ def grow_separator(g: Graph, w: WeightFn, bag: CentralBag, x: int,
         y |= g.closed_nbr(v) & bag.beta
     if not is_balanced_separator(g, w, g.verts, y, c):
         heavy = [bit_list(d) for d in components(g, g.verts & ~y)
-                 if not w.leq(w.of(d), c)]
+                 if not w.at_most(d, c)]
         raise HypothesisViolation(
             "lifted separator is not balanced on the host graph",
             witness={"Y": bit_list(y), "heavy_components": heavy})

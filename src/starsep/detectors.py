@@ -232,18 +232,24 @@ def _legs(g, a, b, within, shared=0, tri_masks=()):
     return out
 
 
-def _join(g, ends, tri_masks, shared=0):
+def _join(g, ends, tri_masks, shared=0, memo=None):
     """The first leg triple, in product order over the leg lists of the
     three end pairs, whose legs pairwise fit; None as soon as an end pair
     has no leg.  Leg i runs ends[i][0] .. ends[i][1] and avoids the other
-    triangle corners, which only prunes: each lies in another leg's body."""
+    triangle corners, which only prunes: each lies in another leg's body.
+    A memo dict, shared by calls with the same tri_masks and shared,
+    keeps each end pair's leg list for the next call."""
     corners = 0
     for m in tri_masks:
         corners |= m
+    memo = {} if memo is None else memo
     lists = []
     for a, b in ends:
-        others = corners & ~(1 << a) & ~(1 << b)
-        legs = _legs(g, a, b, g.verts & ~others, shared, tri_masks)
+        legs = memo.get((a, b))
+        if legs is None:
+            others = corners & ~(1 << a) & ~(1 << b)
+            legs = memo[a, b] = _legs(g, a, b, g.verts & ~others, shared,
+                                      tri_masks)
         if not legs:
             return None
         lists.append(legs)
@@ -335,8 +341,9 @@ def detect_prism(g: Graph) -> Optional[PrismWitness]:
         ma, mb = mask_of(ta), mask_of(tb)
         if ma & mb:
             continue
+        memo = {}  # the six matchings of a pair share nine end pairs
         for perm in itertools.permutations(tb):
-            legs = _join(g, tuple(zip(ta, perm)), (ma, mb))
+            legs = _join(g, tuple(zip(ta, perm)), (ma, mb), memo=memo)
             if legs:
                 return PrismWitness(ta, perm, legs)
     return None

@@ -335,17 +335,20 @@ def _parse_weight(value):
 class WeightFn:
     """Normalized vertex weights on a host graph.
 
-    Weights supplied as ints, Fractions or 'p/q' strings are kept as exact
-    rationals, so threshold comparisons (such as against 1/2) have
-    reproducible tie behavior.  Float inputs are compared with a 1e-9
-    tolerance.  The total must be 1 (within tolerance for floats);
-    anything else is rejected rather than rescaled.  ``_common`` is set on
-    the first call to ``of`` for exact weights: ``(den, ((num, mask),
-    ...))``, the common denominator and, for each distinct non-zero
-    numerator over it, the mask of vertices that carry it.
+    Weights supplied as ints, Fractions or 'p/q' strings are exact.  They
+    are kept as integer numerators over one common denominator ``den``,
+    grouped into ``_classes``: ``((num, mask), ...)``, one entry per
+    distinct non-zero numerator with the mask of the vertices that carry
+    it, set once when the WeightFn is made.  Sums and the balance test
+    ``at_most`` stay in integers, so threshold comparisons (such as
+    against 1/2) have reproducible tie behavior; a Fraction is built only
+    where a weight is emitted (``of``, ``values``, ``as_json``).  Float
+    inputs are summed one vertex at a time (``den`` is 1) and compared
+    with a 1e-9 tolerance.  The total must be 1 (within tolerance for
+    floats); anything else is rejected rather than rescaled.
     """
 
-    __slots__ = ("n", "values", "exact", "_common")
+    __slots__ = ("n", "values", "exact", "den", "_classes")
 
     def __init__(self, n: int, values: Sequence):
         try:
@@ -367,10 +370,7 @@ class WeightFn:
         ok = (total == 1) if exact else abs(total - 1.0) <= FLOAT_TOL
         if not ok:
             raise InputError(f"weights must sum to 1, got {total}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", tuple(parsed))
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "_common", None)
+        self._fill(n, tuple(parsed), exact)
 
     def __setattr__(self, *a):
         raise AttributeError("WeightFn is immutable")
@@ -387,45 +387,71 @@ class WeightFn:
         if k == 0:
             raise InputError("uniform weight needs a nonempty support")
         share, zero = Fraction(1, k), Fraction(0)
-        w = cls._raw(g.n, tuple(share if (support >> v) & 1 else zero
-                                for v in range(g.n)), True)
-        total = w.of(g.verts)
-        if total != 1:
-            raise InputError(f"weights must sum to 1, got {total}")
-        return w
+        values = tuple(share if (support >> v) & 1 else zero
+                       for v in range(g.n))
+        return cls._raw(g.n, values, True, (k, ((1, support),)))
 
     @classmethod
-    def _raw(cls, n: int, values: tuple, exact: bool) -> "WeightFn":
+    def _raw(cls, n: int, values: tuple, exact: bool,
+             common: tuple | None = None) -> "WeightFn":
+        """Unchecked constructor; ``common`` is ``(den, classes)`` when the
+        caller already has the numerators of exact ``values``."""
         w = cls.__new__(cls)
-        object.__setattr__(w, "n", n)
-        object.__setattr__(w, "values", values)
-        object.__setattr__(w, "exact", exact)
-        object.__setattr__(w, "_common", None)
+        w._fill(n, values, exact, common)
         return w
 
-    def of(self, mask: int):
-        """Total weight of a vertex mask.  Exact weights are summed as
-        integer numerators over their common denominator, one term per
-        distinct value, which gives the same normalized Fraction as adding
-        them one at a time."""
+    def _fill(self, n, values, exact, common=None):
+        if not exact:
+            common = (1, None)
+        elif common is None:
+            den = lcm(*(v.denominator for v in values))
+            classes: dict[int, int] = {}
+            for v, value in enumerate(values):
+                num = value.numerator * (den // value.denominator)
+                if num:
+                    classes[num] = classes.get(num, 0) | 1 << v
+            common = (den, tuple(classes.items()))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "den", common[0])
+        object.__setattr__(self, "_classes", common[1])
+
+    def num(self, mask: int):
+        """Weight of a vertex mask times ``den``: an int for exact weights,
+        summed over the value classes; for float weights the float sum,
+        added one vertex at a time."""
         if not self.exact:
             total = 0.0
             for v in bits(mask):
                 total += self.values[v]
             return total
-        if self._common is None:
-            den = lcm(*(v.denominator for v in self.values))
-            classes: dict[int, int] = {}
-            for v, value in enumerate(self.values):
-                num = value.numerator * (den // value.denominator)
-                if num:
-                    classes[num] = classes.get(num, 0) | 1 << v
-            object.__setattr__(self, "_common", (den, tuple(classes.items())))
-        den, classes = self._common
         total = 0
-        for num, m in classes:
+        for num, m in self._classes:
             total += num * (mask & m).bit_count()
-        return Fraction(total, den)
+        return total
+
+    def of(self, mask: int):
+        """Total weight of a vertex mask: the normalized Fraction for exact
+        weights, the float sum otherwise."""
+        if self.exact:
+            return Fraction(self.num(mask), self.den)
+        return self.num(mask)
+
+    def at_most(self, mask: int, c) -> bool:
+        """Whether the mask weighs at most c: the one balance test.
+
+        Exact weights compare integers, num * c_den <= c_num * den with
+        (c_num, c_den) = c.as_integer_ratio(), which is exact for a
+        Fraction, an int or a float and so the same test as Fraction <= c.
+        Float weights keep the tolerance rule of ``leq``."""
+        if not self.exact:
+            return self.leq(self.num(mask), c)
+        try:
+            c_num, c_den = c.as_integer_ratio()
+        except (OverflowError, ValueError):  # an infinite or NaN float
+            return self.of(mask) <= c
+        return self.num(mask) * c_den <= c_num * self.den
 
     def leq(self, value, bound) -> bool:
         """value <= bound, with float tolerance when inexact."""
@@ -440,6 +466,27 @@ class WeightFn:
         for v, d in deltas.items():
             vals[v] = vals[v] + d
         return WeightFn._raw(self.n, tuple(vals), self.exact)
+
+    def inherited(self, parts: dict[int, int]) -> "WeightFn":
+        """New WeightFn in which each vertex v also carries the weight of
+        the mask parts[v], as a central bag's centers inherit their A
+        sides.  Exact weights move integer numerators over the same
+        denominator; float weights are shifted by the float sums."""
+        if not self.exact:
+            return self.shifted({v: self.of(m) for v, m in parts.items()})
+        moved = mask_of(parts)
+        classes: dict[int, int] = {}
+        for num, m in self._classes:
+            if m & ~moved:
+                classes[num] = m & ~moved
+        vals = list(self.values)
+        for v, part in parts.items():
+            num = self.num(1 << v) + self.num(part)
+            if num:
+                classes[num] = classes.get(num, 0) | 1 << v
+            vals[v] = Fraction(num, self.den)
+        return WeightFn._raw(self.n, tuple(vals), True,
+                             (self.den, tuple(classes.items())))
 
     def as_json(self) -> list:
         return [str(v) if isinstance(v, Fraction) else v for v in self.values]

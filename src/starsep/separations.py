@@ -59,7 +59,7 @@ def classify_balanced(g: Graph, w: WeightFn) -> tuple[int, int]:
     component of the graph minus its closed neighborhood weighs <= 1/2."""
     balanced = 0
     for v in bits(g.verts):
-        if all(w.leq(w.of(d), HALF) for d in far_components(g, v)):
+        if all(w.at_most(d, HALF) for d in far_components(g, v)):
             balanced |= 1 << v
     return balanced, g.verts & ~balanced
 
@@ -67,14 +67,15 @@ def classify_balanced(g: Graph, w: WeightFn) -> tuple[int, int]:
 def canonical_separation(g: Graph, w: WeightFn, v: int) -> Separation:
     """Canonical star separation of an unbalanced vertex: B is the
     heaviest far component (ties favor the lexicographically least vertex
-    set), C the center plus its neighbors seen from B."""
+    set), C the center plus its neighbors seen from B.  Sides are weighed
+    by their numerators over the common denominator of w."""
     b = best_w = None
     for comp in far_components(g, v):
-        cw = w.of(comp)
+        cw = w.num(comp)
         if b is None or cw > best_w or (
                 cw == best_w and bit_list(comp) < bit_list(b)):
             b, best_w = comp, cw
-    if b is None or w.leq(best_w, HALF):
+    if b is None or w.at_most(b, HALF):
         raise InputError(f"vertex {v} is balanced; no canonical separation")
     c = (1 << v) | (g.adj[v] & neighborhood(g, b))
     a = g.verts & ~(b | c)

@@ -102,13 +102,15 @@ def aux_graph(g: Graph, beta: int, w_bag: WeightFn, v: int) -> AuxGraph:
                 witness={"component": bit_list(d),
                          "cliques": [bit_list(cliques[i]) for i in touching]})
     h = Graph(t_nodes + len(comps), edges)
-    weights = tuple([w_bag.of(k) for k in cliques]
-                    + [w_bag.of(d) for d in comps])
-    total = sum(weights, Fraction(0) if w_bag.exact else 0.0)
-    if total > 0:
-        normalized = tuple(x / total for x in weights)
+    nums = [w_bag.num(x) for x in cliques + comps]
+    total = sum(nums)
+    if w_bag.exact:  # numerators over den, then over their own total
+        weights = tuple(Fraction(x, w_bag.den) for x in nums)
+        normalized = tuple(Fraction(x, total) if total > 0 else Fraction(0)
+                           for x in nums)
     else:
-        normalized = tuple(0 * x for x in weights)
+        weights = tuple(nums)
+        normalized = tuple(x / total if total > 0 else 0 * x for x in nums)
     aux = AuxGraph(graph=h, cliques=tuple(cliques), comps=tuple(comps),
                    weights=weights, normalized=normalized)
     _certify_aux(aux)

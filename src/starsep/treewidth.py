@@ -10,6 +10,7 @@ on components, gluing clique-cutset atoms along their cutset bags.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable
 
@@ -280,24 +281,32 @@ def _contract_redundant(td: TreeDecomposition) -> TreeDecomposition:
         adj[a].add(b)
         adj[b].add(a)
     alive = set(range(len(bags)))
-    changed = True
-    while changed:
-        changed = False
-        for i in sorted(alive):
-            target = next((j for j in sorted(adj[i])
-                           if not (bags[i] & ~bags[j])), None)
-            if target is None:
-                continue
-            for j in adj[i]:
-                if j != target:
-                    adj[j].discard(i)
-                    adj[j].add(target)
-                    adj[target].add(j)
-            adj[target].discard(i)
-            alive.discard(i)
-            adj.pop(i)
-            changed = True
-            break
+    # Always merge the least node that has a neighbor containing its bag.
+    # Bags never change, so a node found unmergeable stays so until its
+    # adjacency changes; a merge changes only the target's and the merged
+    # node's former neighbors', and those go back on the heap.
+    todo = list(range(len(bags)))
+    queued = set(todo)
+    while todo:
+        i = heapq.heappop(todo)
+        queued.discard(i)
+        target = next((j for j in sorted(adj[i])
+                       if not (bags[i] & ~bags[j])), None)
+        if target is None:
+            continue
+        touched = adj[i]
+        for j in touched:
+            if j != target:
+                adj[j].discard(i)
+                adj[j].add(target)
+                adj[target].add(j)
+        adj[target].discard(i)
+        alive.discard(i)
+        adj.pop(i)
+        for j in touched:
+            if j not in queued:
+                queued.add(j)
+                heapq.heappush(todo, j)
     remap = {old: new for new, old in enumerate(sorted(alive))}
     new_bags = tuple(bags[old] for old in sorted(alive))
     new_edges = []

@@ -153,3 +153,34 @@ def test_grow_separator_empty(c6):
     wu = WeightFn.uniform(two)
     bag2 = central_bag(two, wu, validate_smooth(two, (), ()))
     assert grow_separator(two, wu, bag2, 0) == 0
+
+
+def test_balance_tests_build_no_fraction(monkeypatch):
+    """Under exact weights every balance test compares integers: WeightFn.of,
+    which builds a Fraction, is never called by them."""
+    from starsep.hub_division import hub_division
+    from starsep.separator_engine import central_bag_separator
+
+    def run(g, w, bag, x):
+        singles = [(is_balanced_separator(g, w, g.verts, 1 << v),
+                    is_balanced_separator(g, bag.weights, bag.beta, 1 << v,
+                                          Fraction(2, 3)))
+                   for v in bits(g.verts)]
+        return (classify_balanced(g, w), classify_balanced(g, bag.weights),
+                singles, grow_separator(g, w, bag, x))
+
+    cases, want = [], []
+    for seed in range(16):
+        g = sample_cutset_free_member(14, 4, seed)
+        for w in (_skew_weights(g, seed), WeightFn.uniform(g)):
+            div = hub_division(g, w, 4)
+            x = central_bag_separator(g, div).separator
+            cases.append((g, w, div.bag, x))
+            want.append(run(*cases[-1]))
+
+    def no_fraction(self, mask):
+        raise AssertionError("WeightFn.of called")
+
+    monkeypatch.setattr(WeightFn, "of", no_fraction)
+    assert [run(*case) for case in cases] == want
+    assert sum(len(bag.collection) for _, _, bag, _ in cases) > 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -286,6 +287,21 @@ def test_separator_bad_balance_exits_2(runner, w93_file, balance):
                                "--balance", balance, w93_file])
     assert res.exit_code == 2
     assert _json_out(res)["error"] == "input"
+
+
+@pytest.mark.parametrize("args,digest", [
+    (["separator", "--t", "4", "--balance", "0.6"],
+     "52141b006dd2c23bfe019b01f2485a752a8cc856e1810d1252b4780ff9bbd258"),
+    (["separator", "--t", "4", "--balance", "2/3"],
+     "b0651f9df07f62ed9fc02056fc596af19b7029d7b15e54ff97da4c6084599972"),
+    (["hubdiv", "--t", "4"],  # prints the inherited weights
+     "19d3be7b71af4eb777c629d4b1e91f2249f1c81e866567750c1b4a5ecd8e24e6"),
+])
+def test_valid_balance_and_hubdiv_output_pinned(runner, w93_file, args,
+                                                digest):
+    res = runner.invoke(main, args + [w93_file])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("content", [

@@ -163,6 +163,68 @@ def test_exact_weight_sum_matches_fraction_sum(case):
         assert [checked.of(m) for m in masks] == [w.of(m) for m in masks]
 
 
+@st.composite
+def float_weights_and_masks(draw):
+    """Float weights summing to one within tolerance, with a few masks."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    raw = draw(st.lists(st.integers(min_value=0, max_value=40),
+                        min_size=n, max_size=n).filter(any))
+    w = WeightFn(n, [r / sum(raw) for r in raw])
+    masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
+                          min_size=1, max_size=4))
+    return w, masks
+
+
+BOUNDS = (Fraction(1, 2), Fraction(2, 3), 1, 0.6)
+
+
+@given(exact_weights_and_masks() | uniform_weights_and_masks())
+@settings(max_examples=200, deadline=None)
+def test_at_most_matches_fraction_comparison(case):
+    w, masks = case
+    for mask in masks + [(1 << (w.n // 2)) - 1]:  # often a tie at 1/2
+        for c in BOUNDS:
+            assert w.at_most(mask, c) == (w.of(mask) <= c)
+
+
+@given(float_weights_and_masks())
+@settings(max_examples=100, deadline=None)
+def test_at_most_keeps_the_float_tolerance(case):
+    w, masks = case
+    assert not w.exact and w.den == 1
+    for mask in masks:
+        for c in BOUNDS:
+            assert w.at_most(mask, c) == w.leq(w.of(mask), c)
+
+
+def test_at_most_ties_and_float_bounds():
+    w = WeightFn(4, ["1/4"] * 4)
+    assert w.at_most(mask_of([0, 1]), Fraction(1, 2))
+    assert not w.at_most(mask_of([0, 1, 2]), Fraction(2, 3))
+    assert w.at_most(0b1111, 1)
+    # 3/5 is above the binary value of the float 0.6, as Fraction <= 0.6 says
+    w35 = WeightFn(2, ["3/5", "2/5"])
+    assert not w35.at_most(1, 0.6) and not (w35.of(1) <= 0.6)
+    assert w35.at_most(1, Fraction(3, 5))
+    assert w35.at_most(1, float("inf")) and not w35.at_most(1, float("nan"))
+    wf = WeightFn(2, [0.6, 0.4])
+    assert wf.at_most(1, Fraction(3, 5)) and wf.at_most(1, 0.6)
+
+
+@given(exact_weights_and_masks() | uniform_weights_and_masks())
+@settings(max_examples=100, deadline=None)
+def test_inherited_matches_shifted_by_part_weights(case):
+    w, masks = case
+    parts = {v: masks[0] & ~(1 << v) for v in range(min(2, w.n))}
+    got = w.inherited(parts)
+    want = w.shifted({v: w.of(m) for v, m in parts.items()})
+    assert got.values == want.values and got.den == w.den
+    for mask in masks:
+        assert got.of(mask) == want.of(mask)
+        assert got.at_most(mask, Fraction(1, 2)) == \
+            want.at_most(mask, Fraction(1, 2))
+
+
 def test_uniform_on_subset():
     g = Graph(4, [(0, 1), (2, 3)])
     w = WeightFn.uniform_on(g, mask_of([1, 3]))

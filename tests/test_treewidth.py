@@ -11,8 +11,8 @@ from starsep.generators import (complete_graph, sample_class,
                                 w93_graph)
 from starsep.graph_core import Graph, WeightFn, mask_of, popcount
 from starsep.separations import classify_balanced
-from starsep.treewidth import (TreeDecomposition, build_td, certify,
-                               exact_treewidth, validate_td)
+from starsep.treewidth import (TreeDecomposition, _contract_redundant,
+                               build_td, certify, exact_treewidth, validate_td)
 
 from . import oracles
 from .conftest import seeded_random_graphs
@@ -100,6 +100,71 @@ def test_build_td_disconnected():
     g = Graph(5, [(0, 1), (3, 4)])
     td = build_td(g, _exhaustive_oracle)
     assert validate_td(g, td).passed
+
+
+def _contract_by_restarting(td):
+    """Reference: rescan every bag after each merge, merging the least
+    bag that a neighbor contains into its least such neighbor."""
+    bags = list(td.bags)
+    adj = {i: set() for i in range(len(bags))}
+    for a, b in td.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    alive = set(range(len(bags)))
+    changed = True
+    while changed:
+        changed = False
+        for i in sorted(alive):
+            target = next((j for j in sorted(adj[i])
+                           if not (bags[i] & ~bags[j])), None)
+            if target is None:
+                continue
+            for j in adj[i]:
+                if j != target:
+                    adj[j].discard(i)
+                    adj[j].add(target)
+                    adj[target].add(j)
+            adj[target].discard(i)
+            alive.discard(i)
+            adj.pop(i)
+            changed = True
+            break
+    remap = {old: new for new, old in enumerate(sorted(alive))}
+    new_edges = []
+    seen = set()
+    for i in sorted(alive):
+        for j in adj[i]:
+            key = (min(remap[i], remap[j]), max(remap[i], remap[j]))
+            if key not in seen:
+                seen.add(key)
+                new_edges.append(key)
+    return TreeDecomposition(tuple(bags[old] for old in sorted(alive)),
+                             tuple(new_edges))
+
+
+def test_contract_redundant_matches_restarting_scan():
+    """Random trees of bags over a small vertex set, where many bags
+    contain their neighbors, give the same bags and edge list as the scan
+    that restarts after every merge."""
+    merged = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        k = rng.randint(1, 40)
+        universe = rng.randint(2, 7)
+        bags = [rng.getrandbits(universe) for _ in range(k)]
+        edges = []
+        for i in range(1, k):
+            parent = rng.randrange(i)
+            if rng.random() < 0.5:  # a sub-bag or super-bag of its parent
+                bags[i] = bags[parent] & bags[i] if rng.random() < 0.5 \
+                    else bags[parent] | bags[i]
+            edges.append((parent, i) if rng.random() < 0.5 else (i, parent))
+        rng.shuffle(edges)
+        td = TreeDecomposition(tuple(bags), tuple(edges))
+        got = _contract_redundant(td)
+        assert got == _contract_by_restarting(td)
+        merged += k - len(got.bags)
+    assert merged > 2000
 
 
 def test_certify_fixtures(p9, c6, w93):
