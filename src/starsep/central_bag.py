@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HypothesisViolation, InputError
-from .graph_core import (FLOAT_TOL, Graph, WeightFn, bit_list, bits,
-                         components, mask_of, neighborhood)
+from .graph_core import (Graph, WeightFn, bit_list, bits, components,
+                         mask_of, neighborhood)
 from .separations import (HALF, Separation, canonical_separation,
                           nearly_noncrossing, validate_separation)
 
@@ -162,9 +162,7 @@ def central_bag(g: Graph, w: WeightFn, coll: SmoothCollection) -> CentralBag:
         a_star[owner] |= comp
     parts = dict(zip(coll.centers, a_star))
     w_bag = w.inherited(parts) if parts else w
-    total = w_bag.num(beta)
-    ok = (total == w_bag.den) if w_bag.exact else abs(total - 1.0) <= FLOAT_TOL
-    if coll.centers and not ok:
+    if coll.centers and not w_bag.weighs_one(beta):
         raise HypothesisViolation(
             "inherited weights do not total 1 on the central bag",
             witness={"total": str(w_bag.of(beta))})

@@ -140,8 +140,10 @@ def clique_cutset_atoms(g: Graph) -> AtomDecomposition:
     2-connected too: a cut vertex of a piece would be one of the region.
     Every piece is connected.
     """
-    if g._atoms is not None:
-        return g._atoms
+    return g.kept(_decompose)
+
+
+def _decompose(g: Graph) -> AtomDecomposition:
     atoms: list[int] = []
     cutsets: list[int] = []
 
@@ -158,9 +160,8 @@ def clique_cutset_atoms(g: Graph) -> AtomDecomposition:
             for comp in components(g, region & ~cut)))
 
     tree = rec(g.verts, *_cut_vertices(g, g.verts)) if g.verts else 0
-    object.__setattr__(g, "_atoms", AtomDecomposition(
-        tuple(dict.fromkeys(atoms)), tuple(cutsets), tree))
-    return g._atoms
+    return AtomDecomposition(tuple(dict.fromkeys(atoms)), tuple(cutsets),
+                             tree)
 
 
 # ---------------------------------------------------------------------------

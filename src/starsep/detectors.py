@@ -40,7 +40,8 @@ from typing import Iterator, Optional
 
 from .cutsets import clique_cutset_atoms, find_clique_cutset
 from .errors import InputError
-from .graph_core import Graph, bits, cliques, mask_of, popcount
+from .graph_core import (Graph, bits, cliques, least_nonedge, mask_of,
+                         popcount)
 
 # deterministic obstruction search order for membership tests
 _KIND_ORDER = ("C4", "diamond", "K_t", "theta", "pyramid", "prism", "even_wheel")
@@ -151,12 +152,14 @@ def _find_c4(g):
     """Lexicographically least 4-set inducing a C4, as (a, b, c, d) around
     the cycle from its least vertex a.  For the least a that has one: each
     non-neighbor c > a with the least non-adjacent pair b < d among the
-    common neighbors of a and c above a, minimized as a sorted triple."""
+    common neighbors of a and c above a, minimized as a sorted triple.
+    Adding a common vertex keeps the order of sorted tuples, so the least
+    pair of a fixed rest gives the least 4-set, here and for diamonds."""
     for a in g.vertex_list():
         above = g.verts & ~((1 << (a + 1)) - 1)
         triples = []
         for c in bits(above & ~g.adj[a]):
-            pair = _least_nonadjacent_pair(g, g.adj[a] & g.adj[c] & above)
+            pair = least_nonedge(g, g.adj[a] & g.adj[c] & above)
             if pair:
                 triples.append(sorted((c,) + pair))
         if triples:
@@ -173,7 +176,7 @@ def _find_diamond(g):
     non-adjacent pair a < b among the common neighbors of that edge."""
     quads = []
     for u, v in g.edges():
-        pair = _least_nonadjacent_pair(g, g.adj[u] & g.adj[v])
+        pair = least_nonedge(g, g.adj[u] & g.adj[v])
         if pair:
             quads.append(sorted((u, v) + pair))
     if not quads:
@@ -183,17 +186,6 @@ def _find_diamond(g):
                 if not g.has_edge(u, v))
     hub = tuple(v for v in quad if v not in (a, b))
     return (hub[0], hub[1], a, b)
-
-
-def _least_nonadjacent_pair(g, mask):
-    """Lexicographically least pair of non-adjacent vertices in a mask.
-    Adding a common vertex keeps the order of sorted tuples, so the
-    least pair of a fixed rest gives the least 4-set."""
-    for b in bits(mask):
-        rest = mask & ~g.adj[b] & ~((1 << (b + 1)) - 1)
-        if rest:
-            return b, (rest & -rest).bit_length() - 1
-    return None
 
 
 def clique_number(g: Graph) -> int:
@@ -484,17 +476,14 @@ def classify_wheels(g: Graph, within: int | None = None) -> list[WheelWitness]:
 
 def _wheel_pairs(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Every wheel of g as (center, hole masks) per center: the holes on
-    which the center has three pairwise non-adjacent spokes.  Built from
-    one hole pass on first use and kept on the (immutable) graph."""
-    if g._wheel_pairs is None:
-        found: dict[int, list[int]] = {}
-        for hole, hole_mask, v in _spoked(g, g.verts):
-            spokes = tuple(u for u in hole if (g.adj[v] >> u) & 1)
-            if _has_independent_triple(g, spokes):
-                found.setdefault(v, []).append(hole_mask)
-        object.__setattr__(g, "_wheel_pairs", tuple(
-            (v, tuple(masks)) for v, masks in sorted(found.items())))
-    return g._wheel_pairs
+    which the center has three pairwise non-adjacent spokes.  One hole
+    pass, kept on the graph by ``hub_set``."""
+    found: dict[int, list[int]] = {}
+    for hole, hole_mask, v in _spoked(g, g.verts):
+        spokes = tuple(u for u in hole if (g.adj[v] >> u) & 1)
+        if _has_independent_triple(g, spokes):
+            found.setdefault(v, []).append(hole_mask)
+    return tuple((v, tuple(masks)) for v, masks in sorted(found.items()))
 
 
 def hub_set(g: Graph, x: int) -> int:
@@ -506,7 +495,7 @@ def hub_set(g: Graph, x: int) -> int:
     """
     g.check_vertex_set(x)
     hubs = 0
-    for v, hole_masks in _wheel_pairs(g):
+    for v, hole_masks in g.kept(_wheel_pairs):
         if (x >> v) & 1 and any(not (m & ~x) for m in hole_masks):
             hubs |= 1 << v
     return hubs
@@ -607,7 +596,9 @@ def _search(g: Graph, kind: str):
         return detect_pyramid(g)
     if kind == "prism":
         return detect_prism(g)
-    return find_even_wheel(g)
+    if kind == "even_wheel":
+        return find_even_wheel(g)
+    raise InputError(f"unknown obstruction kind {kind!r}")
 
 
 def verify_obstruction(g: Graph, kind: str, embedding: tuple[int, ...],
@@ -631,13 +622,4 @@ def verify_obstruction(g: Graph, kind: str, embedding: tuple[int, ...],
         if kind == "diamond":
             return sum(degs) == 10
         return degs == [size - 1] * size
-    sub = g.induced(mask_of(embedding))
-    if kind == "theta":
-        return detect_theta(sub) is not None
-    if kind == "pyramid":
-        return detect_pyramid(sub) is not None
-    if kind == "prism":
-        return detect_prism(sub) is not None
-    if kind == "even_wheel":
-        return find_even_wheel(sub) is not None
-    raise InputError(f"unknown obstruction kind {kind!r}")
+    return _search(g.induced(mask_of(embedding)), kind) is not None

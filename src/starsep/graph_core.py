@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import index
 from typing import Iterable, Iterator, Sequence
@@ -74,26 +75,10 @@ def lowest_bit(mask: int) -> int:
 
 def subsets_of_size(mask: int, k: int) -> Iterator[int]:
     """All k-subsets of a mask, in lexicographic order of the sorted
-    vertex tuples."""
-    elems = bit_list(mask)
-    n = len(elems)
-    if k < 0 or k > n:
-        return
-    if k == 0:
-        yield 0
-        return
-    idx = list(range(k))
-    while True:
-        yield mask_of(elems[i] for i in idx)
-        # next combination
-        for i in reversed(range(k)):
-            if idx[i] != i + n - k:
-                break
-        else:
-            return
-        idx[i] += 1
-        for j in range(i + 1, k):
-            idx[j] = idx[j - 1] + 1
+    vertex tuples; none for k < 0 or k above the mask's size."""
+    if k >= 0:
+        # the bits are disjoint, so their sum is their union
+        yield from map(sum, combinations([1 << v for v in bits(mask)], k))
 
 
 # ---------------------------------------------------------------------------
@@ -107,16 +92,16 @@ class Graph:
     universe 0..n-1 and simply restrict the mask, so vertex identities are
     stable across restriction.  No loops, no parallel edges.
 
-    Three slots start as None and are filled once, on first use, with
-    facts that depend only on the graph, so they can never go stale:
-    ``_wheel_pairs`` by ``detectors.hub_set``; ``_far``, the components
-    of the graph minus each closed neighborhood, by ``far_components``;
-    and ``_atoms``, the clique-cutset decomposition, by
-    ``cutsets.clique_cutset_atoms``.  None takes part in equality or
-    hashing.
+    Facts that depend only on the graph are computed once per object and
+    kept through ``kept(build)``, keyed by the builder function; the
+    graph never changes, so they can never go stale.  The wheel record
+    of ``detectors.hub_set``, the far sides of ``far_components`` and
+    the atoms of ``cutsets.clique_cutset_atoms`` are kept this way.  A
+    new graph, ``induced`` ones included, starts with none, and kept
+    facts take no part in equality or hashing.
     """
 
-    __slots__ = ("n", "verts", "adj", "_wheel_pairs", "_far", "_atoms")
+    __slots__ = ("n", "verts", "adj", "_kept")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if n < 0:
@@ -142,12 +127,13 @@ class Graph:
                 raise InputError(f"loop at vertex {u} not allowed")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+        self._set(n, full, tuple(adj))
+
+    def _set(self, n, verts, adj):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "verts", full)
-        object.__setattr__(self, "adj", tuple(adj))
-        object.__setattr__(self, "_wheel_pairs", None)
-        object.__setattr__(self, "_far", None)
-        object.__setattr__(self, "_atoms", None)
+        object.__setattr__(self, "verts", verts)
+        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "_kept", {})
 
     def __setattr__(self, *a):
         raise AttributeError("Graph is immutable")
@@ -155,13 +141,16 @@ class Graph:
     @classmethod
     def _raw(cls, n: int, verts: int, adj: tuple[int, ...]) -> "Graph":
         g = cls.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "verts", verts)
-        object.__setattr__(g, "adj", adj)
-        object.__setattr__(g, "_wheel_pairs", None)
-        object.__setattr__(g, "_far", None)
-        object.__setattr__(g, "_atoms", None)
+        g._set(n, verts, adj)
         return g
+
+    def kept(self, build):
+        """build(self), computed on the first call with this builder and
+        kept on the graph for every later one."""
+        kept = self._kept
+        if build not in kept:
+            kept[build] = build(self)
+        return kept[build]
 
     # -- queries ------------------------------------------------------
 
@@ -170,10 +159,6 @@ class Graph:
 
     def vertex_list(self) -> list[int]:
         return bit_list(self.verts)
-
-    def nbr(self, v: int) -> int:
-        """Open neighborhood of v as a mask."""
-        return self.adj[v]
 
     def closed_nbr(self, v: int) -> int:
         return self.adj[v] | (1 << v)
@@ -257,12 +242,14 @@ def far_components(g: Graph, v: int) -> tuple[int, ...]:
     vertex and keeps them on the graph."""
     if not (0 <= v < g.n and (g.verts >> v) & 1):
         raise InputError(f"vertex {v} is not in the graph")
-    if g._far is None:
-        far = [()] * g.n
-        for u in bits(g.verts):
-            far[u] = tuple(components(g, g.verts & ~g.closed_nbr(u)))
-        object.__setattr__(g, "_far", tuple(far))
-    return g._far[v]
+    return g.kept(_far_sides)[v]
+
+
+def _far_sides(g: Graph) -> tuple[tuple[int, ...], ...]:
+    far = [()] * g.n
+    for u in bits(g.verts):
+        far[u] = tuple(components(g, g.verts & ~g.closed_nbr(u)))
+    return tuple(far)
 
 
 def is_connected(g: Graph, x: int | None = None) -> bool:
@@ -284,6 +271,16 @@ def degeneracy(g: Graph, within: int) -> int:
         for u in bits(g.adj[v] & remaining):
             deg[u] -= 1
     return best
+
+
+def least_nonedge(g: Graph, mask: int) -> tuple[int, int] | None:
+    """Lexicographically least pair a < b of non-adjacent vertices in a
+    mask; None when the mask is a clique."""
+    for a in bits(mask):
+        rest = mask & ~g.adj[a] & ~((1 << (a + 1)) - 1)
+        if rest:
+            return a, (rest & -rest).bit_length() - 1
+    return None
 
 
 def cliques(g: Graph, size: int) -> Iterator[tuple[int, ...]]:
@@ -342,10 +339,13 @@ class WeightFn:
     it, set once when the WeightFn is made.  Sums and the balance test
     ``at_most`` stay in integers, so threshold comparisons (such as
     against 1/2) have reproducible tie behavior; a Fraction is built only
-    where a weight is emitted (``of``, ``values``, ``as_json``).  Float
-    inputs are summed one vertex at a time (``den`` is 1) and compared
-    with a 1e-9 tolerance.  The total must be 1 (within tolerance for
-    floats); anything else is rejected rather than rescaled.
+    where a weight is emitted (``of``, ``values``, ``shares``,
+    ``as_json``).  Float inputs are summed one vertex at a time (``den``
+    is 1) and compared with a 1e-9 tolerance.  The total must be 1
+    (``weighs_one``, within tolerance for floats); anything else is
+    rejected rather than rescaled.  No other module reads how the
+    weights are stored: it asks ``at_most``, ``weighs_one`` and
+    ``shares``.
     """
 
     __slots__ = ("n", "values", "exact", "den", "_classes")
@@ -366,11 +366,11 @@ class WeightFn:
             hi = v <= 1 if exact else v <= 1 + FLOAT_TOL
             if not (lo and hi):
                 raise InputError(f"weight {v} outside [0, 1]")
-        total = sum(parsed)
-        ok = (total == 1) if exact else abs(total - 1.0) <= FLOAT_TOL
-        if not ok:
-            raise InputError(f"weights must sum to 1, got {total}")
-        self._fill(n, tuple(parsed), exact)
+        self._fill(n, tuple(parsed))
+        everything = (1 << n) - 1
+        if not self.weighs_one(everything):
+            raise InputError(
+                f"weights must sum to 1, got {self.of(everything)}")
 
     def __setattr__(self, *a):
         raise AttributeError("WeightFn is immutable")
@@ -389,18 +389,21 @@ class WeightFn:
         share, zero = Fraction(1, k), Fraction(0)
         values = tuple(share if (support >> v) & 1 else zero
                        for v in range(g.n))
-        return cls._raw(g.n, values, True, (k, ((1, support),)))
+        return cls._raw(g.n, values, (k, ((1, support),)))
 
     @classmethod
-    def _raw(cls, n: int, values: tuple, exact: bool,
+    def _raw(cls, n: int, values: tuple,
              common: tuple | None = None) -> "WeightFn":
         """Unchecked constructor; ``common`` is ``(den, classes)`` when the
-        caller already has the numerators of exact ``values``."""
+        caller already has the numerators of exact ``values``.  Without
+        it the weights are exact iff every value is a Fraction."""
         w = cls.__new__(cls)
-        w._fill(n, values, exact, common)
+        w._fill(n, values, common)
         return w
 
-    def _fill(self, n, values, exact, common=None):
+    def _fill(self, n, values, common=None):
+        exact = common is not None or all(isinstance(v, Fraction)
+                                          for v in values)
         if not exact:
             common = (1, None)
         elif common is None:
@@ -438,6 +441,28 @@ class WeightFn:
             return Fraction(self.num(mask), self.den)
         return self.num(mask)
 
+    def weighs_one(self, mask: int) -> bool:
+        """Whether the mask weighs exactly 1, within the float tolerance
+        for float weights: the sum-to-1 test."""
+        total = self.num(mask)
+        if self.exact:
+            return total == self.den
+        return abs(total - 1.0) <= FLOAT_TOL
+
+    def shares(self, masks) -> tuple[tuple, tuple]:
+        """(weights, shares): each mask's weight, and its weight divided
+        by the total over all the masks (0 when that total is not
+        positive), from one sum per mask.  Exact weights give Fractions
+        of the integer numerators, float weights floats."""
+        nums = [self.num(m) for m in masks]
+        total = sum(nums)
+        if not self.exact:
+            return (tuple(nums),
+                    tuple(x / total if total > 0 else 0 * x for x in nums))
+        return (tuple(Fraction(x, self.den) for x in nums),
+                tuple(Fraction(x, total) if total > 0 else Fraction(0)
+                      for x in nums))
+
     def at_most(self, mask: int, c) -> bool:
         """Whether the mask weighs at most c: the one balance test.
 
@@ -465,7 +490,7 @@ class WeightFn:
         vals = list(self.values)
         for v, d in deltas.items():
             vals[v] = vals[v] + d
-        return WeightFn._raw(self.n, tuple(vals), self.exact)
+        return WeightFn._raw(self.n, tuple(vals))
 
     def inherited(self, parts: dict[int, int]) -> "WeightFn":
         """New WeightFn in which each vertex v also carries the weight of
@@ -485,7 +510,7 @@ class WeightFn:
             if num:
                 classes[num] = classes.get(num, 0) | 1 << v
             vals[v] = Fraction(num, self.den)
-        return WeightFn._raw(self.n, tuple(vals), True,
+        return WeightFn._raw(self.n, tuple(vals),
                              (self.den, tuple(classes.items())))
 
     def as_json(self) -> list:

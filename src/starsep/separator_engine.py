@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
 from .central_bag import grow_separator, is_balanced_separator
 from .detectors import clique_number, detect_pyramid, hub_set
 from .errors import HypothesisViolation, InputError
-from .graph_core import (Graph, WeightFn, bit_list, bits, components, mask_of,
-                         popcount, subsets_of_size)
+from .graph_core import (Graph, WeightFn, bit_list, bits, components,
+                         least_nonedge, mask_of, popcount, subsets_of_size)
 from .hub_division import HubDivision, hub_division
 from .separations import HALF
 
@@ -77,13 +76,11 @@ def aux_graph(g: Graph, beta: int, w_bag: WeightFn, v: int) -> AuxGraph:
     nbr_pieces = g.adj[v] & beta & ~hub_set(g, beta)
     cliques = []
     for piece in components(g, nbr_pieces):
-        piece_list = bit_list(piece)
-        for i, a in enumerate(piece_list):
-            for b in piece_list[i + 1:]:
-                if not g.has_edge(a, b):
-                    raise HypothesisViolation(
-                        "neighborhood piece is not a clique",
-                        witness={"piece": piece_list, "nonedge": [a, b]})
+        pair = least_nonedge(g, piece)
+        if pair:
+            raise HypothesisViolation(
+                "neighborhood piece is not a clique",
+                witness={"piece": bit_list(piece), "nonedge": list(pair)})
         cliques.append(piece)
     comps = components(g, beta & ~(g.closed_nbr(v) & beta))
     t_nodes = len(cliques)
@@ -102,15 +99,7 @@ def aux_graph(g: Graph, beta: int, w_bag: WeightFn, v: int) -> AuxGraph:
                 witness={"component": bit_list(d),
                          "cliques": [bit_list(cliques[i]) for i in touching]})
     h = Graph(t_nodes + len(comps), edges)
-    nums = [w_bag.num(x) for x in cliques + comps]
-    total = sum(nums)
-    if w_bag.exact:  # numerators over den, then over their own total
-        weights = tuple(Fraction(x, w_bag.den) for x in nums)
-        normalized = tuple(Fraction(x, total) if total > 0 else Fraction(0)
-                           for x in nums)
-    else:
-        weights = tuple(nums)
-        normalized = tuple(x / total if total > 0 else 0 * x for x in nums)
+    weights, normalized = w_bag.shares(cliques + comps)
     aux = AuxGraph(graph=h, cliques=tuple(cliques), comps=tuple(comps),
                    weights=weights, normalized=normalized)
     _certify_aux(aux)
@@ -167,9 +156,8 @@ def _aux_balanced_separator(aux: AuxGraph) -> int:
     removal leaves every component of the auxiliary graph at normalized
     weight <= 1/2."""
     h = aux.graph
-    exact = all(isinstance(x, Fraction) for x in aux.normalized)
     x = _least_balanced_separator(
-        h, WeightFn._raw(h.n, aux.normalized, exact), h.verts, 3, HALF)
+        h, WeightFn._raw(h.n, aux.normalized), h.verts, 3, HALF)
     if x is None:
         raise HypothesisViolation(
             "no balanced separator of size three in the auxiliary graph",
@@ -220,17 +208,7 @@ class SeparatorCertificate:
                 "balance": str(self.balance),
                 "component_weights": list(self.component_weights),
                 "ledger": list(self.ledger),
-                "provenance": _jsonable(self.provenance)}
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    return obj
+                "provenance": self.provenance}
 
 
 def _component_weights(g, w, region, sep):

@@ -161,7 +161,15 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdValidation:
             failures.append({"condition": "vertex_cover",
                              "vertex": lowest_bit(g.verts)})
         return TdValidation(not failures, tuple(failures))
-    if len(td.edges) != n_nodes - 1 or not _tree_connected(td):
+    nbrs = [[] for _ in range(n_nodes)]
+    for a, b in td.edges:
+        # an edge out of range is left out, and the n - 2 or fewer left
+        # cannot connect the nodes: a tree_shape failure
+        if 0 <= a < n_nodes and 0 <= b < n_nodes:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+    if len(td.edges) != n_nodes - 1 \
+            or len(_reach(nbrs, 0, range(n_nodes))) != n_nodes:
         failures.append({"condition": "tree_shape",
                          "nodes": n_nodes, "edges": len(td.edges)})
     covered = 0
@@ -175,24 +183,9 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdValidation:
         if not any((b & need) == need for b in td.bags):
             failures.append({"condition": "edge_cover", "edge": [u, v]})
             break
-    nbrs = [[] for _ in range(n_nodes)]
-    for a, b in td.edges:
-        if 0 <= a < n_nodes and 0 <= b < n_nodes:  # else a tree_shape failure
-            nbrs[a].append(b)
-            nbrs[b].append(a)
     for v in bits(g.verts & covered):
-        nodes = [i for i, b in enumerate(td.bags) if (b >> v) & 1]
-        if not nodes:
-            continue
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        node_set = set(nodes)
-        while stack:
-            cur = stack.pop()
-            for nx in nbrs[cur]:
-                if nx in node_set and nx not in seen:
-                    seen.add(nx)
-                    stack.append(nx)
+        node_set = {i for i, b in enumerate(td.bags) if (b >> v) & 1}
+        seen = _reach(nbrs, min(node_set), node_set)
         if seen != node_set:
             failures.append({"condition": "connected_subtree", "vertex": v,
                              "nodes": sorted(node_set - seen)})
@@ -200,25 +193,16 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdValidation:
     return TdValidation(not failures, tuple(failures))
 
 
-def _tree_connected(td):
-    n = len(td.bags)
-    if n == 0:
-        return True
-    adj = [[] for _ in range(n)]
-    for a, b in td.edges:
-        if not (0 <= a < n and 0 <= b < n):
-            return False
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {0}
-    stack = [0]
+def _reach(nbrs, start, allowed):
+    """The nodes reachable from start through nodes in `allowed`."""
+    seen = {start}
+    stack = [start]
     while stack:
-        cur = stack.pop()
-        for nx in adj[cur]:
-            if nx not in seen:
+        for nx in nbrs[stack.pop()]:
+            if nx in allowed and nx not in seen:
                 seen.add(nx)
                 stack.append(nx)
-    return len(seen) == n
+    return seen
 
 
 SeparatorOracle = Callable[[Graph, WeightFn], int]

@@ -16,6 +16,7 @@ from starsep.detectors import (_KIND_ORDER, class_membership, classify_wheels,
 from starsep.generators import (cycle_graph, diamond_graph, prism_graph,
                                 pyramid_graph, sample_class, theta_graph,
                                 w93_graph, wheel_graph)
+from starsep.errors import InputError
 from starsep.graph_core import Graph, bit_list, mask_of
 from starsep.treewidth import certify, validate_td
 
@@ -290,6 +291,21 @@ def test_forged_fixed_embeddings_are_rejected():
     assert not verify_obstruction(sub, "C4", (0, 1, 2, 3))
     assert not verify_obstruction(c4, "C4", (0, 1, 2, 4))
     assert not verify_obstruction(c4, "C4", (0, 1, 2, -1))
+
+
+def test_verify_obstruction_per_atom_kinds_and_unknown_kinds():
+    cases = {"theta": theta_graph(2, 2, 3), "pyramid": pyramid_graph(1, 2, 2),
+             "prism": prism_graph(1, 1, 2),
+             "even_wheel": wheel_graph(8, (1, 3, 5, 7))}
+    c7 = cycle_graph(7)
+    for kind, g in cases.items():
+        assert verify_obstruction(g, kind, tuple(g.vertex_list()))
+        assert not verify_obstruction(c7, kind, tuple(c7.vertex_list()))
+    # the embedding is checked before the kind
+    with pytest.raises(InputError, match="not in the graph"):
+        verify_obstruction(c7, "bogus", (0, 9))
+    with pytest.raises(InputError, match="unknown obstruction kind"):
+        verify_obstruction(c7, "bogus", (0, 1, 2))
 
 
 def test_three_path_witnesses_match_definitions():

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starsep.errors import InputError
+import starsep.graph_core
 from starsep.graph_core import (Graph, WeightFn, bit_list, cliques, components,
                                 dumps_graph, far_components, from_dimacs,
                                 from_graph6, load_graph_file, loads_graph,
-                                mask_of, neighborhood, to_graph6)
+                                mask_of, neighborhood,
+                                subsets_of_size, to_graph6)
 
 from . import oracles
 from .conftest import seeded_random_graphs, small_graphs
@@ -301,3 +304,91 @@ def test_cliques_match_pairwise_adjacent_combinations():
                         if all(h.has_edge(u, v)
                                for u, v in itertools.combinations(c, 2))]
                 assert list(cliques(h, k)) == want, (i, k)
+
+
+def test_kept_values_are_built_once_per_graph_object():
+    calls = []
+
+    def edge_count(g):
+        calls.append(g)
+        return g.num_edges()
+
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    before = hash(g)
+    assert [g.kept(edge_count) for _ in range(3)] == [5, 5, 5]
+    assert calls == [g]
+    # equal and induced graphs start empty, and kept values take no part
+    # in equality or hashing
+    for h, edges in ((Graph(5, g.edges()), 5), (g.induced(g.verts), 5),
+                     (g.induced(g.verts & ~1), 3)):
+        assert h.kept(edge_count) == edges and calls[-1] is h
+        assert h.kept(edge_count) == edges
+        assert sum(c is h for c in calls) == 1
+    assert len(calls) == 4
+    assert hash(g) == before == hash(Graph(5, g.edges()))
+    assert g == Graph(5, g.edges()) == g.induced(g.verts)
+    # each builder has its own entry
+    assert g.kept(Graph.vertex_list) == [0, 1, 2, 3, 4]
+    assert g.kept(edge_count) == 5 and len(calls) == 4
+    with pytest.raises(AttributeError):
+        g._kept = {}
+
+
+def test_only_graph_core_knows_how_graphs_and_weights_are_stored():
+    """No other module writes a Graph's or WeightFn's fields or applies
+    the float tolerance itself."""
+    src = Path(starsep.graph_core.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        if path.name != "graph_core.py":
+            text = path.read_text()
+            for word in ("object.__setattr__", "FLOAT_TOL"):
+                assert word not in text, (path.name, word)
+    assert Graph.__slots__ == ("n", "verts", "adj", "_kept")
+
+
+@given(exact_weights_and_masks() | uniform_weights_and_masks())
+@settings(max_examples=100, deadline=None)
+def test_shares_and_weighs_one_match_fraction_arithmetic(case):
+    w, masks = case
+    weights, shares = w.shares(masks)
+    total = sum(weights)
+    assert list(weights) == [w.of(m) for m in masks]
+    assert list(shares) == [x / total if total else 0 for x in weights]
+    assert all(type(x) is Fraction for x in weights + shares)
+    for m in masks + [(1 << w.n) - 1]:
+        assert w.weighs_one(m) == (w.of(m) == 1)
+
+
+def _subsets_by_index_loop(mask, k):
+    """The index loop subsets_of_size used before, as the reference."""
+    elems = bit_list(mask)
+    n = len(elems)
+    if k < 0 or k > n:
+        return
+    if k == 0:
+        yield 0
+        return
+    idx = list(range(k))
+    while True:
+        yield mask_of(elems[i] for i in idx)
+        for i in reversed(range(k)):
+            if idx[i] != i + n - k:
+                break
+        else:
+            return
+        idx[i] += 1
+        for j in range(i + 1, k):
+            idx[j] = idx[j - 1] + 1
+
+
+def test_subsets_of_size_matches_the_index_loop():
+    rng = random.Random(53)
+    masks = [0, 1, 1 << 70] + [rng.getrandbits(rng.randint(1, 12))
+                                for _ in range(40)]
+    for mask in masks:
+        n = mask.bit_count()
+        for k in range(-1, n + 2):
+            assert list(subsets_of_size(mask, k)) == \
+                list(_subsets_by_index_loop(mask, k)), (mask, k)

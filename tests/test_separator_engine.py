@@ -316,3 +316,31 @@ def test_neighborhood_helper_property():
             aux_graph(g, beta, div.bag.weights, v)
             checked += 1
     assert checked > 0
+
+
+def test_aux_graph_rejects_a_neighborhood_piece_that_is_an_induced_p3():
+    # 0 sees 1, 2 and 3, which induce the path 2 - 1 - 3; 4 hangs off 3
+    g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 4)])
+    with pytest.raises(HypothesisViolation, match="not a clique") as info:
+        aux_graph(g, g.verts, WeightFn.uniform(g), 0)
+    assert info.value.witness == {"piece": [1, 2, 3], "nonedge": [2, 3]}
+
+
+def test_provenance_is_plain_json():
+    """Provenance holds only ints, strings, lists and dicts, so
+    as_json emits it as it is: it equals its own JSON round trip."""
+    import json
+    branches = set()
+    for seed in range(20):
+        g = sample_cutset_free_member(11 + seed % 8, 4, seed + 7)
+        rng = random.Random(seed)
+        raw = [rng.randint(1, 5) for _ in range(g.n)]
+        raw[rng.randrange(g.n)] += 4 * g.n
+        total = sum(raw)
+        for w in (WeightFn(g.n, [Fraction(x, total) for x in raw]),
+                  WeightFn.uniform(g)):
+            cert = main_separator(g, w, 4)
+            prov = cert.as_json()["provenance"]
+            assert json.loads(json.dumps(prov)) == prov == cert.provenance
+            branches.add(prov["branch"])
+    assert branches == {"balanced_vertex", "wheel_free"}

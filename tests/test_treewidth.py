@@ -264,3 +264,54 @@ def test_weighted_separator_existence_spotcheck():
         found = oracles.exhaustive_balanced_separator(
             h, weights, k + 1, Fraction(1, 2))
         assert found is not None
+
+
+def _malformed_decompositions():
+    """Broken decompositions of P9 and C6, each with the failure list
+    validate_td gave for it before the tree-shape and subtree tests
+    shared one neighbour list."""
+    from starsep.generators import cycle_graph, path_graph
+    p9, c6 = path_graph(9), cycle_graph(6)
+    bags = tuple(mask_of([i, i + 1]) for i in range(8))
+    chain = tuple((i, i + 1) for i in range(7))
+    shape = {"condition": "tree_shape", "nodes": 8, "edges": 7}
+    lost7 = {"condition": "connected_subtree", "vertex": 7, "nodes": [7]}
+    return [
+        # edge count off by one, up and down
+        (p9, TreeDecomposition(bags, chain + ((0, 2),)),
+         [{"condition": "tree_shape", "nodes": 8, "edges": 8}]),
+        (p9, TreeDecomposition(bags, chain[:-1]),
+         [{"condition": "tree_shape", "nodes": 8, "edges": 6}, lost7]),
+        # an out-of-range node and a negative one
+        (p9, TreeDecomposition(bags, chain[:-1] + ((6, 8),)), [shape, lost7]),
+        (p9, TreeDecomposition(bags, chain[:-1] + ((-1, 7),)),
+         [shape, lost7]),
+        # a cycle plus an isolated node, with n - 1 edges
+        (p9, TreeDecomposition(bags[:4] + (mask_of(range(3, 9)),),
+                               ((0, 1), (1, 2), (2, 0), (2, 3))),
+         [{"condition": "tree_shape", "nodes": 5, "edges": 4},
+          {"condition": "connected_subtree", "vertex": 3, "nodes": [4]}]),
+        # a vertex whose bags are disconnected
+        (p9, TreeDecomposition(bags[:3] + (mask_of(range(3, 9)),
+                                           mask_of([2])),
+                               ((0, 1), (1, 2), (2, 3), (3, 4))),
+         [{"condition": "connected_subtree", "vertex": 2, "nodes": [4]}]),
+        # a missing vertex and a missing edge
+        (c6, TreeDecomposition((mask_of([0, 1, 2]), mask_of([2, 3, 4]),
+                                mask_of([0, 4])), ((0, 1), (1, 2))),
+         [{"condition": "vertex_cover", "vertex": 5},
+          {"condition": "edge_cover", "edge": [0, 5]},
+          {"condition": "connected_subtree", "vertex": 0, "nodes": [2]}]),
+        (c6, TreeDecomposition((mask_of([0, 1]), mask_of([1, 2]),
+                                mask_of([0]), mask_of([3])),
+                               ((0, 1), (1, 2), (2, 0), (1, 9))),
+         [{"condition": "tree_shape", "nodes": 4, "edges": 4},
+          {"condition": "vertex_cover", "vertex": 4},
+          {"condition": "edge_cover", "edge": [0, 5]}]),
+    ]
+
+
+def test_validate_td_failures_on_malformed_decompositions_are_pinned():
+    for g, td, want in _malformed_decompositions():
+        res = validate_td(g, td)
+        assert res.as_json() == {"passed": False, "failures": want}
