@@ -32,6 +32,10 @@ EXIT_NONMEMBER = 3
 EXIT_HYPOTHESIS = 4
 EXIT_CAPACITY = 5
 
+# hole enumeration recurses once per path vertex, so holes of about a
+# thousand vertices exceed the interpreter's recursion limit
+TOO_DEEP = "input too deep for the recursive searches"
+
 
 def _emit(obj) -> None:
     click.echo(json.dumps(obj, sort_keys=True, indent=2))
@@ -55,6 +59,8 @@ def _guard(fn):
         _fail(EXIT_INPUT, "input", str(e))
     except CapacityError as e:
         _fail(EXIT_CAPACITY, "capacity", str(e))
+    except RecursionError as e:
+        _fail(EXIT_CAPACITY, "capacity", f"{TOO_DEEP}: {e}")
     except SamplingError as e:
         _fail(EXIT_INPUT, "sampling", str(e), e.stats)
     except HypothesisViolation as e:
@@ -314,6 +320,9 @@ def _batch_row(args):
     except (InputError, CapacityError, HypothesisViolation) as e:
         return {"instance": name, "error": type(e).__name__,
                 "message": str(e)}
+    except RecursionError as e:
+        return {"instance": name, "error": "CapacityError",
+                "message": f"{TOO_DEEP}: {e}"}
 
 
 if __name__ == "__main__":

@@ -1,5 +1,11 @@
 """Clique-cutset atoms, the star cutset extracted from a proper wheel,
 and the three-vertex attachment trichotomy.
+
+The last two read their answers off structure already found rather than
+searching.  A wheel's spokes, in hole order from the far end of the
+chosen sector, alternate between cut and spared.  In a center with legs
+or a triangle with legs, the possible leg ends are distinct vertices, so
+the one vertex of H an attachment vertex sees fixes its leg.
 """
 
 from __future__ import annotations
@@ -43,7 +49,9 @@ def _least_cutset(g, within, cut_vertices, connected):
     if n_active < 4:
         return None
     sub = g.induced(within)
-    max_size = min(n_active - 2, _greedy_clique_bound(sub))
+    # any clique lies in some closed neighborhood
+    max_size = min(n_active - 2,
+                   max(sub.degree(v) for v in bits(within)) + 1)
     for size in range(2, max_size + 1):
         for clique in map(mask_of, cliques(sub, size)):
             if len(components(g, within & ~clique)) > 1:
@@ -96,14 +104,6 @@ def _cut_vertices(g, within):
         if root_children > 1:
             cut |= 1 << root
     return cut, parts == 1
-
-
-def _greedy_clique_bound(g):
-    # any clique is contained in some closed neighborhood
-    best = 0
-    for v in g.vertex_list():
-        best = max(best, g.degree(v) + 1)
-    return best
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,10 @@ def wheel_star_cutset(g: Graph, witness: WheelWitness,
 
     Walking the hole from the far end of the sector, spokes reached
     through an even number of center-neighbors are spared; the center and
-    its remaining neighbors form the cutset.  The separation property is
-    verified before returning; failure raises with a connecting path.
+    its remaining neighbors form the cutset.  A witness whose spokes are
+    not the center's neighbors on the hole in `g` is an input error.  The
+    separation property is verified before returning; failure raises with
+    a connecting path.
     """
     if not witness.is_proper_wheel:
         raise InputError("star cutset extraction needs a proper wheel")
@@ -220,25 +222,15 @@ def wheel_star_cutset(g: Graph, witness: WheelWitness,
         raise InputError("sector does not belong to the wheel witness")
 
     x = witness.center
-    hole = witness.hole
-    hole_mask = mask_of(hole)
+    hole_mask = mask_of(witness.hole)
     x1, x2 = sector[0], sector[-1]
-    spoke_mask = g.adj[x] & hole_mask
-
-    # the hole minus x1 is a path; count center-neighbors on the stretch
-    # from x2 to each spoke (inclusive)
-    L = len(hole)
-    i1 = hole.index(x1)
-    line = [hole[(i1 + 1 + k) % L] for k in range(L - 1)]
-    i2 = line.index(x2)
-    far = 0
-    for h in bits(spoke_mask & ~(1 << x1)):
-        j = line.index(h)
-        lo, hi = min(i2, j), max(i2, j)
-        count = sum(1 for k in range(lo, hi + 1)
-                    if (spoke_mask >> line[k]) & 1)
-        if count % 2 == 0:
-            far |= 1 << h
+    spokes = tuple(v for v in witness.hole if g.has_edge(x, v))
+    if spokes != witness.spokes:
+        raise InputError("wheel witness does not match the graph")
+    # the sector runs forward from x1 to the next spoke x2, so from x2 on
+    # every second spoke is spared
+    i = spokes.index(x2)
+    far = mask_of((spokes[i:] + spokes[:i])[1::2]) & ~(1 << x1)
 
     sector_mask = mask_of(sector)
     far_rest = hole_mask & ~sector_mask & ~(g.adj[x] | (1 << x))
@@ -247,12 +239,7 @@ def wheel_star_cutset(g: Graph, witness: WheelWitness,
 
     rest = g.verts & ~cutset
     comps = components(g, rest)
-    near_comp = far_comp = None
-    for comp in comps:
-        if comp & near:
-            near_comp = comp
-        if comp & (far | far_rest):
-            far_comp = comp if far_comp is None else far_comp | comp
+    near_comp = next((comp for comp in comps if comp & near), None)
     if near_comp is not None and near_comp & (far | far_rest):
         path = _connecting_path(g, rest, near, far | far_rest)
         raise HypothesisViolation(
@@ -294,10 +281,7 @@ class Trichotomy:
     witness: dict
 
     def as_json(self) -> dict:
-        out = {"H": bit_list(self.h), "case": self.case}
-        out.update({k: (bit_list(v) if isinstance(v, int) else v)
-                    for k, v in self.witness.items()})
-        return out
+        return {"H": bit_list(self.h), "case": self.case, **self.witness}
 
 
 def attachment_trichotomy(g: Graph, x1: int, x2: int, x3: int,
@@ -353,7 +337,7 @@ def _classify_attachment(g, xs, h):
     sub = g.induced(h)
     tri = next(cliques(sub, 3), None)
     if tri is not None:
-        w = _match_case_iii(g, xs, h, tri)
+        w = _match_case_iii(g, xs, h, sub, tri)
         if w is not None:
             return "iii", w
         raise HypothesisViolation(
@@ -364,7 +348,7 @@ def _classify_attachment(g, xs, h):
         w = _match_case_i(g, xs, path)
         if w is not None:
             return "i", w
-    w = _match_case_ii(g, xs, h)
+    w = _match_case_ii(g, xs, h, sub)
     if w is not None:
         return "ii", w
     raise HypothesisViolation(
@@ -400,8 +384,9 @@ def _as_path(sub, h):
 
 
 def _match_case_i(g, xs, path):
-    """Path P from x_i to x_j covering H, with the x_k condition: at
-    least two non-adjacent neighbors in H, or exactly two adjacent ones."""
+    """Path P from x_i to x_j covering H, with x_k seeing two non-adjacent
+    vertices of H or exactly two adjacent ones.  Any three vertices of an
+    induced path hold a non-adjacent pair, so that is: at least two."""
     h_mask = mask_of(path)
     first, last = path[0], path[-1]
     for i, j, k in itertools.permutations(range(3)):
@@ -410,13 +395,7 @@ def _match_case_i(g, xs, path):
             continue
         if g.adj[xj] & h_mask != 1 << last:
             continue
-        nk = g.adj[xk] & h_mask
-        cnt = popcount(nk)
-        nbrs = bit_list(nk)
-        two_nonadj = any(not g.has_edge(u, v)
-                         for u, v in itertools.combinations(nbrs, 2))
-        two_adj = cnt == 2 and g.has_edge(nbrs[0], nbrs[1])
-        if not (two_nonadj or two_adj):
+        if popcount(g.adj[xk] & h_mask) < 2:
             continue
         is_hole = g.has_edge(xi, xj)
         full = (xi,) + path + (xj,)
@@ -425,88 +404,57 @@ def _match_case_i(g, xs, path):
     return None
 
 
-def _match_case_ii(g, xs, h):
-    """Center a with three legs inside H, leg i ending at the unique
-    H-neighbor set of x_i."""
-    sub = g.induced(h)
-    for a in bit_list(h):
-        legs = _legs_from(sub, h, a)
-        if legs is None:
-            continue
-        assign = _assign_legs(g, xs, a, legs)
-        if assign is not None:
-            return {"center": a,
-                    "paths": [list((a,) + leg + (x,))
-                              for x, leg in assign]}
-    return None
-
-
-def _legs_from(sub, h, a):
-    """Split H minus a into directed legs hanging off a; each must be a
-    path attached to a at one end.  Returns leg tuples ordered from a."""
+def _legs_off(sub, h, core):
+    """(c, leg) for each component of H minus the mask `core`: c is the
+    one core vertex it touches and leg the path covering it, walked from
+    c's one neighbor in it; None if a component touches two core vertices
+    or is no such path."""
     legs = []
-    for comp in components(sub, h & ~(1 << a)):
-        leg = _walk(sub, sub.adj[a] & comp, comp)
+    for comp in components(sub, h & ~core):
+        owners = [c for c in bits(core) if sub.adj[c] & comp]
+        if len(owners) != 1:
+            return None
+        leg = _walk(sub, sub.adj[owners[0]] & comp, comp)
         if leg is None:
             return None
-        legs.append(leg)
+        legs.append((owners[0], leg))
     return legs
 
 
-def _assign_legs(g, xs, a, legs):
-    """Match attachment vertices to legs (or directly to the center) so
-    that each x sees exactly the far end of its own leg."""
-    h_mask = (1 << a) | mask_of(v for leg in legs for v in leg)
-    options = []
-    for x in xs:
-        nx = g.adj[x] & h_mask
-        mine = []
-        if nx == 1 << a:
-            mine.append(())
-        for leg in legs:
-            if nx == 1 << leg[-1]:
-                mine.append(leg)
-        if not mine:
-            return None
-        options.append(mine)
-    for choice in itertools.product(*options):
-        nonempty = [leg for leg in choice if leg]
-        if len(set(nonempty)) != len(nonempty):
+def _match_case_ii(g, xs, h, sub):
+    """Center a with three legs inside H, leg i ending at the unique
+    H-neighbor of x_i.  The possible ends, a and the far end of each leg,
+    are distinct, so each x sees at most one of them alone and that one
+    fixes its leg; the legs taken must be distinct and cover H."""
+    for a in bits(h):
+        legs = _legs_off(sub, h, 1 << a)
+        if legs is None:
             continue
-        if set(nonempty) != set(legs):
-            continue  # legs must cover H
-        return list(zip(xs, choice))
+        leg_at = {1 << a: ()} | {1 << leg[-1]: leg for _, leg in legs}
+        choice = [leg_at.get(g.adj[x] & h) for x in xs]
+        if None in choice:
+            continue
+        taken = [leg for leg in choice if leg]
+        if len(set(taken)) == len(taken) == len(legs):
+            return {"center": a,
+                    "paths": [list((a,) + leg + (x,))
+                              for x, leg in zip(xs, choice)]}
     return None
 
 
-def _match_case_iii(g, xs, h, tri):
-    """Triangle with three disjoint legs, one reaching each attachment."""
-    sub = g.induced(h)
-    tri_mask = mask_of(tri)
-    rest = h & ~tri_mask
-    legs = {c: () for c in tri}
-    for comp in components(sub, rest):
-        owners = [c for c in tri if sub.adj[c] & comp]
-        if len(owners) != 1:
-            return None
-        c = owners[0]
-        if legs[c]:
-            return None
-        legs[c] = _walk(sub, sub.adj[c] & comp, comp)
-        if legs[c] is None:
-            return None
-    options = []
-    for x in xs:
-        nx = g.adj[x] & h
-        mine = [c for c in tri
-                if nx == (1 << (legs[c][-1] if legs[c] else c))]
-        if not mine:
-            return None
-        options.append(mine)
-    for choice in itertools.product(*options):
-        if len(set(choice)) != 3:
-            continue
-        return {"triangle": list(tri),
-                "paths": [list((c,) + legs[c] + (x,))
-                          for x, c in zip(xs, choice)]}
-    return None
+def _match_case_iii(g, xs, h, sub, tri):
+    """Triangle with three disjoint legs, one reaching each attachment.
+    Each x must see exactly the far end of one corner's leg, or the corner
+    itself when it has no leg; those ends are distinct, so each x fixes
+    its corner and the three corners must differ."""
+    legs = _legs_off(sub, h, mask_of(tri))
+    if legs is None or len({c for c, _ in legs}) != len(legs):
+        return None
+    leg_of = {c: () for c in tri} | dict(legs)
+    corner_at = {1 << (leg_of[c][-1] if leg_of[c] else c): c for c in tri}
+    choice = [corner_at.get(g.adj[x] & h) for x in xs]
+    if None in choice or len(set(choice)) != 3:
+        return None
+    return {"triangle": list(tri),
+            "paths": [list((c,) + leg_of[c] + (x,))
+                      for x, c in zip(xs, choice)]}

@@ -584,7 +584,7 @@ def _atom_graphs(g: Graph) -> list[Graph]:
     if find_clique_cutset(g, g.verts) is None:
         return [g]
     return [g.induced(a) for a in clique_cutset_atoms(g).atoms
-            if any(a & ~g.adj[v] != 1 << v for v in bits(a))]
+            if least_nonedge(g, a) is not None]
 
 
 def _search(g: Graph, kind: str):

@@ -252,12 +252,6 @@ def _far_sides(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(far)
 
 
-def is_connected(g: Graph, x: int | None = None) -> bool:
-    if x is None:
-        x = g.verts
-    return len(components(g, x)) <= 1
-
-
 def degeneracy(g: Graph, within: int) -> int:
     """Min-degree peeling bound on the subgraph induced on `within`."""
     g.check_vertex_set(within)

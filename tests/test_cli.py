@@ -326,3 +326,30 @@ def test_verify_cert_dangling_tree_edge_fails_validation(runner, w93_file,
     assert res.exit_code == 4
     failures = _json_out(res)["validation"]["failures"]
     assert [f["condition"] for f in failures] == ["tree_shape"]
+
+
+@pytest.fixture
+def deep_cycle(tmp_path):
+    """A 1,200-vertex cycle: one hole deeper than the recursion limit."""
+    d = tmp_path / "deep"
+    d.mkdir()
+    (d / "c1200.json").write_text(dumps_graph(make("C1200")))
+    return d
+
+
+@pytest.mark.parametrize("command", ["recognize", "decompose"])
+def test_too_deep_input_exits_5(runner, deep_cycle, command):
+    res = runner.invoke(main, [command, "--t", "4",
+                               str(deep_cycle / "c1200.json")])
+    assert res.exit_code == 5
+    assert _json_out(res)["error"] == "capacity"
+
+
+def test_batch_reports_a_too_deep_input_and_goes_on(runner, deep_cycle):
+    (deep_cycle / "w93.json").write_text(dumps_graph(make("W93")))
+    res = runner.invoke(main, ["batch", "--t", "4", str(deep_cycle)])
+    assert res.exit_code == 5
+    rows = _json_out(res)["instances"]
+    assert [r["instance"] for r in rows] == ["c1200.json", "w93.json"]
+    assert rows[0]["error"] == "CapacityError"
+    assert rows[1]["member"] is True and rows[1]["checks"]["validation"]

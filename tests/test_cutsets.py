@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import networkx as nx
@@ -6,11 +7,12 @@ import pytest
 
 from starsep.cutsets import (attachment_trichotomy, clique_cutset_atoms,
                              find_clique_cutset, wheel_star_cutset)
-from starsep.detectors import classify_wheels
-from starsep.errors import InputError
+from starsep.detectors import classify_wheels, make_wheel_witness
+from starsep.errors import HypothesisViolation, InputError
 from starsep.generators import (bowtie_graph, cycle_graph, sample_class,
                                 wheel_graph)
-from starsep.graph_core import Graph, bit_list, mask_of, popcount
+from starsep.graph_core import (Graph, bit_list, cliques, components,
+                                mask_of, popcount)
 from starsep.treewidth import exact_treewidth
 
 from . import oracles
@@ -245,3 +247,185 @@ def test_trichotomy_witnesses_match_definitions():
                 _check_trichotomy(g, h, xs, d, tr)
                 seen[tr.case] += 1
     assert min(seen.values()) >= 5, seen
+
+
+def test_trichotomy_as_json_emits_the_witness_as_it_is():
+    """Vertex ids and flags in the witness are not masks."""
+    g = Graph(7, [(4, 5), (5, 6), (1, 4), (2, 6), (3, 4), (3, 6)])
+    tr = attachment_trichotomy(g, 1, 2, 3, mask_of([4, 5, 6]))
+    assert json.dumps(tr.as_json()) == (
+        '{"H": [4, 5, 6], "case": "i", "path": [1, 4, 5, 6, 2], '
+        '"closes_hole": false, "ends": [1, 2], "third": 3}')
+    g = Graph(7, [(4, 5), (5, 6), (1, 4), (2, 6), (3, 5)])
+    tr = attachment_trichotomy(g, 1, 2, 3, mask_of([4, 5, 6]))
+    assert json.dumps(tr.as_json()) == (
+        '{"H": [4, 5, 6], "case": "ii", "center": 5, '
+        '"paths": [[5, 4, 1], [5, 6, 2], [5, 3]]}')
+
+
+def _far_spokes_by_line_counts(g, witness, sector):
+    """Reference: the far spokes as first written.  The hole minus x1 is
+    a path; a spoke is far when the stretch from x2 to it (inclusive)
+    holds an even number of spokes."""
+    x, hole = witness.center, witness.hole
+    x1, x2 = sector[0], sector[-1]
+    spoke_mask = g.adj[x] & mask_of(hole)
+    L = len(hole)
+    i1 = hole.index(x1)
+    line = [hole[(i1 + 1 + k) % L] for k in range(L - 1)]
+    i2 = line.index(x2)
+    far = 0
+    for h in bit_list(spoke_mask & ~(1 << x1)):
+        j = line.index(h)
+        lo, hi = min(i2, j), max(i2, j)
+        count = sum(1 for k in range(lo, hi + 1)
+                    if (spoke_mask >> line[k]) & 1)
+        if count % 2 == 0:
+            far |= 1 << h
+    return far
+
+
+def test_far_spokes_alternate_from_the_sector_end():
+    """On every proper wheel of a rim of 4 to 12 vertices and every long
+    sector, the far spokes equal the line-count reference."""
+    checked = 0
+    for n in range(4, 13):
+        rim = tuple(range(n))
+        for k in range(3, n + 1):
+            for pos in itertools.combinations(range(1, n + 1), k):
+                g = wheel_graph(n, pos)
+                witness = make_wheel_witness(g, rim, n)
+                if not witness.is_proper_wheel or witness.is_universal_wheel:
+                    continue
+                for sector in witness.long_sectors():
+                    cut = wheel_star_cutset(g, witness, sector)
+                    assert cut.far_spokes == _far_spokes_by_line_counts(
+                        g, witness, sector), (n, pos, sector)
+                    checked += 1
+    assert checked > 10000
+
+
+def test_wheel_cutset_rejects_a_witness_of_another_graph(w93):
+    witness = next(w for w in classify_wheels(w93)
+                   if w.center == 9 and w.is_proper_wheel)
+    g = Graph(w93.n, [e for e in w93.edges() if set(e) != {9, 0}])
+    with pytest.raises(InputError, match="does not match the graph"):
+        wheel_star_cutset(g, witness)
+
+
+def _classify_by_product(g, xs, h):
+    """Reference: the case analysis as first written, assigning legs by a
+    product over each attachment vertex's options."""
+    from starsep.cutsets import _as_path, _walk
+    sub = g.induced(h)
+    tri = next(cliques(sub, 3), None)
+    if tri is not None:
+        legs = {c: () for c in tri}
+        for comp in components(sub, h & ~mask_of(tri)):
+            owners = [c for c in tri if sub.adj[c] & comp]
+            if len(owners) != 1 or legs[owners[0]]:
+                return None
+            legs[owners[0]] = _walk(sub, sub.adj[owners[0]] & comp, comp)
+            if legs[owners[0]] is None:
+                return None
+        options = [[c for c in tri
+                    if g.adj[x] & h == 1 << (legs[c][-1] if legs[c] else c)]
+                   for x in xs]
+        for choice in itertools.product(*options):
+            if len(set(choice)) == 3:
+                return "iii", {"triangle": list(tri),
+                               "paths": [list((c,) + legs[c] + (x,))
+                                         for x, c in zip(xs, choice)]}
+        return None
+    path = _as_path(sub, h)
+    if path is not None:
+        for i, j, k in itertools.permutations(range(3)):
+            xi, xj, xk = xs[i], xs[j], xs[k]
+            if (g.adj[xi] & h != 1 << path[0]
+                    or g.adj[xj] & h != 1 << path[-1]):
+                continue
+            nbrs = bit_list(g.adj[xk] & h)
+            if any(not g.has_edge(u, v)
+                   for u, v in itertools.combinations(nbrs, 2)) or (
+                    len(nbrs) == 2 and g.has_edge(*nbrs)):
+                return "i", {"path": [xi, *path, xj],
+                             "closes_hole": g.has_edge(xi, xj),
+                             "ends": [xi, xj], "third": xk}
+    for a in bit_list(h):
+        legs = [_walk(sub, sub.adj[a] & comp, comp)
+                for comp in components(sub, h & ~(1 << a))]
+        if None in legs:
+            continue
+        options = []
+        for x in xs:
+            nx = g.adj[x] & h
+            options.append(([()] if nx == 1 << a else [])
+                           + [leg for leg in legs if nx == 1 << leg[-1]])
+        for choice in itertools.product(*options):
+            taken = [leg for leg in choice if leg]
+            if len(set(taken)) == len(taken) and set(taken) == set(legs):
+                return "ii", {"center": a,
+                              "paths": [list((a,) + leg + (x,))
+                                        for x, leg in zip(xs, choice)]}
+    return None
+
+
+def _planted_case_iii(rng):
+    """A triangle with legs of 0 to 3 vertices and three attachment
+    vertices, each adjacent to one leg end, under shuffled vertex ids."""
+    lengths = [rng.randint(0, 3) for _ in range(3)]
+    n = 6 + sum(lengths)
+    ids = rng.sample(range(n), n)
+    corners, xs = ids[:3], ids[3:6]
+    edges = list(itertools.combinations(corners, 2))
+    rest = iter(ids[6:])
+    ends = []
+    for corner, length in zip(corners, lengths):
+        leg = [corner] + [next(rest) for _ in range(length)]
+        edges += zip(leg, leg[1:])
+        ends.append(leg[-1])
+    rng.shuffle(ends)
+    edges += zip(xs, ends)
+    edges += [e for e in itertools.combinations(xs, 2) if rng.random() < .5]
+    g = Graph(n, edges)
+    return g, tuple(xs), g.verts & ~mask_of(xs)
+
+
+def test_trichotomy_matches_the_product_assignment():
+    """The same H, case and witness as the product-over-options reference,
+    on the seeded inputs of test_trichotomy_witnesses_match_definitions
+    and on planted triangles with legs; and the same case analysis of D
+    itself, before minimizing, where legs may go unused or be shared."""
+    from starsep.cutsets import _classify_attachment, _minimize_attachment
+
+    def classified(g, xs, h):
+        try:
+            return _classify_attachment(g, xs, h)
+        except HypothesisViolation:
+            return None
+
+    inputs = []
+    for seed in range(3000):
+        rng = random.Random(seed)
+        n = rng.randint(4, 11)
+        p = rng.choice((0.2, 0.3, 0.4, 0.5))
+        g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                      if rng.random() < p])
+        xs = tuple(rng.sample(range(n), 3))
+        inputs += [(g, xs, d) for d in components(g, g.verts & ~mask_of(xs))
+                   if all(g.adj[x] & d for x in xs)]
+    rng = random.Random(7)
+    inputs += [_planted_case_iii(rng) for _ in range(300)]
+    # corner 0 holds two legs, and leg (3,) is seen by no attachment vertex
+    inputs.append((Graph(8, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (4, 5),
+                             (1, 6), (2, 7)]), (5, 6, 7), mask_of(range(5))))
+    cases = {"i": 0, "ii": 0, "iii": 0}
+    for g, xs, d in inputs:
+        tr = attachment_trichotomy(g, *xs, d)
+        h = _minimize_attachment(g, xs, d)
+        assert (tr.h, (tr.case, tr.witness)) == \
+            (h, _classify_by_product(g, xs, h)), (g.edges(), xs, d)
+        cases[tr.case] += 1
+        assert classified(g, xs, d) == _classify_by_product(g, xs, d), \
+            (g.edges(), xs, d)
+    assert cases["iii"] >= 300 and min(cases.values()) >= 100, cases
