@@ -32,8 +32,9 @@ EXIT_NONMEMBER = 3
 EXIT_HYPOTHESIS = 4
 EXIT_CAPACITY = 5
 
-# hole enumeration recurses once per path vertex, so holes of about a
-# thousand vertices exceed the interpreter's recursion limit
+# hole and induced-path enumeration keep explicit stacks; the clique-cutset
+# atom tree (cutsets._decompose) and build_td still recurse once per level,
+# so a path of about a thousand vertices exceeds the recursion limit
 TOO_DEEP = "input too deep for the recursive searches"
 
 

@@ -10,6 +10,9 @@ come from ``graph_core.cliques``.  Holes are enumerated in one pass over
 chordless paths, then ordered by length; every wheel scan (the even-wheel
 test, the taxonomy, the hub record) walks them through ``_spoked``, which
 pairs each hole with the vertices that have three or more spokes on it.
+Hole and induced-path enumeration are depth-first searches on explicit
+stacks, children pushed highest first so the pre-order is the recursive
+one; their depth is not bounded by the interpreter's recursion limit.
 The three-path configurations (theta, pyramid, prism) build one leg
 record ``(path, body, conflict)`` per induced path between two ends
 (``_legs``).  The body is what no other leg may use: the interior for a
@@ -41,7 +44,7 @@ from typing import Iterator, Optional
 from .cutsets import clique_cutset_atoms, find_clique_cutset
 from .errors import InputError
 from .graph_core import (Graph, bits, cliques, least_nonedge, mask_of,
-                         popcount)
+                         neighborhood, popcount)
 
 # deterministic obstruction search order for membership tests
 _KIND_ORDER = ("C4", "diamond", "K_t", "theta", "pyramid", "prism", "even_wheel")
@@ -68,8 +71,9 @@ def holes(g: Graph, within: int | None = None,
     Holes come out in increasing length; within one length, canonical
     tuples (minimum vertex first, then the smaller of its two hole
     neighbors) in lexicographic order.  One depth-first pass walks each
-    chordless path from its least vertex once, pruning on chords, and
-    closes it at every length; the holes are then yielded by length.
+    chordless path from its least vertex once, pruning on chords and on
+    paths that can no longer close, and closes it at every length; the
+    holes are then yielded by length.
     """
     x = g.verts if within is None else within
     g.check_vertex_set(x)
@@ -77,28 +81,41 @@ def holes(g: Graph, within: int | None = None,
     top = n_active if max_len is None else min(max_len, n_active)
     adj = g.adj
     by_len: list[list[tuple[int, ...]]] = [[] for _ in range(top + 1)]
-
-    def extend(path, allowed, banned, closing):
-        # allowed = vertices above path[0] off the path; banned = neighbors
-        # of the inner vertices (chord makers); closing = neighbors of
-        # path[0] above path[1]
-        last = path[-1]
-        free = adj[last] & allowed & ~banned
-        if len(path) >= 3:
-            for w in bits(free & closing):
-                by_len[len(path) + 1].append(tuple(path) + (w,))
-        if len(path) < top - 1:
-            banned |= adj[last]
-            for w in bits(free & ~adj[path[0]]):
-                path.append(w)
-                extend(path, allowed & ~(1 << w), banned, closing)
-                path.pop()
-
     for v0 in bits(x):
         above = x & ~((1 << (v0 + 1)) - 1)
+        far = ~adj[v0]  # inner vertices must miss v0
         for v1 in bits(adj[v0] & above):
-            extend([v0, v1], above & ~(1 << v1), 0,
-                   adj[v0] & ~((1 << (v1 + 1)) - 1))
+            # closing = neighbors of v0 above v1
+            closing = adj[v0] & ~((1 << (v1 + 1)) - 1)
+            path = [v0]
+            # entries (depth, last, allowed, banned): the path is path[:depth
+            # - 1] + [last]; allowed = vertices above v0 off the path; banned
+            # = neighbors of the inner vertices (chord makers)
+            stack = [(2, v1, above & ~(1 << v1), 0)]
+            while stack:
+                depth, last, allowed, banned = stack.pop()
+                del path[depth - 1:]
+                path.append(last)
+                free = adj[last] & allowed & ~banned
+                if depth >= 3:
+                    m = free & closing
+                    while m:
+                        w = m & -m
+                        m ^= w
+                        by_len[depth + 1].append((*path, w.bit_length() - 1))
+                if depth < top - 1:
+                    banned |= adj[last]
+                    # banned only grows: once it covers every closing
+                    # vertex, no extension closes a hole
+                    if not closing & ~banned:
+                        continue
+                    # highest first, so the least child is popped first
+                    m = free & far
+                    while m:
+                        w = m.bit_length() - 1
+                        m ^= 1 << w
+                        stack.append((depth + 1, w, allowed & ~(1 << w),
+                                      banned))
     # the pass visits paths in lexicographic pre-order, so each length's
     # holes are already in lexicographic order
     for found in by_len[4:]:
@@ -112,21 +129,28 @@ def holes(g: Graph, within: int | None = None,
 def _induced_paths(g, a, b, within):
     """All induced a-b paths inside a mask, as vertex tuples starting at
     a, in lexicographic extension order."""
-    if not ((within >> a) & 1 and (within >> b) & 1):
+    if a == b or not ((within >> a) & 1 and (within >> b) & 1):
         return []
+    adj = g.adj
     out = []
     b_bit = 1 << b
-
-    def extend(path, forbidden):
-        # forbidden = path so far plus everything adjacent to path[:-1]
+    inner = within & ~b_bit
+    # forbidden = the path plus everything adjacent to path[:-1]
+    stack = [((a,), 1 << a)]
+    while stack:
+        path, forbidden = stack.pop()
         last = path[-1]
-        if (g.adj[last] & b_bit) and not (forbidden & b_bit):
+        if adj[last] & b_bit:
+            # every longer path would have the chord last-b
             out.append(path + (b,))
-        new_forbidden = forbidden | g.adj[last] | (1 << last)
-        for w in bits(g.adj[last] & within & ~forbidden & ~b_bit):
-            extend(path + (w,), new_forbidden)
-
-    extend((a,), 1 << a)
+            continue
+        new_forbidden = forbidden | adj[last] | (1 << last)
+        # highest first, so the least extension is popped first
+        m = adj[last] & inner & ~forbidden
+        while m:
+            w = m.bit_length() - 1
+            m ^= 1 << w
+            stack.append((path + (w,), new_forbidden))
     return out
 
 
@@ -157,10 +181,12 @@ def _find_c4(g):
     pair of a fixed rest gives the least 4-set, here and for diamonds."""
     for a in g.vertex_list():
         above = g.verts & ~((1 << (a + 1)) - 1)
+        up = g.adj[a] & above
         triples = []
-        for c in bits(above & ~g.adj[a]):
-            pair = least_nonedge(g, g.adj[a] & g.adj[c] & above)
-            if pair:
+        # c needs two common neighbors in up, a non-adjacent pair of them
+        for c in bits(neighborhood(g, up) & above & ~g.adj[a]):
+            common = up & g.adj[c]
+            if common & (common - 1) and (pair := least_nonedge(g, common)):
                 triples.append(sorted((c,) + pair))
         if triples:
             quad = (a, *min(triples))
@@ -176,8 +202,8 @@ def _find_diamond(g):
     non-adjacent pair a < b among the common neighbors of that edge."""
     quads = []
     for u, v in g.edges():
-        pair = least_nonedge(g, g.adj[u] & g.adj[v])
-        if pair:
+        common = g.adj[u] & g.adj[v]
+        if common & (common - 1) and (pair := least_nonedge(g, common)):
             quads.append(sorted((u, v) + pair))
     if not quads:
         return None

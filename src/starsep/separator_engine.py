@@ -18,7 +18,8 @@ from .central_bag import grow_separator, is_balanced_separator
 from .detectors import clique_number, detect_pyramid, hub_set
 from .errors import HypothesisViolation, InputError
 from .graph_core import (Graph, WeightFn, bit_list, bits, components,
-                         least_nonedge, mask_of, popcount, subsets_of_size)
+                         least_nonedge, mask_of, neighborhood, popcount,
+                         subsets_of_size)
 from .hub_division import HubDivision, hub_division
 from .separations import HALF
 
@@ -84,16 +85,12 @@ def aux_graph(g: Graph, beta: int, w_bag: WeightFn, v: int) -> AuxGraph:
         cliques.append(piece)
     comps = components(g, beta & ~(g.closed_nbr(v) & beta))
     t_nodes = len(cliques)
+    contacts = [neighborhood(g, k) for k in cliques]
     edges = []
     for j, d in enumerate(comps):
-        deg = 0
-        touching = []
-        for i, k in enumerate(cliques):
-            if any(g.adj[u] & d for u in bits(k)):
-                edges.append((i, t_nodes + j))
-                deg += 1
-                touching.append(i)
-        if deg > 2:
+        touching = [i for i, contact in enumerate(contacts) if contact & d]
+        edges += [(i, t_nodes + j) for i in touching]
+        if len(touching) > 2:
             raise HypothesisViolation(
                 "a far component touches three neighborhood cliques",
                 witness={"component": bit_list(d),

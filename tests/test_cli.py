@@ -329,27 +329,38 @@ def test_verify_cert_dangling_tree_edge_fails_validation(runner, w93_file,
 
 
 @pytest.fixture
-def deep_cycle(tmp_path):
-    """A 1,200-vertex cycle: one hole deeper than the recursion limit."""
+def deep_path(tmp_path):
+    """A 1,200-vertex path: its clique-cutset atom tree is deeper than the
+    recursion limit."""
     d = tmp_path / "deep"
     d.mkdir()
-    (d / "c1200.json").write_text(dumps_graph(make("C1200")))
+    (d / "p1200.json").write_text(dumps_graph(make("P1200")))
     return d
 
 
 @pytest.mark.parametrize("command", ["recognize", "decompose"])
-def test_too_deep_input_exits_5(runner, deep_cycle, command):
+def test_too_deep_input_exits_5(runner, deep_path, command):
     res = runner.invoke(main, [command, "--t", "4",
-                               str(deep_cycle / "c1200.json")])
+                               str(deep_path / "p1200.json")])
     assert res.exit_code == 5
     assert _json_out(res)["error"] == "capacity"
 
 
-def test_batch_reports_a_too_deep_input_and_goes_on(runner, deep_cycle):
-    (deep_cycle / "w93.json").write_text(dumps_graph(make("W93")))
-    res = runner.invoke(main, ["batch", "--t", "4", str(deep_cycle)])
+def test_batch_reports_a_too_deep_input_and_goes_on(runner, deep_path):
+    (deep_path / "w93.json").write_text(dumps_graph(make("W93")))
+    res = runner.invoke(main, ["batch", "--t", "4", str(deep_path)])
     assert res.exit_code == 5
     rows = _json_out(res)["instances"]
-    assert [r["instance"] for r in rows] == ["c1200.json", "w93.json"]
+    assert [r["instance"] for r in rows] == ["p1200.json", "w93.json"]
     assert rows[0]["error"] == "CapacityError"
     assert rows[1]["member"] is True and rows[1]["checks"]["validation"]
+
+
+def test_long_hole_is_recognised(runner, tmp_path):
+    """A 1,200-vertex cycle, one hole longer than the recursion limit, is
+    a member: hole and induced-path enumeration do not recurse."""
+    p = tmp_path / "c1200.json"
+    p.write_text(dumps_graph(make("C1200")))
+    res = runner.invoke(main, ["recognize", "--t", "4", str(p)])
+    assert res.exit_code == 0
+    assert _json_out(res)["member"] is True

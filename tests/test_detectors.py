@@ -8,11 +8,11 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from starsep.detectors import (_KIND_ORDER, class_membership, classify_wheels,
-                               clique_number, detect_fixed, detect_prism,
-                               detect_pyramid, detect_theta, find_even_wheel,
-                               holes, hub_set, make_wheel_witness,
-                               verify_obstruction)
+from starsep.detectors import (_KIND_ORDER, _induced_paths, class_membership,
+                               classify_wheels, clique_number, detect_fixed,
+                               detect_prism, detect_pyramid, detect_theta,
+                               find_even_wheel, holes, hub_set,
+                               make_wheel_witness, verify_obstruction)
 from starsep.generators import (cycle_graph, diamond_graph, prism_graph,
                                 pyramid_graph, sample_class, theta_graph,
                                 w93_graph, wheel_graph)
@@ -262,6 +262,42 @@ def test_hole_order_is_pinned():
                 cut = [o for o in want if cap is None or len(o) <= cap]
                 assert list(holes(g, within=within, max_len=cap)) == cut, \
                     (i, within, cap)
+
+
+def test_induced_path_order_is_pinned():
+    """_induced_paths lists every induced a-b path inside the mask once, in
+    depth-first pre-order: a path's completion by b before its extensions,
+    the extensions by ascending vertex.  That is the order of the paths
+    with b read as -1; the theta, pyramid and prism witnesses depend on
+    it."""
+    def chordless(p):
+        return not any(h.has_edge(p[i], p[j]) for i in range(len(p))
+                       for j in range(i + 2, len(p)))
+
+    rng = random.Random(11)
+    for i, g in enumerate(seeded_random_graphs(60, 8, 400)):
+        h = oracles.to_nx(g)
+        for within in (g.verts, _sparse_mask(g, rng)):
+            inside = h.subgraph(bit_list(within))
+            for a, b in itertools.permutations(g.vertex_list(), 2):
+                if a in inside and b in inside:
+                    want = sorted(
+                        (tuple(p) for p in nx.all_simple_paths(inside, a, b)
+                         if chordless(p)),
+                        key=lambda p: tuple(-1 if v == b else v for v in p))
+                else:
+                    want = []
+                assert _induced_paths(g, a, b, within) == want, (i, a, b)
+
+
+def test_long_cycle_searches_need_no_recursion():
+    """A 1,200-vertex cycle is longer than the interpreter's default
+    recursion limit of 1,000: its one hole and its two induced 0-600
+    paths come out of the iterative searches all the same."""
+    g = cycle_graph(1200)
+    assert list(holes(g)) == [tuple(range(1200))]
+    assert _induced_paths(g, 0, 600, g.verts) == [
+        tuple(range(601)), (0,) + tuple(range(1199, 599, -1))]
 
 
 def test_forged_fixed_embeddings_are_rejected():

@@ -39,6 +39,13 @@ def test_aux_graph_c5():
     assert sorted(map(bit_list, aux.cliques)) == [[1], [4]]
     assert list(map(bit_list, aux.comps)) == [[2, 3]]
     assert sorted(aux.graph.edges()) == [(0, 2), (1, 2)]
+    # a triangle 0-1-2 on a C5 edge: the far component meets the clique
+    # {1, 2} only at its larger vertex
+    g = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
+    aux = aux_graph(g, g.verts, WeightFn.uniform(g), 0)
+    assert list(map(bit_list, aux.cliques)) == [[1, 2], [5]]
+    assert list(map(bit_list, aux.comps)) == [[3, 4]]
+    assert sorted(aux.graph.edges()) == [(0, 2), (1, 2)]
 
 
 def test_aux_graph_w93_is_six_cycle(w93):
