@@ -300,11 +300,9 @@ def detect_theta(g: Graph) -> Optional[ThetaWitness]:
     """Two non-adjacent branch vertices joined by three induced paths of
     length >= 2 with pairwise disjoint, anticomplete interiors: the
     first leg triple i < j < l whose legs pairwise fit."""
-    vl = g.vertex_list()
-    for a, b in itertools.combinations(vl, 2):
+    branch = [v for v in g.vertex_list() if g.degree(v) >= 3]
+    for a, b in itertools.combinations(branch, 2):
         if g.has_edge(a, b):
-            continue
-        if popcount(g.adj[a] & g.verts) < 3 or popcount(g.adj[b] & g.verts) < 3:
             continue
         legs = _legs(g, a, b, g.verts, (1 << a) | (1 << b))
         for i, (p, _, pc) in enumerate(legs):

@@ -95,10 +95,11 @@ class Graph:
     Facts that depend only on the graph are computed once per object and
     kept through ``kept(build)``, keyed by the builder function; the
     graph never changes, so they can never go stale.  The wheel record
-    of ``detectors.hub_set``, the far sides of ``far_components`` and
-    the atoms of ``cutsets.clique_cutset_atoms`` are kept this way.  A
-    new graph, ``induced`` ones included, starts with none, and kept
-    facts take no part in equality or hashing.
+    of ``detectors.hub_set``, the far sides of ``far_components``, the
+    atoms of ``cutsets.clique_cutset_atoms`` and the pyramid search that
+    ``balanced_vertex_separator`` runs before its apex check are kept
+    this way.  A new graph, ``induced`` ones included, starts with none,
+    and kept facts take no part in equality or hashing.
     """
 
     __slots__ = ("n", "verts", "adj", "_kept")

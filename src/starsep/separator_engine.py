@@ -10,7 +10,6 @@ downstream needs to be trusted.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from math import comb
 
@@ -222,11 +221,6 @@ def verify_certificate(g: Graph, w: WeightFn, cert: SeparatorCertificate) -> boo
 # separator constructions
 
 
-# (host graph, bag subgraph) while central_bag_separator, which has just
-# found the whole bag pyramid-free, builds the separator at a vertex of it
-_PYRAMID_FREE_BAG: ContextVar = ContextVar("_PYRAMID_FREE_BAG", default=None)
-
-
 def balanced_vertex_separator(g: Graph, beta: int, w_bag: WeightFn, v: int,
                               c=HALF) -> SeparatorCertificate:
     """Balanced separator of the bag grown around a balanced vertex.
@@ -236,17 +230,19 @@ def balanced_vertex_separator(g: Graph, beta: int, w_bag: WeightFn, v: int,
     its hub neighbors, and the cliques the auxiliary separator touches.
     Balance and the size bound (six times the bag clique number plus the
     hub neighbor count) are verified before returning.  The vertex must
-    not be a pyramid apex in the bag; that is checked unless the caller
-    is central_bag_separator, which has checked the whole bag.
+    not be a pyramid apex in the bag; a pyramid in the bag is one in g,
+    so the bag is searched only when g's pyramid search, kept on g,
+    found one.  An apex raises HypothesisViolation with the pyramid.
     """
     hub_nbrs = g.adj[v] & hub_set(g, beta)
-    checked = _PYRAMID_FREE_BAG.get()
-    if checked is not None and checked[0] is g and checked[1].verts == beta:
-        sub = checked[1]
-    else:
-        sub = g.induced(beta)
-        if detect_pyramid(sub, apex=v) is not None:
-            raise InputError("vertex is a pyramid apex in the bag")
+    sub = g.induced(beta)
+    if g.kept(detect_pyramid) is not None:
+        pyr = detect_pyramid(sub, apex=v)
+        if pyr is not None:
+            raise HypothesisViolation(
+                "vertex is a pyramid apex in the bag",
+                witness={"apex": pyr.apex, "base": list(pyr.base),
+                         "paths": [list(p) for p in pyr.paths]})
     aux = aux_graph(g, beta, w_bag, v)
     x = _aux_balanced_separator(aux)
     t_nodes = aux.num_clique_nodes()
@@ -278,16 +274,6 @@ def balanced_vertex_separator(g: Graph, beta: int, w_bag: WeightFn, v: int,
         host_n=g.n, region=beta, separator=y, balance=c,
         component_weights=_component_weights(g, w_bag, beta, y),
         ledger=entries, provenance=prov)
-
-
-def _in_pyramid_free_bag(g, sub, w_bag, v, c):
-    """balanced_vertex_separator on a bag whose subgraph `sub` is known
-    to be pyramid-free: the apex check is skipped and `sub` reused."""
-    token = _PYRAMID_FREE_BAG.set((g, sub))
-    try:
-        return balanced_vertex_separator(g, sub.verts, w_bag, v, c=c)
-    finally:
-        _PYRAMID_FREE_BAG.reset(token)
 
 
 def _entry(name, measured, bound):
@@ -322,20 +308,14 @@ def central_bag_separator(g: Graph, div: HubDivision,
     beta = div.bag.beta
     w_bag = div.bag.weights
     t = div.t
-    sub = g.induced(beta)
-    pyr = detect_pyramid(sub)
-    if pyr is not None:
-        raise InputError(
-            f"central bag contains a pyramid (apex {pyr.apex}); "
-            "the construction needs a pyramid-free bag")
     budget = ramsey_vs_4(t) + 1
     if div.m == div.k + 1:
         cert = wheelfree_separator(g, beta, w_bag, budget, c)
     else:
-        cert = _in_pyramid_free_bag(g, sub, w_bag, div.v_m(), c)
+        cert = balanced_vertex_separator(g, beta, w_bag, div.v_m(), c)
     omega = cert.provenance.get("omega_beta")
     if omega is None:
-        omega = clique_number(sub)
+        omega = clique_number(g.induced(beta))
     bound = max(budget, 6 * omega + div.partition.back_degree)
     entries = cert.ledger + (
         _entry("bag_separator_vs_instance_bound", cert.size, bound),)

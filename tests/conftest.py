@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from starsep.detectors import class_membership
 from starsep.generators import (bowtie_graph, cycle_graph, diamond_graph,
                                 path_graph, prism_graph, pyramid_graph,
                                 theta_graph, w93_graph, wheel_graph)
@@ -69,6 +70,40 @@ def seeded_random_graphs(count: int, max_n: int, base_seed: int = 0):
                  if rng.random() < p]
         out.append(Graph(n, edges))
     return out
+
+
+def _edge_graph(n: int, edges: str) -> Graph:
+    return Graph(n, [tuple(map(int, e.split("-"))) for e in edges.split()])
+
+
+def star_member_with_pyramids() -> Graph:
+    """A member of the pyramid-permitting class for t = 5 whose atoms
+    hold pyramids; every central bag of its decomposition is wheel-free."""
+    return _edge_graph(16, "0-1 0-15 1-2 1-9 1-10 1-13 2-3 3-4 3-5 4-5 4-9 "
+                           "5-6 6-7 6-8 7-8 8-9 9-10 10-11 11-12 12-13 "
+                           "12-14 13-14 14-15")
+
+
+def star_member_with_apex_hub() -> Graph:
+    """A member of the pyramid-permitting class for t = 5 whose first
+    balanced hub, 4, is the apex of a pyramid on the triangle 0, 1, 12."""
+    return _edge_graph(13, "0-1 0-5 0-12 1-2 1-12 2-3 2-4 3-4 4-5 4-8 4-11 "
+                           "5-6 6-7 7-8 8-9 9-10 10-11 11-12")
+
+
+def greedy_star_member(n: int, t: int, seed: int, tries: int) -> Graph:
+    """C_n with random non-edges added one at a time, each kept if the
+    graph stays in the pyramid-permitting class for t."""
+    rng = random.Random(seed)
+    g = cycle_graph(n)
+    for _ in range(tries):
+        u, v = rng.sample(range(n), 2)
+        if g.has_edge(u, v):
+            continue
+        h = Graph(n, g.edges() + [(u, v)])
+        if class_membership(h, t, "C_t_star").member:
+            g = h
+    return g
 
 
 @st.composite

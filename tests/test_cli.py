@@ -11,6 +11,9 @@ from starsep.cli import main
 from starsep.graph_core import dumps_graph
 from starsep.generators import make
 
+from . import oracles
+from .conftest import star_member_with_apex_hub, star_member_with_pyramids
+
 
 @pytest.fixture
 def runner():
@@ -364,3 +367,34 @@ def test_long_hole_is_recognised(runner, tmp_path):
     res = runner.invoke(main, ["recognize", "--t", "4", str(p)])
     assert res.exit_code == 0
     assert _json_out(res)["member"] is True
+
+
+def test_star_member_with_pyramids_certifies(runner, tmp_path):
+    """Pyramids in the pyramid-permitting class do not stop decompose;
+    only an apex at the balanced hub of a central bag would."""
+    p = tmp_path / "star16.json"
+    p.write_text(dumps_graph(star_member_with_pyramids()))
+    res = runner.invoke(main, ["decompose", "--t", "5", "--variant", "star",
+                               str(p)])
+    assert res.exit_code == 0
+    dec = tmp_path / "dec.json"
+    dec.write_text(res.output)
+    check = runner.invoke(main, ["verify-cert", str(p), str(dec)])
+    assert check.exit_code == 0
+
+
+def test_star_member_with_apex_hub_exits_4_with_the_pyramid(runner,
+                                                            tmp_path):
+    g = star_member_with_apex_hub()
+    p = tmp_path / "star13.json"
+    p.write_text(dumps_graph(g))
+    args = ["--t", "5", "--variant", "star", str(p)]
+    assert runner.invoke(main, ["recognize"] + args).exit_code == 0
+    res = runner.invoke(main, ["decompose"] + args)
+    assert res.exit_code == 4
+    out = _json_out(res)
+    assert out["error"] == "hypothesis_violation"
+    wit = out["witness"]
+    assert (wit["apex"], wit["base"]) == (4, [0, 1, 12])
+    assert oracles.is_pyramid_witness(oracles.to_nx(g), wit["apex"],
+                                      wit["base"], wit["paths"])

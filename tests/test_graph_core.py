@@ -336,13 +336,15 @@ def test_kept_values_are_built_once_per_graph_object():
 
 def test_only_graph_core_knows_how_graphs_and_weights_are_stored():
     """No other module writes a Graph's or WeightFn's fields or applies
-    the float tolerance itself."""
+    the float tolerance itself, and no module passes per-graph facts
+    through a context variable: they are kept through Graph.kept."""
     src = Path(starsep.graph_core.__file__).parent
     modules = sorted(src.glob("*.py"))
     assert len(modules) > 10
     for path in modules:
+        text = path.read_text()
+        assert "contextvars" not in text, path.name
         if path.name != "graph_core.py":
-            text = path.read_text()
             for word in ("object.__setattr__", "FLOAT_TOL"):
                 assert word not in text, (path.name, word)
     assert Graph.__slots__ == ("n", "verts", "adj", "_kept")

@@ -23,7 +23,7 @@ from starsep.separator_engine import (AuxGraph, _aux_balanced_separator,
 from starsep.treewidth import exact_treewidth
 
 from . import oracles
-from .conftest import seeded_random_graphs
+from .conftest import seeded_random_graphs, star_member_with_pyramids
 
 
 def test_ramsey_budgets():
@@ -137,34 +137,48 @@ def test_balanced_vertex_separator_examples(w93):
 
 def test_balanced_vertex_separator_rejects_a_pyramid_apex():
     pyr = pyramid_graph(2, 2, 2)
-    with pytest.raises(InputError, match="pyramid apex"):
+    with pytest.raises(HypothesisViolation, match="pyramid apex") as info:
         balanced_vertex_separator(pyr, pyr.verts, WeightFn.uniform(pyr), 0)
+    wit = info.value.witness
+    assert wit["apex"] == 0
+    assert oracles.is_pyramid_witness(oracles.to_nx(pyr), wit["apex"],
+                                      wit["base"], wit["paths"])
 
 
-def test_bag_is_searched_for_pyramids_once_per_query(monkeypatch):
-    """On the central-bag path only the whole-bag pyramid search runs:
-    the apex check of balanced_vertex_separator is skipped there, and
-    the certificates are those of direct calls, which make the check."""
+def test_graph_is_searched_for_pyramids_once(monkeypatch):
+    """The whole-graph pyramid search is kept on the graph: two central
+    bag queries under different weights and a direct call make one.  On
+    a graph that holds a pyramid the apex search runs for every query."""
     import starsep.separator_engine as engine
-    apexes = []
+    calls = []
     search = engine.detect_pyramid
 
     def counted(g, apex=None):
-        apexes.append(apex)
+        calls.append((g, apex))
         return search(g, apex=apex)
 
     g = sample_cutset_free_member(16, 4, 0)
-    w = WeightFn.uniform(g)
-    div = hub_division(g, w, 4)
+    divs = [hub_division(g, w, 4) for w in
+            (WeightFn.uniform(g), WeightFn.uniform_on(g, g.verts & ~1))]
     monkeypatch.setattr(engine, "detect_pyramid", counted)
-    cert = central_bag_separator(g, div)
-    assert cert.provenance["branch"] == "balanced_vertex"
-    assert apexes == [None]
+    certs = [central_bag_separator(g, div) for div in divs]
+    assert [c.provenance["branch"] for c in certs] == ["balanced_vertex"] * 2
+    div = divs[0]
     direct = balanced_vertex_separator(g, div.bag.beta, div.bag.weights,
                                        div.v_m())
-    assert apexes == [None, div.v_m()]
-    assert cert.separator == direct.separator
-    assert cert.ledger[:len(direct.ledger)] == direct.ledger
+    assert calls == [(g, None)]
+    assert certs[0].separator == direct.separator
+    assert certs[0].ledger[:len(direct.ledger)] == direct.ledger
+
+    h = star_member_with_pyramids()
+    w = WeightFn.uniform(h)
+    calls.clear()
+    balanced_vertex_separator(h, h.verts, w, 10)
+    with pytest.raises(HypothesisViolation, match="pyramid apex"):
+        balanced_vertex_separator(h, h.verts, w, 9)
+    balanced_vertex_separator(h, h.verts, w, 10)
+    assert [apex for _, apex in calls] == [None, 10, 9, 10]
+    assert calls[0][0] is h
 
 
 def test_wheelfree_separator_examples(p9, c6):

@@ -5,7 +5,8 @@ import pytest
 
 import starsep.detectors
 import starsep.graph_core
-from starsep.errors import CapacityError, InputError, NotAMember
+from starsep.errors import (CapacityError, HypothesisViolation, InputError,
+                            NotAMember)
 from starsep.generators import (complete_graph, sample_class,
                                 sample_cutset_free_member, theta_graph,
                                 w93_graph)
@@ -15,7 +16,7 @@ from starsep.treewidth import (TreeDecomposition, _contract_redundant,
                                build_td, certify, exact_treewidth, validate_td)
 
 from . import oracles
-from .conftest import seeded_random_graphs
+from .conftest import greedy_star_member, seeded_random_graphs
 
 
 def test_exact_treewidth_basics(p9, c6):
@@ -245,6 +246,27 @@ def test_certify_random_members():
         assert res.report["width_ge_exact"]
         assert res.report["width_le_2x_max_separator"]
         assert all(c.ok() for c in res.certificates)
+
+
+def test_greedy_star_members_certify_or_name_an_apex():
+    """Greedy members of the pyramid-permitting class certify, unless the
+    first balanced hub of a central bag is a pyramid apex there; then
+    certify raises with the pyramid as its witness."""
+    certified = 0
+    for seed in range(40):
+        g = greedy_star_member(12 + seed % 13, 5, seed, 300)
+        try:
+            res = certify(g, 5, "C_t_star")
+        except HypothesisViolation as e:
+            assert str(e) == "vertex is a pyramid apex in the bag"
+            wit = e.witness
+            assert oracles.is_pyramid_witness(
+                oracles.to_nx(g), wit["apex"], wit["base"], wit["paths"])
+            continue
+        assert validate_td(g, res.td).passed
+        assert all(c.ok() for c in res.certificates)
+        certified += 1
+    assert certified >= 36
 
 
 def test_weighted_separator_existence_spotcheck():
