@@ -96,10 +96,13 @@ class Graph:
     kept through ``kept(build)``, keyed by the builder function; the
     graph never changes, so they can never go stale.  The wheel record
     of ``detectors.hub_set``, the far sides of ``far_components``, the
-    atoms of ``cutsets.clique_cutset_atoms`` and the pyramid search that
-    ``balanced_vertex_separator`` runs before its apex check are kept
-    this way.  A new graph, ``induced`` ones included, starts with none,
-    and kept facts take no part in equality or hashing.
+    atoms of ``cutsets.clique_cutset_atoms``, the pyramid search that
+    ``balanced_vertex_separator`` runs before its apex check, the hub
+    order of ``hub_division`` and the ``separator_engine`` records of
+    each central bag (subgraph, clique number, hubs) and of each (bag,
+    vertex) (apex search, auxiliary frame) are kept this way.  A new
+    graph, ``induced`` ones included, starts with none, and kept facts
+    take no part in equality or hashing.
     """
 
     __slots__ = ("n", "verts", "adj", "_kept")

@@ -4,6 +4,9 @@ the hub division with its central bag.
 Hubs (wheel centers) are partitioned greedily into independent sets; the
 measured degeneracy and back-degree replace the unknown class constant in
 every downstream size bound, turning them into per-instance certificates.
+The hub set, its partition and the hub ordering depend only on the graph
+and are kept on it; the balance of each hub, the separations and the
+central bag are worked out per query from the weights.
 """
 
 from __future__ import annotations
@@ -114,10 +117,7 @@ def hub_division(g: Graph, w: WeightFn, t: int) -> HubDivision:
     """
     if t < 4:
         raise InputError("hub division needs t >= 4")
-    hubs = hub_set(g, g.verts)
-    part = degeneracy_partition(g, hubs)
-    index = part.part_index()
-    ordering = tuple(sorted(bits(hubs), key=lambda v: (index[v], v)))
+    part, ordering = g.kept(_hub_order)
     k = len(ordering)
     _, unbal = classify_balanced(g, w)
     m = k + 1
@@ -137,6 +137,14 @@ def hub_division(g: Graph, w: WeightFn, t: int) -> HubDivision:
                       partition=part, bag=bag, t=t)
     _check_division(g, w, div)
     return div
+
+
+def _hub_order(g: Graph) -> tuple[DegeneracyPartition, tuple[int, ...]]:
+    """The degeneracy partition of g's hubs and the hubs by part, then id."""
+    hubs = hub_set(g, g.verts)
+    part = degeneracy_partition(g, hubs)
+    index = part.part_index()
+    return part, tuple(sorted(bits(hubs), key=lambda v: (index[v], v)))
 
 
 def _check_division(g, w, div):

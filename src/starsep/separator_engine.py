@@ -6,12 +6,21 @@ wheel-free bags, and the dispatcher that picks between them.  The lift
 back to the host graph goes through grow_separator.  Every conclusion is
 re-verified at runtime and recorded in a certificate ledger, so nothing
 downstream needs to be trusted.
+
+What does not depend on the weights is kept on the queried graph: for
+each central bag its induced subgraph, clique number and hubs, and for
+each (bag, vertex) the apex search and the certified auxiliary frame
+(neighborhood cliques, far components, contact graph).  Each is built
+and checked on the first query that needs it; a build that raises keeps
+nothing, so it raises again on the next query.  Per query only the
+weights are summed, and the separators found, grown, lifted and checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 from .central_bag import grow_separator, is_balanced_separator
 from .detectors import clique_number, detect_pyramid, hub_set
@@ -70,10 +79,57 @@ def aux_graph(g: Graph, beta: int, w_bag: WeightFn, v: int) -> AuxGraph:
     The neighborhood of v inside the bag, hubs removed, must split into
     disjoint anticomplete cliques (automatic in diamond-free graphs);
     a component adjacent to three cliques is reported as a violation.
+    Only the weights are new per query: the certified frame is kept.
     """
     if not ((beta >> v) & 1):
         raise InputError("vertex is not in the bag")
-    nbr_pieces = g.adj[v] & beta & ~hub_set(g, beta)
+    frame = _kept(g, _frame, beta, v)
+    weights, normalized = w_bag.shares(frame.cliques + frame.comps)
+    return AuxGraph(graph=frame.graph, cliques=frame.cliques,
+                    comps=frame.comps, weights=weights, normalized=normalized)
+
+
+# ---------------------------------------------------------------------------
+# weight-free facts of central bags
+
+
+class _Bag(NamedTuple):
+    sub: Graph                  # the bag's induced subgraph
+    omega: int                  # its clique number
+    hubs: int                   # hub_set(g, beta)
+
+
+class _Frame(NamedTuple):
+    cliques: tuple[int, ...]    # hub-free neighborhood pieces of the vertex
+    comps: tuple[int, ...]      # far components of the vertex in the bag
+    graph: Graph                # their certified contact graph
+
+
+def _records(g: Graph) -> dict:
+    return {}
+
+
+def _kept(g: Graph, build, *key):
+    """build(g, *key), kept on g per builder and key.  A build that raises
+    keeps nothing, so every query repeats it and raises the same way."""
+    records = g.kept(_records)
+    k = (build, *key)
+    if k not in records:
+        records[k] = build(g, *key)
+    return records[k]
+
+
+def _bag(g: Graph, beta: int) -> _Bag:
+    sub = g.induced(beta)
+    return _Bag(sub, clique_number(sub), hub_set(g, beta))
+
+
+def _apex(g: Graph, beta: int, v: int):
+    return detect_pyramid(_kept(g, _bag, beta).sub, apex=v)
+
+
+def _frame(g: Graph, beta: int, v: int) -> _Frame:
+    nbr_pieces = g.adj[v] & beta & ~_kept(g, _bag, beta).hubs
     cliques = []
     for piece in components(g, nbr_pieces):
         pair = least_nonedge(g, piece)
@@ -95,17 +151,14 @@ def aux_graph(g: Graph, beta: int, w_bag: WeightFn, v: int) -> AuxGraph:
                 witness={"component": bit_list(d),
                          "cliques": [bit_list(cliques[i]) for i in touching]})
     h = Graph(t_nodes + len(comps), edges)
-    weights, normalized = w_bag.shares(cliques + comps)
-    aux = AuxGraph(graph=h, cliques=tuple(cliques), comps=tuple(comps),
-                   weights=weights, normalized=normalized)
-    _certify_aux(aux)
-    return aux
+    _certify_aux(h, t_nodes)
+    return _Frame(tuple(cliques), tuple(comps), h)
 
 
-def _certify_aux(aux: AuxGraph) -> None:
-    h = aux.graph
-    t_nodes = aux.num_clique_nodes()
-    k_mask = (1 << t_nodes) - 1
+def _certify_aux(h: Graph, t_nodes: int) -> None:
+    """The contact graph h, clique nodes first, is bipartite, its
+    component nodes have degree at most two, and its treewidth is at
+    most two."""
     for u, v in h.edges():
         same = (u < t_nodes) == (v < t_nodes)
         if same:
@@ -232,12 +285,13 @@ def balanced_vertex_separator(g: Graph, beta: int, w_bag: WeightFn, v: int,
     hub neighbor count) are verified before returning.  The vertex must
     not be a pyramid apex in the bag; a pyramid in the bag is one in g,
     so the bag is searched only when g's pyramid search, kept on g,
-    found one.  An apex raises HypothesisViolation with the pyramid.
+    found one, and then once per (bag, vertex), its answer kept on g.
+    An apex raises HypothesisViolation with the pyramid.
     """
-    hub_nbrs = g.adj[v] & hub_set(g, beta)
-    sub = g.induced(beta)
+    bag = _kept(g, _bag, beta)
+    hub_nbrs = g.adj[v] & bag.hubs
     if g.kept(detect_pyramid) is not None:
-        pyr = detect_pyramid(sub, apex=v)
+        pyr = _kept(g, _apex, beta, v)
         if pyr is not None:
             raise HypothesisViolation(
                 "vertex is a pyramid apex in the bag",
@@ -254,7 +308,7 @@ def balanced_vertex_separator(g: Graph, beta: int, w_bag: WeightFn, v: int,
         raise HypothesisViolation(
             "grown separator is not balanced on the bag",
             witness={"Y": bit_list(y)})
-    omega = clique_number(sub)
+    omega = bag.omega
     bound = 6 * omega + popcount(hub_nbrs)
     entries = (
         _entry("aux_separator_size", popcount(x), 3),
@@ -285,7 +339,7 @@ def wheelfree_separator(g: Graph, beta: int, w_bag: WeightFn, budget: int,
                         c=HALF) -> SeparatorCertificate:
     """Balanced separator of a wheel-free bag by ascending exhaustive
     search (smallest size, then lexicographically least)."""
-    if hub_set(g, beta):
+    if _kept(g, _bag, beta).hubs:
         raise InputError("bag is not wheel-free")
     found = _least_balanced_separator(g, w_bag, beta, budget, c)
     if found is None:
@@ -313,9 +367,7 @@ def central_bag_separator(g: Graph, div: HubDivision,
         cert = wheelfree_separator(g, beta, w_bag, budget, c)
     else:
         cert = balanced_vertex_separator(g, beta, w_bag, div.v_m(), c)
-    omega = cert.provenance.get("omega_beta")
-    if omega is None:
-        omega = clique_number(g.induced(beta))
+    omega = _kept(g, _bag, beta).omega
     bound = max(budget, 6 * omega + div.partition.back_degree)
     entries = cert.ledger + (
         _entry("bag_separator_vs_instance_bound", cert.size, bound),)
@@ -343,7 +395,7 @@ def main_separator(g: Graph, w: WeightFn, t: int,
     x = bag_cert.separator
     y = grow_separator(g, w, div.bag, x, c)
     beta = div.bag.beta
-    hub_beta = hub_set(g, beta)
+    hub_beta = _kept(g, _bag, beta).hubs
     entries = list(bag_cert.ledger)
     for u in bits(div.minimal_set):
         measured = popcount(g.adj[u] & beta & ~hub_beta)

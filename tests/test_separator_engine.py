@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 from dataclasses import replace
@@ -13,17 +14,18 @@ from starsep.generators import (complete_graph, cycle_graph, pyramid_graph,
 from starsep.graph_core import Graph, WeightFn, bit_list, mask_of
 from starsep.hub_division import hub_division
 from starsep.separations import HALF
-from starsep.separator_engine import (AuxGraph, _aux_balanced_separator,
+from starsep.separator_engine import (_aux_balanced_separator,
                                       _certify_aux, aux_graph,
                                       balanced_vertex_separator,
                                       central_bag_separator, main_separator,
                                       ramsey_vs_4, series_parallel_core,
                                       verify_certificate,
                                       wheelfree_separator)
-from starsep.treewidth import exact_treewidth
+from starsep.treewidth import certify, exact_treewidth
 
 from . import oracles
-from .conftest import seeded_random_graphs, star_member_with_pyramids
+from .conftest import (greedy_star_member, seeded_random_graphs,
+                       star_member_with_pyramids)
 
 
 def test_ramsey_budgets():
@@ -81,9 +83,10 @@ def test_series_parallel_core_matches_exact_treewidth():
 
 
 def _aux_of_paths(n_cliques, paths):
-    """Auxiliary graph whose clique nodes 0..n_cliques-1 are joined by
-    paths (a, b, k): k inner nodes (k odd) alternating component node,
-    clique node, ..., component node."""
+    """Contact graph and clique node count of an auxiliary graph whose
+    clique nodes 0..n_cliques-1 are joined by paths (a, b, k): k inner
+    nodes (k odd) alternating component node, clique node, ...,
+    component node."""
     t, comps, raw = n_cliques, 0, []
     for a, b, k in paths:
         prev = ("clique", a)
@@ -99,20 +102,18 @@ def _aux_of_paths(n_cliques, paths):
     def node(x):
         return x[1] if x[0] == "clique" else t + x[1]
 
-    h = Graph(t + comps, [(node(u), node(v)) for u, v in raw])
-    return AuxGraph(graph=h, cliques=(0,) * t, comps=(0,) * comps,
-                    weights=(), normalized=())
+    return Graph(t + comps, [(node(u), node(v)) for u, v in raw]), t
 
 
 def test_certify_aux_checks_treewidth_above_twenty_nodes():
     ring = _aux_of_paths(15, [(j, (j + 1) % 15, 1) for j in range(15)])
-    assert ring.graph.n == 30
-    _certify_aux(ring)  # an even cycle has treewidth two
+    assert ring[0].n == 30
+    _certify_aux(*ring)  # an even cycle has treewidth two
     k4 = _aux_of_paths(4, [(a, b, k) for (a, b), k in zip(
         itertools.combinations(range(4), 2), (3, 3, 3, 3, 3, 5))])
-    assert k4.graph.n == 24
+    assert k4[0].n == 24
     with pytest.raises(HypothesisViolation, match="treewidth"):
-        _certify_aux(k4)
+        _certify_aux(*k4)
 
 
 def test_aux_graph_isolated_vertex():
@@ -148,7 +149,8 @@ def test_balanced_vertex_separator_rejects_a_pyramid_apex():
 def test_graph_is_searched_for_pyramids_once(monkeypatch):
     """The whole-graph pyramid search is kept on the graph: two central
     bag queries under different weights and a direct call make one.  On
-    a graph that holds a pyramid the apex search runs for every query."""
+    a graph that holds a pyramid the apex search runs once per (bag,
+    vertex), and a repeated query at an apex raises the same pyramid."""
     import starsep.separator_engine as engine
     calls = []
     search = engine.detect_pyramid
@@ -173,12 +175,16 @@ def test_graph_is_searched_for_pyramids_once(monkeypatch):
     h = star_member_with_pyramids()
     w = WeightFn.uniform(h)
     calls.clear()
+    witnesses = []
     balanced_vertex_separator(h, h.verts, w, 10)
-    with pytest.raises(HypothesisViolation, match="pyramid apex"):
-        balanced_vertex_separator(h, h.verts, w, 9)
-    balanced_vertex_separator(h, h.verts, w, 10)
-    assert [apex for _, apex in calls] == [None, 10, 9, 10]
+    for _ in range(2):
+        with pytest.raises(HypothesisViolation, match="pyramid apex") as info:
+            balanced_vertex_separator(h, h.verts, w, 9)
+        witnesses.append(info.value.witness)
+        balanced_vertex_separator(h, h.verts, w, 10)
+    assert [apex for _, apex in calls] == [None, 10, 9]
     assert calls[0][0] is h
+    assert witnesses[0] == witnesses[1] and witnesses[0]["apex"] == 9
 
 
 def test_wheelfree_separator_examples(p9, c6):
@@ -342,9 +348,10 @@ def test_neighborhood_helper_property():
 def test_aux_graph_rejects_a_neighborhood_piece_that_is_an_induced_p3():
     # 0 sees 1, 2 and 3, which induce the path 2 - 1 - 3; 4 hangs off 3
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 4)])
-    with pytest.raises(HypothesisViolation, match="not a clique") as info:
-        aux_graph(g, g.verts, WeightFn.uniform(g), 0)
-    assert info.value.witness == {"piece": [1, 2, 3], "nonedge": [2, 3]}
+    for _ in range(2):  # a frame that raises is not kept
+        with pytest.raises(HypothesisViolation, match="not a clique") as info:
+            aux_graph(g, g.verts, WeightFn.uniform(g), 0)
+        assert info.value.witness == {"piece": [1, 2, 3], "nonedge": [2, 3]}
 
 
 def test_provenance_is_plain_json():
@@ -365,3 +372,80 @@ def test_provenance_is_plain_json():
             assert json.loads(json.dumps(prov)) == prov == cert.provenance
             branches.add(prov["branch"])
     assert branches == {"balanced_vertex", "wheel_free"}
+
+
+def _counted(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_certify_builds_weight_free_bag_facts_once(monkeypatch):
+    """certify's separator queries repeat central bags; the clique number
+    of each bag, the auxiliary frame of each (bag, vertex) and the hub
+    partition of each atom graph are built once."""
+    import starsep.separator_engine as engine
+    # the package exports the function hub_division under the module's name
+    hd = importlib.import_module("starsep.hub_division")
+    omegas = _counted(monkeypatch, engine, "clique_number")
+    frames = _counted(monkeypatch, engine, "_certify_aux")
+    parts = _counted(monkeypatch, hd, "degeneracy_partition")
+    queries = bags = pairs = 0
+    for s in range(6):
+        res = certify(sample_cutset_free_member(20, 4, s), 4, "C_t_star")
+        provs = [c.provenance for c in res.certificates]
+        queries += len(provs)
+        bags += len({tuple(p["beta"]) for p in provs})
+        pairs += len({(tuple(p["beta"]), p["vertex"])
+                      for p in provs if "vertex" in p})
+    assert len(omegas) == bags < queries
+    assert len(frames) == pairs > 0
+    graphs = [args[0] for args in parts]
+    assert len(graphs) == len({id(g) for g in graphs}) == 6
+
+
+def test_kept_bag_facts_answer_as_fresh_ones(monkeypatch):
+    """Every separator query of certify on seeded members and greedy star
+    members answers on the atom graph, which holds the records of earlier
+    queries, as on a fresh copy of it: the same certificate, or the same
+    violation with the same witness."""
+    import starsep.separator_engine as engine
+    original = engine.main_separator
+    betas = []
+
+    def outcome(graph, w, t, c):
+        try:
+            return original(graph, w, t, c).as_json()
+        except HypothesisViolation as e:
+            return str(e), e.witness
+
+    def compared(graph, w, t, c=HALF):
+        fresh = outcome(graph.induced(graph.verts), w, t, c)
+        try:
+            cert = original(graph, w, t, c)
+        except HypothesisViolation as e:
+            assert (str(e), e.witness) == fresh
+            raise
+        assert cert.as_json() == fresh
+        betas.append((graph, cert.provenance["beta"]))
+        return cert
+
+    monkeypatch.setattr(engine, "main_separator", compared)
+    for s in range(8):
+        certify(sample_cutset_free_member(16 + s % 5, 4, s), 4)
+    raised = 0
+    for s in range(24, 36):
+        try:
+            certify(greedy_star_member(12 + s % 13, 5, s, 300), 5,
+                    "C_t_star")
+        except HypothesisViolation as e:
+            assert str(e) == "vertex is a pyramid apex in the bag"
+            raised += 1
+    assert raised > 0
+    assert len({(id(g), tuple(b)) for g, b in betas}) < len(betas)
