@@ -32,12 +32,6 @@ EXIT_NONMEMBER = 3
 EXIT_HYPOTHESIS = 4
 EXIT_CAPACITY = 5
 
-# hole and induced-path enumeration keep explicit stacks; the clique-cutset
-# atom tree (cutsets._decompose) and build_td still recurse once per level,
-# so a path of about a thousand vertices exceeds the recursion limit
-TOO_DEEP = "input too deep for the recursive searches"
-
-
 def _emit(obj) -> None:
     click.echo(json.dumps(obj, sort_keys=True, indent=2))
 
@@ -60,8 +54,6 @@ def _guard(fn):
         _fail(EXIT_INPUT, "input", str(e))
     except CapacityError as e:
         _fail(EXIT_CAPACITY, "capacity", str(e))
-    except RecursionError as e:
-        _fail(EXIT_CAPACITY, "capacity", f"{TOO_DEEP}: {e}")
     except SamplingError as e:
         _fail(EXIT_INPUT, "sampling", str(e), e.stats)
     except HypothesisViolation as e:
@@ -222,7 +214,8 @@ def verify_cert(graph_file, td_file):
         if not isinstance(obj, dict):
             raise InputError(f"decomposition file {td_file} must hold a "
                              "JSON object")
-        td = TreeDecomposition.from_json(obj.get("decomposition", obj))
+        td = TreeDecomposition.from_json(obj.get("decomposition", obj),
+                                         g.n)
         return validate_td(g, td), td
 
     validation, td = _guard(run)
@@ -321,9 +314,6 @@ def _batch_row(args):
     except (InputError, CapacityError, HypothesisViolation) as e:
         return {"instance": name, "error": type(e).__name__,
                 "message": str(e)}
-    except RecursionError as e:
-        return {"instance": name, "error": "CapacityError",
-                "message": f"{TOO_DEEP}: {e}"}
 
 
 if __name__ == "__main__":

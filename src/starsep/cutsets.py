@@ -108,7 +108,7 @@ def _cut_vertices(g, within):
 
 @dataclass(frozen=True)
 class DecompositionStep:
-    """One recursion node: the cutset used and the pieces it produced."""
+    """One node of the atom tree: the cutset and the pieces it produced."""
     cutset: int
     pieces: tuple[object, ...]  # DecompositionStep or atom masks (int)
 
@@ -127,10 +127,10 @@ class AtomDecomposition:
 
 
 def clique_cutset_atoms(g: Graph) -> AtomDecomposition:
-    """Recursive decomposition along clique cutsets; atoms are induced
-    subgraphs with no clique cutset.  Deterministic: find_clique_cutset's
-    cutset first, pieces in component order.  The first call keeps the
-    result on the graph.
+    """Decomposition along clique cutsets, walked in pre-order on an
+    explicit stack; atoms are induced subgraphs with no clique cutset.
+    Deterministic: find_clique_cutset's cutset first, pieces in component
+    order.  The first call keeps the result on the graph.
 
     Cut vertices are searched once and then inherited: a piece's cut
     vertices are the region's inside it.  Split into components, that is
@@ -146,22 +146,30 @@ def clique_cutset_atoms(g: Graph) -> AtomDecomposition:
 def _decompose(g: Graph) -> AtomDecomposition:
     atoms: list[int] = []
     cutsets: list[int] = []
-
-    def rec(region: int, cut_vertices: int, connected=True):
+    done: list = []  # finished subtrees, left to right
+    # (region, cut vertices, connected), or (cut, k): fold the last k
+    # finished subtrees into one step
+    todo = [(g.verts, *_cut_vertices(g, g.verts))] if g.verts else []
+    while todo:
+        item = todo.pop()
+        if len(item) == 2:
+            cut, k = item
+            done[-k:] = [DecompositionStep(cut, tuple(done[-k:]))]
+            continue
+        region, cut_vertices, connected = item
         cut = None
         if popcount(region) > 1:
             cut = _least_cutset(g, region, cut_vertices, connected)
         if cut is None:
             atoms.append(region)
-            return region
+            done.append(region)
+            continue
         cutsets.append(cut)
-        return DecompositionStep(cut, tuple(
-            rec(comp | cut, cut_vertices & comp)
-            for comp in components(g, region & ~cut)))
-
-    tree = rec(g.verts, *_cut_vertices(g, g.verts)) if g.verts else 0
+        comps = components(g, region & ~cut)
+        todo.append((cut, len(comps)))
+        todo += [(c | cut, cut_vertices & c, True) for c in reversed(comps)]
     return AtomDecomposition(tuple(dict.fromkeys(atoms)), tuple(cutsets),
-                             tree)
+                             done[0] if done else 0)
 
 
 # ---------------------------------------------------------------------------

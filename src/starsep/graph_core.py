@@ -93,16 +93,16 @@ class Graph:
     stable across restriction.  No loops, no parallel edges.
 
     Facts that depend only on the graph are computed once per object and
-    kept through ``kept(build)``, keyed by the builder function; the
+    kept through ``kept(build, *key)``, keyed by the builder and key; the
     graph never changes, so they can never go stale.  The wheel record
     of ``detectors.hub_set``, the far sides of ``far_components``, the
     atoms of ``cutsets.clique_cutset_atoms``, the pyramid search that
     ``balanced_vertex_separator`` runs before its apex check, the hub
-    order of ``hub_division`` and the ``separator_engine`` records of
-    each central bag (subgraph, clique number, hubs) and of each (bag,
-    vertex) (apex search, auxiliary frame) are kept this way.  A new
-    graph, ``induced`` ones included, starts with none, and kept facts
-    take no part in equality or hashing.
+    order of ``hub_division``, the hubs of each central bag and the
+    ``separator_engine`` records of each central bag (subgraph, clique
+    number, hubs) and of each (bag, vertex) (apex search, auxiliary
+    frame) are kept this way.  A new graph, ``induced`` ones included,
+    starts with none, and kept facts take no part in equality or hashing.
     """
 
     __slots__ = ("n", "verts", "adj", "_kept")
@@ -148,13 +148,15 @@ class Graph:
         g._set(n, verts, adj)
         return g
 
-    def kept(self, build):
-        """build(self), computed on the first call with this builder and
-        kept on the graph for every later one."""
+    def kept(self, build, *key):
+        """build(self, *key), computed on the first call with this builder
+        and key and kept on the graph for every later one.  A build that
+        raises keeps nothing, so the next call repeats it."""
+        k = (build, *key) if key else build
         kept = self._kept
-        if build not in kept:
-            kept[build] = build(self)
-        return kept[build]
+        if k not in kept:
+            kept[k] = build(self, *key)
+        return kept[k]
 
     # -- queries ------------------------------------------------------
 

@@ -5,8 +5,9 @@ Hubs (wheel centers) are partitioned greedily into independent sets; the
 measured degeneracy and back-degree replace the unknown class constant in
 every downstream size bound, turning them into per-instance certificates.
 The hub set, its partition and the hub ordering depend only on the graph
-and are kept on it; the balance of each hub, the separations and the
-central bag are worked out per query from the weights.
+and are kept on it, as are the hubs of each central bag; the balance of
+each hub, the separations and the central bag are worked out per query
+from the weights.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def _check_division(g, w, div):
         raise HypothesisViolation(
             "first balanced hub fell outside the central bag",
             witness={"v_m": v_m, "beta": bit_list(bag.beta)})
-    hub_beta = hub_set(g, bag.beta)
+    hub_beta = g.kept(hub_set, bag.beta)
     later = mask_of(div.ordering[div.m - 1:])
     if hub_beta & ~later:
         raise HypothesisViolation(

@@ -83,7 +83,7 @@ def aux_graph(g: Graph, beta: int, w_bag: WeightFn, v: int) -> AuxGraph:
     """
     if not ((beta >> v) & 1):
         raise InputError("vertex is not in the bag")
-    frame = _kept(g, _frame, beta, v)
+    frame = g.kept(_frame, beta, v)
     weights, normalized = w_bag.shares(frame.cliques + frame.comps)
     return AuxGraph(graph=frame.graph, cliques=frame.cliques,
                     comps=frame.comps, weights=weights, normalized=normalized)
@@ -105,31 +105,17 @@ class _Frame(NamedTuple):
     graph: Graph                # their certified contact graph
 
 
-def _records(g: Graph) -> dict:
-    return {}
-
-
-def _kept(g: Graph, build, *key):
-    """build(g, *key), kept on g per builder and key.  A build that raises
-    keeps nothing, so every query repeats it and raises the same way."""
-    records = g.kept(_records)
-    k = (build, *key)
-    if k not in records:
-        records[k] = build(g, *key)
-    return records[k]
-
-
 def _bag(g: Graph, beta: int) -> _Bag:
     sub = g.induced(beta)
-    return _Bag(sub, clique_number(sub), hub_set(g, beta))
+    return _Bag(sub, clique_number(sub), g.kept(hub_set, beta))
 
 
 def _apex(g: Graph, beta: int, v: int):
-    return detect_pyramid(_kept(g, _bag, beta).sub, apex=v)
+    return detect_pyramid(g.kept(_bag, beta).sub, apex=v)
 
 
 def _frame(g: Graph, beta: int, v: int) -> _Frame:
-    nbr_pieces = g.adj[v] & beta & ~_kept(g, _bag, beta).hubs
+    nbr_pieces = g.adj[v] & beta & ~g.kept(_bag, beta).hubs
     cliques = []
     for piece in components(g, nbr_pieces):
         pair = least_nonedge(g, piece)
@@ -288,10 +274,10 @@ def balanced_vertex_separator(g: Graph, beta: int, w_bag: WeightFn, v: int,
     found one, and then once per (bag, vertex), its answer kept on g.
     An apex raises HypothesisViolation with the pyramid.
     """
-    bag = _kept(g, _bag, beta)
+    bag = g.kept(_bag, beta)
     hub_nbrs = g.adj[v] & bag.hubs
     if g.kept(detect_pyramid) is not None:
-        pyr = _kept(g, _apex, beta, v)
+        pyr = g.kept(_apex, beta, v)
         if pyr is not None:
             raise HypothesisViolation(
                 "vertex is a pyramid apex in the bag",
@@ -339,7 +325,7 @@ def wheelfree_separator(g: Graph, beta: int, w_bag: WeightFn, budget: int,
                         c=HALF) -> SeparatorCertificate:
     """Balanced separator of a wheel-free bag by ascending exhaustive
     search (smallest size, then lexicographically least)."""
-    if _kept(g, _bag, beta).hubs:
+    if g.kept(_bag, beta).hubs:
         raise InputError("bag is not wheel-free")
     found = _least_balanced_separator(g, w_bag, beta, budget, c)
     if found is None:
@@ -367,7 +353,7 @@ def central_bag_separator(g: Graph, div: HubDivision,
         cert = wheelfree_separator(g, beta, w_bag, budget, c)
     else:
         cert = balanced_vertex_separator(g, beta, w_bag, div.v_m(), c)
-    omega = _kept(g, _bag, beta).omega
+    omega = g.kept(_bag, beta).omega
     bound = max(budget, 6 * omega + div.partition.back_degree)
     entries = cert.ledger + (
         _entry("bag_separator_vs_instance_bound", cert.size, bound),)
@@ -395,7 +381,7 @@ def main_separator(g: Graph, w: WeightFn, t: int,
     x = bag_cert.separator
     y = grow_separator(g, w, div.bag, x, c)
     beta = div.bag.beta
-    hub_beta = _kept(g, _bag, beta).hubs
+    hub_beta = g.kept(_bag, beta).hubs
     entries = list(bag_cert.ledger)
     for u in bits(div.minimal_set):
         measured = popcount(g.adj[u] & beta & ~hub_beta)

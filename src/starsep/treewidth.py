@@ -4,14 +4,16 @@ validation, and end-to-end certification.
 The exact oracle is a memoized elimination search with the standard safe
 reductions (isolated, pendant, degree-two, simplicial vertices), capped at
 desk scale.  The builder consumes any oracle that returns verified
-balanced separators for uniform-on-subset weight functions and recurses
-on components, gluing clique-cutset atoms along their cutset bags.
+balanced separators for uniform-on-subset weight functions and splits
+the components left over in turn, gluing clique-cutset atoms along their
+cutset bags; both trees are walked on explicit stacks.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import index
 from typing import Callable
 
 from .cutsets import AtomDecomposition, DecompositionStep, clique_cutset_atoms
@@ -133,13 +135,21 @@ class TreeDecomposition:
                 "bags": [bit_list(b) for b in self.bags]}
 
     @classmethod
-    def from_json(cls, obj) -> "TreeDecomposition":
+    def from_json(cls, obj, n: int) -> "TreeDecomposition":
+        """Read the "bags" and "edges" of as_json.  Vertex ids and node
+        indices must be integers, and vertex ids must lie in [0, n): they
+        are checked before any bag mask is built."""
         try:
-            bags = tuple(mask_of(b) for b in obj["bags"])
-            edges = tuple((int(u), int(v)) for u, v in obj["edges"])
+            bags = [[index(v) for v in b] for b in obj["bags"]]
+            edges = tuple((index(u), index(v)) for u, v in obj["edges"])
         except (KeyError, TypeError, ValueError) as e:
             raise InputError(f"bad tree decomposition JSON: {e}")
-        return cls(bags, edges)
+        for b in bags:
+            for v in b:
+                if not 0 <= v < n:
+                    raise InputError(
+                        f"bag vertex {v} out of range for n={n}")
+        return cls(tuple(map(mask_of, bags)), edges)
 
 
 @dataclass(frozen=True)
@@ -152,8 +162,9 @@ class TdValidation:
 
 
 def validate_td(g: Graph, td: TreeDecomposition) -> TdValidation:
-    """Check the three decomposition conditions plus tree shape; failures
-    carry the violating vertex, edge, or node pair."""
+    """Check the three decomposition conditions plus tree shape, and that
+    every bag vertex is a vertex of g; failures carry the violating
+    vertex, edge, or node pair."""
     failures = []
     n_nodes = len(td.bags)
     if n_nodes == 0:
@@ -175,6 +186,11 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdValidation:
     covered = 0
     for b in td.bags:
         covered |= b
+    if covered & ~g.verts:
+        v = lowest_bit(covered & ~g.verts)
+        failures.append({"condition": "bag_vertices", "vertex": v,
+                         "node": next(i for i, b in enumerate(td.bags)
+                                      if (b >> v) & 1)})
     if g.verts & ~covered:
         failures.append({"condition": "vertex_cover",
                          "vertex": bit_list(g.verts & ~covered)[0]})
@@ -209,29 +225,31 @@ SeparatorOracle = Callable[[Graph, WeightFn], int]
 
 
 def build_td(g: Graph, sep_oracle: SeparatorOracle) -> TreeDecomposition:
-    """Recursive decomposition from a balanced-separator oracle.
+    """Decomposition from a balanced-separator oracle, built in pre-order
+    on an explicit stack.
 
     Each node keeps an active boundary; the oracle is queried with
     weights uniform on the boundary (on the whole region at the root),
     the bag is the boundary plus the local part of the separator, and
-    recursion continues on the components left over.  A padding vertex
-    forces progress when the separator misses the interior.
+    the components left over become its children, in component order.
+    A padding vertex forces progress when the separator misses the
+    interior.  The roots, one per component of g, are chained.
     """
     bags: list[int] = []
     edges: list[tuple[int, int]] = []
-
-    def add_bag(mask, parent):
+    roots: list[int] = []
+    todo = [(comp, 0, None) for comp in reversed(components(g, g.verts))]
+    while todo:
+        interior, boundary, parent = todo.pop()
         idx = len(bags)
-        bags.append(mask)
-        if parent is not None:
+        if parent is None:
+            roots.append(idx)
+        else:
             edges.append((parent, idx))
-        return idx
-
-    def rec(interior, boundary, parent):
         region = interior | boundary
         if popcount(interior) <= 1:
-            add_bag(region, parent)
-            return
+            bags.append(region)
+            continue
         support = boundary if boundary else interior
         w = WeightFn.uniform_on(g, support)
         x = sep_oracle(g, w)
@@ -240,20 +258,10 @@ def build_td(g: Graph, sep_oracle: SeparatorOracle) -> TreeDecomposition:
         pad = 0
         if not removed:
             pad = interior & -interior
-        bag = boundary | x_loc | pad
-        idx = add_bag(bag, parent)
-        for comp in components(g, interior & ~removed & ~pad):
-            child_boundary = neighborhood(g, comp) & region
-            rec(comp, child_boundary, idx)
-
-    if not g.verts:
-        return TreeDecomposition((), ())
-    roots = []
-    for comp in components(g, g.verts):
-        roots.append(len(bags))
-        rec(comp, 0, None)
-    for a, b in zip(roots, roots[1:]):
-        edges.append((a, b))
+        bags.append(boundary | x_loc | pad)
+        todo += [(comp, neighborhood(g, comp) & region, idx) for comp in
+                 reversed(components(g, interior & ~removed & ~pad))]
+    edges += zip(roots, roots[1:])
     return _contract_redundant(TreeDecomposition(tuple(bags), tuple(edges)))
 
 
@@ -347,13 +355,7 @@ def certify(g: Graph, t: int, variant: str = "C_t") -> CertifyResult:
 
         return build_td(sub, oracle)
 
-    def glue(node):
-        if isinstance(node, DecompositionStep):
-            piece_tds = [glue(p) for p in node.pieces]
-            return _join_on_cutset(node.cutset, piece_tds)
-        return decompose_atom(node)
-
-    td = _contract_redundant(glue(atoms.tree)) if g.verts \
+    td = _contract_redundant(_glue(atoms.tree, decompose_atom)) if g.verts \
         else TreeDecomposition((), ())
     validation = validate_td(g, td)
     if not validation.passed:
@@ -390,6 +392,25 @@ def certify(g: Graph, t: int, variant: str = "C_t") -> CertifyResult:
     }
     return CertifyResult(td=td, certificates=tuple(certificates),
                          atoms=atoms, report=report)
+
+
+def _glue(tree, decompose_atom) -> TreeDecomposition:
+    """The atoms' decompositions, from decompose_atom in pre-order, joined
+    along the atom tree on an explicit stack: a (cutset, k) marker joins
+    the last k finished piece decompositions on their cutset."""
+    done: list[TreeDecomposition] = []
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, DecompositionStep):
+            todo.append((node.cutset, len(node.pieces)))
+            todo += reversed(node.pieces)
+        elif isinstance(node, tuple):
+            cutset, k = node
+            done[-k:] = [_join_on_cutset(cutset, done[-k:])]
+        else:
+            done.append(decompose_atom(node))
+    return done[0]
 
 
 def _join_on_cutset(cutset: int, piece_tds: list[TreeDecomposition]) -> TreeDecomposition:

@@ -332,31 +332,85 @@ def test_verify_cert_dangling_tree_edge_fails_validation(runner, w93_file,
 
 
 @pytest.fixture
+def p3_file(tmp_path):
+    p = tmp_path / "p3.json"
+    p.write_text(dumps_graph(make("P3")))
+    return str(p)
+
+
+@pytest.mark.parametrize("td, message", [
+    ({"bags": [[0, 1, 99], [1, 2]], "edges": [[0, 1]]},
+     "bag vertex 99 out of range for n=3"),
+    ({"bags": [[0, 1], [1, -1]], "edges": [[0, 1]]},
+     "bag vertex -1 out of range for n=3"),
+    ({"bags": [[0, 1], [1, 2]], "edges": [[0.7, 1]]},
+     "bad tree decomposition JSON"),
+])
+def test_verify_cert_rejects_ids_it_cannot_read(runner, p3_file, tmp_path,
+                                                 td, message):
+    """Vertex ids outside [0, n) and non-integer node indices are input
+    errors, found before any bag is turned into a mask."""
+    path = tmp_path / "td.json"
+    path.write_text(json.dumps(td))
+    res = runner.invoke(main, ["verify-cert", p3_file, str(path)])
+    assert res.exit_code == 2
+    out = _json_out(res)
+    assert out["error"] == "input" and out["message"].startswith(message)
+
+
+def test_verify_cert_names_a_bag_vertex_outside_the_graph(runner, tmp_path):
+    """Vertex 3 of an induced graph is in range but not a vertex."""
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]],
+                             "vertices": [0, 1, 2]}))
+    td = tmp_path / "td.json"
+    td.write_text(json.dumps({"bags": [[1, 2], [0, 1, 3]],
+                              "edges": [[0, 1]]}))
+    res = runner.invoke(main, ["verify-cert", str(g), str(td)])
+    assert res.exit_code == 4
+    assert _json_out(res)["validation"]["failures"] == [
+        {"condition": "bag_vertices", "vertex": 3, "node": 1}]
+
+
+@pytest.fixture
 def deep_path(tmp_path):
     """A 1,200-vertex path: its clique-cutset atom tree is deeper than the
-    recursion limit."""
+    recursion limit, and every tree walk keeps an explicit stack."""
     d = tmp_path / "deep"
     d.mkdir()
     (d / "p1200.json").write_text(dumps_graph(make("P1200")))
     return d
 
 
-@pytest.mark.parametrize("command", ["recognize", "decompose"])
-def test_too_deep_input_exits_5(runner, deep_path, command):
-    res = runner.invoke(main, [command, "--t", "4",
+def test_deep_path_is_recognised(runner, deep_path):
+    res = runner.invoke(main, ["recognize", "--t", "4",
                                str(deep_path / "p1200.json")])
-    assert res.exit_code == 5
-    assert _json_out(res)["error"] == "capacity"
+    assert res.exit_code == 0
+    assert _json_out(res)["member"] is True
 
 
-def test_batch_reports_a_too_deep_input_and_goes_on(runner, deep_path):
+def test_deep_path_decomposes_and_verifies(runner, deep_path, tmp_path):
+    p = str(deep_path / "p1200.json")
+    res = runner.invoke(main, ["decompose", "--t", "4", p])
+    assert res.exit_code == 0
+    assert _json_out(res)["report"]["width"] == 1
+    dec = tmp_path / "dec.json"
+    dec.write_text(res.output)
+    res = runner.invoke(main, ["verify-cert", p, str(dec)])
+    assert res.exit_code == 0
+    assert _json_out(res) == {"validation": {"passed": True, "failures": []},
+                              "width": 1}
+
+
+def test_batch_certifies_a_deep_path(runner, deep_path):
     (deep_path / "w93.json").write_text(dumps_graph(make("W93")))
     res = runner.invoke(main, ["batch", "--t", "4", str(deep_path)])
-    assert res.exit_code == 5
+    assert res.exit_code == 0
     rows = _json_out(res)["instances"]
     assert [r["instance"] for r in rows] == ["p1200.json", "w93.json"]
-    assert rows[0]["error"] == "CapacityError"
-    assert rows[1]["member"] is True and rows[1]["checks"]["validation"]
+    for row in rows:
+        assert row["member"] is True and all(row["checks"].values()), row
+    assert rows[0]["width"] == 1
 
 
 def test_long_hole_is_recognised(runner, tmp_path):

@@ -334,6 +334,49 @@ def test_kept_values_are_built_once_per_graph_object():
         g._kept = {}
 
 
+def test_kept_values_are_keyed_by_builder_and_arguments():
+    calls = []
+
+    def degree_within(g, v, mask):
+        calls.append((v, mask))
+        if not (g.verts >> v) & 1:
+            raise InputError(f"{v} is not a vertex")
+        return bin(g.adj[v] & mask).count("1")
+
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)]).induced(0b0111)
+    assert g.kept(degree_within, 1, 0b0111) == 2
+    assert g.kept(degree_within, 1, 0b0001) == 1
+    assert g.kept(degree_within, 1, 0b0111) == 2
+    assert calls == [(1, 0b0111), (1, 0b0001)]
+    # a build that raises keeps nothing and runs again
+    for _ in range(2):
+        with pytest.raises(InputError):
+            g.kept(degree_within, 3, 0b1111)
+    assert calls[2:] == [(3, 0b1111)] * 2
+
+
+def test_no_function_calls_itself():
+    """Every search and tree walk keeps an explicit stack, so no input is
+    too deep for the interpreter's recursion limit.  The one exception is
+    the exact oracle's branching, at most EXACT_TW_CAP levels deep."""
+    import ast
+    src = Path(starsep.graph_core.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for call in ast.walk(fn):
+                f = getattr(call, "func", None)
+                if isinstance(f, ast.Attribute) \
+                        and isinstance(f.value, ast.Name) \
+                        and f.value.id in ("self", "cls"):
+                    f = ast.Name(f.attr)
+                if isinstance(f, ast.Name) and f.id == fn.name:
+                    found.append((path.name, fn.name))
+    assert found == [("treewidth.py", "_tw_decision")]
+
+
 def test_only_graph_core_knows_how_graphs_and_weights_are_stored():
     """No other module writes a Graph's or WeightFn's fields or applies
     the float tolerance itself, and no module passes per-graph facts
