@@ -108,9 +108,79 @@ def _cut_vertices(g, within):
 
 @dataclass(frozen=True)
 class DecompositionStep:
-    """One node of the atom tree: the cutset and the pieces it produced."""
+    """One node of the atom tree: the cutset and the pieces it produced.
+
+    Equality, hashing and repr give what the generated dataclass methods
+    give, but walk the tree on explicit stacks, so an atom tree deeper
+    than the recursion limit still compares, hashes and prints."""
     cutset: int
     pieces: tuple[object, ...]  # DecompositionStep or atom masks (int)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            x, y = todo.pop()
+            if x is y:
+                continue
+            if not (isinstance(x, DecompositionStep)
+                    and x.__class__ is y.__class__):
+                if x != y:
+                    return False
+                continue
+            if x.cutset != y.cutset or len(x.pieces) != len(y.pieces):
+                return False
+            todo += zip(x.pieces, y.pieces)
+        return True
+
+    def __hash__(self):
+        # hash((cutset, pieces)) bottom-up: a tuple's hash reads only its
+        # items' hashes, so each finished step stands in by its hash; a
+        # (cutset, k) marker folds the last k finished pieces
+        done: list = []
+        todo: list = [self]
+        while todo:
+            x = todo.pop()
+            if isinstance(x, DecompositionStep):
+                todo.append((x.cutset, len(x.pieces)))
+                todo += reversed(x.pieces)
+            elif isinstance(x, tuple):
+                cutset, k = x
+                pieces = tuple(done[len(done) - k:])
+                done[len(done) - k:] = [_Hashed(hash((cutset, pieces)))]
+            else:
+                done.append(x)
+        return hash(done[0])
+
+    def __repr__(self):
+        out: list[str] = []
+        todo: list = [self]
+        while todo:
+            x = todo.pop()
+            if isinstance(x, str):
+                out.append(x)
+                continue
+            parts: list = [f"{x.__class__.__qualname__}(cutset={x.cutset!r}, "
+                           "pieces=("]
+            for i, p in enumerate(x.pieces):
+                if i:
+                    parts.append(", ")
+                parts.append(p if isinstance(p, DecompositionStep) else repr(p))
+            parts.append(",))" if len(x.pieces) == 1 else "))")
+            todo += reversed(parts)
+        return "".join(out)
+
+
+class _Hashed:
+    """Stands in for a hashed step: hashes to the value it holds."""
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,8 @@ class Graph:
         return sum(self.degree(v) for v in bits(self.verts)) // 2
 
     def check_vertex_set(self, x: int) -> None:
+        if x < 0:  # a negative mask has infinitely many set bits
+            raise InputError(f"vertex mask {x} is negative")
         if x & ~self.verts:
             bad = bit_list(x & ~self.verts)
             raise InputError(f"vertices {bad} are not in the graph")

@@ -120,7 +120,7 @@ def hub_division(g: Graph, w: WeightFn, t: int) -> HubDivision:
         raise InputError("hub division needs t >= 4")
     part, ordering = g.kept(_hub_order)
     k = len(ordering)
-    _, unbal = classify_balanced(g, w)
+    _, unbal = classify_balanced(g, w, mask_of(ordering))
     m = k + 1
     for i, v in enumerate(ordering, start=1):
         if not ((unbal >> v) & 1):

@@ -54,14 +54,21 @@ def validate_separation(g: Graph, s: Separation) -> None:
             raise InputError("C is not inside the center's closed neighborhood")
 
 
-def classify_balanced(g: Graph, w: WeightFn) -> tuple[int, int]:
-    """(balanced_mask, unbalanced_mask): a vertex is balanced when every
-    component of the graph minus its closed neighborhood weighs <= 1/2."""
+def classify_balanced(g: Graph, w: WeightFn,
+                      among: int | None = None) -> tuple[int, int]:
+    """(balanced_mask, unbalanced_mask) of the vertices in `among` (all
+    of g by default): a vertex is balanced when every component of the
+    whole graph minus its closed neighborhood weighs <= 1/2.  Only the
+    vertices of `among` are weighed, so an empty mask builds no far
+    sides."""
+    if among is None:
+        among = g.verts
+    g.check_vertex_set(among)
     balanced = 0
-    for v in bits(g.verts):
+    for v in bits(among):
         if all(w.at_most(d, HALF) for d in far_components(g, v)):
             balanced |= 1 << v
-    return balanced, g.verts & ~balanced
+    return balanced, among & ~balanced
 
 
 def canonical_separation(g: Graph, w: WeightFn, v: int) -> Separation:

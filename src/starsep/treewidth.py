@@ -164,7 +164,9 @@ class TdValidation:
 def validate_td(g: Graph, td: TreeDecomposition) -> TdValidation:
     """Check the three decomposition conditions plus tree shape, and that
     every bag vertex is a vertex of g; failures carry the violating
-    vertex, edge, or node pair."""
+    vertex, edge, or node pair.  One pass over the bags lists the nodes
+    holding each vertex; the edge cover and subtree tests read those
+    lists."""
     failures = []
     n_nodes = len(td.bags)
     if n_nodes == 0:
@@ -186,22 +188,27 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdValidation:
     covered = 0
     for b in td.bags:
         covered |= b
+    holders: list[list[int]] = [
+        [] for _ in range(max(g.n, covered.bit_length()))]
+    for i, b in enumerate(td.bags):
+        for v in bits(b):
+            holders[v].append(i)
     if covered & ~g.verts:
         v = lowest_bit(covered & ~g.verts)
         failures.append({"condition": "bag_vertices", "vertex": v,
-                         "node": next(i for i, b in enumerate(td.bags)
-                                      if (b >> v) & 1)})
+                         "node": holders[v][0]})
     if g.verts & ~covered:
         failures.append({"condition": "vertex_cover",
-                         "vertex": bit_list(g.verts & ~covered)[0]})
+                         "vertex": lowest_bit(g.verts & ~covered)})
+    bags = td.bags
     for u, v in g.edges():
-        need = (1 << u) | (1 << v)
-        if not any((b & need) == need for b in td.bags):
+        x, y = (u, v) if len(holders[u]) <= len(holders[v]) else (v, u)
+        if not any((bags[i] >> y) & 1 for i in holders[x]):
             failures.append({"condition": "edge_cover", "edge": [u, v]})
             break
     for v in bits(g.verts & covered):
-        node_set = {i for i, b in enumerate(td.bags) if (b >> v) & 1}
-        seen = _reach(nbrs, min(node_set), node_set)
+        node_set = set(holders[v])
+        seen = _reach(nbrs, holders[v][0], node_set)
         if seen != node_set:
             failures.append({"condition": "connected_subtree", "vertex": v,
                              "nodes": sorted(node_set - seen)})
@@ -395,37 +402,37 @@ def certify(g: Graph, t: int, variant: str = "C_t") -> CertifyResult:
 
 
 def _glue(tree, decompose_atom) -> TreeDecomposition:
-    """The atoms' decompositions, from decompose_atom in pre-order, joined
-    along the atom tree on an explicit stack: a (cutset, k) marker joins
-    the last k finished piece decompositions on their cutset."""
-    done: list[TreeDecomposition] = []
-    todo = [tree]
+    """The atoms' decompositions, from decompose_atom in pre-order, laid
+    out once along the atom tree on an explicit stack.  A step's cutset
+    bag comes first, then its pieces' bags in order; after a piece's own
+    edges comes the edge from the cutset bag to the piece's first bag
+    holding the cutset.  The cutset is a clique, so every valid piece
+    decomposition has such a bag."""
+    bags: list[int] = []
+    edges: list[tuple[int, int]] = []
+    starts: list[int] = []  # first bag of each piece being laid out
+    # an atom-tree node, or (cutset bag, cutset): link the piece just
+    # laid out to its cutset bag
+    todo: list = [tree]
     while todo:
         node = todo.pop()
-        if isinstance(node, DecompositionStep):
-            todo.append((node.cutset, len(node.pieces)))
-            todo += reversed(node.pieces)
-        elif isinstance(node, tuple):
-            cutset, k = node
-            done[-k:] = [_join_on_cutset(cutset, done[-k:])]
-        else:
-            done.append(decompose_atom(node))
-    return done[0]
-
-
-def _join_on_cutset(cutset: int, piece_tds: list[TreeDecomposition]) -> TreeDecomposition:
-    """Glue piece decompositions through an explicit cutset bag; the
-    cutset is a clique, so every valid piece decomposition has a bag
-    containing it."""
-    bags: list[int] = [cutset]
-    edges: list[tuple[int, int]] = []
-    for td in piece_tds:
+        if isinstance(node, tuple):
+            at, cutset = node
+            anchor = next((i for i in range(starts.pop(), len(bags))
+                           if not (cutset & ~bags[i])), None)
+            if anchor is None:
+                raise InputError(
+                    "piece decomposition misses its cutset clique")
+            edges.append((at, anchor))
+            continue
         offset = len(bags)
-        bags.extend(td.bags)
-        edges.extend((a + offset, b + offset) for a, b in td.edges)
-        anchor = next((i for i, b in enumerate(td.bags)
-                       if not (cutset & ~b)), None)
-        if anchor is None:
-            raise InputError("piece decomposition misses its cutset clique")
-        edges.append((0, anchor + offset))
+        starts.append(offset)
+        if isinstance(node, DecompositionStep):
+            bags.append(node.cutset)
+            for piece in reversed(node.pieces):
+                todo += [(offset, node.cutset), piece]
+        else:
+            td = decompose_atom(node)
+            bags.extend(td.bags)
+            edges.extend((a + offset, b + offset) for a, b in td.edges)
     return TreeDecomposition(tuple(bags), tuple(edges))

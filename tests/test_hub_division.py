@@ -1,14 +1,25 @@
+import importlib
 from fractions import Fraction
 
 import pytest
 
+import starsep.graph_core
+import starsep.separator_engine
 from starsep.detectors import hub_set
-from starsep.errors import InputError
+from starsep.errors import HypothesisViolation, InputError
 from starsep.generators import (cycle_graph, sample_cutset_free_member,
                                 w93_graph)
 from starsep.graph_core import Graph, WeightFn, bits, degeneracy, mask_of
 from starsep.hub_division import (check_no_wheels_in_bag,
                                   degeneracy_partition, hub_division)
+from starsep.separations import classify_balanced
+from starsep.separator_engine import main_separator
+from starsep.treewidth import certify
+
+from .conftest import greedy_star_member
+
+# the package exports the function hub_division under the module's name
+hd = importlib.import_module("starsep.hub_division")
 
 
 def test_degeneracy_partition_trivial(p9, w93):
@@ -104,3 +115,86 @@ def test_division_invariants_on_corpus():
         hub_beta = hub_set(g, div.bag.beta)
         assert hub_beta & ~mask_of(div.ordering[div.m - 1:]) == 0
         assert check_no_wheels_in_bag(g, div).passed
+
+
+def _certify_queries(monkeypatch, runs):
+    """(graph, weights, t) of every main_separator query that certify
+    makes on each (graph, t, variant) of runs, up to a raise."""
+    real = starsep.separator_engine.main_separator
+    queries = []
+
+    def recording(g, w, t, *rest):
+        queries.append((g, w, t))
+        return real(g, w, t, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(starsep.separator_engine, "main_separator", recording)
+        for g, t, variant in runs:
+            try:
+                certify(g, t, variant)
+            except HypothesisViolation:
+                pass
+    return queries
+
+
+def _query_outcome(g, w, t):
+    """Division and certificate JSON of one query on a fresh copy of its
+    graph, or the exception it raises with its witness."""
+    g = g.induced(g.verts)
+    try:
+        return (hub_division(g, w, t).as_json(),
+                main_separator(g, w, t).as_json())
+    except (HypothesisViolation, InputError) as e:
+        return type(e), str(e), getattr(e, "witness", None)
+
+
+def test_divisions_match_the_full_classification(monkeypatch):
+    """Weighing only the hubs changes no division, certificate or raised
+    witness of any separator query certify makes, against a reference
+    that classifies every vertex of the atom."""
+    runs = [(sample_cutset_free_member(12 + 2 * s, 4, 40 + s), 4, "C_t_star")
+            for s in range(8)]
+    runs.append((sample_cutset_free_member(16, 4, 3), 4, "C_t_star"))
+    runs += [(greedy_star_member(12 + s % 13, 5, s, 300), 5, "C_t_star")
+             for s in range(22, 34)]
+    queries = _certify_queries(monkeypatch, runs)
+    ours = [_query_outcome(g, w, t) for g, w, t in queries]
+    monkeypatch.setattr(hd, "classify_balanced",
+                        lambda g, w, among=None: classify_balanced(g, w))
+    ref = [_query_outcome(g, w, t) for g, w, t in queries]
+    assert ours == ref
+    raised = sum(len(o) == 3 for o in ours)
+    assert len(ours) > 100 and raised >= 3
+    assert sum(o[0]["m"] <= len(o[0]["ordering"]) for o in ours
+               if len(o) == 2) >= 20
+
+
+def test_hub_division_weighs_only_its_hubs(monkeypatch):
+    """Every mask that hub_division hands to classify_balanced is its hub
+    set; a hub-free member builds no far sides across certify."""
+    masks = []
+
+    def spy(g, w, among=None):
+        masks.append((g, among))
+        return classify_balanced(g, w, among)
+
+    monkeypatch.setattr(hd, "classify_balanced", spy)
+    for s in range(4):
+        certify(sample_cutset_free_member(16, 4, s), 4, "C_t_star")
+    assert any(among for _, among in masks)
+    assert all(among == hub_set(g, g.verts) for g, among in masks)
+
+    real_far = starsep.graph_core._far_sides
+    built = []
+
+    def counting(g):
+        built.append(g)
+        return real_far(g)
+
+    monkeypatch.setattr(starsep.graph_core, "_far_sides", counting)
+    masks.clear()
+    res = certify(cycle_graph(9), 4)
+    assert res.report["oracle_calls"] >= 3 and len(masks) >= 3
+    assert built == []
+    hub_division(w93_graph(), WeightFn.uniform(w93_graph()), 4)
+    assert len(built) == 1

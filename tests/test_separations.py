@@ -180,3 +180,52 @@ def test_classification_matches_reference():
                 assert s == Separation(*map(mask_of, ref), center=v)
                 checked += 1
     assert checked > 1000
+
+
+def _dyadic_float_weights(g, seed):
+    """Float weights in 64ths: float sums are exact, so they meet one
+    half exactly where the exact reference does."""
+    import random
+    rng = random.Random(seed)
+    counts = [0] * g.n
+    for _ in range(64):
+        counts[rng.choice(g.vertex_list())] += 1
+    return WeightFn(g.n, [c / 64 for c in counts])
+
+
+def test_classification_among_a_mask_is_the_full_one_restricted():
+    """Weighing only the vertices of a mask gives the full classification
+    restricted to that mask, balance still judged on the whole graph,
+    with exact and with float weights; a mask outside the graph raises."""
+    import random
+    from starsep.generators import sample_class
+    graphs = [sample_c4_diamond_free_no_clique_cutset(8 + seed % 5, seed)
+              for seed in range(8)]
+    graphs += [sample_class(8 + seed % 5, 4, seed).graph
+               for seed in range(8)]
+    floats = partial = 0
+    for seed, g in enumerate(graphs):
+        rng = random.Random(seed)
+        h = oracles.to_nx(g)
+        masks = [0, g.verts] + [mask_of(rng.sample(g.vertex_list(), k))
+                                for k in (1, 2, 4)]
+        for w in (*_reference_weightings(g, seed),
+                  _dyadic_float_weights(g, seed)):
+            floats += not w.exact
+            bal, unbal = classify_balanced(g, w)
+            ref_bal, ref_unbal = oracles.classify_balanced(
+                h, dict(enumerate(w.values)))
+            assert (bal, unbal) == (mask_of(ref_bal), mask_of(ref_unbal))
+            for among in masks:
+                got = classify_balanced(g, w, among)
+                assert got == (bal & among, unbal & among)
+                partial += 0 < among & bal and 0 < among & unbal
+    assert floats == len(graphs) and partial >= 10
+    g = graphs[0]
+    w = WeightFn.uniform(g)
+    for outside in (1 << g.n, -1, -2):
+        with pytest.raises(InputError):
+            classify_balanced(g, w, outside)
+    sub = g.induced(g.verts & ~1)
+    with pytest.raises(InputError):
+        classify_balanced(sub, WeightFn.uniform(sub), 1)

@@ -10,10 +10,12 @@ from starsep.errors import (CapacityError, HypothesisViolation, InputError,
 from starsep.generators import (complete_graph, sample_class,
                                 sample_cutset_free_member, theta_graph,
                                 w93_graph)
-from starsep.graph_core import Graph, WeightFn, mask_of, popcount
+from starsep.graph_core import (Graph, WeightFn, bit_list, bits, lowest_bit,
+                                mask_of, popcount)
 from starsep.separations import classify_balanced
-from starsep.treewidth import (TreeDecomposition, _contract_redundant,
-                               build_td, certify, exact_treewidth, validate_td)
+from starsep.treewidth import (TdValidation, TreeDecomposition,
+                               _contract_redundant, build_td, certify,
+                               exact_treewidth, validate_td)
 
 from . import oracles
 from .conftest import greedy_star_member, seeded_random_graphs
@@ -337,3 +339,118 @@ def test_validate_td_failures_on_malformed_decompositions_are_pinned():
     for g, td, want in _malformed_decompositions():
         res = validate_td(g, td)
         assert res.as_json() == {"passed": False, "failures": want}
+
+
+def reference_validate_td(g, td):
+    """validate_td as it was before it listed each vertex's nodes once:
+    every bag is scanned once per vertex and once per edge."""
+    failures = []
+    n_nodes = len(td.bags)
+    if n_nodes == 0:
+        if g.verts:
+            failures.append({"condition": "vertex_cover",
+                             "vertex": lowest_bit(g.verts)})
+        return TdValidation(not failures, tuple(failures))
+    nbrs = [[] for _ in range(n_nodes)]
+    for a, b in td.edges:
+        if 0 <= a < n_nodes and 0 <= b < n_nodes:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+    if len(td.edges) != n_nodes - 1 \
+            or len(_reference_reach(nbrs, 0, range(n_nodes))) != n_nodes:
+        failures.append({"condition": "tree_shape",
+                         "nodes": n_nodes, "edges": len(td.edges)})
+    covered = 0
+    for b in td.bags:
+        covered |= b
+    if covered & ~g.verts:
+        v = lowest_bit(covered & ~g.verts)
+        failures.append({"condition": "bag_vertices", "vertex": v,
+                         "node": next(i for i, b in enumerate(td.bags)
+                                      if (b >> v) & 1)})
+    if g.verts & ~covered:
+        failures.append({"condition": "vertex_cover",
+                         "vertex": bit_list(g.verts & ~covered)[0]})
+    for u, v in g.edges():
+        need = (1 << u) | (1 << v)
+        if not any((b & need) == need for b in td.bags):
+            failures.append({"condition": "edge_cover", "edge": [u, v]})
+            break
+    for v in bits(g.verts & covered):
+        node_set = {i for i, b in enumerate(td.bags) if (b >> v) & 1}
+        seen = _reference_reach(nbrs, min(node_set), node_set)
+        if seen != node_set:
+            failures.append({"condition": "connected_subtree", "vertex": v,
+                             "nodes": sorted(node_set - seen)})
+            break
+    return TdValidation(not failures, tuple(failures))
+
+
+def _reference_reach(nbrs, start, allowed):
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nx in nbrs[stack.pop()]:
+            if nx in allowed and nx not in seen:
+                seen.add(nx)
+                stack.append(nx)
+    return seen
+
+
+def _td_mutants(g, td, rng):
+    """Broken copies of a decomposition of g: a bag vertex dropped, a
+    tree edge dropped, an extra edge, a subtree moved to another node
+    (which can split a vertex's nodes), a vertex outside the graph added
+    to one or two bags, and the empty decomposition."""
+    bags, edges = list(td.bags), list(td.edges)
+    out = [TreeDecomposition((), ())]
+    for _ in range(4):
+        i = rng.randrange(len(bags))
+        if bags[i]:
+            v = rng.choice(bit_list(bags[i]))
+            out.append(TreeDecomposition(
+                tuple(bags[:i] + [bags[i] & ~(1 << v)] + bags[i + 1:]),
+                td.edges))
+        outside = 1 << rng.choice([g.n, g.n + 3] + bit_list(
+            ((1 << g.n) - 1) & ~g.verts))
+        k = rng.randrange(len(bags))
+        out.append(TreeDecomposition(
+            tuple(b | outside if j in (i, k) else b
+                  for j, b in enumerate(bags)), td.edges))
+        if edges:
+            j = rng.randrange(len(edges))
+            rest = edges[:j] + edges[j + 1:]
+            out.append(TreeDecomposition(td.bags, tuple(rest)))
+            a, b = edges[j]
+            c = rng.randrange(len(bags))
+            out.append(TreeDecomposition(td.bags, tuple(rest + [(b, c)])))
+        a, b = rng.randrange(len(bags)), rng.randrange(len(bags))
+        out.append(TreeDecomposition(td.bags, tuple(edges + [(a, b)])))
+    return out
+
+
+def test_validate_td_matches_the_scan_per_vertex():
+    """The one-pass check gives the failure list of the per-vertex scan,
+    condition by condition and witness by witness, on certified
+    decompositions and on broken copies of them."""
+    from .test_detectors import c5_chain
+    from starsep.generators import make
+    graphs = [sample_class(8 + s % 9, 4, s).graph for s in range(12)]
+    graphs += [sample_cutset_free_member(12 + s, 4, s) for s in range(4)]
+    graphs += [c5_chain(6), make("P40")]
+    graphs.append(graphs[0].induced(graphs[0].verts & ~0b101))
+    rng = random.Random(31)
+    seen = {}
+    for g in graphs:
+        res = certify(g, 4) if g.verts else None
+        td = res.td if res else TreeDecomposition((), ())
+        assert validate_td(g, td).as_json() == {"passed": True,
+                                                "failures": []}
+        for broken in _td_mutants(g, td, rng):
+            got = validate_td(g, broken).as_json()
+            assert got == reference_validate_td(g, broken).as_json()
+            for f in got["failures"]:
+                seen[f["condition"]] = seen.get(f["condition"], 0) + 1
+    assert set(seen) == {"tree_shape", "bag_vertices", "vertex_cover",
+                         "edge_cover", "connected_subtree"}
+    assert min(seen.values()) >= 5
