@@ -22,7 +22,7 @@ from .generators import make, sample_class
 from .graph_core import (Graph, WeightFn, bit_list, dumps_graph,
                          load_graph_file, to_graph6)
 from .hub_division import check_no_wheels_in_bag, hub_division
-from .separations import canonical_separation, classify_balanced, leq_a_order
+from .separations import leq_a_order
 from .separator_engine import main_separator, verify_certificate
 from .treewidth import TreeDecomposition, certify, exact_treewidth, validate_td
 
@@ -32,38 +32,46 @@ EXIT_NONMEMBER = 3
 EXIT_HYPOTHESIS = 4
 EXIT_CAPACITY = 5
 
+# Every failure a command reports: (error, exit code, JSON kind), worst
+# first; batch exits with the code of the first entry any of its rows
+# failed with.  NotAMember, an InputError, is caught before these and
+# exits 3 with its report.
+FAILURES = (
+    (HypothesisViolation, EXIT_HYPOTHESIS, "hypothesis_violation"),
+    (CapacityError, EXIT_CAPACITY, "capacity"),
+    (SamplingError, EXIT_INPUT, "sampling"),
+    (InputError, EXIT_INPUT, "input"),
+    (OSError, EXIT_INPUT, "io"),
+)
+_ERRORS = tuple(error for error, _, _ in FAILURES)
+
+
+def _failure(e: Exception):
+    return next(row for row in FAILURES if isinstance(e, row[0]))
+
+
 def _emit(obj) -> None:
     click.echo(json.dumps(obj, sort_keys=True, indent=2))
 
 
-def _fail(code: int, kind: str, message: str, witness=None) -> None:
-    payload = {"error": kind, "message": message}
-    if witness is not None:
-        payload["witness"] = witness
-    _emit(payload)
-    sys.exit(code)
+class _Guarded(click.Group):
+    """Runs every command's whole body under one guard, which turns each
+    failure into its JSON and exit code."""
 
-
-def _guard(fn):
-    try:
-        return fn()
-    except NotAMember as e:
-        _emit(e.report.as_json())
-        sys.exit(EXIT_NONMEMBER)
-    except InputError as e:
-        _fail(EXIT_INPUT, "input", str(e))
-    except CapacityError as e:
-        _fail(EXIT_CAPACITY, "capacity", str(e))
-    except SamplingError as e:
-        _fail(EXIT_INPUT, "sampling", str(e), e.stats)
-    except HypothesisViolation as e:
-        _fail(EXIT_HYPOTHESIS, "hypothesis_violation", str(e), e.witness)
-    except OSError as e:
-        _fail(EXIT_INPUT, "io", str(e))
-
-
-def _load(path: str):
-    return _guard(lambda: load_graph_file(path))
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except NotAMember as e:
+            _emit(e.report.as_json())
+            sys.exit(EXIT_NONMEMBER)
+        except _ERRORS as e:
+            _, code, kind = _failure(e)
+            payload = {"error": kind, "message": str(e)}
+            witness = getattr(e, "witness", getattr(e, "stats", None))
+            if witness is not None:
+                payload["witness"] = witness
+            _emit(payload)
+            sys.exit(code)
 
 
 def _weights(g: Graph, source: str) -> WeightFn:
@@ -77,71 +85,68 @@ def _weights(g: Graph, source: str) -> WeightFn:
     return WeightFn(g.n, values)
 
 
-@click.group()
+def _library_variant(ctx, param, value) -> str:
+    return "C_t_star" if value == "star" else value
+
+
+# Options shared by several commands, declared once.
+T = click.option("--t", "t", type=int, required=True)
+VARIANT = click.option("--variant", type=click.Choice(["C_t", "star"]),
+                       default="C_t", callback=_library_variant)
+WEIGHTS = click.option(
+    "--weights", default="uniform",
+    help="'uniform' or a JSON file with one weight per vertex")
+FILE = click.argument("file", type=click.Path(exists=True, dir_okay=False))
+
+
+@click.group(cls=_Guarded)
 def main() -> None:
     """Structural certificates for hole-and-wheel-restricted graphs."""
 
 
 @main.command()
-@click.option("--t", "t", type=int, required=True)
-@click.option("--variant", type=click.Choice(["C_t", "star"]), default="C_t")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@T
+@VARIANT
+@FILE
 def recognize(t, variant, file):
     """Class membership with a first-obstruction witness."""
-    g, _ = _load(file)
-    var = "C_t_star" if variant == "star" else "C_t"
-    report = _guard(lambda: class_membership(g, t, var))
+    g, _ = load_graph_file(file)
+    report = class_membership(g, t, variant)
     _emit(report.as_json())
     sys.exit(EXIT_OK if report.member else EXIT_NONMEMBER)
 
 
 @main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@FILE
 def atoms(file):
     """Clique-cutset atom decomposition."""
-    g, _ = _load(file)
-    _emit(_guard(lambda: clique_cutset_atoms(g)).as_json())
+    g, _ = load_graph_file(file)
+    _emit(clique_cutset_atoms(g).as_json())
 
 
 @main.command()
-@click.option("--weights", default="uniform",
-              help="'uniform' or a JSON file with one weight per vertex")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@WEIGHTS
+@FILE
 def separations(weights, file):
     """Unbalanced vertices, canonical separations, and the A-side order."""
-    g, _ = _load(file)
-
-    def run():
-        w = _weights(g, weights)
-        _, unbal = classify_balanced(g, w)
-        digest = leq_a_order(g, w)
-        return {
-            "U": bit_list(unbal),
-            "canonical_separations": {
-                str(v): canonical_separation(g, w, v).as_json()
-                for v in bit_list(unbal)},
-            "order": digest.as_json(),
-        }
-
-    _emit(_guard(run))
+    g, _ = load_graph_file(file)
+    digest = leq_a_order(g, _weights(g, weights))
+    _emit({"U": bit_list(digest.unbalanced),
+           "canonical_separations": {str(v): s.as_json()
+                                     for v, s in digest.separations.items()},
+           "order": digest.as_json()})
 
 
 @main.command()
-@click.option("--t", "t", type=int, required=True)
-@click.option("--weights", default="uniform")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@T
+@WEIGHTS
+@FILE
 def hubdiv(t, weights, file):
     """Hub division, central bag, and the wheel-freeness check report."""
-    g, _ = _load(file)
-
-    def run():
-        w = _weights(g, weights)
-        div = hub_division(g, w, t)
-        report = check_no_wheels_in_bag(g, div)
-        return {"division": div.as_json(),
-                "no_wheels_in_bag": report.as_json()}
-
-    _emit(_guard(run))
+    g, _ = load_graph_file(file)
+    div = hub_division(g, _weights(g, weights), t)
+    report = check_no_wheels_in_bag(g, div)
+    _emit({"division": div.as_json(), "no_wheels_in_bag": report.as_json()})
 
 
 def _parse_balance(text: str):
@@ -156,46 +161,40 @@ def _parse_balance(text: str):
 
 
 @main.command()
-@click.option("--t", "t", type=int, required=True)
-@click.option("--weights", default="uniform")
+@T
+@WEIGHTS
 @click.option("--balance", default="1/2",
               help="balance constant c in [1/2, 1)")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@FILE
 def separator(t, weights, balance, file):
     """Balanced separator certificate from the full pipeline."""
-    g, _ = _load(file)
-
-    def run():
-        c = _parse_balance(balance)
-        w = _weights(g, weights)
-        cert = main_separator(g, w, t, c=c)
-        if not verify_certificate(g, w, cert):
-            raise HypothesisViolation(
-                "separator certificate failed its balance re-check",
-                witness={"separator": bit_list(cert.separator)})
-        return cert.as_json()
-
-    _emit(_guard(run))
+    g, _ = load_graph_file(file)
+    c = _parse_balance(balance)
+    w = _weights(g, weights)
+    cert = main_separator(g, w, t, c=c)
+    if not verify_certificate(g, w, cert):
+        raise HypothesisViolation(
+            "separator certificate failed its balance re-check",
+            witness={"separator": bit_list(cert.separator)})
+    _emit(cert.as_json())
 
 
 @main.command()
-@click.option("--t", "t", type=int, required=True)
-@click.option("--variant", type=click.Choice(["C_t", "star"]), default="C_t")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@T
+@VARIANT
+@FILE
 def decompose(t, variant, file):
     """Certified tree decomposition (atoms glued along cutset bags)."""
-    g, _ = _load(file)
-    var = "C_t_star" if variant == "star" else "C_t"
-    _emit(_guard(lambda: certify(g, t, var)).as_json())
+    g, _ = load_graph_file(file)
+    _emit(certify(g, t, variant).as_json())
 
 
 @main.command(name="exact-tw")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@FILE
 def exact_tw(file):
     """Exact treewidth (desk-scale cap applies)."""
-    g, _ = _load(file)
-    tw = _guard(lambda: exact_treewidth(g))
-    _emit({"treewidth": tw})
+    g, _ = load_graph_file(file)
+    _emit({"treewidth": exact_treewidth(g)})
 
 
 @main.command(name="verify-cert")
@@ -203,22 +202,17 @@ def exact_tw(file):
 @click.argument("td_file", type=click.Path(exists=True, dir_okay=False))
 def verify_cert(graph_file, td_file):
     """Independently re-validate a decomposition against a graph."""
-    g, _ = _load(graph_file)
-
-    def run():
-        with open(td_file) as fh:
-            try:
-                obj = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as e:
-                raise InputError(f"bad decomposition file {td_file}: {e}")
-        if not isinstance(obj, dict):
-            raise InputError(f"decomposition file {td_file} must hold a "
-                             "JSON object")
-        td = TreeDecomposition.from_json(obj.get("decomposition", obj),
-                                         g.n)
-        return validate_td(g, td), td
-
-    validation, td = _guard(run)
+    g, _ = load_graph_file(graph_file)
+    with open(td_file) as fh:
+        try:
+            obj = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise InputError(f"bad decomposition file {td_file}: {e}")
+    if not isinstance(obj, dict):
+        raise InputError(f"decomposition file {td_file} must hold a "
+                         "JSON object")
+    td = TreeDecomposition.from_json(obj.get("decomposition", obj), g.n)
+    validation = validate_td(g, td)
     _emit({"validation": validation.as_json(), "width": td.width})
     if not validation.passed:
         sys.exit(EXIT_HYPOTHESIS)
@@ -230,19 +224,16 @@ def verify_cert(graph_file, td_file):
 @click.option("--n", "n", type=int, default=12)
 @click.option("--t", "t", type=int, default=4)
 @click.option("--seed", type=int, default=0)
-@click.option("--variant", type=click.Choice(["C_t", "star"]), default="C_t")
+@VARIANT
 @click.option("--g6", is_flag=True, help="emit graph6 instead of JSON")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def gen(kind, n, t, seed, variant, g6, out):
     """Write a named witness graph or a seeded random class member."""
-    def run():
-        if kind == "random":
-            var = "C_t_star" if variant == "star" else "C_t"
-            res = sample_class(n, t, seed, var)
-            return res.graph, res.stats
-        return make(kind), None
-
-    g, stats = _guard(run)
+    if kind == "random":
+        res = sample_class(n, t, seed, variant)
+        g, stats = res.graph, res.stats
+    else:
+        g, stats = make(kind), None
     text = to_graph6(g) if g6 else dumps_graph(g)
     if out:
         Path(out).write_text(text + "\n")
@@ -256,8 +247,8 @@ def gen(kind, n, t, seed, variant, g6, out):
 
 
 @main.command()
-@click.option("--t", "t", type=int, required=True)
-@click.option("--variant", type=click.Choice(["C_t", "star"]), default="C_t")
+@T
+@VARIANT
 @click.option("--jobs", type=int, default=1)
 @click.argument("directory", type=click.Path(exists=True, file_okay=False))
 def batch(t, variant, jobs, directory):
@@ -266,26 +257,24 @@ def batch(t, variant, jobs, directory):
 
     Rows with an error set the exit code: 4 if any is a hypothesis
     violation, else 5 if any is a capacity error, else 2."""
-    var = "C_t_star" if variant == "star" else "C_t"
     paths = sorted(str(p) for p in Path(directory).iterdir()
                    if p.suffix in (".json", ".g6", ".graph6", ".col"))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_batch_row, [(p, t, var) for p in paths]))
+            rows = list(pool.map(_batch_row,
+                                 [(p, t, variant) for p in paths]))
     else:
-        rows = [_batch_row((p, t, var)) for p in paths]
-    summary = {"t": t, "variant": var, "instances": rows}
-    _emit(summary)
-    errors = {r.get("error") for r in rows}
-    for error, code in (("HypothesisViolation", EXIT_HYPOTHESIS),
-                        ("CapacityError", EXIT_CAPACITY),
-                        ("InputError", EXIT_INPUT)):
-        if error in errors:
+        rows = [_batch_row((p, t, variant)) for p in paths]
+    _emit({"t": t, "variant": variant, "instances": rows})
+    failed = {r.get("error") for r in rows}
+    for error, code, _ in FAILURES:
+        if error.__name__ in failed:
             sys.exit(code)
 
 
 def _batch_row(args):
+    """One summary row; a failure is named by its class in FAILURES."""
     path, t, var = args
     name = Path(path).name
     try:
@@ -311,8 +300,8 @@ def _batch_row(args):
             },
         })
         return row
-    except (InputError, CapacityError, HypothesisViolation) as e:
-        return {"instance": name, "error": type(e).__name__,
+    except _ERRORS as e:
+        return {"instance": name, "error": _failure(e)[0].__name__,
                 "message": str(e)}
 
 

@@ -64,8 +64,7 @@ class WheelKind(Enum):
 # hole enumeration
 
 
-def holes(g: Graph, within: int | None = None,
-          max_len: int | None = None) -> Iterator[tuple[int, ...]]:
+def holes(g: Graph, within: int | None = None) -> Iterator[tuple[int, ...]]:
     """Enumerate holes (induced cycles of length >= 4) inside a mask.
 
     Holes come out in increasing length; within one length, canonical
@@ -77,8 +76,7 @@ def holes(g: Graph, within: int | None = None,
     """
     x = g.verts if within is None else within
     g.check_vertex_set(x)
-    n_active = popcount(x)
-    top = n_active if max_len is None else min(max_len, n_active)
+    top = popcount(x)
     adj = g.adj
     by_len: list[list[tuple[int, ...]]] = [[] for _ in range(top + 1)]
     for v0 in bits(x):
@@ -165,7 +163,7 @@ def detect_fixed(g: Graph, kind: str, t: int = 4) -> Optional[tuple[int, ...]]:
         return _find_c4(g)
     if kind == "diamond":
         return _find_diamond(g)
-    if kind in ("K_t", "K"):
+    if kind == "K_t":
         if t < 3:
             raise InputError("clique detection needs t >= 3")
         return next(cliques(g, t), None)
@@ -485,12 +483,11 @@ def _spoked(g: Graph, x: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
                 yield hole, hole_mask, v
 
 
-def classify_wheels(g: Graph, within: int | None = None) -> list[WheelWitness]:
+def classify_wheels(g: Graph) -> list[WheelWitness]:
     """One witness per (center, kind); holes are scanned in increasing
     length, so each witness uses the earliest qualifying hole."""
-    x = g.verts if within is None else within
     seen: dict[tuple[int, str], WheelWitness] = {}
-    for hole, _, v in _spoked(g, x):
+    for hole, _, v in _spoked(g, g.verts):
         w = make_wheel_witness(g, hole, v)
         for kind in w.kinds():
             seen.setdefault((v, kind), w)
@@ -567,9 +564,9 @@ def class_membership(g: Graph, t: int, variant: str = "C_t") -> ObstructionRepor
     whole-graph search would meet first is returned."""
     if t < 4:
         raise InputError("class membership needs t >= 4")
-    if variant not in ("C_t", "C_t_star", "star"):
+    if variant not in ("C_t", "C_t_star"):
         raise InputError(f"unknown variant {variant!r}")
-    star = variant != "C_t"
+    star = variant == "C_t_star"
     for kind in _KIND_ORDER[:3]:
         found = detect_fixed(g, kind, t)
         if found is not None:

@@ -23,7 +23,8 @@ class NotAMember(InputError):
 
 
 class CapacityError(StarsepError):
-    """Instance exceeds a desk-scale cap (see STARSEP_MAX_N)."""
+    """Instance exceeds a desk-scale cap: the exact oracle's vertex cap
+    (treewidth.EXACT_TW_CAP) or the graph6 size limit."""
 
 
 class HypothesisViolation(StarsepError):

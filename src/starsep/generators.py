@@ -17,7 +17,7 @@ from .detectors import (class_membership, detect_fixed, detect_prism,
                         detect_pyramid, detect_theta, hub_set,
                         ObstructionReport)
 from .errors import InputError, SamplingError
-from .graph_core import Graph, bit_list, components, env_cap
+from .graph_core import Graph, bit_list, components
 
 SAMPLE_CAP = 32
 
@@ -53,6 +53,19 @@ def bowtie_graph() -> Graph:
     return Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 
 
+def _three_paths(edges, starts, ends, lens, first) -> int:
+    """Lay one path of each length from starts[i] to ends[i], numbering
+    the inner vertices from `first` on; returns the next free id."""
+    for start, end, l in zip(starts, ends, lens):
+        prev = start
+        for _ in range(l - 1):
+            edges.append((prev, first))
+            prev = first
+            first += 1
+        edges.append((prev, end))
+    return first
+
+
 def theta_graph(l1: int, l2: int, l3: int) -> Graph:
     """Branch vertices 0 (a) and 1 (b) joined by paths of the given
     lengths, each at least two."""
@@ -60,15 +73,8 @@ def theta_graph(l1: int, l2: int, l3: int) -> Graph:
     if any(l < 2 for l in lens):
         raise InputError("theta paths must have length at least two")
     edges = []
-    nxt = 2
-    for l in lens:
-        prev = 0
-        for _ in range(l - 1):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        edges.append((prev, 1))
-    g = Graph(nxt, edges)
+    n = _three_paths(edges, (0, 0, 0), (1, 1, 1), lens, 2)
+    g = Graph(n, edges)
     assert detect_theta(g) is not None
     return g
 
@@ -82,16 +88,8 @@ def pyramid_graph(l1: int, l2: int, l3: int) -> Graph:
     if sum(1 for l in lens if l >= 2) < 2:
         raise InputError("at least two pyramid legs must have length >= 2")
     edges = [(1, 2), (1, 3), (2, 3)]
-    nxt = 4
-    for i, l in enumerate(lens):
-        base = 1 + i
-        prev = 0
-        for _ in range(l - 1):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        edges.append((prev, base))
-    g = Graph(nxt, edges)
+    n = _three_paths(edges, (0, 0, 0), (1, 2, 3), lens, 4)
+    g = Graph(n, edges)
     assert detect_pyramid(g) is not None
     return g
 
@@ -102,15 +100,8 @@ def prism_graph(l1: int, l2: int, l3: int) -> Graph:
     if any(l < 1 for l in lens):
         raise InputError("prism paths must have length at least one")
     edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
-    nxt = 6
-    for i, l in enumerate(lens):
-        prev = i
-        for _ in range(l - 1):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        edges.append((prev, 3 + i))
-    g = Graph(nxt, edges)
+    n = _three_paths(edges, (0, 1, 2), (3, 4, 5), lens, 6)
+    g = Graph(n, edges)
     assert detect_prism(g) is not None
     return g
 
@@ -224,9 +215,8 @@ def sample_class(n: int, t: int, seed: int, variant: str = "C_t",
     """Seeded member of the target class: sparse random graphs repaired by
     isolating one endpoint of each obstruction found, with rejection on
     budget exhaustion."""
-    cap = env_cap("STARSEP_MAX_N", SAMPLE_CAP)
-    if not 1 <= n <= cap:
-        raise InputError(f"sample_class supports 1 <= n <= {cap}")
+    if not 1 <= n <= SAMPLE_CAP:
+        raise InputError(f"sample_class supports 1 <= n <= {SAMPLE_CAP}")
     prob = p if p is not None else min(1.0, 2.5 / max(1, n - 1))
     budget = max_repairs if max_repairs is not None else 4 * n + 20
     rng = random.Random(seed)
@@ -247,12 +237,10 @@ def sample_class(n: int, t: int, seed: int, variant: str = "C_t",
         stats={"attempts": attempts, "repairs": repairs})
 
 
-def sample_theta_triangle_wheel_free(n: int, seed: int,
-                                     p: float | None = None) -> Graph:
+def sample_theta_triangle_wheel_free(n: int, seed: int) -> Graph:
     """Random (theta, triangle, wheel)-free graph by isolation repair."""
     rng = random.Random(seed)
-    prob = p if p is not None else min(1.0, 2.5 / max(1, n - 1))
-    g = random_graph(n, prob, rng)
+    g = random_graph(n, min(1.0, 2.5 / max(1, n - 1)), rng)
     for _ in range(8 * n + 40):
         bad = detect_fixed(g, "K_t", 3)
         if bad is None:

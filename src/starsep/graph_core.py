@@ -16,7 +16,6 @@ race to fill one store the same value.
 from __future__ import annotations
 
 import json
-import os
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -26,18 +25,6 @@ from typing import Iterable, Iterator, Sequence
 from .errors import CapacityError, InputError
 
 FLOAT_TOL = 1e-9
-
-
-def env_cap(name: str, default: int) -> int:
-    """Desk-scale cap, overridable through STARSEP_MAX_N (unsupported
-    beyond the defaults; documented for experiments only)."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"{name} must be an integer, got {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +198,15 @@ class Graph:
         return f"Graph(n={self.n}, verts={self.vertex_list()}, edges={self.edges()})"
 
 
-def neighborhood(g: Graph, x: int, closed: bool = False) -> int:
-    """Open (vertices outside x with a neighbor in x) or closed (that set
-    united with x) neighborhood of a vertex set."""
+def neighborhood(g: Graph, x: int) -> int:
+    """Open neighborhood of a vertex set: the vertices outside x with a
+    neighbor in x."""
     g.check_vertex_set(x)
     m = 0
     for v in bits(x):
         m |= g.adj[v]
     m &= g.verts
-    return (m | x) if closed else (m & ~x)
+    return m & ~x
 
 
 def components(g: Graph, x: int) -> list[int]:

@@ -40,7 +40,7 @@ class DegeneracyPartition:
                 "within_log_bound": self.within_log_bound}
 
 
-def degeneracy_partition(g: Graph, hubs: int | None = None) -> DegeneracyPartition:
+def degeneracy_partition(g: Graph, hubs: int) -> DegeneracyPartition:
     """Partition the hub set into independent sets by repeatedly taking a
     maximal independent set among the low-degree vertices (degree at most
     twice the degeneracy) of what remains.
@@ -48,8 +48,6 @@ def degeneracy_partition(g: Graph, hubs: int | None = None) -> DegeneracyPartiti
     The number of parts is checked against ceil(log2) of the hub count
     and reported, never enforced.
     """
-    if hubs is None:
-        hubs = hub_set(g, g.verts)
     g.check_vertex_set(hubs)
     if not hubs:
         return DegeneracyPartition((), 0, 0, True)

@@ -18,7 +18,7 @@ weights are summed, and the separators found, grown, lifted and checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb
 from typing import NamedTuple
 
@@ -222,7 +222,6 @@ class SeparatorCertificate:
     Every ledger entry is recomputed from the data it mentions; consumers
     can re-verify with verify_certificate instead of trusting the flags.
     """
-    host_n: int
     region: int                 # vertex mask the balance statement is about
     separator: int
     balance: object             # the constant c
@@ -311,7 +310,7 @@ def balanced_vertex_separator(g: Graph, beta: int, w_bag: WeightFn, v: int,
             "aux": aux.as_json(), "aux_separator": bit_list(x),
             "omega_beta": omega}
     return SeparatorCertificate(
-        host_n=g.n, region=beta, separator=y, balance=c,
+        region=beta, separator=y, balance=c,
         component_weights=_component_weights(g, w_bag, beta, y),
         ledger=entries, provenance=prov)
 
@@ -334,7 +333,7 @@ def wheelfree_separator(g: Graph, beta: int, w_bag: WeightFn, budget: int,
             witness={"budget": budget, "beta": bit_list(beta)})
     entries = (_entry("wheelfree_separator_size", popcount(found), budget),)
     return SeparatorCertificate(
-        host_n=g.n, region=beta, separator=found, balance=c,
+        region=beta, separator=found, balance=c,
         component_weights=_component_weights(g, w_bag, beta, found),
         ledger=entries,
         provenance={"branch": "wheel_free", "budget": budget})
@@ -361,10 +360,7 @@ def central_bag_separator(g: Graph, div: HubDivision,
     prov.update({"m": div.m, "k": div.k,
                  "M": bit_list(div.minimal_set),
                  "instance_bound": bound})
-    return SeparatorCertificate(
-        host_n=cert.host_n, region=cert.region, separator=cert.separator,
-        balance=cert.balance, component_weights=cert.component_weights,
-        ledger=entries, provenance=prov)
+    return replace(cert, ledger=entries, provenance=prov)
 
 
 def main_separator(g: Graph, w: WeightFn, t: int,
@@ -407,6 +403,6 @@ def main_separator(g: Graph, w: WeightFn, t: int,
                  "back_degree": div.partition.back_degree,
                  "t": t})
     return SeparatorCertificate(
-        host_n=g.n, region=g.verts, separator=y, balance=c,
+        region=g.verts, separator=y, balance=c,
         component_weights=_component_weights(g, w, g.verts, y),
         ledger=tuple(entries), provenance=prov)

@@ -21,7 +21,7 @@ from .detectors import class_membership
 from .errors import (CapacityError, HypothesisViolation, InputError,
                      NotAMember)
 from .graph_core import (Graph, WeightFn, bit_list, bits, components,
-                         degeneracy, env_cap, lowest_bit, mask_of,
+                         degeneracy, lowest_bit, mask_of,
                          neighborhood, popcount)
 
 EXACT_TW_CAP = 14
@@ -31,7 +31,7 @@ EXACT_TW_CAP = 14
 # exact treewidth
 
 
-def exact_treewidth(g: Graph, cap: int | None = None) -> int:
+def exact_treewidth(g: Graph, cap: int = EXACT_TW_CAP) -> int:
     """Exact treewidth by memoized elimination-order search.
 
     Width k is feasible iff the vertices can be eliminated (making each
@@ -40,8 +40,6 @@ def exact_treewidth(g: Graph, cap: int | None = None) -> int:
     vertices without branching; the rest branches with memoization on the
     remaining vertex set, which determines the filled graph.
     """
-    if cap is None:
-        cap = env_cap("STARSEP_MAX_N", EXACT_TW_CAP)
     verts = g.vertex_list()
     n = len(verts)
     if n > cap:
@@ -379,7 +377,7 @@ def certify(g: Graph, t: int, variant: str = "C_t") -> CertifyResult:
     measured_bound = (4 * t + 2 * back) * max(budget, 6 * omega + back)
     composed_shape = (4 * t + 2 * back) * max(budget, 6 * t + back)
     exact = None
-    if popcount(g.verts) <= env_cap("STARSEP_MAX_N", EXACT_TW_CAP):
+    if popcount(g.verts) <= EXACT_TW_CAP:
         exact = exact_treewidth(g)
     report = {
         "n": popcount(g.verts),

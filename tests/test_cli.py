@@ -159,6 +159,15 @@ def test_gen_named_and_random(runner, tmp_path):
     assert res3.output == res2.output  # reproducible
 
 
+def test_gen_unwritable_out_exits_2(runner, tmp_path):
+    """Writing --out runs under the guard like every other failure."""
+    out = str(tmp_path / "missing" / "g.json")
+    res = runner.invoke(main, ["gen", "--kind", "C5", "--out", out])
+    assert res.exit_code == 2
+    obj = _json_out(res)
+    assert obj["error"] == "io" and out in obj["message"]
+
+
 def test_gen_graph6(runner):
     res = runner.invoke(main, ["gen", "--kind", "C6", "--g6"])
     assert res.exit_code == 0
@@ -283,6 +292,43 @@ def test_batch_exit_code_follows_worst_error(runner, tmp_path, monkeypatch,
     assert [r["error"] for r in rows] == list(raised) + ["InputError"]
 
 
+@pytest.mark.parametrize("error,code,kind", starsep.cli.FAILURES)
+def test_every_command_failure_follows_the_table(runner, w93_file,
+                                                 monkeypatch, error, code,
+                                                 kind):
+    def failing(*args, **kwargs):
+        raise error("forced")
+
+    monkeypatch.setattr(starsep.cli, "certify", failing)
+    res = runner.invoke(main, ["decompose", "--t", "4", w93_file])
+    assert res.exit_code == code
+    out = _json_out(res)
+    assert (out["error"], out["message"]) == (kind, "forced")
+
+
+@pytest.mark.parametrize("error,name", [
+    (FileNotFoundError, "OSError"),
+    (starsep.errors.SamplingError, "SamplingError"),
+])
+def test_batch_rows_name_failures_by_their_table_entry(runner, tmp_path,
+                                                      monkeypatch, error,
+                                                      name):
+    """A failing instance is a row naming its entry in the failure table,
+    and the batch goes on."""
+    d = tmp_path / "graphs"
+    d.mkdir()
+    (d / "a.json").write_text(dumps_graph(make("W93")))
+
+    def failing(*args, **kwargs):
+        raise error("forced")
+
+    monkeypatch.setattr(starsep.cli, "certify", failing)
+    res = runner.invoke(main, ["batch", "--t", "4", str(d)])
+    assert res.exit_code == 2
+    assert _json_out(res)["instances"] == [
+        {"instance": "a.json", "error": name, "message": "forced"}]
+
+
 @pytest.mark.parametrize("balance", ["abc", "nan", "inf", "-inf", "1e400",
                                      "1/0", "1/3", "1"])
 def test_separator_bad_balance_exits_2(runner, w93_file, balance):
@@ -303,6 +349,18 @@ def test_separator_bad_balance_exits_2(runner, w93_file, balance):
 def test_valid_balance_and_hubdiv_output_pinned(runner, w93_file, args,
                                                 digest):
     res = runner.invoke(main, args + [w93_file])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("W93", "62dd7a2673d1f6261a6cb418be26e64c47f95170d499247a12af5ffa39400011"),
+    ("P9", "1a9017855a816bc7813116c2b8852c327a0d4d4060628ee5c072eec3b65d9a56"),
+])
+def test_separations_output_pinned(runner, tmp_path, name, digest):
+    p = tmp_path / f"{name}.json"
+    p.write_text(dumps_graph(make(name)))
+    res = runner.invoke(main, ["separations", str(p)])
     assert res.exit_code == 0
     assert hashlib.sha256(res.output.encode()).hexdigest() == digest
 

@@ -1,12 +1,18 @@
+import hashlib
+import json
+from itertools import product
+
 import pytest
 
 from starsep.cutsets import find_clique_cutset
 from starsep.detectors import (class_membership, detect_fixed, detect_prism,
                                detect_pyramid, detect_theta, hub_set)
 from starsep.errors import InputError, SamplingError
-from starsep.generators import (make, sample_c4_diamond_free_no_clique_cutset,
+from starsep.generators import (make, prism_graph, pyramid_graph,
+                                sample_c4_diamond_free_no_clique_cutset,
                                 sample_class, sample_cutset_free_member,
-                                sample_theta_triangle_wheel_free)
+                                sample_theta_triangle_wheel_free,
+                                theta_graph)
 
 
 
@@ -25,6 +31,23 @@ def test_make_named_graphs():
     assert make("bowtie").num_vertices() == 5
     pyr = make("PYRAMID(2,2,2)")
     assert detect_pyramid(pyr) is not None
+
+
+def test_three_path_builders_are_pinned():
+    """Vertex count and edge list (or the error) of every theta, pyramid
+    and prism with legs of length up to four, pinned as one digest."""
+    rows = []
+    for build, low in ((theta_graph, 2), (pyramid_graph, 1),
+                       (prism_graph, 1)):
+        for lens in product(range(low, 5), repeat=3):
+            try:
+                g = build(*lens)
+                rows.append([build.__name__, lens, g.n, g.edges()])
+            except InputError as e:
+                rows.append([build.__name__, lens, str(e)])
+    assert len(rows) == 155
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
+        "8ab9c06aad9ebe04de350dd8fa501f4c5a4c517bd98d15bbed56d93e93c3a592"
 
 
 def test_make_rejects_bad_parameters():

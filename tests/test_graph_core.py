@@ -31,9 +31,8 @@ def test_simple_graph_invariants():
         Graph(3, [(0, 5)])
 
 
-def test_neighborhood_examples(p9, c6, w93):
+def test_neighborhood_examples(p9, w93):
     assert neighborhood(p9, 1 << 4) == mask_of([3, 5])
-    assert neighborhood(c6, 1 << 0, closed=True) == mask_of([5, 0, 1])
     assert neighborhood(w93, 1 << 9) == mask_of([0, 3, 6])
     with pytest.raises(InputError):
         neighborhood(p9, 1 << 12)

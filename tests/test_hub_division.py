@@ -23,9 +23,9 @@ hd = importlib.import_module("starsep.hub_division")
 
 
 def test_degeneracy_partition_trivial(p9, w93):
-    empty = degeneracy_partition(p9)
+    empty = degeneracy_partition(p9, hub_set(p9, p9.verts))
     assert empty.parts == () and empty.delta == 0 and empty.back_degree == 0
-    one = degeneracy_partition(w93)
+    one = degeneracy_partition(w93, hub_set(w93, w93.verts))
     assert one.parts == (1 << 9,) and one.delta == 0 and one.back_degree == 0
 
 

@@ -1,7 +1,7 @@
 import importlib
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -14,7 +14,8 @@ from starsep.generators import (complete_graph, cycle_graph, pyramid_graph,
 from starsep.graph_core import Graph, WeightFn, bit_list, mask_of
 from starsep.hub_division import hub_division
 from starsep.separations import HALF
-from starsep.separator_engine import (_aux_balanced_separator,
+from starsep.separator_engine import (SeparatorCertificate,
+                                      _aux_balanced_separator,
                                       _certify_aux, aux_graph,
                                       balanced_vertex_separator,
                                       central_bag_separator, main_separator,
@@ -26,6 +27,14 @@ from starsep.treewidth import certify, exact_treewidth
 from . import oracles
 from .conftest import (greedy_star_member, seeded_random_graphs,
                        star_member_with_pyramids)
+
+
+def test_certificate_json_reports_every_field(w93):
+    """Each field of a separator certificate is in its JSON: none is kept
+    that nothing reads (the host size is gone)."""
+    cert = main_separator(w93, WeightFn.uniform(w93), 4)
+    names = {f.name for f in fields(SeparatorCertificate)}
+    assert "host_n" not in names and set(cert.as_json()) == names
 
 
 def test_ramsey_budgets():

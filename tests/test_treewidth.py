@@ -7,7 +7,7 @@ import starsep.detectors
 import starsep.graph_core
 from starsep.errors import (CapacityError, HypothesisViolation, InputError,
                             NotAMember)
-from starsep.generators import (complete_graph, sample_class,
+from starsep.generators import (complete_graph, cycle_graph, sample_class,
                                 sample_cutset_free_member, theta_graph,
                                 w93_graph)
 from starsep.graph_core import (Graph, WeightFn, bit_list, bits, lowest_bit,
@@ -34,6 +34,17 @@ def test_exact_treewidth_basics(p9, c6):
 def test_exact_treewidth_cap():
     with pytest.raises(CapacityError):
         exact_treewidth(complete_graph(15))
+
+
+def test_caps_ignore_the_environment(monkeypatch):
+    """The exact-oracle and sampler caps are constants: no environment
+    variable moves either one."""
+    monkeypatch.setenv("STARSEP_MAX_N", "40")
+    with pytest.raises(CapacityError):
+        exact_treewidth(complete_graph(15))
+    with pytest.raises(InputError):
+        sample_class(33, 4, 0)
+    assert certify(cycle_graph(15), 4).report["exact_treewidth"] is None
 
 
 def test_exact_treewidth_vs_bruteforce():
