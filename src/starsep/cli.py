@@ -35,12 +35,15 @@ EXIT_CAPACITY = 5
 # Every failure a command reports: (error, exit code, JSON kind), worst
 # first; batch exits with the code of the first entry any of its rows
 # failed with.  NotAMember, an InputError, is caught before these and
-# exits 3 with its report.
+# exits 3 with its report.  A click.UsageError is a bad command line
+# (an unknown option value, a missing option), caught once the command
+# is known.
 FAILURES = (
     (HypothesisViolation, EXIT_HYPOTHESIS, "hypothesis_violation"),
     (CapacityError, EXIT_CAPACITY, "capacity"),
     (SamplingError, EXIT_INPUT, "sampling"),
     (InputError, EXIT_INPUT, "input"),
+    (click.UsageError, EXIT_INPUT, "input"),
     (OSError, EXIT_INPUT, "io"),
 )
 _ERRORS = tuple(error for error, _, _ in FAILURES)
@@ -66,7 +69,9 @@ class _Guarded(click.Group):
             sys.exit(EXIT_NONMEMBER)
         except _ERRORS as e:
             _, code, kind = _failure(e)
-            payload = {"error": kind, "message": str(e)}
+            message = (e.format_message()
+                       if isinstance(e, click.UsageError) else str(e))
+            payload = {"error": kind, "message": message}
             witness = getattr(e, "witness", getattr(e, "stats", None))
             if witness is not None:
                 payload["witness"] = witness
@@ -96,7 +101,7 @@ VARIANT = click.option("--variant", type=click.Choice(["C_t", "star"]),
 WEIGHTS = click.option(
     "--weights", default="uniform",
     help="'uniform' or a JSON file with one weight per vertex")
-FILE = click.argument("file", type=click.Path(exists=True, dir_okay=False))
+FILE = click.argument("file", type=click.Path(dir_okay=False))
 
 
 @click.group(cls=_Guarded)
@@ -198,8 +203,8 @@ def exact_tw(file):
 
 
 @main.command(name="verify-cert")
-@click.argument("graph_file", type=click.Path(exists=True, dir_okay=False))
-@click.argument("td_file", type=click.Path(exists=True, dir_okay=False))
+@click.argument("graph_file", type=click.Path(dir_okay=False))
+@click.argument("td_file", type=click.Path(dir_okay=False))
 def verify_cert(graph_file, td_file):
     """Independently re-validate a decomposition against a graph."""
     g, _ = load_graph_file(graph_file)
@@ -211,6 +216,9 @@ def verify_cert(graph_file, td_file):
     if not isinstance(obj, dict):
         raise InputError(f"decomposition file {td_file} must hold a "
                          "JSON object")
+    if obj.get("member") is False:
+        raise InputError(f"{td_file} holds an obstruction report, not a "
+                         "decomposition")
     td = TreeDecomposition.from_json(obj.get("decomposition", obj), g.n)
     validation = validate_td(g, td)
     _emit({"validation": validation.as_json(), "width": td.width})
@@ -250,7 +258,7 @@ def gen(kind, n, t, seed, variant, g6, out):
 @T
 @VARIANT
 @click.option("--jobs", type=int, default=1)
-@click.argument("directory", type=click.Path(exists=True, file_okay=False))
+@click.argument("directory", type=click.Path(file_okay=False))
 def batch(t, variant, jobs, directory):
     """Run the certification pipeline over every graph file in a
     directory and aggregate a summary table.

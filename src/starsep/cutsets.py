@@ -31,7 +31,7 @@ def find_clique_cutset(g: Graph, within: int) -> int | None:
     disconnects the subgraph induced on `within`; None if there is none.
     The empty clique counts when the subgraph is disconnected.  Sizes 0
     and 1 come from one depth-first search; larger cliques are tried only
-    on 2-connected subgraphs of at least four vertices."""
+    on 2-connected subgraphs."""
     g.check_vertex_set(within)
     if popcount(within) <= 1:
         return None
@@ -40,23 +40,30 @@ def find_clique_cutset(g: Graph, within: int) -> int | None:
 
 def _least_cutset(g, within, cut_vertices, connected):
     """find_clique_cutset on two or more vertices whose cut vertices (the
-    mask `cut_vertices`) and connectivity are known."""
+    mask `cut_vertices`) and connectivity are known.
+
+    On a 2-connected region, a clique of size k is tried only when each
+    of its vertices has more than k neighbors in the region: a least
+    clique cutset K is an inclusion-minimal separator, since a proper
+    subset would be a smaller clique cutset, so each x in K has a
+    neighbor in each of the two or more components of the region minus
+    K besides the other k - 1 vertices of K (Tarjan 1985).  Cliques of
+    each size are tried in lexicographic order among those vertices, and
+    the search stops when fewer than k of them are left, as the set only
+    shrinks as k grows."""
     if not connected:
         return 0
     if cut_vertices:
         return cut_vertices & -cut_vertices
-    n_active = popcount(within)
-    if n_active < 4:
-        return None
-    sub = g.induced(within)
-    # any clique lies in some closed neighborhood
-    max_size = min(n_active - 2,
-                   max(sub.degree(v) for v in bits(within)) + 1)
-    for size in range(2, max_size + 1):
-        for clique in map(mask_of, cliques(sub, size)):
+    adj = g.adj
+    degree = [(v, popcount(adj[v] & within)) for v in bits(within)]
+    for size in itertools.count(2):
+        cand = mask_of(v for v, d in degree if d > size)
+        if popcount(cand) < size:
+            return None
+        for clique in map(mask_of, cliques(g.induced(cand), size)):
             if len(components(g, within & ~clique)) > 1:
                 return clique
-    return None
 
 
 def _cut_vertices(g, within):
@@ -68,14 +75,15 @@ def _cut_vertices(g, within):
     some child's subtree reaches no higher than it; the root iff it has
     two children."""
     adj = g.adj
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
+    disc = [0] * g.n
+    low = [0] * g.n
     seen = cut = 0
-    parts = 0
+    parts = visited = 0
     while rest := within & ~seen:
         root = (rest & -rest).bit_length() - 1
         parts += 1
-        disc[root] = low[root] = len(disc)
+        disc[root] = low[root] = visited
+        visited += 1
         seen |= 1 << root
         stack = [[root, adj[root] & within]]
         root_children = 0
@@ -90,7 +98,8 @@ def _cut_vertices(g, within):
                     low[v] = min(low[v], disc[u])
                 else:
                     seen |= bit
-                    disc[u] = low[u] = len(disc)
+                    disc[u] = low[u] = visited
+                    visited += 1
                     stack.append([u, adj[u] & within])
                 continue
             stack.pop()

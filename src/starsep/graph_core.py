@@ -183,9 +183,10 @@ class Graph:
     def induced(self, x: int) -> "Graph":
         """Subgraph induced on the mask x; vertex identities preserved."""
         self.check_vertex_set(x)
-        adj = tuple(self.adj[v] & x if (x >> v) & 1 else 0
-                    for v in range(self.n))
-        return Graph._raw(self.n, x, adj)
+        adj = [0] * self.n
+        for v in bits(x):
+            adj[v] = self.adj[v] & x
+        return Graph._raw(self.n, x, tuple(adj))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph) and self.n == other.n
@@ -375,10 +376,11 @@ class WeightFn:
         k = popcount(support)
         if k == 0:
             raise InputError("uniform weight needs a nonempty support")
-        share, zero = Fraction(1, k), Fraction(0)
-        values = tuple(share if (support >> v) & 1 else zero
-                       for v in range(g.n))
-        return cls._raw(g.n, values, (k, ((1, support),)))
+        values = [Fraction(0)] * g.n
+        share = Fraction(1, k)
+        for v in bits(support):
+            values[v] = share
+        return cls._raw(g.n, tuple(values), (k, ((1, support),)))
 
     @classmethod
     def _raw(cls, n: int, values: tuple,

@@ -139,8 +139,10 @@ def hub_division(g: Graph, w: WeightFn, t: int) -> HubDivision:
 
 
 def _hub_order(g: Graph) -> tuple[DegeneracyPartition, tuple[int, ...]]:
-    """The degeneracy partition of g's hubs and the hubs by part, then id."""
-    hubs = hub_set(g, g.verts)
+    """The degeneracy partition of g's hubs and the hubs by part, then id.
+    The hubs are the kept entry that the central bag of the whole graph
+    reads too."""
+    hubs = g.kept(hub_set, g.verts)
     part = degeneracy_partition(g, hubs)
     index = part.part_index()
     return part, tuple(sorted(bits(hubs), key=lambda v: (index[v], v)))

@@ -140,7 +140,9 @@ class TreeDecomposition:
         try:
             bags = [[index(v) for v in b] for b in obj["bags"]]
             edges = tuple((index(u), index(v)) for u, v in obj["edges"])
-        except (KeyError, TypeError, ValueError) as e:
+        except KeyError as e:
+            raise InputError(f"bad tree decomposition JSON: missing key {e}")
+        except (TypeError, ValueError) as e:
             raise InputError(f"bad tree decomposition JSON: {e}")
         for b in bags:
             for v in b:

@@ -403,6 +403,8 @@ def p3_file(tmp_path):
      "bag vertex -1 out of range for n=3"),
     ({"bags": [[0, 1], [1, 2]], "edges": [[0.7, 1]]},
      "bad tree decomposition JSON"),
+    ({"nodes": [0, 1], "edges": [[0, 1]]},
+     "bad tree decomposition JSON: missing key 'bags'"),
 ])
 def test_verify_cert_rejects_ids_it_cannot_read(runner, p3_file, tmp_path,
                                                  td, message):
@@ -414,6 +416,58 @@ def test_verify_cert_rejects_ids_it_cannot_read(runner, p3_file, tmp_path,
     assert res.exit_code == 2
     out = _json_out(res)
     assert out["error"] == "input" and out["message"].startswith(message)
+
+
+def test_verify_cert_names_an_obstruction_report(runner, tmp_path):
+    """decompose's exit-3 output is an obstruction report: verify-cert
+    says so rather than naming a missing key."""
+    k4 = tmp_path / "k4.json"
+    k4.write_text(dumps_graph(make("K4")))
+    res = runner.invoke(main, ["decompose", "--t", "4", str(k4)])
+    assert res.exit_code == 3
+    dec = tmp_path / "dec.json"
+    dec.write_text(res.output)
+    res = runner.invoke(main, ["verify-cert", str(k4), str(dec)])
+    assert res.exit_code == 2
+    assert _json_out(res) == {
+        "error": "input",
+        "message": f"{dec} holds an obstruction report, not a decomposition"}
+
+
+@pytest.mark.parametrize("args, error, message", [
+    (["recognize", "--t", "4", "{missing}"], "input", "cannot read"),
+    (["atoms", "{missing}"], "input", "cannot read"),
+    (["decompose", "--t", "4", "{missing}"], "input", "cannot read"),
+    (["verify-cert", "{missing}", "{graph}"], "input", "cannot read"),
+    (["verify-cert", "{graph}", "{missing}"], "io", "[Errno 2]"),
+    (["batch", "--t", "4", "{missing}"], "io", "[Errno 2]"),
+    (["batch", "--t", "4", "{graph}"], "input",
+     "Invalid value for 'DIRECTORY'"),
+    (["recognize", "--t", "4", "{dir}"], "input", "Invalid value for 'FILE'"),
+    (["recognize", "--t", "4", "--variant", "C_x", "{graph}"], "input",
+     "Invalid value for '--variant'"),
+    (["decompose", "{graph}"], "input", "Missing option '--t'"),
+    (["recognize", "--t", "four", "{graph}"], "input",
+     "Invalid value for '--t'"),
+    (["recognize", "--t", "4", "--bogus", "{graph}"], "input",
+     "No such option '--bogus'"),
+])
+def test_bad_paths_and_options_exit_2_with_json(runner, w93_file, tmp_path,
+                                                args, error, message):
+    """A file or directory that is missing or of the wrong kind, and an
+    option value click rejects, exit 2 with JSON on stdout."""
+    places = {"missing": str(tmp_path / "nope.json"), "graph": w93_file,
+              "dir": str(tmp_path)}
+    res = runner.invoke(main, [a.format(**places) for a in args])
+    assert res.exit_code == 2
+    out = _json_out(res)
+    assert out["error"] == error and out["message"].startswith(message)
+
+
+def test_help_is_unchanged_by_the_guard(runner):
+    res = runner.invoke(main, ["recognize", "--help"])
+    assert res.exit_code == 0
+    assert res.output.startswith("Usage: ")
 
 
 def test_verify_cert_names_a_bag_vertex_outside_the_graph(runner, tmp_path):

@@ -1,13 +1,17 @@
 import itertools
 import json
 import random
+import sys
 
 import networkx as nx
 import pytest
 
+from perfbench import corpus
+from starsep import cutsets, graph_core
 from starsep.cutsets import (attachment_trichotomy, clique_cutset_atoms,
                              find_clique_cutset, wheel_star_cutset)
-from starsep.detectors import classify_wheels, make_wheel_witness
+from starsep.detectors import (class_membership, classify_wheels,
+                               make_wheel_witness)
 from starsep.errors import HypothesisViolation, InputError
 from starsep.generators import (bowtie_graph, cycle_graph, sample_class,
                                 wheel_graph)
@@ -16,7 +20,7 @@ from starsep.graph_core import (Graph, bit_list, cliques, components,
 from starsep.treewidth import exact_treewidth
 
 from . import oracles
-from .conftest import glue, seeded_random_graphs
+from .conftest import _edge_graph, glue, seeded_random_graphs
 
 
 def test_atoms_examples(p9, c6):
@@ -96,6 +100,212 @@ def test_atoms_are_kept_on_the_graph():
     ad = clique_cutset_atoms(g)
     assert clique_cutset_atoms(g) is ad
     assert clique_cutset_atoms(Graph(g.n, g.edges())) == ad
+
+
+def _parent_least_cutset(g, within, cut_vertices, connected):
+    """The reference search: every clique of size 2 up to the degree
+    bound, in lexicographic order, each tried with a components call."""
+    if not connected:
+        return 0
+    if cut_vertices:
+        return cut_vertices & -cut_vertices
+    n_active = popcount(within)
+    if n_active < 4:
+        return None
+    sub = g.induced(within)
+    max_size = min(n_active - 2,
+                   max(sub.degree(v) for v in bit_list(within)) + 1)
+    for size in range(2, max_size + 1):
+        for clique in map(mask_of, cliques(sub, size)):
+            if len(components(g, within & ~clique)) > 1:
+                return clique
+    return None
+
+
+def _parent_cut_vertices(g, within):
+    """The reference lowpoint search, on dicts."""
+    adj = g.adj
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    seen = cut = 0
+    parts = 0
+    while rest := within & ~seen:
+        root = (rest & -rest).bit_length() - 1
+        parts += 1
+        disc[root] = low[root] = len(disc)
+        seen |= 1 << root
+        stack = [[root, adj[root] & within]]
+        root_children = 0
+        while stack:
+            frame = stack[-1]
+            v, todo = frame
+            if todo:
+                bit = todo & -todo
+                frame[1] = todo ^ bit
+                u = bit.bit_length() - 1
+                if seen & bit:
+                    low[v] = min(low[v], disc[u])
+                else:
+                    seen |= bit
+                    disc[u] = low[u] = len(disc)
+                    stack.append([u, adj[u] & within])
+                continue
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                low[p] = min(low[p], low[v])
+                if p == root:
+                    root_children += 1
+                elif low[v] >= disc[p]:
+                    cut |= 1 << p
+        if root_children > 1:
+            cut |= 1 << root
+    return cut, parts == 1
+
+
+def _parent_find_clique_cutset(g, within):
+    if popcount(within) <= 1:
+        return None
+    return _parent_least_cutset(g, within, *_parent_cut_vertices(g, within))
+
+
+def _parent_decompose(g, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(cutsets, "_least_cutset", _parent_least_cutset)
+        m.setattr(cutsets, "_cut_vertices", _parent_cut_vertices)
+        return cutsets._decompose(g)
+
+
+def _random_graphs(count, seed):
+    """n <= 16 at densities 0.15-0.7, each with three random masks."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 16)
+        p = rng.uniform(0.15, 0.7)
+        g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                      if rng.random() < p])
+        yield g, [rng.getrandbits(n) for _ in range(3)]
+
+
+def _matches_parent(g, masks, monkeypatch):
+    """find_clique_cutset on the full vertex set and on each mask,
+    _cut_vertices, and the whole atom decomposition equal the parent's;
+    returns the cutsets found."""
+    found = []
+    for within in [g.verts] + masks:
+        cut = find_clique_cutset(g, within)
+        assert cut == _parent_find_clique_cutset(g, within), \
+            (g, within)
+        if within:
+            assert cutsets._cut_vertices(g, within) == \
+                _parent_cut_vertices(g, within)
+        found.append(cut)
+    ours = clique_cutset_atoms(Graph(g.n, g.edges()))
+    ref = _parent_decompose(Graph(g.n, g.edges()), monkeypatch)
+    assert (ours.atoms, ours.cutsets, ours.tree) == \
+        (ref.atoms, ref.cutsets, ref.tree), g
+    return found
+
+
+def test_least_cutset_matches_parent_on_random_graphs(monkeypatch):
+    sizes = set()
+    for g, masks in _random_graphs(1500, 17):
+        sizes |= {popcount(c) for c in _matches_parent(g, masks, monkeypatch)
+                  if c is not None}
+    assert sizes >= {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("workload", corpus.WORKLOADS)
+def test_least_cutset_matches_parent_on_benchmark_pools(workload,
+                                                        monkeypatch):
+    rng = random.Random(workload)
+    for e in corpus.load_pool(workload)["graphs"]:
+        g = Graph(e["n"], e["edges"])
+        _matches_parent(g, [rng.getrandbits(g.n) for _ in range(3)],
+                        monkeypatch)
+
+
+@pytest.mark.parametrize("n, edges, cutset", [
+    # two 4-cycles 0-1-2-3 and 2-3-4-5 sharing the edge 2-3: the first
+    # edge, 0-1, has degree-2 ends, and each end of 2-3 has degree 3
+    (6, "0-1 0-3 1-2 2-3 2-5 3-4 4-5", [2, 3]),
+    # K5 minus the edge 0-1: every triangle through 0 or 1 has a vertex
+    # of degree 3, and 2, 3, 4 have degree 4
+    (5, "0-2 0-3 0-4 1-2 1-3 1-4 2-3 2-4 3-4", [2, 3, 4]),
+])
+def test_cutset_found_past_pruned_cliques(n, edges, cutset):
+    """The least clique of the cutset's size holds a vertex whose degree
+    is at most the size, so it is skipped; the cutset's vertices have
+    degree exactly one above it, the least the pruning keeps."""
+    g = _edge_graph(n, edges)
+    size = len(cutset)
+    first = next(cliques(g, size))
+    assert list(first) != cutset
+    assert min(g.degree(v) for v in first) <= size
+    assert {g.degree(v) for v in cutset} == {size + 1}
+    assert find_clique_cutset(g, g.verts) == mask_of(cutset)
+    assert _parent_find_clique_cutset(g, g.verts) == mask_of(cutset)
+
+
+def test_least_cutset_is_a_minimal_separator():
+    """Every cutset K of size two or more leaves two or more components,
+    each with a neighbor of every vertex of K."""
+    seen = 0
+    for g, masks in _random_graphs(800, 23):
+        for within in [g.verts] + masks:
+            cut = find_clique_cutset(g, within)
+            if cut is None or popcount(cut) < 2:
+                continue
+            seen += 1
+            comps = components(g, within & ~cut)
+            assert len(comps) >= 2
+            for comp in comps:
+                assert all(g.adj[x] & comp for x in bit_list(cut))
+    assert seen >= 50
+
+
+def _least_cutset_components_calls(graphs, least_cutset, monkeypatch):
+    """components calls made inside least_cutset while class_membership
+    runs on each graph."""
+    calls = inside = 0
+
+    def counted(g, x):
+        nonlocal calls
+        calls += inside
+        return graph_core.components(g, x)
+
+    def watched(*args):
+        nonlocal inside
+        inside += 1
+        try:
+            return least_cutset(*args)
+        finally:
+            inside -= 1
+
+    with monkeypatch.context() as m:
+        m.setattr(cutsets, "components", counted)
+        m.setattr(sys.modules[__name__], "components", counted)
+        m.setattr(cutsets, "_least_cutset", watched)
+        for g in graphs:
+            class_membership(g, 4, "C_t")
+    return calls
+
+
+def test_least_cutset_work_on_the_recognition_pool(monkeypatch):
+    """A count, not a timing: on fresh graphs of the seed-0
+    recognize-mutants pass, the pruned search makes at most a quarter of
+    the reference's components calls."""
+    entries = corpus.select(corpus.load_pool("recognize-mutants"),
+                            "recognize-mutants", 0)
+
+    def fresh():
+        return [Graph(e["n"], e["edges"]) for e in entries]
+
+    ours = _least_cutset_components_calls(fresh(), cutsets._least_cutset,
+                                          monkeypatch)
+    ref = _least_cutset_components_calls(fresh(), _parent_least_cutset,
+                                         monkeypatch)
+    assert 0 < 4 * ours <= ref, (ours, ref)
 
 
 def test_wheel_cutset_w93(w93):
