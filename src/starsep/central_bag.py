@@ -6,6 +6,13 @@ collection.  Weights of the discarded A sides are pushed onto their
 centers, so balanced separators found inside the bag lift to balanced
 separators of the whole graph by adding the closed neighborhoods of the
 centers they touch.
+
+Only the choice of each B side depends on the weights.  The revised
+collection of each set of canonical separations, the smoothness check
+of each collection and the bag with its A-side partition of each smooth
+collection are built and checked once and kept on the graph, through
+``Graph.kept``; a check that raises keeps nothing.  Per query the
+weights are inherited onto the centers and checked to total 1.
 """
 
 from __future__ import annotations
@@ -40,29 +47,37 @@ def revised_collection(g: Graph, w: WeightFn, x: int,
     adjacent to u.  The four containment relations tying the revised
     triple to the canonical one are validated; they are consequences of
     the construction, so a failure is an internal error.  A balanced
-    center has no canonical separation and raises InputError.
+    center has no canonical separation and raises InputError.  The
+    weights only choose the canonical separations; the collection
+    revised from them is built, validated and kept on g once.
     """
     centers = tuple(order) if order is not None else tuple(bit_list(x))
     if mask_of(centers) != x:
         raise InputError("order does not enumerate the center set")
+    return g.kept(_revise, tuple(canonical_separation(g, w, u)
+                                 for u in centers))
+
+
+def _revise(g: Graph, canon: tuple[Separation, ...]) -> RevisedCollection:
+    centers = tuple(s.center for s in canon)
+    x = mask_of(centers)
     seps = []
-    for u in centers:
-        canon = canonical_separation(g, w, u)
-        b = canon.b
+    for u, can in zip(centers, canon):
+        b = can.b
         c = (1 << u) | (g.adj[u] & neighborhood(g, b))
         for v in bits(g.adj[u] & x):
             c |= g.adj[u] & g.adj[v]
         a = g.verts & ~(b | c)
         sep = Separation(a=a, c=c, b=b, center=u)
         validate_separation(g, sep)
-        if sep.b != canon.b:
+        if sep.b != can.b:
             raise HypothesisViolation("revised B side changed", sep.as_json())
-        if canon.c & ~sep.c or sep.c & ~g.closed_nbr(u):
+        if can.c & ~sep.c or sep.c & ~g.closed_nbr(u):
             raise HypothesisViolation("revised C side out of bounds",
                                       sep.as_json())
-        if sep.a & ~canon.a:
+        if sep.a & ~can.a:
             raise HypothesisViolation("revised A side grew", sep.as_json())
-        if (canon.a & ~g.adj[u]) & ~sep.a:
+        if (can.a & ~g.adj[u]) & ~sep.a:
             raise HypothesisViolation("revised A side lost far vertices",
                                       sep.as_json())
         seps.append(sep)
@@ -91,9 +106,13 @@ def validate_smooth(g: Graph, separations, centers) -> SmoothCollection:
     """Check the three smoothness conditions in definition order (pairwise
     near-non-crossing, star shape at each center, no center inside any A
     side) and package the collection with its fixed center ordering.
-    Violations report a witness."""
-    separations = tuple(separations)
-    centers = tuple(centers)
+    Violations report a witness.  The checked collection is kept on g
+    per (separations, centers)."""
+    return g.kept(_smooth, tuple(separations), tuple(centers))
+
+
+def _smooth(g: Graph, separations: tuple[Separation, ...],
+            centers: tuple[int, ...]) -> SmoothCollection:
     if len(separations) != len(centers):
         raise InputError("need exactly one center per separation")
     if len(set(centers)) != len(centers):
@@ -143,8 +162,29 @@ def central_bag(g: Graph, w: WeightFn, coll: SmoothCollection) -> CentralBag:
 
     Each component of the union of A sides must be an A-component of some
     member (a consequence of near-non-crossing); it is assigned to the
-    earliest owner in the collection ordering.
+    earliest owner in the collection ordering.  The bag and the partition
+    do not depend on the weights: they are built, checked and kept on g
+    once per collection, and each query only inherits the weights and
+    checks that they total 1 on the bag.
     """
+    beta, a_star = g.kept(_bag_parts, coll)
+    parts = dict(zip(coll.centers, a_star))
+    w_bag = w.inherited(parts) if parts else w
+    if coll.centers and not w_bag.weighs_one(beta):
+        raise HypothesisViolation(
+            "inherited weights do not total 1 on the central bag",
+            witness={"total": str(w_bag.of(beta))})
+    return CentralBag(beta=beta, a_star=a_star, weights=w_bag,
+                      collection=coll)
+
+
+def _bag_parts(g: Graph,
+               coll: SmoothCollection) -> tuple[int, tuple[int, ...]]:
+    """The central bag of a collection and the first-owner partition of
+    its union of A sides, with the checks that need no weights: every
+    center lies in the bag, and the parts are disjoint and cover the
+    union.  Together they make weights that total 1 on the graph total
+    1 on the bag once inherited."""
     beta = g.verts
     for s in coll.separations:
         beta &= s.side_bc()
@@ -160,12 +200,6 @@ def central_bag(g: Graph, w: WeightFn, coll: SmoothCollection) -> CentralBag:
                 "a component of the union of A sides fits no member",
                 witness={"component": bit_list(comp)})
         a_star[owner] |= comp
-    parts = dict(zip(coll.centers, a_star))
-    w_bag = w.inherited(parts) if parts else w
-    if coll.centers and not w_bag.weighs_one(beta):
-        raise HypothesisViolation(
-            "inherited weights do not total 1 on the central bag",
-            witness={"total": str(w_bag.of(beta))})
     if coll.center_mask() & ~beta:
         raise HypothesisViolation(
             "a center fell outside the central bag",
@@ -177,8 +211,7 @@ def central_bag(g: Graph, w: WeightFn, coll: SmoothCollection) -> CentralBag:
         covered |= part
     if covered != union_a:
         raise HypothesisViolation("A-side parts do not cover the union", None)
-    return CentralBag(beta=beta, a_star=tuple(a_star), weights=w_bag,
-                      collection=coll)
+    return beta, tuple(a_star)
 
 
 def is_balanced_separator(g: Graph, w: WeightFn, region: int, x: int,

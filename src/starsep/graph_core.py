@@ -85,11 +85,15 @@ class Graph:
     of ``detectors.hub_set``, the far sides of ``far_components``, the
     atoms of ``cutsets.clique_cutset_atoms``, the pyramid search that
     ``balanced_vertex_separator`` runs before its apex check, the hub
-    order of ``hub_division``, the hubs of each central bag and the
-    ``separator_engine`` records of each central bag (subgraph, clique
-    number, hubs) and of each (bag, vertex) (apex search, auxiliary
-    frame) are kept this way.  A new graph, ``induced`` ones included,
-    starts with none, and kept facts take no part in equality or hashing.
+    order of ``hub_division``, the sides of each canonical separation
+    (per center and B side), each revised collection, smoothness check
+    and central bag with its A-side partition (per collection), the hubs
+    of each central bag, the ``separator_engine`` records of each
+    central bag (subgraph, clique number, hubs) and of each (bag,
+    vertex) (apex search, auxiliary frame), and the JSON lists of each
+    auxiliary graph (on its contact graph) are kept this way.  A new
+    graph, ``induced`` ones included, starts with none, and kept facts
+    take no part in equality or hashing.
     """
 
     __slots__ = ("n", "verts", "adj", "_kept")

@@ -5,9 +5,13 @@ Hubs (wheel centers) are partitioned greedily into independent sets; the
 measured degeneracy and back-degree replace the unknown class constant in
 every downstream size bound, turning them into per-instance certificates.
 The hub set, its partition and the hub ordering depend only on the graph
-and are kept on it, as are the hubs of each central bag; the balance of
-each hub, the separations and the central bag are worked out per query
-from the weights.
+and are kept on it, as are the hubs of each central bag.  The weights
+only choose: which hubs are balanced, and the B side of each canonical
+separation.  Each separation, revised collection, smoothness check and
+central bag with its A-side partition that those choices reach is built
+and checked once per graph (see ``central_bag`` and ``separations``);
+per query the weights are classified, inherited and checked to total 1.
+A hub-free graph weighs nothing: its bag is the whole graph.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .central_bag import CentralBag, central_bag, revised_collection, validate_smooth
+from .central_bag import (CentralBag, SmoothCollection, central_bag,
+                          revised_collection, validate_smooth)
 from .detectors import hub_set, make_wheel_witness, holes
 from .errors import HypothesisViolation, InputError
 from .graph_core import (Graph, WeightFn, bit_list, bits, degeneracy, mask_of,
@@ -106,10 +111,14 @@ class HubDivision:
                 "inherited_weights": self.bag.weights.as_json()}
 
 
+_NO_CENTERS = SmoothCollection((), ())
+
+
 def hub_division(g: Graph, w: WeightFn, t: int) -> HubDivision:
     """Order the hubs by degeneracy part, cut at the first balanced hub,
     take the minimal unbalanced prefix under the A-side order, and build
-    the revised collection with its central bag.
+    the revised collection with its central bag.  A hub-free graph
+    weighs nothing: its division is empty and its bag the whole graph.
 
     Smoothness of the collection is validated; on class members with no
     clique cutset it always holds.
@@ -117,20 +126,20 @@ def hub_division(g: Graph, w: WeightFn, t: int) -> HubDivision:
     if t < 4:
         raise InputError("hub division needs t >= 4")
     part, ordering = g.kept(_hub_order)
-    k = len(ordering)
-    _, unbal = classify_balanced(g, w, mask_of(ordering))
-    m = k + 1
-    for i, v in enumerate(ordering, start=1):
-        if not ((unbal >> v) & 1):
-            m = i
-            break
-    prefix = ordering[:m - 1]
-    prefix_mask = mask_of(prefix)
-    seps = {v: canonical_separation(g, w, v) for v in prefix}
-    minimal = minimal_under_leq_a(seps, prefix_mask)
-    order_m = tuple(v for v in ordering if (minimal >> v) & 1)
-    revised = revised_collection(g, w, minimal, order=order_m)
-    smooth = validate_smooth(g, revised.separations, revised.centers)
+    m, minimal, smooth = 1, 0, _NO_CENTERS
+    if ordering:
+        _, unbal = classify_balanced(g, w, mask_of(ordering))
+        m = len(ordering) + 1
+        for i, v in enumerate(ordering, start=1):
+            if not ((unbal >> v) & 1):
+                m = i
+                break
+        prefix = ordering[:m - 1]
+        seps = {v: canonical_separation(g, w, v) for v in prefix}
+        minimal = minimal_under_leq_a(seps, mask_of(prefix))
+        order_m = tuple(v for v in ordering if (minimal >> v) & 1)
+        revised = revised_collection(g, w, minimal, order=order_m)
+        smooth = validate_smooth(g, revised.separations, revised.centers)
     bag = central_bag(g, w, smooth)
     div = HubDivision(ordering=ordering, m=m, minimal_set=minimal,
                       partition=part, bag=bag, t=t)

@@ -75,7 +75,9 @@ def canonical_separation(g: Graph, w: WeightFn, v: int) -> Separation:
     """Canonical star separation of an unbalanced vertex: B is the
     heaviest far component (ties favor the lexicographically least vertex
     set), C the center plus its neighbors seen from B.  Sides are weighed
-    by their numerators over the common denominator of w."""
+    by their numerators over the common denominator of w.  The weights
+    only choose B; the separation of each (v, B) is built, validated and
+    kept on g once."""
     b = best_w = None
     for comp in far_components(g, v):
         cw = w.num(comp)
@@ -84,6 +86,10 @@ def canonical_separation(g: Graph, w: WeightFn, v: int) -> Separation:
             b, best_w = comp, cw
     if b is None or w.at_most(b, HALF):
         raise InputError(f"vertex {v} is balanced; no canonical separation")
+    return g.kept(_star_sides, v, b)
+
+
+def _star_sides(g: Graph, v: int, b: int) -> Separation:
     c = (1 << v) | (g.adj[v] & neighborhood(g, b))
     a = g.verts & ~(b | c)
     sep = Separation(a=a, c=c, b=b, center=v)

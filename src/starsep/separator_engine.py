@@ -7,18 +7,20 @@ back to the host graph goes through grow_separator.  Every conclusion is
 re-verified at runtime and recorded in a certificate ledger, so nothing
 downstream needs to be trusted.
 
-What does not depend on the weights is kept on the queried graph: for
-each central bag its induced subgraph, clique number and hubs, and for
-each (bag, vertex) the apex search and the certified auxiliary frame
-(neighborhood cliques, far components, contact graph).  Each is built
-and checked on the first query that needs it; a build that raises keeps
-nothing, so it raises again on the next query.  Per query only the
+What does not depend on the weights is kept on the queried graph: the
+hub division's separations, collections and bags (see hub_division),
+for each central bag its induced subgraph (the graph itself when the
+bag is all of it), clique number and hubs, and for each (bag, vertex)
+the apex search and the certified auxiliary frame (neighborhood
+cliques, far components, contact graph, and their JSON lists).  Each is
+built and checked on the first query that needs it; a build that raises
+keeps nothing, so it raises again on the next query.  Per query only the
 weights are summed, and the separators found, grown, lifted and checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import comb
 from typing import NamedTuple
 
@@ -67,10 +69,18 @@ class AuxGraph:
         return len(self.cliques)
 
     def as_json(self) -> dict:
-        return {"cliques": [bit_list(k) for k in self.cliques],
-                "components": [bit_list(d) for d in self.comps],
-                "edges": [list(e) for e in self.graph.edges()],
+        """The graph's pieces and edges, then the weights.  The lists that
+        do not depend on the weights are built once per (graph, cliques,
+        components) and kept on the graph, so every call shares them."""
+        return {**self.graph.kept(_aux_lists, self.cliques, self.comps),
                 "weights": [str(x) for x in self.weights]}
+
+
+def _aux_lists(h: Graph, cliques: tuple[int, ...],
+               comps: tuple[int, ...]) -> dict:
+    return {"cliques": [bit_list(k) for k in cliques],
+            "components": [bit_list(d) for d in comps],
+            "edges": [list(e) for e in h.edges()]}
 
 
 def aux_graph(g: Graph, beta: int, w_bag: WeightFn, v: int) -> AuxGraph:
@@ -106,7 +116,7 @@ class _Frame(NamedTuple):
 
 
 def _bag(g: Graph, beta: int) -> _Bag:
-    sub = g.induced(beta)
+    sub = g if beta == g.verts else g.induced(beta)
     return _Bag(sub, clique_number(sub), g.kept(hub_set, beta))
 
 
@@ -360,7 +370,10 @@ def central_bag_separator(g: Graph, div: HubDivision,
     prov.update({"m": div.m, "k": div.k,
                  "M": bit_list(div.minimal_set),
                  "instance_bound": bound})
-    return replace(cert, ledger=entries, provenance=prov)
+    return SeparatorCertificate(
+        region=cert.region, separator=cert.separator, balance=cert.balance,
+        component_weights=cert.component_weights, ledger=entries,
+        provenance=prov)
 
 
 def main_separator(g: Graph, w: WeightFn, t: int,
@@ -402,7 +415,12 @@ def main_separator(g: Graph, w: WeightFn, t: int,
                  "beta": bit_list(beta),
                  "back_degree": div.partition.back_degree,
                  "t": t})
+    if y == x and beta == g.verts and div.bag.weights is w:
+        # the bag is the graph under the same weights and the lift added
+        # nothing, so the bag certificate weighed these very components
+        weights = bag_cert.component_weights
+    else:
+        weights = _component_weights(g, w, g.verts, y)
     return SeparatorCertificate(
-        region=g.verts, separator=y, balance=c,
-        component_weights=_component_weights(g, w, g.verts, y),
+        region=g.verts, separator=y, balance=c, component_weights=weights,
         ledger=tuple(entries), provenance=prov)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from starsep.detectors import class_membership
 from starsep.generators import (bowtie_graph, cycle_graph, diamond_graph,
                                 path_graph, prism_graph, pyramid_graph,
                                 theta_graph, w93_graph, wheel_graph)
-from starsep.graph_core import Graph, WeightFn
+from starsep.graph_core import Graph, WeightFn, bits, popcount
 
 
 @pytest.fixture
@@ -104,6 +105,33 @@ def greedy_star_member(n: int, t: int, seed: int, tries: int) -> Graph:
         if class_membership(h, t, "C_t_star").member:
             g = h
     return g
+
+
+def skewed_weights(g, seed):
+    """Exact and float weights on g's vertices, one of them heavy enough
+    to leave hubs unbalanced."""
+    rng = random.Random(seed)
+    raw = [0] * g.n
+    for v in bits(g.verts):
+        raw[v] = rng.randint(1, 4)
+    raw[rng.choice(g.vertex_list())] += 6 * popcount(g.verts)
+    total = sum(raw)
+    return (WeightFn(g.n, [Fraction(x, total) for x in raw]),
+            WeightFn(g.n, [x / total for x in raw]))
+
+
+def counted_calls(monkeypatch, module, name):
+    """The positional arguments of every call to module.name from now on,
+    which is rebound to a counting wrapper for the test."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 @st.composite

@@ -55,11 +55,15 @@ def _skew_weights(g, seed):
 
 
 def test_validate_smooth_flags_crossings(c6):
+    """A crossing collection raises on every call: the check that raised
+    kept nothing on the graph."""
     s1 = Separation(a=mask_of([0, 1]), c=mask_of([2, 5]), b=mask_of([3, 4]))
     s2 = Separation(a=mask_of([1, 2]), c=mask_of([0, 3]), b=mask_of([4, 5]))
-    with pytest.raises(HypothesisViolation) as e:
-        validate_smooth(c6, (s1, s2), (2, 0))
-    assert "cross" in str(e.value)
+    for _ in range(2):
+        with pytest.raises(HypothesisViolation) as e:
+            validate_smooth(c6, (s1, s2), (2, 0))
+        assert "cross" in str(e.value)
+        assert not c6._kept
 
 
 def test_validate_smooth_flags_center_in_a(p9):

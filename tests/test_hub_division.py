@@ -1,25 +1,39 @@
 import importlib
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import starsep.cutsets
 import starsep.graph_core
+import starsep.separations
 import starsep.separator_engine
+from starsep.central_bag import (CentralBag, RevisedCollection,
+                                 SmoothCollection)
 from starsep.detectors import hub_set
 from starsep.errors import HypothesisViolation, InputError
 from starsep.generators import (cycle_graph, sample_cutset_free_member,
                                 w93_graph)
-from starsep.graph_core import Graph, WeightFn, bits, degeneracy, mask_of
+from starsep.graph_core import (Graph, WeightFn, bit_list, bits, components,
+                                degeneracy, far_components, mask_of,
+                                neighborhood, popcount)
 from starsep.hub_division import (check_no_wheels_in_bag,
                                   degeneracy_partition, hub_division)
-from starsep.separations import classify_balanced
+from starsep.separations import (HALF, Separation, classify_balanced,
+                                 nearly_noncrossing, validate_separation)
 from starsep.separator_engine import main_separator
 from starsep.treewidth import certify
 
-from .conftest import greedy_star_member
+from .conftest import counted_calls, greedy_star_member, skewed_weights
 
-# the package exports the function hub_division under the module's name
+# the package exports the functions hub_division and central_bag under
+# their modules' names
 hd = importlib.import_module("starsep.hub_division")
+cb = importlib.import_module("starsep.central_bag")
+
+BENCH_CORPUS = (Path(__file__).resolve().parent.parent / "perfbench"
+                / "corpus.py")
 
 
 def test_degeneracy_partition_trivial(p9, w93):
@@ -137,15 +151,19 @@ def _certify_queries(monkeypatch, runs):
     return queries
 
 
-def _query_outcome(g, w, t):
-    """Division and certificate JSON of one query on a fresh copy of its
-    graph, or the exception it raises with its witness."""
-    g = g.induced(g.verts)
+def _outcome(g, w, t):
+    """Division and certificate JSON of one query, or the exception it
+    raises with its witness."""
     try:
         return (hub_division(g, w, t).as_json(),
                 main_separator(g, w, t).as_json())
     except (HypothesisViolation, InputError) as e:
         return type(e), str(e), getattr(e, "witness", None)
+
+
+def _query_outcome(g, w, t):
+    """The outcome of one query on a fresh copy of its graph."""
+    return _outcome(g.induced(g.verts), w, t)
 
 
 def test_divisions_match_the_full_classification(monkeypatch):
@@ -171,7 +189,8 @@ def test_divisions_match_the_full_classification(monkeypatch):
 
 def test_hub_division_weighs_only_its_hubs(monkeypatch):
     """Every mask that hub_division hands to classify_balanced is its hub
-    set; a hub-free member builds no far sides across certify."""
+    set; a hub-free member weighs no hub and builds no far sides across
+    certify."""
     masks = []
 
     def spy(g, w, among=None):
@@ -194,7 +213,223 @@ def test_hub_division_weighs_only_its_hubs(monkeypatch):
     monkeypatch.setattr(starsep.graph_core, "_far_sides", counting)
     masks.clear()
     res = certify(cycle_graph(9), 4)
-    assert res.report["oracle_calls"] >= 3 and len(masks) >= 3
+    assert res.report["oracle_calls"] >= 3 and masks == []
     assert built == []
     hub_division(w93_graph(), WeightFn.uniform(w93_graph()), 4)
     assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# The division's weight-free parts are kept on the atom graph.  The
+# reference below rebuilds and re-checks all of them on every call.
+
+
+def _ref_canonical_separation(g, w, v):
+    b = best_w = None
+    for comp in far_components(g, v):
+        cw = w.num(comp)
+        if b is None or cw > best_w or (
+                cw == best_w and bit_list(comp) < bit_list(b)):
+            b, best_w = comp, cw
+    if b is None or w.at_most(b, HALF):
+        raise InputError(f"vertex {v} is balanced; no canonical separation")
+    c = (1 << v) | (g.adj[v] & neighborhood(g, b))
+    a = g.verts & ~(b | c)
+    sep = Separation(a=a, c=c, b=b, center=v)
+    validate_separation(g, sep)
+    if neighborhood(g, b) != c & ~(1 << v):
+        raise HypothesisViolation(
+            "N(B) != C minus the center on a canonical separation",
+            witness=sep.as_json())
+    return sep
+
+
+def _ref_revised_collection(g, w, x, order=None):
+    centers = tuple(order) if order is not None else tuple(bit_list(x))
+    if mask_of(centers) != x:
+        raise InputError("order does not enumerate the center set")
+    seps = []
+    for u in centers:
+        canon = _ref_canonical_separation(g, w, u)
+        b = canon.b
+        c = (1 << u) | (g.adj[u] & neighborhood(g, b))
+        for v in bits(g.adj[u] & x):
+            c |= g.adj[u] & g.adj[v]
+        a = g.verts & ~(b | c)
+        sep = Separation(a=a, c=c, b=b, center=u)
+        validate_separation(g, sep)
+        if sep.b != canon.b:
+            raise HypothesisViolation("revised B side changed", sep.as_json())
+        if canon.c & ~sep.c or sep.c & ~g.closed_nbr(u):
+            raise HypothesisViolation("revised C side out of bounds",
+                                      sep.as_json())
+        if sep.a & ~canon.a:
+            raise HypothesisViolation("revised A side grew", sep.as_json())
+        if (canon.a & ~g.adj[u]) & ~sep.a:
+            raise HypothesisViolation("revised A side lost far vertices",
+                                      sep.as_json())
+        seps.append(sep)
+    return RevisedCollection(centers=centers, separations=tuple(seps))
+
+
+def _ref_validate_smooth(g, separations, centers):
+    separations = tuple(separations)
+    centers = tuple(centers)
+    if len(separations) != len(centers):
+        raise InputError("need exactly one center per separation")
+    if len(set(centers)) != len(centers):
+        raise InputError("duplicate centers")
+    for s in separations:
+        validate_separation(g, Separation(s.a, s.c, s.b))
+    k = len(separations)
+    for i in range(k):
+        for j in range(i + 1, k):
+            if not nearly_noncrossing(g, separations[i], separations[j]):
+                raise HypothesisViolation(
+                    "collection members cross",
+                    witness={"centers": [centers[i], centers[j]],
+                             "A1": bit_list(separations[i].a),
+                             "A2": bit_list(separations[j].a)})
+    for v, s in zip(centers, separations):
+        if not ((s.c >> v) & 1) or s.c & ~g.closed_nbr(v):
+            raise HypothesisViolation(
+                "collection member is not a star separation at its center",
+                witness={"center": v, "C": bit_list(s.c)})
+    cmask = mask_of(centers)
+    for s in separations:
+        if cmask & s.a:
+            raise HypothesisViolation(
+                "a center lies in an A side",
+                witness={"A": bit_list(s.a),
+                         "centers": bit_list(cmask & s.a)})
+    return SmoothCollection(centers=centers, separations=separations)
+
+
+def _ref_central_bag(g, w, coll):
+    beta = g.verts
+    for s in coll.separations:
+        beta &= s.side_bc()
+    union_a = 0
+    for s in coll.separations:
+        union_a |= s.a
+    a_star = [0] * len(coll)
+    for comp in components(g, union_a):
+        owner = next((i for i, s in enumerate(coll.separations)
+                      if not (comp & ~s.a)), None)
+        if owner is None:
+            raise HypothesisViolation(
+                "a component of the union of A sides fits no member",
+                witness={"component": bit_list(comp)})
+        a_star[owner] |= comp
+    parts = dict(zip(coll.centers, a_star))
+    w_bag = w.inherited(parts) if parts else w
+    if coll.centers and not w_bag.weighs_one(beta):
+        raise HypothesisViolation(
+            "inherited weights do not total 1 on the central bag",
+            witness={"total": str(w_bag.of(beta))})
+    if coll.center_mask() & ~beta:
+        raise HypothesisViolation(
+            "a center fell outside the central bag",
+            witness={"centers": bit_list(coll.center_mask() & ~beta)})
+    covered = 0
+    for part in a_star:
+        if part & covered:
+            raise HypothesisViolation("A-side parts overlap", None)
+        covered |= part
+    if covered != union_a:
+        raise HypothesisViolation("A-side parts do not cover the union", None)
+    return CentralBag(beta=beta, a_star=tuple(a_star), weights=w_bag,
+                      collection=coll)
+
+
+def _bench_corpus():
+    """The benchmark's corpus module, which reads its pinned pools."""
+    spec = importlib.util.spec_from_file_location("bench_corpus",
+                                                  BENCH_CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return corpus
+
+
+def _pool_graphs(workload):
+    """The graphs of a benchmark pool that certify accepts, with the t
+    and variant the workload runs them at."""
+    pool = _bench_corpus().load_pool(workload)
+    if workload == "certify-hubs":
+        return [(Graph(e["n"], e["edges"]), pool["t"], "C_t_star")
+                for e in pool["graphs"]]
+    return [(Graph(e["n"], e["edges"]), 4, "C_t") for e in pool["graphs"]
+            if e["expect"]["row"]["member"]]
+
+
+def test_kept_division_answers_as_the_reference(monkeypatch):
+    """On every query certify makes on the certify-hubs and batch-atoms
+    pool members and on seeded one- and two-hub members, and under exact
+    and float skewed weights on each of their atom graphs, the division
+    and the certificate read on the warm atom graph equal those of a
+    fresh equal graph and those of the reference, which keeps nothing."""
+    members = [sample_cutset_free_member(14 + s % 9, 4, 60 + s)
+               for s in range(40)]
+    members = [g for g in members if 1 <= popcount(hub_set(g, g.verts)) <= 2]
+    runs = (_pool_graphs("certify-hubs") + _pool_graphs("batch-atoms")
+            + [(g, 4, "C_t_star") for g in members[:10]])
+    queries = _certify_queries(monkeypatch, runs)
+    atoms = {id(g): (g, t) for g, _, t in queries}
+    for i, (g, t) in enumerate(atoms.values()):
+        queries += [(g, w, t) for w in skewed_weights(g, i)]
+    warm = [_outcome(g, w, t) for g, w, t in queries]
+    assert [_query_outcome(g, w, t) for g, w, t in queries] == warm
+    for name, ref in (("canonical_separation", _ref_canonical_separation),
+                      ("revised_collection", _ref_revised_collection),
+                      ("validate_smooth", _ref_validate_smooth),
+                      ("central_bag", _ref_central_bag)):
+        monkeypatch.setattr(hd, name, ref)
+    assert [_query_outcome(g, w, t) for g, w, t in queries] == warm
+    divisions = [o[0] for o in warm if len(o) == 2]
+    assert len(members) >= 10 and len(warm) > 2000
+    assert sum(bool(d["M"]) for d in divisions) > 100
+    assert sum(not d["ordering"] for d in divisions) > 1000
+    assert any(not w.exact for _, w, _ in queries)
+
+
+def _certify_hubs_pass(seed):
+    """The graphs of one certify-hubs benchmark pass, drawn from the pool
+    as the benchmark draws them."""
+    corpus = _bench_corpus()
+    chosen = corpus.select(corpus.load_pool("certify-hubs"), "certify-hubs",
+                           seed)
+    return [Graph(e["n"], e["edges"]) for e in chosen]
+
+
+def test_collections_are_revised_and_checked_once_per_atom(monkeypatch):
+    """Over a seed-0 certify-hubs pass on fresh graphs, the revised
+    collections and smoothness checks built are at most a quarter of the
+    separator queries: each distinct collection of an atom is built once,
+    however many queries' weights choose it."""
+    queries = counted_calls(monkeypatch, starsep.separator_engine,
+                            "main_separator")
+    revised = counted_calls(monkeypatch, cb, "_revise")
+    smooth = counted_calls(monkeypatch, cb, "_smooth")
+    for g in _certify_hubs_pass(0):
+        certify(g, 4, "C_t_star")
+    assert len(queries) > 300
+    assert 0 < 4 * len(revised) <= len(queries)
+    assert 0 < 4 * len(smooth) <= len(queries)
+
+
+def test_certify_keeps_only_the_atoms_on_the_host_graph(monkeypatch):
+    """The division's records live on the atom graphs certify builds, so
+    after certify a member holds nothing but its atom decomposition, and
+    a second certify on it builds every record again."""
+    builders = [counted_calls(monkeypatch, module, name) for module, name in (
+        (hd, "_hub_order"), (starsep.separations, "_star_sides"),
+        (cb, "_revise"), (cb, "_smooth"), (cb, "_bag_parts"))]
+    g = sample_cutset_free_member(20, 4, 1)
+    assert popcount(hub_set(g, g.verts)) == 2
+    g = Graph(g.n, g.edges())  # hub_set kept the wheels on the first copy
+    counts = []
+    for _ in range(2):
+        certify(g, 4)
+        assert list(g._kept) == [starsep.cutsets._decompose]
+        counts.append([len(b) for b in builders])
+    assert counts[1] == [2 * k for k in counts[0]] and all(counts[0])

@@ -25,7 +25,8 @@ from starsep.separator_engine import (SeparatorCertificate,
 from starsep.treewidth import certify, exact_treewidth
 
 from . import oracles
-from .conftest import (greedy_star_member, seeded_random_graphs,
+from .conftest import (counted_calls, greedy_star_member,
+                       seeded_random_graphs, skewed_weights,
                        star_member_with_pyramids)
 
 
@@ -383,18 +384,6 @@ def test_provenance_is_plain_json():
     assert branches == {"balanced_vertex", "wheel_free"}
 
 
-def _counted(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
-
-
 def test_certify_builds_weight_free_bag_facts_once(monkeypatch):
     """certify's separator queries repeat central bags; the clique number
     of each bag, the auxiliary frame of each (bag, vertex) and the hub
@@ -402,9 +391,9 @@ def test_certify_builds_weight_free_bag_facts_once(monkeypatch):
     import starsep.separator_engine as engine
     # the package exports the function hub_division under the module's name
     hd = importlib.import_module("starsep.hub_division")
-    omegas = _counted(monkeypatch, engine, "clique_number")
-    frames = _counted(monkeypatch, engine, "_certify_aux")
-    parts = _counted(monkeypatch, hd, "degeneracy_partition")
+    omegas = counted_calls(monkeypatch, engine, "clique_number")
+    frames = counted_calls(monkeypatch, engine, "_certify_aux")
+    parts = counted_calls(monkeypatch, hd, "degeneracy_partition")
     queries = bags = pairs = 0
     for s in range(6):
         res = certify(sample_cutset_free_member(20, 4, s), 4, "C_t_star")
@@ -423,7 +412,8 @@ def test_kept_bag_facts_answer_as_fresh_ones(monkeypatch):
     """Every separator query of certify on seeded members and greedy star
     members answers on the atom graph, which holds the records of earlier
     queries, as on a fresh copy of it: the same certificate, or the same
-    violation with the same witness."""
+    violation with the same witness.  So do exact and float skewed
+    weights asked on the same graph between certify's queries."""
     import starsep.separator_engine as engine
     original = engine.main_separator
     betas = []
@@ -435,6 +425,9 @@ def test_kept_bag_facts_answer_as_fresh_ones(monkeypatch):
             return str(e), e.witness
 
     def compared(graph, w, t, c=HALF):
+        for skewed in skewed_weights(graph, len(betas)):
+            assert outcome(graph, skewed, t, c) == outcome(
+                graph.induced(graph.verts), skewed, t, c)
         fresh = outcome(graph.induced(graph.verts), w, t, c)
         try:
             cert = original(graph, w, t, c)
