@@ -214,11 +214,25 @@ def _bag_parts(g: Graph,
     return beta, tuple(a_star)
 
 
+def kept_components(g: Graph, x: int) -> tuple[int, ...]:
+    """components(g, x) as a tuple, split on the first call per mask and
+    kept on g.  Only constructions read it: a verifier splits afresh, so
+    no kept record can decide a verdict."""
+    return g.kept(_split, x)
+
+
+def _split(g: Graph, x: int) -> tuple[int, ...]:
+    return tuple(components(g, x))
+
+
 def is_balanced_separator(g: Graph, w: WeightFn, region: int, x: int,
-                          c=HALF) -> bool:
-    """Every component of region minus x weighs at most c under w."""
+                          c=HALF, kept: bool = False) -> bool:
+    """Every component of region minus x weighs at most c under w.  A
+    construction passes kept=True to weigh the split kept on g for the
+    mask; a verifier keeps the default and splits afresh."""
     rest = region & ~x
-    return all(w.at_most(d, c) for d in components(g, rest))
+    split = kept_components(g, rest) if kept else components(g, rest)
+    return all(w.at_most(d, c) for d in split)
 
 
 def grow_separator(g: Graph, w: WeightFn, bag: CentralBag, x: int,
@@ -228,11 +242,13 @@ def grow_separator(g: Graph, w: WeightFn, bag: CentralBag, x: int,
 
     Both the input (balanced on the bag under inherited weights) and the
     output (balanced on the host under the original weights) are
-    verified, never assumed.
+    verified, never assumed.  Each check weighs the split kept on g for
+    its mask, which the separator search or the caller's own checks of
+    the same set have usually made already.
     """
     if x & ~bag.beta:
         raise InputError("separator must lie inside the central bag")
-    if not is_balanced_separator(g, bag.weights, bag.beta, x, c):
+    if not is_balanced_separator(g, bag.weights, bag.beta, x, c, kept=True):
         raise InputError("input is not a balanced separator of the bag")
     for s in bag.collection.separations:
         if not w.at_most(s.a, HALF):
@@ -243,8 +259,8 @@ def grow_separator(g: Graph, w: WeightFn, bag: CentralBag, x: int,
     y = x
     for v in bits(touched):
         y |= g.closed_nbr(v) & bag.beta
-    if not is_balanced_separator(g, w, g.verts, y, c):
-        heavy = [bit_list(d) for d in components(g, g.verts & ~y)
+    if not is_balanced_separator(g, w, g.verts, y, c, kept=True):
+        heavy = [bit_list(d) for d in kept_components(g, g.verts & ~y)
                  if not w.at_most(d, c)]
         raise HypothesisViolation(
             "lifted separator is not balanced on the host graph",

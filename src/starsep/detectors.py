@@ -77,6 +77,8 @@ def holes(g: Graph, within: int | None = None) -> Iterator[tuple[int, ...]]:
     x = g.verts if within is None else within
     g.check_vertex_set(x)
     top = popcount(x)
+    if top < 4:
+        return
     adj = g.adj
     by_len: list[list[tuple[int, ...]]] = [[] for _ in range(top + 1)]
     for v0 in bits(x):

@@ -91,7 +91,11 @@ class Graph:
     of each central bag, the ``separator_engine`` records of each
     central bag (subgraph, clique number, hubs) and of each (bag,
     vertex) (apex search, auxiliary frame), and the JSON lists of each
-    auxiliary graph (on its contact graph) are kept this way.  A new
+    auxiliary graph (on its contact graph) are kept this way, and so are
+    the splits into components that balance tests weigh: per mask
+    through ``central_bag.kept_components``, and per region that
+    ``separator_engine``'s least-separator search asks about (the region,
+    then the region minus each vertex).  A new
     graph, ``induced`` ones included, starts with none, and kept facts
     take no part in equality or hashing.
     """
@@ -145,9 +149,10 @@ class Graph:
         raises keeps nothing, so the next call repeats it."""
         k = (build, *key) if key else build
         kept = self._kept
-        if k not in kept:
-            kept[k] = build(self, *key)
-        return kept[k]
+        value = kept.get(k, kept)  # the dict itself is never a kept value
+        if value is kept:
+            value = kept[k] = build(self, *key)
+        return value
 
     # -- queries ------------------------------------------------------
 

@@ -14,8 +14,17 @@ bag is all of it), clique number and hubs, and for each (bag, vertex)
 the apex search and the certified auxiliary frame (neighborhood
 cliques, far components, contact graph, and their JSON lists).  Each is
 built and checked on the first query that needs it; a build that raises
-keeps nothing, so it raises again on the next query.  Per query only the
-weights are summed, and the separators found, grown, lifted and checked.
+keeps nothing, so it raises again on the next query.
+
+So are the splits into components that the balance tests weigh.  The
+least-separator search keeps, per (graph, region) it searches, the
+split of the region and of the region minus each vertex, and reads
+sizes 0 and 1 from that record; a larger subset is split afresh and not
+kept.  The separator a query returns is split once per (graph, region
+minus separator), through kept_components, for the branch's balance
+check, grow_separator's two checks and the component weights.  Per query
+only the weights are summed, and the separators found, grown, lifted
+and checked.  verify_certificate reads none of this: it splits afresh.
 """
 
 from __future__ import annotations
@@ -24,7 +33,8 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import NamedTuple
 
-from .central_bag import grow_separator, is_balanced_separator
+from .central_bag import (grow_separator, is_balanced_separator,
+                          kept_components)
 from .detectors import clique_number, detect_pyramid, hub_set
 from .errors import HypothesisViolation, InputError
 from .graph_core import (Graph, WeightFn, bit_list, bits, components,
@@ -213,12 +223,27 @@ def _aux_balanced_separator(aux: AuxGraph) -> int:
 def _least_balanced_separator(g: Graph, w: WeightFn, region: int,
                               budget: int, c) -> int | None:
     """Smallest, then lexicographically least, subset of the region of at
-    most `budget` vertices that is a balanced separator of it, or None."""
-    for size in range(0, min(budget, popcount(region)) + 1):
+    most `budget` vertices that is a balanced separator of it, or None.
+    Sizes 0 and 1 only weigh the splits kept for the region; each larger
+    subset is split afresh."""
+    for x, parts in g.kept(_small_splits, region):
+        if popcount(x) > budget:
+            return None
+        if all(w.at_most(d, c) for d in parts):
+            return x
+    for size in range(2, min(budget, popcount(region)) + 1):
         for x in subsets_of_size(region, size):
             if is_balanced_separator(g, w, region, x, c):
                 return x
     return None
+
+
+def _small_splits(g: Graph, region: int) -> tuple[tuple[int, tuple], ...]:
+    """(x, split of the region minus x) for x empty, then for each vertex
+    of the region in ascending order: the candidates of sizes 0 and 1 in
+    search order."""
+    return tuple((x, kept_components(g, region & ~x))
+                 for x in (0, *(1 << v for v in bits(region))))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +281,7 @@ class SeparatorCertificate:
 
 
 def _component_weights(g, w, region, sep):
-    return tuple(str(w.of(d)) for d in components(g, region & ~sep))
+    return tuple(str(w.of(d)) for d in kept_components(g, region & ~sep))
 
 
 def verify_certificate(g: Graph, w: WeightFn, cert: SeparatorCertificate) -> bool:
@@ -299,7 +324,7 @@ def balanced_vertex_separator(g: Graph, beta: int, w_bag: WeightFn, v: int,
     for i, k in enumerate(aux.cliques):
         if x & aux.graph.closed_nbr(i):
             y |= k
-    if not is_balanced_separator(g, w_bag, beta, y, c):
+    if not is_balanced_separator(g, w_bag, beta, y, c, kept=True):
         raise HypothesisViolation(
             "grown separator is not balanced on the bag",
             witness={"Y": bit_list(y)})

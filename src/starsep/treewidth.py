@@ -273,7 +273,10 @@ def build_td(g: Graph, sep_oracle: SeparatorOracle) -> TreeDecomposition:
 
 
 def _contract_redundant(td: TreeDecomposition) -> TreeDecomposition:
-    """Merge bags into neighbors that contain them; never raises width."""
+    """Merge bags into neighbors that contain them; never raises width.
+    A decomposition with no edges has nothing to merge."""
+    if not td.edges:
+        return td
     bags = list(td.bags)
     adj = {i: set() for i in range(len(bags))}
     for a, b in td.edges:

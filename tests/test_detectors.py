@@ -62,6 +62,16 @@ def test_detect_prism_examples():
     assert detect_prism(w5) is None
 
 
+def test_holes_in_fewer_than_four_vertices(c6):
+    """A mask of fewer than four vertices holds no hole; it is still
+    checked first."""
+    assert list(holes(c6, within=mask_of([0, 1, 2]))) == []
+    assert list(holes(Graph(3, [(0, 1), (1, 2), (0, 2)]))) == []
+    for bad in (1 << 6, -1):
+        with pytest.raises(InputError):
+            list(holes(c6, within=bad))
+
+
 def test_hole_enumeration_order(c6, w93):
     assert list(holes(c6)) == [(0, 1, 2, 3, 4, 5)]
     found = list(holes(w93))

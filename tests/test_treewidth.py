@@ -181,6 +181,11 @@ def test_contract_redundant_matches_restarting_scan():
     assert merged > 2000
 
 
+def test_contract_redundant_returns_an_edgeless_decomposition_as_is():
+    for td in (TreeDecomposition((), ()), TreeDecomposition((0b101,), ())):
+        assert _contract_redundant(td) is td
+
+
 def test_certify_fixtures(p9, c6, w93):
     res9 = certify(p9, 4)
     assert res9.report["width"] <= 2 and res9.report["exact_treewidth"] == 1
