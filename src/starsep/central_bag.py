@@ -12,7 +12,9 @@ collection of each set of canonical separations, the smoothness check
 of each collection and the bag with its A-side partition of each smooth
 collection are built and checked once and kept on the graph, through
 ``Graph.kept``; a check that raises keeps nothing.  Per query the
-weights are inherited onto the centers and checked to total 1.
+weights are inherited onto the centers and checked to total 1.  The
+balance tests weigh the splits of graph_core's one split record,
+``kept_components``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import HypothesisViolation, InputError
 from .graph_core import (Graph, WeightFn, bit_list, bits, components,
-                         mask_of, neighborhood)
+                         kept_components, mask_of, neighborhood)
 from .separations import (HALF, Separation, canonical_separation,
                           nearly_noncrossing, validate_separation)
 
@@ -214,25 +216,12 @@ def _bag_parts(g: Graph,
     return beta, tuple(a_star)
 
 
-def kept_components(g: Graph, x: int) -> tuple[int, ...]:
-    """components(g, x) as a tuple, split on the first call per mask and
-    kept on g.  Only constructions read it: a verifier splits afresh, so
-    no kept record can decide a verdict."""
-    return g.kept(_split, x)
-
-
-def _split(g: Graph, x: int) -> tuple[int, ...]:
-    return tuple(components(g, x))
-
-
 def is_balanced_separator(g: Graph, w: WeightFn, region: int, x: int,
-                          c=HALF, kept: bool = False) -> bool:
-    """Every component of region minus x weighs at most c under w.  A
-    construction passes kept=True to weigh the split kept on g for the
-    mask; a verifier keeps the default and splits afresh."""
-    rest = region & ~x
-    split = kept_components(g, rest) if kept else components(g, rest)
-    return all(w.at_most(d, c) for d in split)
+                          c=HALF) -> bool:
+    """Every component of region minus x, as split by the kept record
+    (``kept_components``), weighs at most c under w: the constructions'
+    test.  A verifier splits afresh with ``components`` instead."""
+    return all(w.at_most(d, c) for d in kept_components(g, region & ~x))
 
 
 def grow_separator(g: Graph, w: WeightFn, bag: CentralBag, x: int,
@@ -248,7 +237,7 @@ def grow_separator(g: Graph, w: WeightFn, bag: CentralBag, x: int,
     """
     if x & ~bag.beta:
         raise InputError("separator must lie inside the central bag")
-    if not is_balanced_separator(g, bag.weights, bag.beta, x, c, kept=True):
+    if not is_balanced_separator(g, bag.weights, bag.beta, x, c):
         raise InputError("input is not a balanced separator of the bag")
     for s in bag.collection.separations:
         if not w.at_most(s.a, HALF):
@@ -259,7 +248,7 @@ def grow_separator(g: Graph, w: WeightFn, bag: CentralBag, x: int,
     y = x
     for v in bits(touched):
         y |= g.closed_nbr(v) & bag.beta
-    if not is_balanced_separator(g, w, g.verts, y, c, kept=True):
+    if not is_balanced_separator(g, w, g.verts, y, c):
         heavy = [bit_list(d) for d in kept_components(g, g.verts & ~y)
                  if not w.at_most(d, c)]
         raise HypothesisViolation(

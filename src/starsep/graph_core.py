@@ -82,22 +82,22 @@ class Graph:
     Facts that depend only on the graph are computed once per object and
     kept through ``kept(build, *key)``, keyed by the builder and key; the
     graph never changes, so they can never go stale.  The wheel record
-    of ``detectors.hub_set``, the far sides of ``far_components``, the
-    atoms of ``cutsets.clique_cutset_atoms``, the pyramid search that
-    ``balanced_vertex_separator`` runs before its apex check, the hub
-    order of ``hub_division``, the sides of each canonical separation
-    (per center and B side), each revised collection, smoothness check
-    and central bag with its A-side partition (per collection), the hubs
-    of each central bag, the ``separator_engine`` records of each
-    central bag (subgraph, clique number, hubs) and of each (bag,
-    vertex) (apex search, auxiliary frame), and the JSON lists of each
-    auxiliary graph (on its contact graph) are kept this way, and so are
-    the splits into components that balance tests weigh: per mask
-    through ``central_bag.kept_components``, and per region that
-    ``separator_engine``'s least-separator search asks about (the region,
-    then the region minus each vertex).  A new
-    graph, ``induced`` ones included, starts with none, and kept facts
-    take no part in equality or hashing.
+    of ``detectors.hub_set``, the atoms of ``cutsets.clique_cutset_atoms``,
+    the pyramid search that ``balanced_vertex_separator`` runs before
+    its apex check, the hub order of ``hub_division``, the sides of each
+    canonical separation (per center and B side), each revised
+    collection, smoothness check and central bag with its A-side
+    partition (per collection), the hubs of each central bag, the
+    ``separator_engine`` records of each central bag (subgraph, clique
+    number) and of each (bag, vertex) (apex search, auxiliary frame),
+    and the JSON lists of each auxiliary graph (on its contact graph)
+    are kept this way.  So is the one record of splits into components,
+    per mask, through ``kept_components``: far sides, auxiliary frames
+    and the constructions' balance tests read it, and
+    ``separator_engine._small_splits`` indexes it per region that the
+    least-separator search asks about.  A new graph, ``induced`` ones
+    included, starts with none, and kept facts take no part in equality
+    or hashing.
     """
 
     __slots__ = ("n", "verts", "adj", "_kept")
@@ -241,20 +241,25 @@ def components(g: Graph, x: int) -> list[int]:
     return out
 
 
+def kept_components(g: Graph, x: int) -> tuple[int, ...]:
+    """components(g, x) as a tuple, split on the first call per mask and
+    kept on g: the one record of splits that the constructions weigh.  A
+    verifier splits afresh with components, so no kept split can decide
+    a verdict."""
+    return g.kept(_split, x)
+
+
+def _split(g: Graph, x: int) -> tuple[int, ...]:
+    return tuple(components(g, x))
+
+
 def far_components(g: Graph, v: int) -> tuple[int, ...]:
     """Components of the graph minus the closed neighborhood of v, ordered
-    by smallest contained vertex.  The first call computes them for every
-    vertex and keeps them on the graph."""
+    by smallest contained vertex: the kept split of that mask, so only
+    the vertices asked about are split."""
     if not (0 <= v < g.n and (g.verts >> v) & 1):
         raise InputError(f"vertex {v} is not in the graph")
-    return g.kept(_far_sides)[v]
-
-
-def _far_sides(g: Graph) -> tuple[tuple[int, ...], ...]:
-    far = [()] * g.n
-    for u in bits(g.verts):
-        far[u] = tuple(components(g, g.verts & ~g.closed_nbr(u)))
-    return tuple(far)
+    return kept_components(g, g.verts & ~g.closed_nbr(v))
 
 
 def degeneracy(g: Graph, within: int) -> int:

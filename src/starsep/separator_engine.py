@@ -9,22 +9,25 @@ downstream needs to be trusted.
 
 What does not depend on the weights is kept on the queried graph: the
 hub division's separations, collections and bags (see hub_division),
-for each central bag its induced subgraph (the graph itself when the
-bag is all of it), clique number and hubs, and for each (bag, vertex)
-the apex search and the certified auxiliary frame (neighborhood
-cliques, far components, contact graph, and their JSON lists).  Each is
-built and checked on the first query that needs it; a build that raises
-keeps nothing, so it raises again on the next query.
+the hubs of each central bag (``g.kept(hub_set, beta)``), for each
+central bag its induced subgraph (the graph itself when the bag is all
+of it) and clique number, and for each (bag, vertex) the apex search and
+the certified auxiliary frame (neighborhood cliques, far components,
+contact graph, and their JSON lists).  Each is built and checked on the
+first query that needs it; a build that raises keeps nothing, so it
+raises again on the next query.
 
-So are the splits into components that the balance tests weigh.  The
-least-separator search keeps, per (graph, region) it searches, the
-split of the region and of the region minus each vertex, and reads
-sizes 0 and 1 from that record; a larger subset is split afresh and not
-kept.  The separator a query returns is split once per (graph, region
-minus separator), through kept_components, for the branch's balance
-check, grow_separator's two checks and the component weights.  Per query
-only the weights are summed, and the separators found, grown, lifted
-and checked.  verify_certificate reads none of this: it splits afresh.
+The splits come from graph_core's one split record, ``kept_components``,
+per (graph, mask).  An auxiliary frame's far components are the kept
+split of the bag minus the vertex's closed neighborhood: on a bag that
+is the whole graph, the split the hub classification made.  The
+least-separator search reads sizes 0 and 1 from ``_small_splits``, an
+index over that record per (graph, region); a larger subset is split
+afresh and not kept.  The separator a query returns is split once per
+mask for the branch's balance check, grow_separator's two checks and
+the component weights.  Per query only the weights are summed, and the
+separators found, grown, lifted and checked.  verify_certificate reads
+none of this: it splits afresh.
 """
 
 from __future__ import annotations
@@ -33,13 +36,12 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import NamedTuple
 
-from .central_bag import (grow_separator, is_balanced_separator,
-                          kept_components)
+from .central_bag import grow_separator, is_balanced_separator
 from .detectors import clique_number, detect_pyramid, hub_set
 from .errors import HypothesisViolation, InputError
 from .graph_core import (Graph, WeightFn, bit_list, bits, components,
-                         least_nonedge, mask_of, neighborhood, popcount,
-                         subsets_of_size)
+                         kept_components, least_nonedge, mask_of,
+                         neighborhood, popcount, subsets_of_size)
 from .hub_division import HubDivision, hub_division
 from .separations import HALF
 
@@ -116,7 +118,6 @@ def aux_graph(g: Graph, beta: int, w_bag: WeightFn, v: int) -> AuxGraph:
 class _Bag(NamedTuple):
     sub: Graph                  # the bag's induced subgraph
     omega: int                  # its clique number
-    hubs: int                   # hub_set(g, beta)
 
 
 class _Frame(NamedTuple):
@@ -127,7 +128,7 @@ class _Frame(NamedTuple):
 
 def _bag(g: Graph, beta: int) -> _Bag:
     sub = g if beta == g.verts else g.induced(beta)
-    return _Bag(sub, clique_number(sub), g.kept(hub_set, beta))
+    return _Bag(sub, clique_number(sub))
 
 
 def _apex(g: Graph, beta: int, v: int):
@@ -135,7 +136,7 @@ def _apex(g: Graph, beta: int, v: int):
 
 
 def _frame(g: Graph, beta: int, v: int) -> _Frame:
-    nbr_pieces = g.adj[v] & beta & ~g.kept(_bag, beta).hubs
+    nbr_pieces = g.adj[v] & beta & ~g.kept(hub_set, beta)
     cliques = []
     for piece in components(g, nbr_pieces):
         pair = least_nonedge(g, piece)
@@ -144,7 +145,7 @@ def _frame(g: Graph, beta: int, v: int) -> _Frame:
                 "neighborhood piece is not a clique",
                 witness={"piece": bit_list(piece), "nonedge": list(pair)})
         cliques.append(piece)
-    comps = components(g, beta & ~(g.closed_nbr(v) & beta))
+    comps = kept_components(g, beta & ~g.closed_nbr(v))
     t_nodes = len(cliques)
     contacts = [neighborhood(g, k) for k in cliques]
     edges = []
@@ -158,7 +159,7 @@ def _frame(g: Graph, beta: int, v: int) -> _Frame:
                          "cliques": [bit_list(cliques[i]) for i in touching]})
     h = Graph(t_nodes + len(comps), edges)
     _certify_aux(h, t_nodes)
-    return _Frame(tuple(cliques), tuple(comps), h)
+    return _Frame(tuple(cliques), comps, h)
 
 
 def _certify_aux(h: Graph, t_nodes: int) -> None:
@@ -233,15 +234,15 @@ def _least_balanced_separator(g: Graph, w: WeightFn, region: int,
             return x
     for size in range(2, min(budget, popcount(region)) + 1):
         for x in subsets_of_size(region, size):
-            if is_balanced_separator(g, w, region, x, c):
+            if all(w.at_most(d, c) for d in components(g, region & ~x)):
                 return x
     return None
 
 
 def _small_splits(g: Graph, region: int) -> tuple[tuple[int, tuple], ...]:
-    """(x, split of the region minus x) for x empty, then for each vertex
-    of the region in ascending order: the candidates of sizes 0 and 1 in
-    search order."""
+    """An index over the kept splits: (x, split of the region minus x)
+    for x empty, then for each vertex of the region in ascending order,
+    the candidates of sizes 0 and 1 in search order."""
     return tuple((x, kept_components(g, region & ~x))
                  for x in (0, *(1 << v for v in bits(region))))
 
@@ -285,9 +286,10 @@ def _component_weights(g, w, region, sep):
 
 
 def verify_certificate(g: Graph, w: WeightFn, cert: SeparatorCertificate) -> bool:
-    """Independent balance re-check of a certificate on its region."""
-    return is_balanced_separator(g, w, cert.region, cert.separator,
-                                 cert.balance)
+    """Independent balance re-check of a certificate on its region: the
+    region minus the separator is split afresh."""
+    return all(w.at_most(d, cert.balance)
+               for d in components(g, cert.region & ~cert.separator))
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +310,8 @@ def balanced_vertex_separator(g: Graph, beta: int, w_bag: WeightFn, v: int,
     found one, and then once per (bag, vertex), its answer kept on g.
     An apex raises HypothesisViolation with the pyramid.
     """
-    bag = g.kept(_bag, beta)
-    hub_nbrs = g.adj[v] & bag.hubs
+    omega = g.kept(_bag, beta).omega
+    hub_nbrs = g.adj[v] & g.kept(hub_set, beta)
     if g.kept(detect_pyramid) is not None:
         pyr = g.kept(_apex, beta, v)
         if pyr is not None:
@@ -324,11 +326,10 @@ def balanced_vertex_separator(g: Graph, beta: int, w_bag: WeightFn, v: int,
     for i, k in enumerate(aux.cliques):
         if x & aux.graph.closed_nbr(i):
             y |= k
-    if not is_balanced_separator(g, w_bag, beta, y, c, kept=True):
+    if not is_balanced_separator(g, w_bag, beta, y, c):
         raise HypothesisViolation(
             "grown separator is not balanced on the bag",
             witness={"Y": bit_list(y)})
-    omega = bag.omega
     bound = 6 * omega + popcount(hub_nbrs)
     entries = (
         _entry("aux_separator_size", popcount(x), 3),
@@ -359,7 +360,7 @@ def wheelfree_separator(g: Graph, beta: int, w_bag: WeightFn, budget: int,
                         c=HALF) -> SeparatorCertificate:
     """Balanced separator of a wheel-free bag by ascending exhaustive
     search (smallest size, then lexicographically least)."""
-    if g.kept(_bag, beta).hubs:
+    if g.kept(hub_set, beta):
         raise InputError("bag is not wheel-free")
     found = _least_balanced_separator(g, w_bag, beta, budget, c)
     if found is None:
@@ -415,7 +416,7 @@ def main_separator(g: Graph, w: WeightFn, t: int,
     x = bag_cert.separator
     y = grow_separator(g, w, div.bag, x, c)
     beta = div.bag.beta
-    hub_beta = g.kept(_bag, beta).hubs
+    hub_beta = g.kept(hub_set, beta)
     entries = list(bag_cert.ledger)
     for u in bits(div.minimal_set):
         measured = popcount(g.adj[u] & beta & ~hub_beta)

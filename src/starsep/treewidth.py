@@ -31,7 +31,7 @@ EXACT_TW_CAP = 14
 # exact treewidth
 
 
-def exact_treewidth(g: Graph, cap: int = EXACT_TW_CAP) -> int:
+def exact_treewidth(g: Graph) -> int:
     """Exact treewidth by memoized elimination-order search.
 
     Width k is feasible iff the vertices can be eliminated (making each
@@ -42,9 +42,9 @@ def exact_treewidth(g: Graph, cap: int = EXACT_TW_CAP) -> int:
     """
     verts = g.vertex_list()
     n = len(verts)
-    if n > cap:
+    if n > EXACT_TW_CAP:
         raise CapacityError(
-            f"exact treewidth capped at {cap} vertices, got {n}")
+            f"exact treewidth capped at {EXACT_TW_CAP} vertices, got {n}")
     if n == 0:
         return -1
     adj = {v: g.adj[v] & g.verts for v in verts}

@@ -189,8 +189,9 @@ def test_divisions_match_the_full_classification(monkeypatch):
 
 def test_hub_division_weighs_only_its_hubs(monkeypatch):
     """Every mask that hub_division hands to classify_balanced is its hub
-    set; a hub-free member weighs no hub and builds no far sides across
-    certify."""
+    set; a hub-free member weighs no hub and splits no far side across
+    certify, and a division splits the far side of each hub once and of
+    no other vertex."""
     masks = []
 
     def spy(g, w, among=None):
@@ -203,20 +204,28 @@ def test_hub_division_weighs_only_its_hubs(monkeypatch):
     assert any(among for _, among in masks)
     assert all(among == hub_set(g, g.verts) for g, among in masks)
 
-    real_far = starsep.graph_core._far_sides
-    built = []
+    real_split = starsep.graph_core._split
+    split = []
 
-    def counting(g):
-        built.append(g)
-        return real_far(g)
+    def counting(g, x):
+        split.append(x)
+        return real_split(g, x)
 
-    monkeypatch.setattr(starsep.graph_core, "_far_sides", counting)
+    def far_sides(g, among):
+        return sorted(g.verts & ~g.closed_nbr(v) for v in bits(among))
+
+    monkeypatch.setattr(starsep.graph_core, "_split", counting)
     masks.clear()
-    res = certify(cycle_graph(9), 4)
+    c9 = cycle_graph(9)
+    res = certify(c9, 4)
     assert res.report["oracle_calls"] >= 3 and masks == []
-    assert built == []
-    hub_division(w93_graph(), WeightFn.uniform(w93_graph()), 4)
-    assert len(built) == 1
+    assert not set(split) & set(far_sides(c9, c9.verts))
+    w93 = w93_graph()
+    split.clear()
+    hub_division(w93, WeightFn.uniform(w93), 4)
+    every_far_side = set(far_sides(w93, w93.verts))
+    assert sorted(x for x in split if x in every_far_side) \
+        == far_sides(w93, hub_set(w93, w93.verts))
 
 
 # ---------------------------------------------------------------------------

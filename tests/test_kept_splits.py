@@ -14,7 +14,6 @@ import textwrap
 from dataclasses import replace
 from fractions import Fraction
 
-from starsep.central_bag import is_balanced_separator
 from starsep.generators import make, sample_cutset_free_member
 from starsep.graph_core import (Graph, WeightFn, bits, mask_of, popcount,
                                 subsets_of_size)
@@ -24,7 +23,6 @@ from starsep.treewidth import certify, validate_td
 
 from .conftest import counted_calls, seeded_random_graphs
 
-cb = importlib.import_module("starsep.central_bag")
 gc = importlib.import_module("starsep.graph_core")
 engine = importlib.import_module("starsep.separator_engine")
 
@@ -34,7 +32,7 @@ def reference_search(g, w, region, budget, c):
     every size, smallest first, each split afresh."""
     for size in range(0, min(budget, popcount(region)) + 1):
         for x in subsets_of_size(region, size):
-            if is_balanced_separator(g, w, region, x, c):
+            if all(w.at_most(d, c) for d in gc.components(g, region & ~x)):
                 return x
     return None
 
@@ -125,12 +123,12 @@ def test_verification_ignores_the_kept_splits():
     fresh = Graph(g.n, g.edges())
     w = WeightFn.uniform(g)
     cert = main_separator(g, w, 4)
-    key = (cb._split, cert.region & ~cert.separator)
+    key = (gc._split, cert.region & ~cert.separator)
     assert key in g._kept
     forged = replace(cert, separator=0)
     for wrong in ((), (g.verts,)):
         g._kept[key] = wrong
-        g._kept[(cb._split, cert.region)] = wrong
+        g._kept[(gc._split, cert.region)] = wrong
         assert verify_certificate(g, w, cert) \
             == verify_certificate(fresh, w, cert) is True
         assert verify_certificate(g, w, forged) \
@@ -153,11 +151,18 @@ def _names(fn) -> set[str]:
 
 def test_verifiers_read_no_kept_record():
     """The verifiers share no kept record with the constructions they
-    check: neither calls kept, kept_components or a balance test with
-    kept=True."""
+    check: neither calls kept or kept_components."""
     for fn in (verify_certificate, validate_td):
         assert not [n for n in _names(fn) if "kept" in n], fn.__name__
     assert "kept" in _names(engine.balanced_vertex_separator)
+
+
+def test_verify_certificate_names_no_kept_split_or_balance_test():
+    """verify_certificate splits afresh: it names neither the kept split
+    record nor the constructions' balance test, which weighs it."""
+    names = _names(verify_certificate)
+    assert not names & {"is_balanced_separator", "kept_components", "kept"}
+    assert "components" in names
 
 
 def _count_components(monkeypatch):
@@ -190,19 +195,27 @@ def test_certify_splits_a_long_cycle_a_linear_number_of_times(monkeypatch):
 def test_no_split_is_kept_for_a_tested_subset_of_two_or_more(monkeypatch):
     """After certify, each graph it queried (atom graphs and their
     auxiliary graphs) keeps splits only of a searched region, of a region
-    minus one vertex, and of the region minus a returned separator; a
-    subset of two or more vertices that a search tested and passed over
-    was split and dropped."""
-    searches = counted_calls(monkeypatch, engine, "_least_balanced_separator")
-    tested = counted_calls(monkeypatch, engine, "is_balanced_separator")
+    minus one vertex, of the region minus a returned separator, of a far
+    side and of an auxiliary frame's far side in its bag; a subset of two
+    or more vertices that a search tested and passed over was split
+    afresh and dropped."""
+    fresh = counted_calls(monkeypatch, engine, "components")
     queries = counted_calls(monkeypatch, engine, "main_separator")
-    certs = []
-    original = engine.main_separator
+    searches, certs = [], []
+    search, query = engine._least_balanced_separator, engine.main_separator
+
+    def searching(g, w, region, budget, c):
+        start = len(fresh)
+        try:
+            return search(g, w, region, budget, c)
+        finally:
+            searches.append((g, region, fresh[start:]))
 
     def recording(g, w, t, c=HALF):
-        certs.append(original(g, w, t, c))
+        certs.append(query(g, w, t, c))
         return certs[-1]
 
+    monkeypatch.setattr(engine, "_least_balanced_separator", searching)
     monkeypatch.setattr(engine, "main_separator", recording)
     graphs = [make("C40")] + [sample_cutset_free_member(18 + s, 4, s)
                               for s in range(4)]
@@ -212,16 +225,21 @@ def test_no_split_is_kept_for_a_tested_subset_of_two_or_more(monkeypatch):
     for (g, *_), cert in zip(queries, certs):
         beta = mask_of(cert.provenance["beta"])
         bag_sep = mask_of(cert.provenance["bag_separator"])
-        allowed.setdefault(id(g), set()).update(
-            {cert.region & ~cert.separator, beta & ~bag_sep})
-    for g, _w, region, _budget, _c in searches:
+        mine = allowed.setdefault(id(g), set())
+        mine.update({cert.region & ~cert.separator, beta & ~bag_sep})
+        mine.update(g.verts & ~g.closed_nbr(v) for v in g.vertex_list())
+        if cert.provenance["branch"] == "balanced_vertex":
+            mine.add(beta & ~g.closed_nbr(cert.provenance["vertex"]))
+    passed_over = 0
+    for g, region, calls in searches:
         allowed.setdefault(id(g), set()).update(
             {region} | {region & ~(1 << v) for v in bits(region)})
-    passed_over = sum((cb._split, region & ~x) not in g._kept
-                      for g, _w, region, x, _c in tested if popcount(x) >= 2)
-    kept_graphs = {id(args[0]): args[0] for args in queries + searches}
+        assert all(popcount(region & ~x) >= 2 for _g, x in calls)
+        passed_over += sum((gc._split, x) not in g._kept for _g, x in calls)
+    kept_graphs = {id(g): g for g in [q[0] for q in queries]
+                   + [s[0] for s in searches]}
     for key, g in kept_graphs.items():
         masks = {k[1] for k in g._kept if isinstance(k, tuple)
-                 and k[0] is cb._split}
+                 and k[0] is gc._split}
         assert masks <= allowed[key]
     assert passed_over > 20

@@ -229,3 +229,23 @@ def test_classification_among_a_mask_is_the_full_one_restricted():
     sub = g.induced(g.verts & ~1)
     with pytest.raises(InputError):
         classify_balanced(sub, WeightFn.uniform(sub), 1)
+
+
+def test_classifying_one_vertex_splits_only_its_far_side(monkeypatch):
+    """On a fresh graph, weighing one vertex splits exactly one mask: the
+    graph minus that vertex's closed neighborhood."""
+    import starsep.graph_core as gc
+    g = sample_c4_diamond_free_no_clique_cutset(10, 3)
+    real = gc.components
+    split = []
+
+    def counting(graph, x):
+        split.append(x)
+        return real(graph, x)
+
+    monkeypatch.setattr(gc, "components", counting)
+    for v in g.vertex_list():
+        fresh = gc.Graph(g.n, g.edges())
+        split.clear()
+        classify_balanced(fresh, WeightFn.uniform(fresh), 1 << v)
+        assert split == [fresh.verts & ~fresh.closed_nbr(v)]

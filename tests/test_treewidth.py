@@ -231,9 +231,11 @@ def test_certify_enumerates_holes_at_most_twice(monkeypatch):
 
 
 def test_far_sides_are_computed_once_per_graph(monkeypatch):
-    """Far sides depend only on the graph: a second classification with
-    other weights searches no component, and certify searches each far
-    side of its single atom once across all separator queries."""
+    """Far sides depend only on the graph: a classification splits the
+    far side of each vertex it asks about once, a second one with other
+    weights searches no component, and certify splits the far side of
+    each hub of its single atom once across all separator queries and of
+    no other vertex."""
     g = sample_cutset_free_member(16, 4, 3)
     real = starsep.graph_core.components
     calls = []
@@ -242,10 +244,12 @@ def test_far_sides_are_computed_once_per_graph(monkeypatch):
         calls.append(x)
         return real(graph, x)
 
+    def far_sides(graph, among):
+        return sorted(graph.verts & ~graph.closed_nbr(v) for v in bits(among))
+
     monkeypatch.setattr(starsep.graph_core, "components", counting)
     fresh = Graph(g.n, g.edges())
-    far = sorted(fresh.verts & ~fresh.closed_nbr(v)
-                 for v in fresh.vertex_list())
+    far = far_sides(fresh, fresh.verts)
     classify_balanced(fresh, WeightFn.uniform(fresh))
     assert sorted(calls) == far
     calls.clear()
@@ -253,7 +257,9 @@ def test_far_sides_are_computed_once_per_graph(monkeypatch):
     assert calls == []
     res = certify(g, 4, "C_t_star")
     assert res.report["atoms"] == 1 and res.report["oracle_calls"] >= 5
-    assert sorted(calls) == far
+    hubs = starsep.detectors.hub_set(g, g.verts)
+    assert hubs and hubs != g.verts
+    assert sorted(x for x in calls if x in set(far)) == far_sides(g, hubs)
 
 
 def test_certify_random_members():
