@@ -221,7 +221,7 @@ def is_balanced_separator(g: Graph, w: WeightFn, region: int, x: int,
     """Every component of region minus x, as split by the kept record
     (``kept_components``), weighs at most c under w: the constructions'
     test.  A verifier splits afresh with ``components`` instead."""
-    return all(w.at_most(d, c) for d in kept_components(g, region & ~x))
+    return w.all_at_most(kept_components(g, region & ~x), c)
 
 
 def grow_separator(g: Graph, w: WeightFn, bag: CentralBag, x: int,

@@ -483,6 +483,10 @@ class WeightFn:
             return self.of(mask) <= c
         return self.num(mask) * c_den <= c_num * self.den
 
+    def all_at_most(self, parts, c) -> bool:
+        """Whether every mask of parts (a split) weighs at most c."""
+        return all(self.at_most(d, c) for d in parts)
+
     def leq(self, value, bound) -> bool:
         """value <= bound, with float tolerance when inexact."""
         if self.exact:

@@ -66,7 +66,7 @@ def classify_balanced(g: Graph, w: WeightFn,
     g.check_vertex_set(among)
     balanced = 0
     for v in bits(among):
-        if all(w.at_most(d, HALF) for d in far_components(g, v)):
+        if w.all_at_most(far_components(g, v), HALF):
             balanced |= 1 << v
     return balanced, among & ~balanced
 

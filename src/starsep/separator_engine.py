@@ -230,11 +230,11 @@ def _least_balanced_separator(g: Graph, w: WeightFn, region: int,
     for x, parts in g.kept(_small_splits, region):
         if popcount(x) > budget:
             return None
-        if all(w.at_most(d, c) for d in parts):
+        if w.all_at_most(parts, c):
             return x
     for size in range(2, min(budget, popcount(region)) + 1):
         for x in subsets_of_size(region, size):
-            if all(w.at_most(d, c) for d in components(g, region & ~x)):
+            if w.all_at_most(components(g, region & ~x), c):
                 return x
     return None
 
@@ -288,8 +288,8 @@ def _component_weights(g, w, region, sep):
 def verify_certificate(g: Graph, w: WeightFn, cert: SeparatorCertificate) -> bool:
     """Independent balance re-check of a certificate on its region: the
     region minus the separator is split afresh."""
-    return all(w.at_most(d, cert.balance)
-               for d in components(g, cert.region & ~cert.separator))
+    return w.all_at_most(components(g, cert.region & ~cert.separator),
+                         cert.balance)
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,16 @@ from fractions import Fraction
 import pytest
 from networkx.algorithms.approximation import treewidth_min_degree
 
-from starsep.central_bag import is_balanced_separator
 from starsep.detectors import (classify_wheels, detect_fixed,
                                detect_prism, detect_pyramid, detect_theta,
                                holes, hub_set)
 from starsep.generators import (make, sample_c4_diamond_free_no_clique_cutset,
                                 sample_class, sample_cutset_free_member,
                                 sample_theta_triangle_wheel_free)
-from starsep.graph_core import Graph, WeightFn, bits, mask_of, popcount
+from starsep.graph_core import (Graph, WeightFn, bits, components, mask_of,
+                                popcount)
 from starsep.hub_division import check_no_wheels_in_bag, hub_division
-from starsep.separations import leq_a_order, nearly_noncrossing
+from starsep.separations import HALF, leq_a_order, nearly_noncrossing
 from starsep.separator_engine import main_separator, verify_certificate
 from starsep.treewidth import certify, exact_treewidth, validate_td
 
@@ -172,7 +172,8 @@ def test_criterion_6_balanced_separators_with_size_ledgers(pipeline_corpus):
     for g, w, div, cert in pipeline_corpus:
         if not verify_certificate(g, w, cert):
             ok = False
-        if not is_balanced_separator(g, w, g.verts, cert.separator):
+        if not all(w.at_most(d, HALF)
+                   for d in components(g, g.verts & ~cert.separator)):
             ok = False
         entries = {e["check"]: e for e in cert.ledger}
         if cert.provenance.get("branch") == "balanced_vertex":

@@ -14,6 +14,7 @@ import textwrap
 from dataclasses import replace
 from fractions import Fraction
 
+from starsep.detectors import hub_set
 from starsep.generators import make, sample_cutset_free_member
 from starsep.graph_core import (Graph, WeightFn, bits, mask_of, popcount,
                                 subsets_of_size)
@@ -195,10 +196,10 @@ def test_certify_splits_a_long_cycle_a_linear_number_of_times(monkeypatch):
 def test_no_split_is_kept_for_a_tested_subset_of_two_or_more(monkeypatch):
     """After certify, each graph it queried (atom graphs and their
     auxiliary graphs) keeps splits only of a searched region, of a region
-    minus one vertex, of the region minus a returned separator, of a far
-    side and of an auxiliary frame's far side in its bag; a subset of two
-    or more vertices that a search tested and passed over was split
-    afresh and dropped."""
+    minus one vertex, of the region minus a returned separator, of a
+    hub's far side and of an auxiliary frame's far side in its bag; a
+    subset of two or more vertices that a search tested and passed over
+    was split afresh and dropped."""
     fresh = counted_calls(monkeypatch, engine, "components")
     queries = counted_calls(monkeypatch, engine, "main_separator")
     searches, certs = [], []
@@ -227,7 +228,8 @@ def test_no_split_is_kept_for_a_tested_subset_of_two_or_more(monkeypatch):
         bag_sep = mask_of(cert.provenance["bag_separator"])
         mine = allowed.setdefault(id(g), set())
         mine.update({cert.region & ~cert.separator, beta & ~bag_sep})
-        mine.update(g.verts & ~g.closed_nbr(v) for v in g.vertex_list())
+        mine.update(g.verts & ~g.closed_nbr(v)
+                    for v in bits(hub_set(g, g.verts)))
         if cert.provenance["branch"] == "balanced_vertex":
             mine.add(beta & ~g.closed_nbr(cert.provenance["vertex"]))
     passed_over = 0

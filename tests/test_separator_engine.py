@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from starsep.central_bag import is_balanced_separator
 from starsep.detectors import holes, hub_set
 from starsep.errors import HypothesisViolation, InputError
 from starsep.generators import (complete_graph, cycle_graph, pyramid_graph,
@@ -136,8 +135,7 @@ def test_aux_graph_isolated_vertex():
 def test_balanced_vertex_separator_examples(w93):
     c5 = cycle_graph(5)
     cert = balanced_vertex_separator(c5, c5.verts, WeightFn.uniform(c5), 0)
-    assert is_balanced_separator(c5, WeightFn.uniform(c5), c5.verts,
-                                 cert.separator)
+    assert verify_certificate(c5, WeightFn.uniform(c5), cert)
     assert cert.ok()
     certw = balanced_vertex_separator(w93, w93.verts, WeightFn.uniform(w93), 9)
     assert certw.separator == mask_of([9, 0, 3, 6])

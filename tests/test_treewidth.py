@@ -86,11 +86,12 @@ def test_validate_td_connectivity_failure():
 
 def _exhaustive_oracle(graph, w):
     """Independent balanced-separator oracle for build_td tests."""
-    from starsep.central_bag import is_balanced_separator
-    from starsep.graph_core import subsets_of_size
+    from starsep.graph_core import components, subsets_of_size
+    from starsep.separations import HALF
     for size in range(0, popcount(graph.verts) + 1):
         for x in subsets_of_size(graph.verts, size):
-            if is_balanced_separator(graph, w, graph.verts, x):
+            if all(w.at_most(d, HALF)
+                   for d in components(graph, graph.verts & ~x)):
                 return x
     raise AssertionError("unreachable")
 
