@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
@@ -342,17 +342,18 @@ class WeightFn:
     distinct non-zero numerator with the mask of the vertices that carry
     it, set once when the WeightFn is made.  Sums and the balance test
     ``at_most`` stay in integers, so threshold comparisons (such as
-    against 1/2) have reproducible tie behavior; a Fraction is built only
-    where a weight is emitted (``of``, ``values``, ``shares``,
-    ``as_json``).  Float inputs are summed one vertex at a time (``den``
-    is 1) and compared with a 1e-9 tolerance.  The total must be 1
+    against 1/2) have reproducible tie behavior, and weights are printed
+    from their numerators; past parsing, a Fraction is built only by
+    ``of``, by ``values`` on read and for witnesses.  Float inputs are
+    kept as floats, summed one vertex at a time (``den`` is 1) and
+    compared with a 1e-9 tolerance.  The total must be 1
     (``weighs_one``, within tolerance for floats); anything else is
     rejected rather than rescaled.  No other module reads how the
-    weights are stored: it asks ``at_most``, ``weighs_one`` and
-    ``shares``.
+    weights are stored: it asks ``at_most``, ``weighs_one``, ``printed``
+    and ``contracted``.
     """
 
-    __slots__ = ("n", "values", "exact", "den", "_classes")
+    __slots__ = ("n", "exact", "den", "_classes", "_floats")
 
     def __init__(self, n: int, values: Sequence):
         try:
@@ -370,7 +371,7 @@ class WeightFn:
             hi = v <= 1 if exact else v <= 1 + FLOAT_TOL
             if not (lo and hi):
                 raise InputError(f"weight {v} outside [0, 1]")
-        self._fill(n, tuple(parsed))
+        self._fill(n, *_stored(tuple(parsed)))
         everything = (1 << n) - 1
         if not self.weighs_one(everything):
             raise InputError(
@@ -390,40 +391,29 @@ class WeightFn:
         k = popcount(support)
         if k == 0:
             raise InputError("uniform weight needs a nonempty support")
-        values = [Fraction(0)] * g.n
-        share = Fraction(1, k)
-        for v in bits(support):
-            values[v] = share
-        return cls._raw(g.n, tuple(values), (k, ((1, support),)))
+        return cls._made(g.n, k, ((1, support),))
 
     @classmethod
-    def _raw(cls, n: int, values: tuple,
-             common: tuple | None = None) -> "WeightFn":
-        """Unchecked constructor; ``common`` is ``(den, classes)`` when the
-        caller already has the numerators of exact ``values``.  Without
-        it the weights are exact iff every value is a Fraction."""
+    def _made(cls, n: int, den: int, classes, floats=None) -> "WeightFn":
+        """Unchecked constructor from the stored form (see _stored)."""
         w = cls.__new__(cls)
-        w._fill(n, values, common)
+        w._fill(n, den, classes, floats)
         return w
 
-    def _fill(self, n, values, common=None):
-        exact = common is not None or all(isinstance(v, Fraction)
-                                          for v in values)
-        if not exact:
-            common = (1, None)
-        elif common is None:
-            den = lcm(*(v.denominator for v in values))
-            classes: dict[int, int] = {}
-            for v, value in enumerate(values):
-                num = value.numerator * (den // value.denominator)
-                if num:
-                    classes[num] = classes.get(num, 0) | 1 << v
-            common = (den, tuple(classes.items()))
+    def _fill(self, n, den, classes, floats):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "den", common[0])
-        object.__setattr__(self, "_classes", common[1])
+        object.__setattr__(self, "exact", floats is None)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_classes", classes)
+        object.__setattr__(self, "_floats", floats)
+
+    @property
+    def values(self) -> tuple:
+        """Each vertex's weight: Fractions built on read for exact
+        weights, the stored floats otherwise."""
+        if not self.exact:
+            return self._floats
+        return tuple(self.of(1 << v) for v in range(self.n))
 
     def num(self, mask: int):
         """Weight of a vertex mask times ``den``: an int for exact weights,
@@ -432,7 +422,7 @@ class WeightFn:
         if not self.exact:
             total = 0.0
             for v in bits(mask):
-                total += self.values[v]
+                total += self._floats[v]
             return total
         total = 0
         for num, m in self._classes:
@@ -454,19 +444,29 @@ class WeightFn:
             return total == self.den
         return abs(total - 1.0) <= FLOAT_TOL
 
-    def shares(self, masks) -> tuple[tuple, tuple]:
-        """(weights, shares): each mask's weight, and its weight divided
-        by the total over all the masks (0 when that total is not
-        positive), from one sum per mask.  Exact weights give Fractions
-        of the integer numerators, float weights floats."""
+    def printed(self, masks) -> tuple[str, ...]:
+        """str(self.of(m)) for each mask, built from the numerators."""
+        return self._print([self.num(m) for m in masks])
+
+    def _print(self, nums) -> tuple[str, ...]:
+        if not self.exact:
+            return tuple(map(str, nums))
+        return tuple(fraction_str(x, self.den) for x in nums)
+
+    def contracted(self, masks) -> tuple["WeightFn", tuple[str, ...]]:
+        """The masks as the nodes of a contracted graph: the WeightFn that
+        gives node i the share of masks[i] in the total over all the
+        masks (0 everywhere when that total is not positive), and each
+        mask's weight printed as ``printed`` does, from one sum per mask.
+        Exact shares are the masks' numerators over their sum."""
         nums = [self.num(m) for m in masks]
         total = sum(nums)
-        if not self.exact:
-            return (tuple(nums),
-                    tuple(x / total if total > 0 else 0 * x for x in nums))
-        return (tuple(Fraction(x, self.den) for x in nums),
-                tuple(Fraction(x, total) if total > 0 else Fraction(0)
-                      for x in nums))
+        if self.exact:
+            shares = WeightFn._made(len(nums), total or 1, _classes_of(nums))
+        else:
+            shares = WeightFn._made(len(nums), 1, None, tuple(
+                x / total if total > 0 else 0 * x for x in nums))
+        return shares, self._print(nums)
 
     def at_most(self, mask: int, c) -> bool:
         """Whether the mask weighs at most c: the one balance test.
@@ -499,7 +499,7 @@ class WeightFn:
         vals = list(self.values)
         for v, d in deltas.items():
             vals[v] = vals[v] + d
-        return WeightFn._raw(self.n, tuple(vals))
+        return WeightFn._made(self.n, *_stored(tuple(vals)))
 
     def inherited(self, parts: dict[int, int]) -> "WeightFn":
         """New WeightFn in which each vertex v also carries the weight of
@@ -513,20 +513,45 @@ class WeightFn:
         for num, m in self._classes:
             if m & ~moved:
                 classes[num] = m & ~moved
-        vals = list(self.values)
         for v, part in parts.items():
             num = self.num(1 << v) + self.num(part)
             if num:
                 classes[num] = classes.get(num, 0) | 1 << v
-            vals[v] = Fraction(num, self.den)
-        return WeightFn._raw(self.n, tuple(vals),
-                             (self.den, tuple(classes.items())))
+        return WeightFn._made(self.n, self.den, tuple(classes.items()))
 
     def as_json(self) -> list:
-        return [str(v) if isinstance(v, Fraction) else v for v in self.values]
+        if not self.exact:
+            return list(self._floats)
+        return list(self.printed(1 << v for v in range(self.n)))
 
     def __repr__(self):
         return f"WeightFn({list(self.values)!r})"
+
+
+def fraction_str(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without building it."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _classes_of(nums) -> tuple[tuple[int, int], ...]:
+    """((num, mask), ...): each distinct non-zero numerator of nums, in
+    order of first appearance, with the mask of the indices carrying it."""
+    classes: dict[int, int] = {}
+    for v, num in enumerate(nums):
+        if num:
+            classes[num] = classes.get(num, 0) | 1 << v
+    return tuple(classes.items())
+
+
+def _stored(values: tuple) -> tuple:
+    """(den, classes, floats) of unchecked values: exact numerators over
+    their lcm denominator iff every value is a Fraction, else floats."""
+    if not all(isinstance(v, Fraction) for v in values):
+        return 1, None, values
+    den = lcm(*(v.denominator for v in values))
+    return den, _classes_of([v.numerator * (den // v.denominator)
+                             for v in values]), None
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ none of this: it splits afresh.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
@@ -70,12 +71,24 @@ class AuxGraph:
     Node i < len(cliques) stands for cliques[i]; node len(cliques) + j
     stands for comps[j].  Every component node has degree at most two and
     the graph has treewidth at most two; both facts are certified.
+    ``shares`` (each node's share of their total) and ``printed`` (each
+    node's weight on the bag) come from ``WeightFn.contracted``;
+    ``weights`` and ``normalized`` are built from them on read.
     """
     graph: Graph
     cliques: tuple[int, ...]
     comps: tuple[int, ...]
-    weights: tuple
-    normalized: tuple
+    shares: WeightFn
+    printed: tuple[str, ...]
+
+    @property
+    def weights(self) -> tuple:
+        parse = Fraction if self.shares.exact else float
+        return tuple(map(parse, self.printed))
+
+    @property
+    def normalized(self) -> tuple:
+        return self.shares.values
 
     def num_clique_nodes(self) -> int:
         return len(self.cliques)
@@ -85,7 +98,7 @@ class AuxGraph:
         do not depend on the weights are built once per (graph, cliques,
         components) and kept on the graph, so every call shares them."""
         return {**self.graph.kept(_aux_lists, self.cliques, self.comps),
-                "weights": [str(x) for x in self.weights]}
+                "weights": list(self.printed)}
 
 
 def _aux_lists(h: Graph, cliques: tuple[int, ...],
@@ -106,9 +119,9 @@ def aux_graph(g: Graph, beta: int, w_bag: WeightFn, v: int) -> AuxGraph:
     if not ((beta >> v) & 1):
         raise InputError("vertex is not in the bag")
     frame = g.kept(_frame, beta, v)
-    weights, normalized = w_bag.shares(frame.cliques + frame.comps)
+    shares, printed = w_bag.contracted(frame.cliques + frame.comps)
     return AuxGraph(graph=frame.graph, cliques=frame.cliques,
-                    comps=frame.comps, weights=weights, normalized=normalized)
+                    comps=frame.comps, shares=shares, printed=printed)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +225,7 @@ def _aux_balanced_separator(aux: AuxGraph) -> int:
     removal leaves every component of the auxiliary graph at normalized
     weight <= 1/2."""
     h = aux.graph
-    x = _least_balanced_separator(
-        h, WeightFn._raw(h.n, aux.normalized), h.verts, 3, HALF)
+    x = _least_balanced_separator(h, aux.shares, h.verts, 3, HALF)
     if x is None:
         raise HypothesisViolation(
             "no balanced separator of size three in the auxiliary graph",
@@ -282,7 +294,7 @@ class SeparatorCertificate:
 
 
 def _component_weights(g, w, region, sep):
-    return tuple(str(w.of(d)) for d in kept_components(g, region & ~sep))
+    return w.printed(kept_components(g, region & ~sep))
 
 
 def verify_certificate(g: Graph, w: WeightFn, cert: SeparatorCertificate) -> bool:

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from starsep.errors import InputError
 import starsep.graph_core
 from starsep.graph_core import (Graph, WeightFn, bit_list, cliques, components,
-                                dumps_graph, far_components, from_dimacs,
-                                from_graph6, load_graph_file, loads_graph,
-                                mask_of, neighborhood,
+                                dumps_graph, far_components, fraction_str,
+                                from_dimacs, from_graph6, load_graph_file,
+                                loads_graph, mask_of, neighborhood,
                                 subsets_of_size, to_graph6)
+from starsep.separations import HALF
 
 from . import oracles
 from .conftest import seeded_random_graphs, small_graphs
@@ -394,15 +395,83 @@ def test_only_graph_core_knows_how_graphs_and_weights_are_stored():
 
 @given(exact_weights_and_masks() | uniform_weights_and_masks())
 @settings(max_examples=100, deadline=None)
-def test_shares_and_weighs_one_match_fraction_arithmetic(case):
+def test_contracted_and_weighs_one_match_fraction_arithmetic(case):
     w, masks = case
-    weights, shares = w.shares(masks)
+    shares, printed = w.contracted(masks)
+    weights = [w.of(m) for m in masks]
     total = sum(weights)
-    assert list(weights) == [w.of(m) for m in masks]
-    assert list(shares) == [x / total if total else 0 for x in weights]
-    assert all(type(x) is Fraction for x in weights + shares)
+    assert list(printed) == [str(x) for x in weights]
+    assert list(shares.values) == [x / total if total else 0 for x in weights]
+    assert shares.exact and shares.n == len(masks)
+    assert all(type(x) is Fraction for x in shares.values)
+    for nodes in range(1 << len(masks)):
+        part = sum(x for i, x in enumerate(shares.values) if nodes >> i & 1)
+        assert shares.at_most(nodes, HALF) == (part <= HALF)
     for m in masks + [(1 << w.n) - 1]:
         assert w.weighs_one(m) == (w.of(m) == 1)
+
+
+def _fraction_uniform_on(n, support):
+    """uniform_on's values computed as Fractions, vertex by vertex."""
+    values = [Fraction(0)] * n
+    for v in bit_list(support):
+        values[v] = Fraction(1, support.bit_count())
+    return tuple(values)
+
+
+def _fraction_inherited(values, parts):
+    """inherited's values computed as Fraction sums: each center also
+    carries the weight of its part."""
+    out = list(values)
+    for v, part in parts.items():
+        out[v] = values[v] + sum((values[u] for u in bit_list(part)),
+                                 Fraction(0))
+    return tuple(out)
+
+
+def test_values_of_integer_constructors_match_fraction_tuples():
+    """values read from uniform_on and inherited equals the Fraction
+    tuple built vertex by vertex, on seeded supports and parts, with
+    zero numerators and denominator 1 among them."""
+    rng = random.Random(211)
+    dens = set()
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        g = Graph(n, [])
+        support = rng.randint(1, (1 << n) - 1)
+        if rng.random() < 0.2:
+            support = 1 << rng.randrange(n)  # denominator 1
+        uniform = WeightFn.uniform_on(g, support)
+        raw = [rng.choice((0, 0, 1, 2, 5)) for _ in range(n)]
+        raw[rng.randrange(n)] += 1
+        given = [Fraction(x, sum(raw)) for x in raw]
+        for w, values in ((uniform, _fraction_uniform_on(n, support)),
+                          (WeightFn(n, given), tuple(given))):
+            assert w.values == values
+            assert all(type(x) is Fraction for x in w.values)
+            centers = rng.sample(range(n), rng.randint(0, min(3, n)))
+            free = (1 << n) - 1 - mask_of(centers)
+            parts = {}
+            for v in centers:
+                parts[v] = free & rng.randint(0, (1 << n) - 1)
+                free &= ~parts[v]
+            got = w.inherited(parts)
+            assert got.values == _fraction_inherited(values, parts)
+            # a central bag keeps the centers and drops their parts
+            bag = (1 << n) - 1 - sum(parts.values())
+            assert got.den == w.den and got.weighs_one(bag)
+            dens.add(w.den)
+    assert 1 in dens and len(dens) > 10
+
+
+def test_fraction_str_matches_str_of_fraction():
+    rng = random.Random(223)
+    cases = [(0, 1), (0, 7), (5, 1), (6, 4), (10 ** 30, 3 * 10 ** 29)]
+    for _ in range(2000):
+        den = rng.choice((1, rng.randint(1, 50), rng.randint(1, 10 ** 12)))
+        cases.append((rng.choice((0, rng.randint(0, 3 * den))), den))
+    for num, den in cases:
+        assert fraction_str(num, den) == str(Fraction(num, den))
 
 
 def _subsets_by_index_loop(mask, k):

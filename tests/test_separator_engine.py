@@ -10,12 +10,14 @@ from starsep.detectors import holes, hub_set
 from starsep.errors import HypothesisViolation, InputError
 from starsep.generators import (complete_graph, cycle_graph, pyramid_graph,
                                 sample_class, sample_cutset_free_member)
-from starsep.graph_core import Graph, WeightFn, bit_list, mask_of
+from starsep.graph_core import (Graph, WeightFn, _stored, bit_list,
+                                mask_of)
 from starsep.hub_division import hub_division
 from starsep.separations import HALF
 from starsep.separator_engine import (SeparatorCertificate,
                                       _aux_balanced_separator,
-                                      _certify_aux, aux_graph,
+                                      _certify_aux,
+                                      _least_balanced_separator, aux_graph,
                                       balanced_vertex_separator,
                                       central_bag_separator, main_separator,
                                       ramsey_vs_4, series_parallel_core,
@@ -258,13 +260,114 @@ def test_aux_separator_matches_exhaustive_oracle():
             aux = aux_graph(g, g.verts, WeightFn.uniform(g), v)
             h = oracles.to_nx(aux.graph)
             n = aux.graph.n
-            for normalized in (aux.normalized, tuple(_exact_weights(rng, n)),
-                               tuple(_eighths(rng, n))):
+            for shares in (aux.shares, WeightFn(n, _exact_weights(rng, n)),
+                           WeightFn(n, _eighths(rng, n))):
                 want = oracles.exhaustive_balanced_separator(
-                    h, dict(enumerate(normalized)), 3, HALF)
-                got = _aux_balanced_separator(
-                    replace(aux, normalized=normalized))
+                    h, dict(enumerate(shares.values)), 3, HALF)
+                got = _aux_balanced_separator(replace(aux, shares=shares))
                 assert got == mask_of(want)
+
+
+def _reference_aux(g, beta, w, v):
+    """The auxiliary graph's separator and JSON as they were computed
+    with Fractions: each node's weight by w.of, its share as the
+    Fraction (or float) quotient by their sum, 0 when that sum is not
+    positive, and the separator under the shares stored from those
+    values, over their lcm denominator when every one is a Fraction."""
+    aux = aux_graph(g, beta, w, v)
+    weights = [w.of(m) for m in aux.cliques + aux.comps]
+    total = sum(weights)
+    normalized = tuple(x / total if total > 0 else 0 * x for x in weights)
+    h = aux.graph
+    x = _least_balanced_separator(
+        h, WeightFn._made(h.n, *_stored(normalized)), h.verts, 3, HALF)
+    aux_json = {"cliques": [bit_list(k) for k in aux.cliques],
+                "components": [bit_list(d) for d in aux.comps],
+                "edges": [list(e) for e in h.edges()],
+                "weights": [str(weight) for weight in weights]}
+    return x, aux_json, tuple(weights), normalized
+
+
+def _aux_cases():
+    """(g, w, v): weights resting on v and its hub neighbors alone, so
+    the auxiliary nodes weigh 0 in total, exact and float; and float
+    skewed weights."""
+    for s in range(6):
+        g = sample_cutset_free_member(16 + 2 * (s % 3), 4, s)
+        hubs = hub_set(g, g.verts)
+        for v in g.vertex_list():
+            rest = (1 << v) | (g.adj[v] & hubs)
+            k = rest.bit_count()
+            yield g, WeightFn.uniform_on(g, rest), v
+            yield g, WeightFn(g.n, [1 / k if rest >> u & 1 else 0.0
+                                    for u in range(g.n)]), v
+        for v in g.vertex_list():
+            yield g, skewed_weights(g, s * 31 + v)[1], v
+
+
+def test_aux_weights_on_zero_total_and_float_bags():
+    """The auxiliary separator, JSON, weights and shares agree with the
+    Fraction reference when the auxiliary nodes weigh nothing in total
+    and when the bag weights are floats."""
+    zero_totals = floats = 0
+    for g, w, v in _aux_cases():
+        aux = aux_graph(g, g.verts, w, v)
+        x, aux_json, weights, normalized = _reference_aux(g, g.verts, w, v)
+        assert _aux_balanced_separator(aux) == x
+        assert aux.as_json() == aux_json
+        assert aux.weights == weights and aux.normalized == normalized
+        assert [type(y) for y in aux.weights + aux.normalized] == \
+            [type(y) for y in weights + normalized]
+        zero_totals += aux.graph.n > 0 and not sum(weights)
+        floats += not w.exact
+    assert zero_totals >= 50 and floats >= 100
+
+
+def _count_fractions(monkeypatch):
+    """A list that grows by one for every call of the Fraction
+    constructor from now on (on Python 3.11 arithmetic results too)."""
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return made
+
+
+def test_exact_weight_queries_build_no_fraction(monkeypatch):
+    """An exact-weight separator query on a hub member, through the
+    auxiliary graph and the wheel-free search alike, keeps its weights
+    in integers and prints them from integers; so does certify outside
+    the exact treewidth oracle."""
+    import starsep.treewidth as tw
+    graphs = [g for g in (sample_cutset_free_member(20, 4, s)
+                          for s in range(6)) if hub_set(g, g.verts)]
+    queries = [(g, w) for g in graphs
+               for w in (WeightFn.uniform(g), skewed_weights(g, 3)[0])]
+    made = _count_fractions(monkeypatch)
+    branches = set()
+    for g, w in queries:
+        cert = main_separator(g, w, 4)
+        branches.add(cert.provenance["branch"])
+        assert cert.as_json()
+    assert made == [] and branches == {"balanced_vertex", "wheel_free"}
+    original = tw.exact_treewidth
+    outside = []
+
+    def oracle(g):
+        outside.extend(made)
+        try:
+            return original(g)
+        finally:
+            made.clear()
+
+    monkeypatch.setattr(tw, "exact_treewidth", oracle)
+    for g in graphs:
+        assert certify(g, 4, "C_t_star").as_json()
+    assert outside + made == []
 
 
 def test_wheelfree_rejects_wheel(w93):
