@@ -117,86 +117,37 @@ def _cut_vertices(g, within):
 
 @dataclass(frozen=True)
 class DecompositionStep:
-    """One node of the atom tree: the cutset and the pieces it produced.
-
-    Equality, hashing and repr give what the generated dataclass methods
-    give, but walk the tree on explicit stacks, so an atom tree deeper
-    than the recursion limit still compares, hashes and prints."""
+    """One node of the nested atom tree: the cutset and the pieces it
+    produced, each a DecompositionStep or an atom mask."""
     cutset: int
-    pieces: tuple[object, ...]  # DecompositionStep or atom masks (int)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            x, y = todo.pop()
-            if x is y:
-                continue
-            if not (isinstance(x, DecompositionStep)
-                    and x.__class__ is y.__class__):
-                if x != y:
-                    return False
-                continue
-            if x.cutset != y.cutset or len(x.pieces) != len(y.pieces):
-                return False
-            todo += zip(x.pieces, y.pieces)
-        return True
-
-    def __hash__(self):
-        # hash((cutset, pieces)) bottom-up: a tuple's hash reads only its
-        # items' hashes, so each finished step stands in by its hash; a
-        # (cutset, k) marker folds the last k finished pieces
-        done: list = []
-        todo: list = [self]
-        while todo:
-            x = todo.pop()
-            if isinstance(x, DecompositionStep):
-                todo.append((x.cutset, len(x.pieces)))
-                todo += reversed(x.pieces)
-            elif isinstance(x, tuple):
-                cutset, k = x
-                pieces = tuple(done[len(done) - k:])
-                done[len(done) - k:] = [_Hashed(hash((cutset, pieces)))]
-            else:
-                done.append(x)
-        return hash(done[0])
-
-    def __repr__(self):
-        out: list[str] = []
-        todo: list = [self]
-        while todo:
-            x = todo.pop()
-            if isinstance(x, str):
-                out.append(x)
-                continue
-            parts: list = [f"{x.__class__.__qualname__}(cutset={x.cutset!r}, "
-                           "pieces=("]
-            for i, p in enumerate(x.pieces):
-                if i:
-                    parts.append(", ")
-                parts.append(p if isinstance(p, DecompositionStep) else repr(p))
-            parts.append(",))" if len(x.pieces) == 1 else "))")
-            todo += reversed(parts)
-        return "".join(out)
-
-
-class _Hashed:
-    """Stands in for a hashed step: hashes to the value it holds."""
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __hash__(self):
-        return self.value
+    pieces: tuple[object, ...]
 
 
 @dataclass(frozen=True)
 class AtomDecomposition:
+    """Atoms in the order first reached, cutsets in the order used, and
+    the atom tree as one flat pre-order tuple `steps`: (cutset, piece
+    count) for a step, the mask for an atom; () for the empty graph.
+    Flat, the generated methods compare, hash and print it at any
+    depth."""
     atoms: tuple[int, ...]
     cutsets: tuple[int, ...]
-    tree: object  # DecompositionStep | int (single atom)
+    steps: tuple[int | tuple[int, int], ...]
+
+    @property
+    def tree(self) -> DecompositionStep | int:
+        """The nested view of steps, built on read: a DecompositionStep
+        per step, a mask per atom; 0 for the empty graph.  Read in
+        reverse pre-order, a step's pieces are the last subtrees built."""
+        done: list = []
+        for step in reversed(self.steps):
+            if isinstance(step, tuple):
+                cutset, k = step
+                pieces = tuple(reversed(done[len(done) - k:]))
+                del done[len(done) - k:]
+                step = DecompositionStep(cutset, pieces)
+            done.append(step)
+        return done[0] if done else 0
 
     def as_json(self) -> dict:
         return {
@@ -207,7 +158,8 @@ class AtomDecomposition:
 
 def clique_cutset_atoms(g: Graph) -> AtomDecomposition:
     """Decomposition along clique cutsets, walked in pre-order on an
-    explicit stack; atoms are induced subgraphs with no clique cutset.
+    explicit stack and recorded in that order as the steps; atoms are
+    induced subgraphs with no clique cutset.
     Deterministic: find_clique_cutset's cutset first, pieces in component
     order.  The first call keeps the result on the graph.
 
@@ -225,30 +177,24 @@ def clique_cutset_atoms(g: Graph) -> AtomDecomposition:
 def _decompose(g: Graph) -> AtomDecomposition:
     atoms: list[int] = []
     cutsets: list[int] = []
-    done: list = []  # finished subtrees, left to right
-    # (region, cut vertices, connected), or (cut, k): fold the last k
-    # finished subtrees into one step
+    steps: list = []
+    # (region, cut vertices, connected)
     todo = [(g.verts, *_cut_vertices(g, g.verts))] if g.verts else []
     while todo:
-        item = todo.pop()
-        if len(item) == 2:
-            cut, k = item
-            done[-k:] = [DecompositionStep(cut, tuple(done[-k:]))]
-            continue
-        region, cut_vertices, connected = item
+        region, cut_vertices, connected = todo.pop()
         cut = None
         if popcount(region) > 1:
             cut = _least_cutset(g, region, cut_vertices, connected)
         if cut is None:
             atoms.append(region)
-            done.append(region)
+            steps.append(region)
             continue
         cutsets.append(cut)
         comps = components(g, region & ~cut)
-        todo.append((cut, len(comps)))
+        steps.append((cut, len(comps)))
         todo += [(c | cut, cut_vertices & c, True) for c in reversed(comps)]
     return AtomDecomposition(tuple(dict.fromkeys(atoms)), tuple(cutsets),
-                             done[0] if done else 0)
+                             tuple(steps))
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,8 @@ def detect_pyramid(g: Graph, apex: int | None = None) -> Optional[PyramidWitness
     legs are the triangle edges.  An explicit apex restricts the search.
     Apexes next to two corners are skipped; from any other apex at most
     one leg, the edge to an adjacent corner, has length one."""
+    if apex is not None:
+        g.check_vertex(apex)
     apexes = g.vertex_list() if apex is None else [apex]
     for tri in cliques(g, 3):
         tri_mask = mask_of(tri)

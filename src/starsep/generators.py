@@ -17,7 +17,7 @@ from .detectors import (class_membership, detect_fixed, detect_prism,
                         detect_pyramid, detect_theta, hub_set,
                         ObstructionReport)
 from .errors import InputError, SamplingError
-from .graph_core import Graph, bit_list, components
+from .graph_core import Graph, bit_list
 
 SAMPLE_CAP = 32
 
@@ -209,22 +209,19 @@ def _repair_vertex(g: Graph, embedding: tuple[int, ...]) -> int:
     return max(embedding, key=lambda v: (g.degree(v), -v))
 
 
-def sample_class(n: int, t: int, seed: int, variant: str = "C_t",
-                 p: float | None = None, max_repairs: int | None = None,
-                 restarts: int = 20) -> SampleResult:
+def sample_class(n: int, t: int, seed: int,
+                 variant: str = "C_t") -> SampleResult:
     """Seeded member of the target class: sparse random graphs repaired by
-    isolating one endpoint of each obstruction found, with rejection on
-    budget exhaustion."""
+    isolating one endpoint of each obstruction found, with 4n + 20
+    repairs per graph and 20 graphs before giving up."""
     if not 1 <= n <= SAMPLE_CAP:
         raise InputError(f"sample_class supports 1 <= n <= {SAMPLE_CAP}")
-    prob = p if p is not None else min(1.0, 2.5 / max(1, n - 1))
-    budget = max_repairs if max_repairs is not None else 4 * n + 20
+    prob = min(1.0, 2.5 / max(1, n - 1))
     rng = random.Random(seed)
-    attempts = repairs = 0
-    for _ in range(restarts):
-        attempts += 1
+    repairs = 0
+    for attempts in range(1, 21):
         g = random_graph(n, prob, rng)
-        for _ in range(budget):
+        for _ in range(4 * n + 20):
             rep = class_membership(g, t, variant)
             if rep.member:
                 return SampleResult(g, rep, attempts, repairs)
@@ -257,8 +254,8 @@ def sample_theta_triangle_wheel_free(n: int, seed: int) -> Graph:
 
 def sample_c4_diamond_free_no_clique_cutset(n: int, seed: int) -> Graph:
     """Cycle plus random chords, with chords deleted until the graph is
-    (C4, diamond)-free and has no 2-element clique cutset; the base cycle
-    keeps it connected and clique-cutset-free."""
+    (C4, diamond)-free and has no clique cutset; the base cycle keeps it
+    2-connected, so every clique cutset holds a chord to delete."""
     if n < 5:
         raise InputError("need n >= 5")
     rng = random.Random(seed)
@@ -280,10 +277,10 @@ def sample_c4_diamond_free_no_clique_cutset(n: int, seed: int) -> Graph:
     while True:
         emb = detect_fixed(g, "C4") or detect_fixed(g, "diamond")
         if emb is None:
-            cut = _clique_pair_cutset(g)
+            cut = find_clique_cutset(g, g.verts)
             if cut is None:
                 return g
-            emb = cut
+            emb = bit_list(cut)
         culprit = next((e for e in sorted(chords)
                         if e[0] in emb and e[1] in emb), None)
         if culprit is None:
@@ -291,15 +288,6 @@ def sample_c4_diamond_free_no_clique_cutset(n: int, seed: int) -> Graph:
             raise SamplingError(f"repair stalled for n={n}, seed={seed}")
         chords.remove(culprit)
         g = build()
-
-
-def _clique_pair_cutset(g: Graph):
-    """An adjacent pair whose removal disconnects the graph, or None."""
-    for u, v in g.edges():
-        rest = g.verts & ~(1 << u) & ~(1 << v)
-        if rest and len(components(g, rest)) > 1:
-            return (u, v)
-    return None
 
 
 def sample_cutset_free_member(n: int, t: int, seed: int,

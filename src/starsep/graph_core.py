@@ -182,6 +182,10 @@ class Graph:
     def num_edges(self) -> int:
         return sum(self.degree(v) for v in bits(self.verts)) // 2
 
+    def check_vertex(self, v: int) -> None:
+        if not (0 <= v < self.n and (self.verts >> v) & 1):
+            raise InputError(f"vertex {v} is not in the graph")
+
     def check_vertex_set(self, x: int) -> None:
         if x < 0:  # a negative mask has infinitely many set bits
             raise InputError(f"vertex mask {x} is negative")
@@ -257,8 +261,7 @@ def far_components(g: Graph, v: int) -> tuple[int, ...]:
     """Components of the graph minus the closed neighborhood of v, ordered
     by smallest contained vertex: the kept split of that mask, so only
     the vertices asked about are split."""
-    if not (0 <= v < g.n and (g.verts >> v) & 1):
-        raise InputError(f"vertex {v} is not in the graph")
+    g.check_vertex(v)
     return kept_components(g, g.verts & ~g.closed_nbr(v))
 
 

@@ -116,12 +116,17 @@ def aux_graph(g: Graph, beta: int, w_bag: WeightFn, v: int) -> AuxGraph:
     a component adjacent to three cliques is reported as a violation.
     Only the weights are new per query: the certified frame is kept.
     """
-    if not ((beta >> v) & 1):
-        raise InputError("vertex is not in the bag")
+    _check_bag_vertex(g, beta, v)
     frame = g.kept(_frame, beta, v)
     shares, printed = w_bag.contracted(frame.cliques + frame.comps)
     return AuxGraph(graph=frame.graph, cliques=frame.cliques,
                     comps=frame.comps, shares=shares, printed=printed)
+
+
+def _check_bag_vertex(g: Graph, beta: int, v: int) -> None:
+    g.check_vertex(v)
+    if not ((beta >> v) & 1):
+        raise InputError("vertex is not in the bag")
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +327,7 @@ def balanced_vertex_separator(g: Graph, beta: int, w_bag: WeightFn, v: int,
     found one, and then once per (bag, vertex), its answer kept on g.
     An apex raises HypothesisViolation with the pyramid.
     """
+    _check_bag_vertex(g, beta, v)
     omega = g.kept(_bag, beta).omega
     hub_nbrs = g.adj[v] & g.kept(hub_set, beta)
     if g.kept(detect_pyramid) is not None:

@@ -5,8 +5,9 @@ The exact oracle is a memoized elimination search with the standard safe
 reductions (isolated, pendant, degree-two, simplicial vertices), capped at
 desk scale.  The builder consumes any oracle that returns verified
 balanced separators for uniform-on-subset weight functions and splits
-the components left over in turn, gluing clique-cutset atoms along their
-cutset bags; both trees are walked on explicit stacks.
+the components left over in turn on an explicit stack.  The atoms'
+decompositions are glued along their cutset bags in one pass over the
+atom tree's flat pre-order steps.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from operator import index
 from typing import Callable
 
-from .cutsets import AtomDecomposition, DecompositionStep, clique_cutset_atoms
+from .cutsets import AtomDecomposition, clique_cutset_atoms
 from .detectors import class_membership
 from .errors import (CapacityError, HypothesisViolation, InputError,
                      NotAMember)
@@ -365,8 +366,7 @@ def certify(g: Graph, t: int, variant: str = "C_t") -> CertifyResult:
 
         return build_td(sub, oracle)
 
-    td = _contract_redundant(_glue(atoms.tree, decompose_atom)) if g.verts \
-        else TreeDecomposition((), ())
+    td = _contract_redundant(_glue(atoms.steps, decompose_atom))
     validation = validate_td(g, td)
     if not validation.passed:
         raise HypothesisViolation(
@@ -404,38 +404,39 @@ def certify(g: Graph, t: int, variant: str = "C_t") -> CertifyResult:
                          atoms=atoms, report=report)
 
 
-def _glue(tree, decompose_atom) -> TreeDecomposition:
+def _glue(steps, decompose_atom) -> TreeDecomposition:
     """The atoms' decompositions, from decompose_atom in pre-order, laid
-    out once along the atom tree on an explicit stack.  A step's cutset
-    bag comes first, then its pieces' bags in order; after a piece's own
-    edges comes the edge from the cutset bag to the piece's first bag
-    holding the cutset.  The cutset is a clique, so every valid piece
-    decomposition has such a bag."""
+    out once in one pass over an AtomDecomposition's steps.  A step's
+    cutset bag comes first, then its pieces' bags in order; after a
+    piece's own edges comes the edge from the cutset bag to the piece's
+    first bag holding the cutset.  The cutset is a clique, so every valid
+    piece decomposition has such a bag.  An atom finishes a piece of the
+    innermost open step, and the last piece finishes the step itself, a
+    piece of the next open step out."""
     bags: list[int] = []
     edges: list[tuple[int, int]] = []
-    starts: list[int] = []  # first bag of each piece being laid out
-    # an atom-tree node, or (cutset bag, cutset): link the piece just
-    # laid out to its cutset bag
-    todo: list = [tree]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, tuple):
-            at, cutset = node
-            anchor = next((i for i in range(starts.pop(), len(bags))
+    # [cutset bag, cutset, pieces left] of each step not yet finished
+    open_steps: list[list[int]] = []
+    for step in steps:
+        start = len(bags)
+        if isinstance(step, tuple):
+            bags.append(step[0])
+            open_steps.append([start, *step])
+            continue
+        td = decompose_atom(step)
+        bags.extend(td.bags)
+        edges.extend((a + start, b + start) for a, b in td.edges)
+        while open_steps:  # the piece laid out from `start` is finished
+            at, cutset, left = open_steps[-1]
+            anchor = next((i for i in range(start, len(bags))
                            if not (cutset & ~bags[i])), None)
             if anchor is None:
                 raise InputError(
                     "piece decomposition misses its cutset clique")
             edges.append((at, anchor))
-            continue
-        offset = len(bags)
-        starts.append(offset)
-        if isinstance(node, DecompositionStep):
-            bags.append(node.cutset)
-            for piece in reversed(node.pieces):
-                todo += [(offset, node.cutset), piece]
-        else:
-            td = decompose_atom(node)
-            bags.extend(td.bags)
-            edges.extend((a + offset, b + offset) for a, b in td.edges)
+            if left > 1:
+                open_steps[-1][2] = left - 1
+                break
+            open_steps.pop()
+            start = at
     return TreeDecomposition(tuple(bags), tuple(edges))

@@ -63,7 +63,8 @@ def test_disconnected_graph_uses_empty_cutset():
 
 def _decomposition_tuples(ad):
     """An AtomDecomposition in the layout of
-    oracles.clique_cutset_decomposition."""
+    oracles.clique_cutset_decomposition, its tree read from the nested
+    view of its steps."""
     def tree(node):
         if isinstance(node, int):
             return tuple(bit_list(node))
@@ -202,8 +203,7 @@ def _matches_parent(g, masks, monkeypatch):
         found.append(cut)
     ours = clique_cutset_atoms(Graph(g.n, g.edges()))
     ref = _parent_decompose(Graph(g.n, g.edges()), monkeypatch)
-    assert (ours.atoms, ours.cutsets, ours.tree) == \
-        (ref.atoms, ref.cutsets, ref.tree), g
+    assert ours == ref, g
     return found
 
 

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from starsep import generators
 from starsep.cutsets import find_clique_cutset
 from starsep.detectors import (class_membership, detect_fixed, detect_prism,
                                detect_pyramid, detect_theta, hub_set)
@@ -77,16 +78,21 @@ def test_sample_class_members_and_determinism():
 
 
 def test_sample_class_dense_start_reports_stats():
-    res = sample_class(6, 4, seed=3, p=0.9)
+    res = sample_class(10, 4, seed=1)
     assert res.report.member
     assert res.repairs > 0
     assert set(res.stats) == {"attempts", "repairs"}
 
 
-def test_sample_class_budget_exhaustion():
+def test_sample_class_budget_exhaustion(monkeypatch):
+    """A sampler that never meets a member gives up after 20 graphs of
+    4n + 20 repairs each."""
+    never = class_membership(make("C4"), 4)
+    monkeypatch.setattr(generators, "class_membership",
+                        lambda g, t, variant: never)
     with pytest.raises(SamplingError) as e:
-        sample_class(8, 4, seed=0, p=0.95, max_repairs=1, restarts=2)
-    assert "attempts" in e.value.stats
+        sample_class(8, 4, seed=0)
+    assert e.value.stats == {"attempts": 20, "repairs": 20 * (4 * 8 + 20)}
 
 
 def test_sample_class_cap():

@@ -6,17 +6,22 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
+import starsep
 from starsep import certify
 from starsep.cli import main
+from starsep.cutsets import clique_cutset_atoms
+from starsep.generators import sample_class
 from starsep.graph_core import Graph
+
+from .test_detectors import c5_chain
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _corpus_module():
-    """perfbench/corpus.py, loaded from its file: it is not a package."""
+def _perfbench_module(name):
+    """perfbench/<name>.py, loaded from its file: it is not a package."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_corpus", ROOT / "perfbench" / "corpus.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -36,12 +41,28 @@ def test_traced_benchmark_pass_is_correct():
     assert result["failed"] == 0
 
 
+def test_certificate_replay_walks_multi_atom_trees(monkeypatch):
+    """The certify-hubs check replays certificates atom by atom along the
+    nested atom tree.  Every graph of its pool is a single atom, so the
+    walk is run here on members with several atoms: it must find every
+    certificate valid and used."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py extends it
+    hubs = _perfbench_module("run").CertifyHubs(starsep, None)
+    graphs = [c5_chain(4), c5_chain(12)]
+    graphs += [sample_class(n, 4, s).graph
+               for n in (16, 24, 32) for s in range(8)]
+    multi = [g for g in graphs if len(clique_cutset_atoms(g).atoms) > 1]
+    assert len(multi) == 26
+    for g in multi:
+        assert hubs._replay_certificates(g, certify(g, 4, "C_t")) == []
+
+
 def test_every_pool_graph_matches_its_pinned_digest(tmp_path):
     """Every graph of the certify-hubs and batch-atoms pools, not only
     a seeded draw, reproduces the output pinned in the corpus: the
     certificate digest, and the batch JSON digest and exit code of a
     one-file directory per graph."""
-    corpus = _corpus_module()
+    corpus = _perfbench_module("corpus")
     hubs = corpus.load_pool("certify-hubs")["graphs"]
     assert len(hubs) == 26
     for entry in hubs:

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from starsep.detectors import holes, hub_set
+from starsep.detectors import detect_pyramid, holes, hub_set
 from starsep.errors import HypothesisViolation, InputError
-from starsep.generators import (complete_graph, cycle_graph, pyramid_graph,
-                                sample_class, sample_cutset_free_member)
+from starsep.generators import (complete_graph, cycle_graph, make,
+                                pyramid_graph, sample_class,
+                                sample_cutset_free_member)
 from starsep.graph_core import (Graph, WeightFn, _stored, bit_list,
                                 mask_of)
 from starsep.hub_division import hub_division
@@ -368,6 +369,30 @@ def test_exact_weight_queries_build_no_fraction(monkeypatch):
     for g in graphs:
         assert certify(g, 4, "C_t_star").as_json()
     assert outside + made == []
+
+
+@pytest.mark.parametrize("name, query", [
+    ("PYRAMID(2,2,2)", lambda g, v: detect_pyramid(g, apex=v)),
+    ("W93", lambda g, v: balanced_vertex_separator(
+        g, g.verts, WeightFn.uniform(g), v)),
+    ("W93", lambda g, v: aux_graph(g, g.verts, WeightFn.uniform(g), v)),
+])
+def test_bad_vertex_ids_are_input_errors(name, query, w93):
+    """An id past the graph, a negative id and a vertex induced away are
+    each an InputError before any adjacency is read."""
+    g = w93 if name == "W93" else make(name)
+    for graph, v in ((g, g.n), (g, -1), (g.induced(g.verts & ~1), 0)):
+        with pytest.raises(InputError, match=f"vertex {v} is not in"):
+            query(graph, v)
+
+
+def test_balanced_vertex_outside_the_bag_is_an_input_error():
+    """In a graph with a pyramid, whose bag is searched for an apex, a
+    vertex outside the bag is named as such."""
+    g = make("PYRAMID(2,2,2)")
+    beta = g.verts & ~1
+    with pytest.raises(InputError, match="vertex is not in the bag"):
+        balanced_vertex_separator(g, beta, WeightFn.uniform_on(g, beta), 0)
 
 
 def test_wheelfree_rejects_wheel(w93):

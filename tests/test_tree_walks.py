@@ -1,15 +1,16 @@
-"""The atom tree, build_td and the gluing walk explicit stacks.  Each is
-compared with the recursive version it replaced, kept here as the
-reference, on trees shallow enough for the recursion limit; trees are
-compared in pre-order, which never recurses."""
+"""The atom tree is kept as flat pre-order steps, and build_td and the
+gluing walk explicit stacks.  Each is compared with the recursive
+version it replaced, kept here as the reference, on trees shallow enough
+for the recursion limit; deeper trees are compared in pre-order, which
+never recurses."""
 
-import dataclasses
 import random
+import sys
+from typing import NamedTuple
 
 import pytest
 
-from starsep.cutsets import (AtomDecomposition, DecompositionStep,
-                             _cut_vertices, _least_cutset,
+from starsep.cutsets import (DecompositionStep, _cut_vertices, _least_cutset,
                              clique_cutset_atoms)
 from starsep.errors import InputError
 from starsep.generators import make, sample_class
@@ -22,7 +23,13 @@ from .conftest import seeded_random_graphs
 from .test_detectors import c5_chain
 
 
-def reference_decompose(g: Graph) -> AtomDecomposition:
+class ReferenceDecomposition(NamedTuple):
+    atoms: tuple[int, ...]
+    cutsets: tuple[int, ...]
+    tree: object  # DecompositionStep | int (single atom)
+
+
+def reference_decompose(g: Graph) -> ReferenceDecomposition:
     atoms: list[int] = []
     cutsets: list[int] = []
 
@@ -39,8 +46,8 @@ def reference_decompose(g: Graph) -> AtomDecomposition:
             for comp in components(g, region & ~cut)))
 
     tree = rec(g.verts, *_cut_vertices(g, g.verts)) if g.verts else 0
-    return AtomDecomposition(tuple(dict.fromkeys(atoms)), tuple(cutsets),
-                             tree)
+    return ReferenceDecomposition(tuple(dict.fromkeys(atoms)),
+                                  tuple(cutsets), tree)
 
 
 def reference_build_td(g, sep_oracle):
@@ -132,12 +139,16 @@ def walk_graphs():
 
 
 def test_atom_tree_matches_the_recursive_walk():
+    """The steps are the recursive tree in pre-order, and the nested view
+    built from them is that tree."""
     many = 0
     for i, g in enumerate(walk_graphs()):
         ours, ref = clique_cutset_atoms(g), reference_decompose(g)
         assert ours.atoms == ref.atoms, i
         assert ours.cutsets == ref.cutsets, i
-        assert pre_order(ours.tree) == pre_order(ref.tree), i
+        assert ours.steps == (tuple(pre_order(ref.tree)) if g.verts
+                              else ()), i
+        assert ours.tree == ref.tree, i
         many += len(ours.atoms) > 3
     assert many >= 10
 
@@ -163,34 +174,12 @@ def test_build_td_matches_the_recursive_walk():
         assert (ours.bags, ours.edges) == (ref.bags, ref.edges), i
 
 
-def test_gluing_matches_the_recursive_walk():
-    def fake(calls):
-        def decompose_atom(mask):
-            calls.append(mask)
-            low = lowest_bit(mask)
-            return TreeDecomposition((1 << low, mask), ((0, 1),))
-        return decompose_atom
-
-    for i, g in enumerate(walk_graphs()):
-        if not g.verts:
-            continue
-        tree = clique_cutset_atoms(g).tree
-        ours_calls, ref_calls = [], []
-        ours = _glue(tree, fake(ours_calls))
-        ref = reference_glue(tree, fake(ref_calls))
-        assert ours_calls == ref_calls, i
-        assert (ours.bags, ours.edges) == (ref.bags, ref.edges), i
-
-
-def test_deep_trees_need_no_recursion():
-    """The 1,200-vertex path splits at 1,198 cut vertices, one atom tree
-    level each, deeper than the recursion limit."""
-    g = make("P1200")
-    ad = clique_cutset_atoms(g)
-    assert len(ad.atoms) == len(ad.cutsets) + 1 == 1199
-    assert len(pre_order(ad.tree)) == 2 * 1199 - 1
-    glued = _glue(ad.tree, lambda mask: TreeDecomposition((mask,), ()))
-    assert len(glued.bags) == 1199 + 1198
+def fake_atom_td(calls):
+    def decompose_atom(mask):
+        calls.append(mask)
+        low = lowest_bit(mask)
+        return TreeDecomposition((1 << low, mask), ((0, 1),))
+    return decompose_atom
 
 
 def stacked_reference_glue(tree, decompose_atom):
@@ -212,105 +201,78 @@ def stacked_reference_glue(tree, decompose_atom):
     return done[0]
 
 
-def fake_atom_td(calls):
-    def decompose_atom(mask):
-        calls.append(mask)
-        low = lowest_bit(mask)
-        return TreeDecomposition((1 << low, mask), ((0, 1),))
-    return decompose_atom
+def glue_matches_both_references(g, tree):
+    """_glue over g's steps lays out the bags, edges and atom calls that
+    both references give on the nested `tree`; returns the glued
+    decomposition."""
+    calls = [], [], []
+    ours = _glue(clique_cutset_atoms(g).steps, fake_atom_td(calls[0]))
+    for ref in (reference_glue(tree, fake_atom_td(calls[1])),
+                stacked_reference_glue(tree, fake_atom_td(calls[2]))):
+        assert (ours.bags, ours.edges) == (ref.bags, ref.edges)
+    assert calls[0] == calls[1] == calls[2]
+    return ours
+
+
+def test_gluing_matches_the_recursive_walk():
+    for g in walk_graphs():
+        if g.verts:
+            glue_matches_both_references(g, reference_decompose(g).tree)
+
+
+def test_deep_trees_need_no_recursion():
+    """The 1,200-vertex path splits at 1,198 cut vertices, one atom tree
+    level each, deeper than the recursion limit.  The recursive
+    references need a raised limit to walk it; the steps and _glue do
+    not."""
+    g = make("P1200")
+    ad = clique_cutset_atoms(g)
+    assert len(ad.atoms) == len(ad.cutsets) + 1 == 1199
+    assert len(ad.steps) == 2 * 1199 - 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:
+        ref = reference_decompose(g)
+        assert ad.steps == tuple(pre_order(ref.tree))
+        glued = glue_matches_both_references(g, ref.tree)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(glued.bags) == 2 * 1199 + 1198
 
 
 def test_gluing_a_deep_chain_matches_the_stacked_joins():
     """A chain of 300 five-holes has an atom tree 299 steps deep, where
     joining level by level copied the bags quadratically often."""
-    tree = clique_cutset_atoms(c5_chain(300)).tree
-    assert len(pre_order(tree)) == 2 * 300 - 1
-    ours_calls, ref_calls = [], []
-    ours = _glue(tree, fake_atom_td(ours_calls))
-    ref = stacked_reference_glue(tree, fake_atom_td(ref_calls))
-    assert ours_calls == ref_calls and len(ours_calls) == 300
-    assert (ours.bags, ours.edges) == (ref.bags, ref.edges)
+    g = c5_chain(300)
+    ref = reference_decompose(g)
+    assert clique_cutset_atoms(g).steps == tuple(pre_order(ref.tree))
+    assert len(glue_matches_both_references(g, ref.tree).bags) == \
+        2 * 300 + 299
 
 
 def test_gluing_rejects_a_piece_that_misses_its_cutset():
     """Each atom of a path loses its least vertex, so the piece right of
     the first cut vertex has no bag holding that vertex."""
-    tree = clique_cutset_atoms(make("P30")).tree
+    g = make("P30")
 
     def drop_top(mask):
         return TreeDecomposition((mask & (mask - 1),), ())
 
     with pytest.raises(InputError, match="misses its cutset clique"):
-        _glue(tree, drop_top)
+        _glue(clique_cutset_atoms(g).steps, drop_top)
     with pytest.raises(InputError, match="misses its cutset clique"):
-        reference_glue(tree, drop_top)
-
-
-# the dataclass DecompositionStep as generated, with recursive methods
-GeneratedStep = dataclasses.make_dataclass(
-    "DecompositionStep", [("cutset", int), ("pieces", tuple)], frozen=True)
-
-
-def generated(tree):
-    if isinstance(tree, DecompositionStep):
-        return GeneratedStep(tree.cutset, tuple(map(generated, tree.pieces)))
-    return tree
-
-
-def step_chain(depth, leaf):
-    tree = leaf
-    for i in range(depth):
-        tree = DecompositionStep(1 << i, (i, tree) if i % 2 else (tree,))
-    return tree
-
-
-def rebuilt(tree):
-    """An equal tree that shares no step with the original."""
-    if isinstance(tree, DecompositionStep):
-        return DecompositionStep(tree.cutset, tuple(map(rebuilt, tree.pieces)))
-    return tree
-
-
-def test_atom_trees_compare_hash_and_print_as_generated():
-    """On shallow trees equality, hash and repr are the generated
-    dataclass methods'."""
-    trees = [clique_cutset_atoms(c5_chain(k)).tree for k in (1, 2, 3, 5, 8)]
-    trees += [clique_cutset_atoms(g).tree for g in walk_graphs()[:12]]
-    trees += [step_chain(d, leaf) for d in (1, 2, 5) for leaf in (3, 4)]
-    trees += [DecompositionStep(0, ()), DecompositionStep(2, (4,)),
-              DecompositionStep(2, (DecompositionStep(2, (4,)),))]
-    copies = [rebuilt(t) for t in trees]
-    steps = 0
-    for t, c in zip(trees, copies):
-        ref = generated(t)
-        assert hash(t) == hash(ref) and repr(t) == repr(ref)
-        assert t == c and hash(t) == hash(c)
-        for u in copies:
-            assert (t == u) == (ref == generated(u))
-            assert (t != u) == (ref != generated(u))
-        steps += isinstance(t, DecompositionStep)
-    assert steps >= 20
-    assert DecompositionStep(1, (2,)) != 2
-    assert DecompositionStep(1, (2,)) != GeneratedStep(1, (2,))
+        reference_glue(reference_decompose(g).tree, drop_top)
 
 
 def test_deep_atom_trees_compare_hash_and_print():
     """Two decompositions of the 1,200-vertex path, and results holding
     them, compare, hash and print although their trees are 1,198 steps
-    deep; so do chains of 3,000 steps."""
+    deep: the steps are flat."""
     a, b = (clique_cutset_atoms(make("P1200")) for _ in range(2))
-    assert a.tree is not b.tree
+    assert a.steps is not b.steps
     assert a == b and not a != b and hash(a) == hash(b)
-    assert repr(a) == repr(b)
-    assert repr(a.tree).count("DecompositionStep(") == 1198
+    assert repr(a) == repr(b) and "steps=((" in repr(a)
     td = TreeDecomposition((), ())
     assert CertifyResult(td, (), a, {}) == CertifyResult(td, (), b, {})
-    depth = 3000
-    deep = step_chain(depth, 7)
-    assert deep == step_chain(depth, 7) and deep != step_chain(depth, 8)
-    assert hash(deep) == hash(step_chain(depth, 7))
-    want = "".join(f"DecompositionStep(cutset={1 << i}, pieces=("
-                   + (f"{i}, " if i % 2 else "")
-                   for i in reversed(range(depth)))
-    want += "7" + "".join("))" if i % 2 else ",))" for i in range(depth))
-    assert repr(deep) == want
+    assert repr(CertifyResult(td, (), a, {})) == \
+        repr(CertifyResult(td, (), b, {}))
