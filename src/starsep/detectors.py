@@ -6,13 +6,16 @@ C4 and diamond are common-neighborhood mask tests (a non-adjacent pair,
 or an edge, whose common neighbors hold a non-edge) that return the
 lexicographically least witness, the one a scan of all 4-subsets finds
 first.  K_t, the clique number and the triangles of pyramids and prisms
-come from ``graph_core.cliques``.  Holes are enumerated in one pass over
-chordless paths, then ordered by length; every wheel scan (the even-wheel
-test, the taxonomy, the hub record) walks them through ``_spoked``, which
-pairs each hole with the vertices that have three or more spokes on it.
-Hole and induced-path enumeration are depth-first searches on explicit
-stacks, children pushed highest first so the pre-order is the recursive
-one; their depth is not bounded by the interpreter's recursion limit.
+come from ``graph_core.cliques``.  A hole is an induced path closed at
+its least vertex, so ``holes`` lists the paths of ``_induced_paths``, the
+one chordless-path search of the package, and orders the holes by
+length; every wheel scan (the even-wheel test, the taxonomy, the hub
+record, the no-wheel check of a central bag) walks them through
+``_spoked``, which pairs each hole with the vertices that have three or
+more spokes on it.  ``_induced_paths`` is a depth-first search on an
+explicit stack, children pushed highest first so the pre-order is the
+recursive one; its depth is not bounded by the interpreter's recursion
+limit.
 The three-path configurations (theta, pyramid, prism) build one leg
 record ``(path, body, conflict)`` per induced path between two ends
 (``_legs``).  The body is what no other leg may use: the interior for a
@@ -67,63 +70,31 @@ class WheelKind(Enum):
 def holes(g: Graph, within: int | None = None) -> Iterator[tuple[int, ...]]:
     """Enumerate holes (induced cycles of length >= 4) inside a mask.
 
-    Holes come out in increasing length; within one length, canonical
-    tuples (minimum vertex first, then the smaller of its two hole
-    neighbors) in lexicographic order.  One depth-first pass walks each
-    chordless path from its least vertex once, pruning on chords and on
-    paths that can no longer close, and closes it at every length; the
-    holes are then yielded by length.
+    A hole is an induced path closed at its least vertex v0: its two
+    hole neighbors v1 < v2 are non-adjacent, and the rest is an induced
+    v1-v2 path (``_induced_paths``) through vertices above v0 that miss
+    v0.  Holes come out in increasing length; within one length,
+    canonical tuples (v0, v1, ..., v2) in lexicographic order.
     """
     x = g.verts if within is None else within
     g.check_vertex_set(x)
-    top = popcount(x)
-    if top < 4:
+    if popcount(x) < 4:  # too small for a hole, as most atom masks are
         return
     adj = g.adj
-    by_len: list[list[tuple[int, ...]]] = [[] for _ in range(top + 1)]
+    found = []
     for v0 in bits(x):
         above = x & ~((1 << (v0 + 1)) - 1)
-        far = ~adj[v0]  # inner vertices must miss v0
-        for v1 in bits(adj[v0] & above):
-            # closing = neighbors of v0 above v1
-            closing = adj[v0] & ~((1 << (v1 + 1)) - 1)
-            path = [v0]
-            # entries (depth, last, allowed, banned): the path is path[:depth
-            # - 1] + [last]; allowed = vertices above v0 off the path; banned
-            # = neighbors of the inner vertices (chord makers)
-            stack = [(2, v1, above & ~(1 << v1), 0)]
-            while stack:
-                depth, last, allowed, banned = stack.pop()
-                del path[depth - 1:]
-                path.append(last)
-                free = adj[last] & allowed & ~banned
-                if depth >= 3:
-                    m = free & closing
-                    while m:
-                        w = m & -m
-                        m ^= w
-                        by_len[depth + 1].append((*path, w.bit_length() - 1))
-                if depth < top - 1:
-                    banned |= adj[last]
-                    # banned only grows: once it covers every closing
-                    # vertex, no extension closes a hole
-                    if not closing & ~banned:
-                        continue
-                    # highest first, so the least child is popped first
-                    m = free & far
-                    while m:
-                        w = m.bit_length() - 1
-                        m ^= 1 << w
-                        stack.append((depth + 1, w, allowed & ~(1 << w),
-                                      banned))
-    # the pass visits paths in lexicographic pre-order, so each length's
-    # holes are already in lexicographic order
-    for found in by_len[4:]:
-        yield from found
+        far = above & ~adj[v0]
+        for v1, v2 in itertools.combinations(bits(adj[v0] & above), 2):
+            if not (adj[v1] >> v2) & 1:
+                inside = far | (1 << v1) | (1 << v2)
+                found += [(v0, *p) for p in _induced_paths(g, v1, v2, inside)]
+    found.sort(key=lambda h: (len(h), h))
+    yield from found
 
 
 # ---------------------------------------------------------------------------
-# induced path enumeration (shared by the three-path detectors)
+# induced path enumeration (shared by holes and the three-path detectors)
 
 
 def _induced_paths(g, a, b, within):

@@ -24,7 +24,8 @@ class NotAMember(InputError):
 
 class CapacityError(StarsepError):
     """Instance exceeds a desk-scale cap: the exact oracle's vertex cap
-    (treewidth.EXACT_TW_CAP) or the graph6 size limit."""
+    (treewidth.EXACT_TW_CAP) or the vertex count a graph file may hold
+    (graph_core.MAX_VERTICES, the graph6 limit)."""
 
 
 class HypothesisViolation(StarsepError):

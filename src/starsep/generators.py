@@ -162,7 +162,10 @@ def make(name: str) -> Graph:
             if len(nums) < 4:
                 raise InputError(f"WHEEL needs n and at least 3 spokes: {name!r}")
             return wheel_graph(nums[0], tuple(nums[1:]))
-        nums = [int(x) for x in body.split(",")]
+        try:
+            nums = [int(x) for x in body.split(",")]
+        except ValueError:
+            raise InputError(f"{kind} lengths must be integers: {name!r}")
         if len(nums) != 3:
             raise InputError(f"{kind} takes three lengths: {name!r}")
         if kind == "THETA":

@@ -560,6 +560,19 @@ def _stored(values: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 # serialization: edge-list JSON, graph6, DIMACS col
 
+# The most vertices a graph file may hold: the graph6 format's limit, which
+# the JSON and DIMACS readers check before building anything, so a vertex
+# count alone cannot exhaust memory.
+MAX_VERTICES = 258047
+
+
+def _declared(n: int) -> int:
+    """A vertex count read from a graph file, refused above MAX_VERTICES."""
+    if n > MAX_VERTICES:
+        raise CapacityError(f"graph files hold at most {MAX_VERTICES} "
+                            f"vertices, not {n}")
+    return n
+
 
 def graph_to_json_obj(g: Graph, w: WeightFn | None = None) -> dict:
     obj = {"n": g.n, "edges": [list(e) for e in g.edges()]}
@@ -576,7 +589,7 @@ def graph_from_json_obj(obj) -> tuple[Graph, WeightFn | None]:
     n = obj["n"]
     if not isinstance(n, int) or n < 0:
         raise InputError(f"bad vertex count {n!r}")
-    g = Graph(n, obj.get("edges", []))
+    g = Graph(_declared(n), obj.get("edges", []))
     if "vertices" in obj:
         try:
             keep = mask_of(index(v) for v in obj["vertices"])
@@ -603,12 +616,12 @@ def loads_graph(text: str) -> tuple[Graph, WeightFn | None]:
 
 def to_graph6(g: Graph) -> str:
     """graph6 encoding of the active subgraph (identities are compacted
-    to 0..k-1 in vertex order; format limit n <= 258047)."""
+    to 0..k-1 in vertex order; format limit n <= MAX_VERTICES)."""
     vl = g.vertex_list()
     k = len(vl)
     pos = {v: i for i, v in enumerate(vl)}
-    if k > 258047:
-        raise CapacityError("graph6 supports at most 258047 vertices")
+    if k > MAX_VERTICES:
+        raise CapacityError(f"graph6 supports at most {MAX_VERTICES} vertices")
     if k <= 62:
         head = chr(k + 63)
     else:
@@ -637,7 +650,8 @@ def from_graph6(text: str) -> Graph:
         raise InputError("empty graph6 string")
     if ord(s[0]) == 126:
         if len(s) >= 4 and ord(s[1]) == 126:
-            raise CapacityError("graph6 inputs beyond 258047 vertices unsupported")
+            raise CapacityError(
+                f"graph6 inputs beyond {MAX_VERTICES} vertices unsupported")
         if len(s) < 4:
             raise InputError("truncated graph6 header")
         n = 0
@@ -680,7 +694,7 @@ def from_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) < 3 or parts[1] not in ("edge", "edges", "col"):
                 raise InputError(f"line {lineno}: bad DIMACS header")
-            n = _dimacs_int(parts[2], lineno)
+            n = _declared(_dimacs_int(parts[2], lineno))
         elif parts[0] == "e":
             if n is None:
                 raise InputError(f"line {lineno}: edge before header")

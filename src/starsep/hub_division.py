@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .central_bag import (CentralBag, SmoothCollection, central_bag,
                           revised_collection, validate_smooth)
-from .detectors import hub_set, make_wheel_witness, holes
+from .detectors import _spoked, hub_set, make_wheel_witness
 from .errors import HypothesisViolation, InputError
 from .graph_core import (Graph, WeightFn, bit_list, bits, degeneracy, mask_of,
                          popcount)
@@ -193,20 +193,19 @@ class NoWheelReport:
 
 def check_no_wheels_in_bag(g: Graph, div: HubDivision) -> NoWheelReport:
     """Certify that no hub before the cut centers a wheel inside the
-    central bag; failures are reported with the witness wheel."""
-    beta = div.bag.beta
-    failures = []
+    central bag; failures are reported with the witness wheel, the first
+    hole in hole order per hub, in the order of the hubs.  One hole pass
+    over the bag serves every hub, and none runs when no checked hub
+    lies in the bag."""
     checked = div.prefix_before_m()
-    for v in checked:
-        if not ((beta >> v) & 1):
-            continue
-        for hole in holes(g, within=beta & ~(1 << v)):
-            hole_mask = mask_of(hole)
-            if popcount(g.adj[v] & hole_mask) < 3:
-                continue
-            wit = make_wheel_witness(g, hole, v)
-            if wit.is_wheel:
-                failures.append({"center": v, "hole": list(hole)})
-                break
+    todo = mask_of(checked) & div.bag.beta
+    first = {}
+    if todo:
+        for hole, _, v in _spoked(g, div.bag.beta):
+            if (todo >> v) & 1 and make_wheel_witness(g, hole, v).is_wheel:
+                first[v] = list(hole)
+                todo &= ~(1 << v)
+    failures = tuple({"center": v, "hole": first[v]}
+                     for v in checked if v in first)
     return NoWheelReport(passed=not failures, checked=checked,
-                         failures=tuple(failures))
+                         failures=failures)

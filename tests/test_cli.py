@@ -168,6 +168,29 @@ def test_gen_unwritable_out_exits_2(runner, tmp_path):
     assert obj["error"] == "io" and out in obj["message"]
 
 
+@pytest.mark.parametrize("kind", ["THETA(a,b,c)", "PRISM(2,,3)"])
+def test_gen_non_integer_lengths_exit_2(runner, kind):
+    res = runner.invoke(main, ["gen", "--kind", kind])
+    assert res.exit_code == 2
+    obj = _json_out(res)
+    assert obj["error"] == "input" and kind in obj["message"]
+
+
+@pytest.mark.parametrize("name,text", [
+    ("huge.json", '{"n": 258048, "edges": []}'),
+    ("huge.col", "p edge 258048 0\n"),
+])
+def test_recognize_over_vertex_cap_exits_5(runner, tmp_path, name, text):
+    """A vertex count above the graph6 limit is refused from the file's
+    header, before any graph is built."""
+    p = tmp_path / name
+    p.write_text(text)
+    res = runner.invoke(main, ["recognize", "--t", "4", str(p)])
+    assert res.exit_code == 5
+    obj = _json_out(res)
+    assert obj["error"] == "capacity" and "258048" in obj["message"]
+
+
 def test_gen_graph6(runner):
     res = runner.invoke(main, ["gen", "--kind", "C6", "--g6"])
     assert res.exit_code == 0

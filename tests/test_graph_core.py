@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starsep.errors import InputError
+from starsep.errors import CapacityError, InputError
 import starsep.graph_core
-from starsep.graph_core import (Graph, WeightFn, bit_list, cliques, components,
-                                dumps_graph, far_components, fraction_str,
-                                from_dimacs, from_graph6, load_graph_file,
-                                loads_graph, mask_of, neighborhood,
-                                subsets_of_size, to_graph6)
+from starsep.graph_core import (MAX_VERTICES, Graph, WeightFn, bit_list,
+                                cliques, components, dumps_graph,
+                                far_components, fraction_str, from_dimacs,
+                                from_graph6, graph_from_json_obj,
+                                load_graph_file, loads_graph, mask_of,
+                                neighborhood, subsets_of_size, to_graph6)
 from starsep.separations import HALF
 
 from . import oracles
@@ -282,6 +283,20 @@ def test_malformed_inputs_are_input_errors(tmp_path):
         load_graph_file(str(bad))
     with pytest.raises(InputError, match="missing.json"):
         load_graph_file(str(tmp_path / "missing.json"))
+
+
+def test_vertex_count_cap_is_checked_before_building():
+    """A graph file may hold MAX_VERTICES vertices, the graph6 limit, and
+    no more: a larger declared count is a capacity error from the header
+    alone, in every format."""
+    assert MAX_VERTICES == 258047
+    g, w = graph_from_json_obj({"n": MAX_VERTICES, "edges": []})
+    assert g.n == MAX_VERTICES and g.num_edges() == 0 and w is None
+    for n in (MAX_VERTICES + 1, 10 ** 9):
+        with pytest.raises(CapacityError, match=str(n)):
+            graph_from_json_obj({"n": n, "edges": []})
+        with pytest.raises(CapacityError, match=str(n)):
+            from_dimacs(f"p edge {n} 0\n")
 
 
 def test_dimacs_read():

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import starsep.cutsets
+import starsep.detectors
 import starsep.graph_core
 import starsep.separations
 import starsep.separator_engine
@@ -18,7 +19,8 @@ from starsep.generators import (cycle_graph, sample_cutset_free_member,
 from starsep.graph_core import (Graph, WeightFn, bit_list, bits, components,
                                 degeneracy, far_components, mask_of,
                                 neighborhood, popcount)
-from starsep.hub_division import (check_no_wheels_in_bag,
+from starsep.hub_division import (DegeneracyPartition, HubDivision,
+                                  check_no_wheels_in_bag,
                                   degeneracy_partition, hub_division)
 from starsep.separations import (HALF, Separation, classify_balanced,
                                  nearly_noncrossing, validate_separation)
@@ -112,6 +114,42 @@ def test_no_wheels_in_bag_reports(w93):
     div2 = hub_division(w93, WeightFn(10, vals), 4)
     rep2 = check_no_wheels_in_bag(w93, div2)
     assert rep2.passed and rep2.checked == (9,)
+
+
+def _division_with_bag(g, ordering, m, beta):
+    """A hub division by hand: the given ordering and cut, a bag beta."""
+    bag = CentralBag(beta, (), WeightFn.uniform(g), SmoothCollection((), ()))
+    return HubDivision(ordering=ordering, m=m, minimal_set=0,
+                       partition=DegeneracyPartition((), 0, 0, True),
+                       bag=bag, t=4)
+
+
+def test_no_wheels_in_bag_reports_failures(monkeypatch, w93):
+    """A checked hub that centers a wheel inside the bag fails with the
+    first such hole; failures follow the ordering, and a checked hub
+    outside the bag is not searched.  One hole pass serves every hub,
+    and none runs when no checked hub lies in the bag."""
+    passes = counted_calls(monkeypatch, starsep.detectors, "holes")
+    rep = check_no_wheels_in_bag(w93, _division_with_bag(w93, (9,), 2,
+                                                          w93.verts))
+    assert rep.as_json() == {"passed": False, "checked": [9], "failures": [
+        {"center": 9, "hole": list(range(9))}]}
+    # two more centers on the nine-hole: 10 on 1, 4, 7 and 11 on 2, 5, 8
+    g = Graph(12, list(w93.edges()) + [(10, 1), (10, 4), (10, 7),
+                                       (11, 2), (11, 5), (11, 8)])
+    div = _division_with_bag(g, (11, 10, 9), 4, g.verts & ~(1 << 11))
+    assert check_no_wheels_in_bag(g, div).as_json() == {
+        "passed": False, "checked": [11, 10, 9],
+        "failures": [{"center": 10, "hole": list(range(9))},
+                     {"center": 9, "hole": list(range(9))}]}
+    assert len(passes) == 2
+    rep = check_no_wheels_in_bag(g, _division_with_bag(g, (10, 9), 1,
+                                                        g.verts))
+    assert rep.passed and rep.checked == ()
+    rep = check_no_wheels_in_bag(g, _division_with_bag(g, (11,), 2,
+                                                        g.verts & ~(1 << 11)))
+    assert rep.passed and rep.checked == (11,)
+    assert len(passes) == 2
 
 
 def test_division_invariants_on_corpus():

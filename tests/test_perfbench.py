@@ -7,7 +7,7 @@ from pathlib import Path
 from click.testing import CliRunner
 
 import starsep
-from starsep import certify
+from starsep import certify, class_membership, verify_obstruction
 from starsep.cli import main
 from starsep.cutsets import clique_cutset_atoms
 from starsep.generators import sample_class
@@ -82,3 +82,26 @@ def test_every_pool_graph_matches_its_pinned_digest(tmp_path):
         assert res.exit_code == want["exit_code"], entry["id"]
         assert corpus.sha256_text(res.output) == want["batch_sha256"], \
             entry["id"]
+
+
+def test_every_recognize_mutants_graph_keeps_its_label_and_witness():
+    """Every graph of the recognize-mutants pool gets its pinned
+    (member, kind), every witness re-verifies, and the reports of all
+    of them hash to one pinned digest, so each witness keeps its
+    vertices: for an even wheel, those of the first hole in hole order
+    that gives one."""
+    corpus = _perfbench_module("corpus")
+    pool = corpus.load_pool("recognize-mutants")["graphs"]
+    assert len(pool) == 142
+    reports = []
+    for entry in pool:
+        g = Graph(entry["n"], entry["edges"])
+        rep = class_membership(g, 4, "C_t")
+        want = entry["expect"]
+        assert (rep.member, rep.kind) == (want["member"], want["kind"]), \
+            entry["id"]
+        assert rep.member or verify_obstruction(g, rep.kind, rep.embedding,
+                                                4), entry["id"]
+        reports.append(rep.as_json())
+    assert corpus.sha256_json(reports) == \
+        "793e62e0ea00562047a67724a278c450c32977ca5df676c3f4a04ad06b3572fc"
