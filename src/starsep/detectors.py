@@ -408,15 +408,15 @@ def make_wheel_witness(g: Graph, hole: tuple[int, ...], center: int) -> WheelWit
     twin = k == 3 and adj_pairs == 2
     short_pyr = k == 3 and adj_pairs == 1
     universal = nbrs == hole_mask
-    path_of_len_one = k == 2 and adj_pairs == 1
-    even = line or (wheel and k % 2 == 0 and not path_of_len_one)
-    proper = wheel and not twin and not short_pyr
+    even = line or (wheel and k % 2 == 0)
 
+    # twin wheels and short pyramids have no independent spoke triple,
+    # so a wheel is always proper
     return WheelWitness(
         hole=hole, center=center, spokes=spokes,
         is_wheel=wheel, is_line_wheel=line, is_even_wheel=even,
         is_twin_wheel=twin, is_short_pyramid=short_pyr,
-        is_proper_wheel=proper, is_universal_wheel=universal,
+        is_proper_wheel=wheel, is_universal_wheel=universal,
         sectors=_sectors(hole, nbrs))
 
 

@@ -68,6 +68,19 @@ def subsets_of_size(mask: int, k: int) -> Iterator[int]:
         yield from map(sum, combinations([1 << v for v in bits(mask)], k))
 
 
+def read_int(x, n: int | None = None) -> int:
+    """An integer read from outside (a file or a caller's list): a bool
+    or any other non-integer raises TypeError.  With n given it is a
+    vertex id, and one outside [0, n) raises IndexError before any mask
+    is built from it."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not an integer")
+    x = index(x)
+    if n is not None and not 0 <= x < n:
+        raise IndexError(f"vertex {x} out of range for n={n}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -117,10 +130,10 @@ class Graph:
             except (TypeError, ValueError):
                 raise InputError(f"edge {e!r} is not a pair")
             try:
-                u, v = index(u), index(v)
+                u, v = read_int(u, n), read_int(v, n)
             except TypeError:
                 raise InputError(f"edge {e!r} has a non-integer endpoint")
-            if not (0 <= u < n and 0 <= v < n):
+            except IndexError:
                 raise InputError(f"edge {e!r} out of range for n={n}")
             if u == v:
                 raise InputError(f"loop at vertex {u} not allowed")
@@ -339,24 +352,23 @@ def _parse_weight(value):
 class WeightFn:
     """Normalized vertex weights on a host graph.
 
-    Weights supplied as ints, Fractions or 'p/q' strings are exact.  They
-    are kept as integer numerators over one common denominator ``den``,
-    grouped into ``_classes``: ``((num, mask), ...)``, one entry per
-    distinct non-zero numerator with the mask of the vertices that carry
-    it, set once when the WeightFn is made.  Sums and the balance test
-    ``at_most`` stay in integers, so threshold comparisons (such as
-    against 1/2) have reproducible tie behavior, and weights are printed
-    from their numerators; past parsing, a Fraction is built only by
-    ``of``, by ``values`` on read and for witnesses.  Float inputs are
-    kept as floats, summed one vertex at a time (``den`` is 1) and
-    compared with a 1e-9 tolerance.  The total must be 1
-    (``weighs_one``, within tolerance for floats); anything else is
-    rejected rather than rescaled.  No other module reads how the
-    weights are stored: it asks ``at_most``, ``weighs_one``, ``printed``
-    and ``contracted``.
+    Every weight is kept as an integer numerator over one common
+    denominator ``den``, grouped into ``_classes``: ``((num, mask), ...)``,
+    one entry per distinct non-zero numerator with the mask of the
+    vertices that carry it, set once when the WeightFn is made.  A float
+    is read as the binary fraction it holds, so every sum is exact and
+    independent of the vertex order.  ``exact`` (no float among the
+    inputs) only says how sums are judged and shown: as Fractions,
+    compared in integers so that ties (such as against 1/2) are
+    reproducible, or as the nearest float with a 1e-9 tolerance
+    (``_leq``).  Past parsing, exact weights build a Fraction only in
+    ``of``, in ``values`` on read and for witnesses.  The total must be
+    1 (``weighs_one``); anything else is rejected rather than rescaled.
+    No other module reads how the weights are stored: it asks
+    ``at_most``, ``weighs_one``, ``printed`` and ``contracted``.
     """
 
-    __slots__ = ("n", "exact", "den", "_classes", "_floats")
+    __slots__ = ("n", "exact", "den", "_classes")
 
     def __init__(self, n: int, values: Sequence):
         try:
@@ -369,12 +381,10 @@ class WeightFn:
         exact = all(isinstance(v, Fraction) for v in parsed)
         if not exact:
             parsed = [float(v) for v in parsed]
-        for v in parsed:
-            lo = v >= 0 if exact else v >= -FLOAT_TOL
-            hi = v <= 1 if exact else v <= 1 + FLOAT_TOL
-            if not (lo and hi):
+        for v in parsed:  # refuses NaN and infinities too
+            if not (_leq(0, v, exact) and _leq(v, 1, exact)):
                 raise InputError(f"weight {v} outside [0, 1]")
-        self._fill(n, *_stored(tuple(parsed)))
+        self._fill(n, *_stored(parsed))
         everything = (1 << n) - 1
         if not self.weighs_one(everything):
             raise InputError(
@@ -397,36 +407,26 @@ class WeightFn:
         return cls._made(g.n, k, ((1, support),))
 
     @classmethod
-    def _made(cls, n: int, den: int, classes, floats=None) -> "WeightFn":
+    def _made(cls, n: int, den: int, classes, exact=True) -> "WeightFn":
         """Unchecked constructor from the stored form (see _stored)."""
         w = cls.__new__(cls)
-        w._fill(n, den, classes, floats)
+        w._fill(n, den, classes, exact)
         return w
 
-    def _fill(self, n, den, classes, floats):
+    def _fill(self, n, den, classes, exact):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "exact", floats is None)
+        object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_classes", classes)
-        object.__setattr__(self, "_floats", floats)
 
     @property
     def values(self) -> tuple:
-        """Each vertex's weight: Fractions built on read for exact
-        weights, the stored floats otherwise."""
-        if not self.exact:
-            return self._floats
+        """Each vertex's weight as ``of`` gives it, built on read."""
         return tuple(self.of(1 << v) for v in range(self.n))
 
-    def num(self, mask: int):
-        """Weight of a vertex mask times ``den``: an int for exact weights,
-        summed over the value classes; for float weights the float sum,
-        added one vertex at a time."""
-        if not self.exact:
-            total = 0.0
-            for v in bits(mask):
-                total += self._floats[v]
-            return total
+    def num(self, mask: int) -> int:
+        """Weight of a vertex mask times ``den``, summed over the value
+        classes."""
         total = 0
         for num, m in self._classes:
             total += num * (mask & m).bit_count()
@@ -434,10 +434,10 @@ class WeightFn:
 
     def of(self, mask: int):
         """Total weight of a vertex mask: the normalized Fraction for exact
-        weights, the float sum otherwise."""
+        weights, the float nearest to it otherwise."""
         if self.exact:
             return Fraction(self.num(mask), self.den)
-        return self.num(mask)
+        return self.num(mask) / self.den  # int / int rounds correctly
 
     def weighs_one(self, mask: int) -> bool:
         """Whether the mask weighs exactly 1, within the float tolerance
@@ -445,7 +445,7 @@ class WeightFn:
         total = self.num(mask)
         if self.exact:
             return total == self.den
-        return abs(total - 1.0) <= FLOAT_TOL
+        return _leq(abs(total / self.den - 1), 0, False)
 
     def printed(self, masks) -> tuple[str, ...]:
         """str(self.of(m)) for each mask, built from the numerators."""
@@ -453,7 +453,7 @@ class WeightFn:
 
     def _print(self, nums) -> tuple[str, ...]:
         if not self.exact:
-            return tuple(map(str, nums))
+            return tuple(str(x / self.den) for x in nums)
         return tuple(fraction_str(x, self.den) for x in nums)
 
     def contracted(self, masks) -> tuple["WeightFn", tuple[str, ...]]:
@@ -461,14 +461,14 @@ class WeightFn:
         gives node i the share of masks[i] in the total over all the
         masks (0 everywhere when that total is not positive), and each
         mask's weight printed as ``printed`` does, from one sum per mask.
-        Exact shares are the masks' numerators over their sum."""
+        The shares are the masks' numerators over their sum."""
         nums = [self.num(m) for m in masks]
         total = sum(nums)
-        if self.exact:
-            shares = WeightFn._made(len(nums), total or 1, _classes_of(nums))
-        else:
-            shares = WeightFn._made(len(nums), 1, None, tuple(
-                x / total if total > 0 else 0 * x for x in nums))
+        # only float weights, which may dip below 0 within the tolerance,
+        # can have a negative total
+        shares = WeightFn._made(len(nums), max(total, 1),
+                                _classes_of(nums) if total > 0 else (),
+                                self.exact)
         return shares, self._print(nums)
 
     def at_most(self, mask: int, c) -> bool:
@@ -479,7 +479,7 @@ class WeightFn:
         Fraction, an int or a float and so the same test as Fraction <= c.
         Float weights keep the tolerance rule of ``leq``."""
         if not self.exact:
-            return self.leq(self.num(mask), c)
+            return self.leq(self.of(mask), c)
         try:
             c_num, c_den = c.as_integer_ratio()
         except (OverflowError, ValueError):  # an infinite or NaN float
@@ -492,9 +492,7 @@ class WeightFn:
 
     def leq(self, value, bound) -> bool:
         """value <= bound, with float tolerance when inexact."""
-        if self.exact:
-            return value <= bound
-        return float(value) <= float(bound) + FLOAT_TOL
+        return _leq(value, bound, self.exact)
 
     def shifted(self, deltas: dict[int, object]) -> "WeightFn":
         """New WeightFn with values[v] += deltas[v]; used for inherited
@@ -502,15 +500,12 @@ class WeightFn:
         vals = list(self.values)
         for v, d in deltas.items():
             vals[v] = vals[v] + d
-        return WeightFn._made(self.n, *_stored(tuple(vals)))
+        return WeightFn._made(self.n, *_stored(vals))
 
     def inherited(self, parts: dict[int, int]) -> "WeightFn":
         """New WeightFn in which each vertex v also carries the weight of
         the mask parts[v], as a central bag's centers inherit their A
-        sides.  Exact weights move integer numerators over the same
-        denominator; float weights are shifted by the float sums."""
-        if not self.exact:
-            return self.shifted({v: self.of(m) for v, m in parts.items()})
+        sides: integer numerators move over the same denominator."""
         moved = mask_of(parts)
         classes: dict[int, int] = {}
         for num, m in self._classes:
@@ -520,15 +515,24 @@ class WeightFn:
             num = self.num(1 << v) + self.num(part)
             if num:
                 classes[num] = classes.get(num, 0) | 1 << v
-        return WeightFn._made(self.n, self.den, tuple(classes.items()))
+        return WeightFn._made(self.n, self.den, tuple(classes.items()),
+                              self.exact)
 
     def as_json(self) -> list:
         if not self.exact:
-            return list(self._floats)
+            return list(self.values)
         return list(self.printed(1 << v for v in range(self.n)))
 
     def __repr__(self):
         return f"WeightFn({list(self.values)!r})"
+
+
+def _leq(value, bound, exact: bool) -> bool:
+    """value <= bound, exactly or within the float tolerance: the one
+    reader of FLOAT_TOL."""
+    if exact:
+        return value <= bound
+    return float(value) <= float(bound) + FLOAT_TOL
 
 
 def fraction_str(num: int, den: int) -> str:
@@ -547,14 +551,16 @@ def _classes_of(nums) -> tuple[tuple[int, int], ...]:
     return tuple(classes.items())
 
 
-def _stored(values: tuple) -> tuple:
-    """(den, classes, floats) of unchecked values: exact numerators over
-    their lcm denominator iff every value is a Fraction, else floats."""
-    if not all(isinstance(v, Fraction) for v in values):
-        return 1, None, values
+def _stored(values) -> tuple:
+    """(den, classes, exact) of unchecked finite values: numerators over
+    their lcm denominator, each float read as the binary fraction it
+    holds; exact iff every value is a Fraction."""
+    exact = all(isinstance(v, Fraction) for v in values)
+    if not exact:
+        values = [Fraction(v) for v in values]
     den = lcm(*(v.denominator for v in values))
     return den, _classes_of([v.numerator * (den // v.denominator)
-                             for v in values]), None
+                             for v in values]), exact
 
 
 # ---------------------------------------------------------------------------
@@ -586,15 +592,18 @@ def graph_to_json_obj(g: Graph, w: WeightFn | None = None) -> dict:
 def graph_from_json_obj(obj) -> tuple[Graph, WeightFn | None]:
     if not isinstance(obj, dict) or "n" not in obj:
         raise InputError("graph JSON must be an object with an 'n' field")
-    n = obj["n"]
-    if not isinstance(n, int) or n < 0:
-        raise InputError(f"bad vertex count {n!r}")
+    try:
+        n = read_int(obj["n"])
+    except TypeError:
+        n = -1  # refused with the negative counts
+    if n < 0:
+        raise InputError(f"bad vertex count {obj['n']!r}")
     g = Graph(_declared(n), obj.get("edges", []))
     if "vertices" in obj:
         try:
-            keep = mask_of(index(v) for v in obj["vertices"])
-        except (TypeError, ValueError):
-            raise InputError(f"bad vertex list {obj['vertices']!r}")
+            keep = mask_of(read_int(v, n) for v in obj["vertices"])
+        except (TypeError, IndexError) as e:
+            raise InputError(f"bad vertex list {obj['vertices']!r}: {e}")
         g = g.induced(keep)
     w = None
     if obj.get("weights") is not None:
@@ -707,14 +716,7 @@ def from_dimacs(text: str) -> Graph:
             edges.append((u, v))
     if n is None:
         raise InputError("missing DIMACS 'p' header")
-    seen = set()
-    uniq = []
-    for u, v in edges:
-        key = (min(u, v), max(u, v))
-        if key not in seen:
-            seen.add(key)
-            uniq.append(key)
-    return Graph(n, uniq)
+    return Graph(n, edges)  # a repeated or reversed edge is set again
 
 
 def _dimacs_int(field: str, lineno: int) -> int:

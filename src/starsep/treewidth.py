@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import index
 from typing import Callable
 
 from .cutsets import AtomDecomposition, clique_cutset_atoms
@@ -23,7 +22,7 @@ from .errors import (CapacityError, HypothesisViolation, InputError,
                      NotAMember)
 from .graph_core import (Graph, WeightFn, bit_list, bits, components,
                          degeneracy, lowest_bit, mask_of,
-                         neighborhood, popcount)
+                         neighborhood, popcount, read_int)
 
 EXACT_TW_CAP = 14
 
@@ -139,17 +138,14 @@ class TreeDecomposition:
         indices must be integers, and vertex ids must lie in [0, n): they
         are checked before any bag mask is built."""
         try:
-            bags = [[index(v) for v in b] for b in obj["bags"]]
-            edges = tuple((index(u), index(v)) for u, v in obj["edges"])
+            bags = [[read_int(v, n) for v in b] for b in obj["bags"]]
+            edges = tuple((read_int(u), read_int(v)) for u, v in obj["edges"])
         except KeyError as e:
             raise InputError(f"bad tree decomposition JSON: missing key {e}")
+        except IndexError as e:
+            raise InputError(f"bag {e}")
         except (TypeError, ValueError) as e:
             raise InputError(f"bad tree decomposition JSON: {e}")
-        for b in bags:
-            for v in b:
-                if not 0 <= v < n:
-                    raise InputError(
-                        f"bag vertex {v} out of range for n={n}")
         return cls(tuple(map(mask_of, bags)), edges)
 
 

@@ -441,6 +441,31 @@ def test_verify_cert_rejects_ids_it_cannot_read(runner, p3_file, tmp_path,
     assert out["error"] == "input" and out["message"].startswith(message)
 
 
+@pytest.mark.parametrize("command, graph, td", [
+    (["decompose", "--t", "4"], {"n": True, "edges": []}, None),
+    (["recognize", "--t", "4"], {"n": 2, "edges": [[False, True]]}, None),
+    (["verify-cert"], {"n": 2, "edges": [[0, 1]]},
+     {"bags": [[True, False]], "edges": []}),
+    (["verify-cert"], {"n": 2, "edges": [[0, 1]]},
+     {"bags": [[0, 1]], "edges": [[True, 0]]}),
+    (["recognize", "--t", "4"],
+     {"n": 3, "edges": [], "vertices": [10 ** 14]}, None),
+])
+def test_integers_read_from_files_are_checked(runner, tmp_path, command,
+                                              graph, td):
+    """A boolean is not a vertex count, vertex id or node index, and a
+    vertex id is range-checked before any mask is built from it (a mask
+    of the id 10**14 would not fit in memory)."""
+    args = command + [str(tmp_path / "g.json")]
+    (tmp_path / "g.json").write_text(json.dumps(graph))
+    if td is not None:
+        (tmp_path / "td.json").write_text(json.dumps(td))
+        args.append(str(tmp_path / "td.json"))
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert _json_out(res)["error"] == "input"
+
+
 def test_verify_cert_names_an_obstruction_report(runner, tmp_path):
     """decompose's exit-3 output is an obstruction report: verify-cert
     says so rather than naming a missing key."""

@@ -8,13 +8,16 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from starsep.detectors import (_KIND_ORDER, _induced_paths, class_membership,
+from perfbench import corpus
+from starsep.detectors import (_KIND_ORDER, _induced_paths, _spoked,
+                               class_membership,
                                classify_wheels, clique_number, detect_fixed,
                                detect_prism, detect_pyramid, detect_theta,
                                find_even_wheel, holes, hub_set,
                                make_wheel_witness, verify_obstruction)
 from starsep.generators import (cycle_graph, diamond_graph, prism_graph,
-                                pyramid_graph, sample_class, theta_graph,
+                                pyramid_graph, sample_class,
+                                sample_cutset_free_member, theta_graph,
                                 w93_graph, wheel_graph)
 from starsep.errors import InputError
 from starsep.graph_core import Graph, bit_list, mask_of
@@ -117,6 +120,41 @@ def test_sectors(w93):
     wit = [w for w in classify_wheels(w93) if w.center == 9][0]
     assert wit.sectors == ((0, 1, 2, 3), (3, 4, 5, 6), (6, 7, 8, 0))
     assert wit.long_sectors() == wit.sectors
+
+
+def test_wheel_witnesses_of_the_benchmark_pools_are_pinned():
+    """Every spoked (hole, center) pair of the three benchmark pools, in
+    hole order, classified and hashed: a wheel is always proper and a
+    path of one edge is never a wheel, so dropping those terms from the
+    flags changes no witness."""
+    rows = []
+    for workload in corpus.WORKLOADS:
+        for e in corpus.load_pool(workload)["graphs"]:
+            g = Graph(e["n"], e["edges"])
+            for hole, _, v in _spoked(g, g.verts):
+                w = make_wheel_witness(g, hole, v)
+                assert w.is_proper_wheel == w.is_wheel
+                rows.append(w.as_json())
+    blob = json.dumps(rows, sort_keys=True).encode()
+    assert len(rows) == 156 and hashlib.sha256(blob).hexdigest() == \
+        "8c5cd6a7f18f7e2d4c19c8d05410326e0239e4a704b3b4b2d528f39db1558404"
+
+
+def test_shortest_hole_names_the_even_wheel():
+    """Center 17 has even wheels on a 12-vertex and a 17-vertex hole:
+    holes are taken shortest first, so both the class test and
+    find_even_wheel report the 12-vertex one."""
+    g = sample_cutset_free_member(19, 4, 3)
+    g = Graph(g.n, set(g.edges()) ^ {(7, 17)})
+    even = [len(hole) for hole, _, v in _spoked(g, g.verts)
+            if make_wheel_witness(g, hole, v).is_even_wheel]
+    assert sorted(even) == [12, 17]
+    hole = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 18)
+    report = class_membership(g, 4, "C_t")
+    assert report.kind == "even_wheel" and report.detail.hole == hole
+    assert report.embedding == tuple(sorted(hole + (17,)))
+    w = find_even_wheel(g)
+    assert (w.hole, w.center) == (hole, 17)
 
 
 def test_class_membership_examples(c6, w93):

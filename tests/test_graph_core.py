@@ -195,10 +195,39 @@ def test_at_most_matches_fraction_comparison(case):
 @settings(max_examples=100, deadline=None)
 def test_at_most_keeps_the_float_tolerance(case):
     w, masks = case
-    assert not w.exact and w.den == 1
+    assert not w.exact
     for mask in masks:
         for c in BOUNDS:
             assert w.at_most(mask, c) == w.leq(w.of(mask), c)
+
+
+def test_float_sums_are_exact_then_rounded_once():
+    """A float mask's weight is the exact sum s of the input floats, as
+    Fractions: it prints as str(float(s)) and is judged by leq(float(s),
+    c), whatever the order of the vertices.  Some masks are chosen where
+    adding the floats one by one rounds to another float."""
+    rng = random.Random(227)
+    rounded_apart = 0
+    for _ in range(400):
+        n = rng.randint(3, 12)
+        raw = [rng.randint(0, 10 ** 6) for _ in range(n)]
+        raw[rng.randrange(n)] += 1
+        floats = [r / sum(raw) for r in raw]
+        w = WeightFn(n, floats)
+        assert not w.exact and w.values == tuple(floats)
+        masks = [rng.randrange(1 << n) for _ in range(4)] + [(1 << n) - 1]
+        for mask in masks:
+            s = sum(map(Fraction, (floats[v] for v in bit_list(mask))),
+                    Fraction(0))
+            assert w.of(mask) == float(s)
+            assert w.printed([mask]) == (str(float(s)),)
+            for c in BOUNDS:
+                assert w.at_most(mask, c) == w.leq(float(s), c)
+            one_by_one = 0.0
+            for v in bit_list(mask):
+                one_by_one += floats[v]
+            rounded_apart += one_by_one != float(s)
+    assert rounded_apart >= 20
 
 
 def test_at_most_ties_and_float_bounds():
@@ -305,6 +334,15 @@ def test_dimacs_read():
     assert g.n == 4 and g.num_edges() == 3 and g.has_edge(0, 1)
     with pytest.raises(InputError):
         from_dimacs("e 1 2\n")
+
+
+def test_dimacs_repeated_reversed_and_loop_lines_load_clean():
+    """A repeated edge, a reversed edge and an 'e v v' loop line add
+    nothing: the graph equals the one read from the clean text."""
+    clean = from_dimacs("p edge 4 3\ne 1 2\ne 2 3\ne 3 4\n")
+    messy = from_dimacs("p edge 4 7\ne 1 2\ne 2 1\ne 2 3\ne 3 3\n"
+                        "e 2 3\ne 4 3\ne 3 4\n")
+    assert messy == clean and messy.edges() == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_cliques_match_pairwise_adjacent_combinations():

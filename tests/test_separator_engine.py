@@ -271,14 +271,20 @@ def test_aux_separator_matches_exhaustive_oracle():
 
 def _reference_aux(g, beta, w, v):
     """The auxiliary graph's separator and JSON as they were computed
-    with Fractions: each node's weight by w.of, its share as the
-    Fraction (or float) quotient by their sum, 0 when that sum is not
-    positive, and the separator under the shares stored from those
-    values, over their lcm denominator when every one is a Fraction."""
+    with Fractions: each node's weight as the Fraction sum of its
+    vertices' weights, its share as the Fraction quotient by their sum,
+    0 when that sum is not positive, both rounded once to floats when
+    the bag weights are floats, and the separator under the shares
+    stored from those values."""
     aux = aux_graph(g, beta, w, v)
-    weights = [w.of(m) for m in aux.cliques + aux.comps]
-    total = sum(weights)
-    normalized = tuple(x / total if total > 0 else 0 * x for x in weights)
+    values = w.values
+    sums = [sum((Fraction(values[u]) for u in bit_list(m)), Fraction(0))
+            for m in aux.cliques + aux.comps]
+    total = sum(sums)
+    shares = [x / total if total > 0 else 0 * x for x in sums]
+    rounded = Fraction if w.exact else float
+    weights = tuple(map(rounded, sums))
+    normalized = tuple(map(rounded, shares))
     h = aux.graph
     x = _least_balanced_separator(
         h, WeightFn._made(h.n, *_stored(normalized)), h.verts, 3, HALF)
@@ -286,7 +292,7 @@ def _reference_aux(g, beta, w, v):
                 "components": [bit_list(d) for d in aux.comps],
                 "edges": [list(e) for e in h.edges()],
                 "weights": [str(weight) for weight in weights]}
-    return x, aux_json, tuple(weights), normalized
+    return x, aux_json, weights, normalized
 
 
 def _aux_cases():
