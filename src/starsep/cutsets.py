@@ -29,12 +29,16 @@ if TYPE_CHECKING:
 def find_clique_cutset(g: Graph, within: int) -> int | None:
     """Smallest clique (then lexicographically least) whose removal
     disconnects the subgraph induced on `within`; None if there is none.
-    The empty clique counts when the subgraph is disconnected.  Sizes 0
-    and 1 come from one depth-first search; larger cliques are tried only
-    on 2-connected subgraphs."""
+    The empty clique counts when the subgraph is disconnected, so one
+    breadth-first search answers 0 there, with no lowpoints: the least
+    clique cutset is empty whatever the cut vertices are.  On a connected
+    subgraph, size 1 comes from one depth-first search; larger cliques
+    are tried only on 2-connected subgraphs."""
     g.check_vertex_set(within)
     if popcount(within) <= 1:
         return None
+    if len(components(g, within)) > 1:
+        return 0
     return _least_cutset(g, within, *_cut_vertices(g, within))
 
 

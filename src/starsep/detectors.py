@@ -5,17 +5,20 @@ checks during extension), sized for graphs up to a few dozen vertices.
 C4 and diamond are common-neighborhood mask tests (a non-adjacent pair,
 or an edge, whose common neighbors hold a non-edge) that return the
 lexicographically least witness, the one a scan of all 4-subsets finds
-first.  K_t, the clique number and the triangles of pyramids and prisms
+first.  Each skips what degrees rule out: the least vertex of a C4 has
+two neighbors above it, and both hubs of a diamond have degree three or
+more.  K_t, the clique number and the triangles of pyramids and prisms
 come from ``graph_core.cliques``.  A hole is an induced path closed at
 its least vertex, so ``holes`` lists the paths of ``_induced_paths``, the
 one chordless-path search of the package, and orders the holes by
 length; every wheel scan (the even-wheel test, the taxonomy, the hub
 record, the no-wheel check of a central bag) walks them through
 ``_spoked``, which pairs each hole with the vertices that have three or
-more spokes on it.  ``_induced_paths`` is a depth-first search on an
-explicit stack, children pushed highest first so the pre-order is the
-recursive one; its depth is not bounded by the interpreter's recursion
-limit.
+more spokes on it.  The even-wheel test classifies only centers with an
+even spoke count, as an even wheel has four spokes or an even count.
+``_induced_paths`` is a depth-first search on an explicit stack,
+children pushed highest first so the pre-order is the recursive one;
+its depth is not bounded by the interpreter's recursion limit.
 The three-path configurations (theta, pyramid, prism) build one leg
 record ``(path, body, conflict)`` per induced path between two ends
 (``_legs``).  The body is what no other leg may use: the interior for a
@@ -29,6 +32,7 @@ product order over three (``_join``).
 are cheap mask tests, and a graph that has one never pays for a
 clique-cutset decomposition.  Theta, pyramid, prism and even wheel have
 no clique cutset, so it searches them on each atom that is not a clique
+(an atom of at most three vertices is one, as it has no clique cutset)
 and merges the atoms' witnesses by the order of the whole-graph search
 (``_ATOM_KEYS``); a chain of atoms then costs the sum of its atoms, not
 the product of their path counts.
@@ -153,6 +157,8 @@ def _find_c4(g):
     for a in g.vertex_list():
         above = g.verts & ~((1 << (a + 1)) - 1)
         up = g.adj[a] & above
+        if not up & (up - 1):  # the least vertex of a C4 has two above
+            continue
         triples = []
         # c needs two common neighbors in up, a non-adjacent pair of them
         for c in bits(neighborhood(g, up) & above & ~g.adj[a]):
@@ -170,12 +176,17 @@ def _find_c4(g):
 def _find_diamond(g):
     """Lexicographically least 4-set inducing a diamond, as (hub0, hub1,
     a, b).  A diamond is found once, from its hub edge, as the least
-    non-adjacent pair a < b among the common neighbors of that edge."""
+    non-adjacent pair a < b among the common neighbors of that edge.
+    Both hubs have degree three or more, so only edges between such
+    vertices are walked."""
+    adj = g.adj
+    hubs = mask_of(v for v in bits(g.verts) if popcount(adj[v]) >= 3)
     quads = []
-    for u, v in g.edges():
-        common = g.adj[u] & g.adj[v]
-        if common & (common - 1) and (pair := least_nonedge(g, common)):
-            quads.append(sorted((u, v) + pair))
+    for u in bits(hubs):
+        for v in bits(adj[u] & hubs & ~((2 << u) - 1)):
+            common = adj[u] & adj[v]
+            if common & (common - 1) and (pair := least_nonedge(g, common)):
+                quads.append(sorted((u, v) + pair))
     if not quads:
         return None
     quad = min(quads)
@@ -498,7 +509,9 @@ def hub_set(g: Graph, x: int) -> int:
 
 
 def find_even_wheel(g: Graph) -> Optional[WheelWitness]:
-    for hole, _, v in _spoked(g, g.verts):
+    for hole, hole_mask, v in _spoked(g, g.verts):
+        if popcount(g.adj[v] & hole_mask) % 2:  # never an even wheel
+            continue
         w = make_wheel_witness(g, hole, v)
         if w.is_even_wheel:
             return w
@@ -576,11 +589,13 @@ _ATOM_KEYS = (
 def _atom_graphs(g: Graph) -> list[Graph]:
     """The graph itself when it has no clique cutset, which one search
     tells; else the subgraph of every clique-cutset atom that is not a
-    clique (a clique holds no hole, so none of the per-atom kinds)."""
+    clique (a clique holds no hole, so none of the per-atom kinds).  An
+    atom of three or fewer vertices is a clique: a non-adjacent pair is
+    split by the empty cutset, and a P3 by its middle vertex."""
     if find_clique_cutset(g, g.verts) is None:
         return [g]
     return [g.induced(a) for a in clique_cutset_atoms(g).atoms
-            if least_nonedge(g, a) is not None]
+            if popcount(a) > 3 and least_nonedge(g, a) is not None]
 
 
 def _search(g: Graph, kind: str):

@@ -370,17 +370,21 @@ class WeightFn:
 
     __slots__ = ("n", "exact", "den", "_classes")
 
-    def __init__(self, n: int, values: Sequence):
-        try:
-            count = len(values)
-        except TypeError:
+    def __init__(self, n: int, values: list | tuple):
+        # a dict or string has a length too, but its keys or characters
+        # are not weights
+        if not isinstance(values, (list, tuple)):
             raise InputError(f"weights {values!r} is not a list")
-        if count != n:
-            raise InputError(f"expected {n} weights, got {count}")
+        if len(values) != n:
+            raise InputError(f"expected {n} weights, got {len(values)}")
         parsed = [_parse_weight(v) for v in values]
         exact = all(isinstance(v, Fraction) for v in parsed)
         if not exact:
-            parsed = [float(v) for v in parsed]
+            try:
+                parsed = [float(v) for v in parsed]
+            except OverflowError:  # only a Fraction far outside [0, 1]
+                raise InputError("weight outside [0, 1]: too large for "
+                                 "a float")
         for v in parsed:  # refuses NaN and infinities too
             if not (_leq(0, v, exact) and _leq(v, 1, exact)):
                 raise InputError(f"weight {v} outside [0, 1]")

@@ -289,6 +289,43 @@ def test_malformed_weights_file_exits_2(runner, w93_file, tmp_path):
         assert _json_out(res)["error"] == "input"
 
 
+@pytest.mark.parametrize("weights, code", [
+    (["1e400", 0.5], 2),   # too large for a float: out of [0, 1]
+    (["-1e400", 0.5], 2),
+    (["1/2", 0.5], 0),     # a string beside a float is still read
+])
+def test_weight_too_large_for_a_float_is_out_of_range(runner, tmp_path,
+                                                      weights, code):
+    gp, wp = tmp_path / "g.json", tmp_path / "w.json"
+    gp.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+    wp.write_text(json.dumps(weights))
+    res = runner.invoke(main, ["separator", "--t", "4",
+                               "--weights", str(wp), str(gp)])
+    assert res.exit_code == code
+    out = _json_out(res)
+    if code:
+        assert out["error"] == "input"
+        assert "outside [0, 1]" in out["message"]
+
+
+@pytest.mark.parametrize("weights", [
+    {"1/2": 0, "1/4": 0, "0.25": 1},  # its keys would be three weights
+    "100",                            # its characters would be 1, 0, 0
+])
+def test_weights_that_are_not_a_list_exit_2(runner, tmp_path, weights):
+    gp, wp = tmp_path / "g.json", tmp_path / "w.json"
+    gp.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
+    wp.write_text(json.dumps(weights))
+    res = runner.invoke(main, ["separator", "--t", "4",
+                               "--weights", str(wp), str(gp)])
+    assert res.exit_code == 2
+    assert _json_out(res)["error"] == "input"
+    gp.write_text(json.dumps({"n": 3, "edges": [], "weights": weights}))
+    res = runner.invoke(main, ["recognize", "--t", "4", str(gp)])
+    assert res.exit_code == 2
+    assert _json_out(res)["error"] == "input"
+
+
 @pytest.mark.parametrize("raised,code", [
     ((), 2),
     (("CapacityError",), 5),
