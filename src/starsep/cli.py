@@ -85,7 +85,7 @@ def _weights(g: Graph, source: str) -> WeightFn:
     with open(source) as fh:
         try:
             values = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except ValueError as e:  # also an int past Python's digit limit
             raise InputError(f"bad weights file {source}: {e}")
     return WeightFn(g.n, values)
 

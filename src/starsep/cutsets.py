@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import HypothesisViolation, InputError
-from .graph_core import (Graph, bit_list, bits, cliques, components, mask_of,
-                         popcount)
+from .graph_core import (Graph, bit_list, bits, cliques, components,
+                         cut_vertex_splits, mask_of, popcount)
 
 if TYPE_CHECKING:
     from .detectors import WheelWitness
@@ -29,17 +29,15 @@ if TYPE_CHECKING:
 def find_clique_cutset(g: Graph, within: int) -> int | None:
     """Smallest clique (then lexicographically least) whose removal
     disconnects the subgraph induced on `within`; None if there is none.
-    The empty clique counts when the subgraph is disconnected, so one
-    breadth-first search answers 0 there, with no lowpoints: the least
-    clique cutset is empty whatever the cut vertices are.  On a connected
-    subgraph, size 1 comes from one depth-first search; larger cliques
-    are tried only on 2-connected subgraphs."""
+    The empty clique counts when the subgraph is disconnected.  One
+    depth-first search, kept on g as `cut_vertex_splits(g, within)`,
+    tells connectivity and the least cut vertex; larger cliques are tried
+    only on 2-connected subgraphs."""
     g.check_vertex_set(within)
     if popcount(within) <= 1:
         return None
-    if len(components(g, within)) > 1:
-        return 0
-    return _least_cutset(g, within, *_cut_vertices(g, within))
+    comps, splits = cut_vertex_splits(g, within)
+    return _least_cutset(g, within, mask_of(splits), len(comps) == 1)
 
 
 def _least_cutset(g, within, cut_vertices, connected):
@@ -68,55 +66,6 @@ def _least_cutset(g, within, cut_vertices, connected):
         for clique in map(mask_of, cliques(g.induced(cand), size)):
             if len(components(g, within & ~clique)) > 1:
                 return clique
-
-
-def _cut_vertices(g, within):
-    """(cut vertices, connected) for the subgraph induced on a nonempty
-    `within`: the mask of the vertices whose removal splits their
-    component, and whether there is one component.  One depth-first
-    search per component, from its least vertex, with lowpoints (Hopcroft
-    & Tarjan 1973): a vertex other than the root is a cut vertex iff
-    some child's subtree reaches no higher than it; the root iff it has
-    two children."""
-    adj = g.adj
-    disc = [0] * g.n
-    low = [0] * g.n
-    seen = cut = 0
-    parts = visited = 0
-    while rest := within & ~seen:
-        root = (rest & -rest).bit_length() - 1
-        parts += 1
-        disc[root] = low[root] = visited
-        visited += 1
-        seen |= 1 << root
-        stack = [[root, adj[root] & within]]
-        root_children = 0
-        while stack:
-            frame = stack[-1]
-            v, todo = frame
-            if todo:
-                bit = todo & -todo
-                frame[1] = todo ^ bit
-                u = bit.bit_length() - 1
-                if seen & bit:
-                    low[v] = min(low[v], disc[u])
-                else:
-                    seen |= bit
-                    disc[u] = low[u] = visited
-                    visited += 1
-                    stack.append([u, adj[u] & within])
-                continue
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[v])
-                if p == root:
-                    root_children += 1
-                elif low[v] >= disc[p]:
-                    cut |= 1 << p
-        if root_children > 1:
-            cut |= 1 << root
-    return cut, parts == 1
 
 
 @dataclass(frozen=True)
@@ -167,13 +116,17 @@ def clique_cutset_atoms(g: Graph) -> AtomDecomposition:
     Deterministic: find_clique_cutset's cutset first, pieces in component
     order.  The first call keeps the result on the graph.
 
-    Cut vertices are searched once and then inherited: a piece's cut
+    Cut vertices are searched once, by the `cut_vertex_splits` record
+    find_clique_cutset keeps, and then inherited: a piece's cut
     vertices are the region's inside it.  Split into components, that is
     immediate.  Split at a cut vertex v, a piece (a component C of the
     rest, plus v) has as cut vertices those of the region inside C.  A
     larger clique splits only a 2-connected region, and every piece is
     2-connected too: a cut vertex of a piece would be one of the region.
-    Every piece is connected.
+    Every piece is connected, and a path leaving it returns through the
+    clique that cut it off: it splits at v as the record does at v, each
+    record piece cut down to it.  None is cut to nothing: a split at
+    another cut vertex u keeps u and v's other neighbors with v.
     """
     return g.kept(_decompose)
 
@@ -182,8 +135,9 @@ def _decompose(g: Graph) -> AtomDecomposition:
     atoms: list[int] = []
     cutsets: list[int] = []
     steps: list = []
+    comps, splits = cut_vertex_splits(g, g.verts)
     # (region, cut vertices, connected)
-    todo = [(g.verts, *_cut_vertices(g, g.verts))] if g.verts else []
+    todo = [(g.verts, mask_of(splits), len(comps) == 1)] if g.verts else []
     while todo:
         region, cut_vertices, connected = todo.pop()
         cut = None
@@ -194,9 +148,13 @@ def _decompose(g: Graph) -> AtomDecomposition:
             steps.append(region)
             continue
         cutsets.append(cut)
-        comps = components(g, region & ~cut)
-        steps.append((cut, len(comps)))
-        todo += [(c | cut, cut_vertices & c, True) for c in reversed(comps)]
+        if popcount(cut) > 1:
+            parts = components(g, region & ~cut)
+        else:  # a cut vertex's pieces, or cut 0's: the graph's components
+            at = splits[cut.bit_length() - 1] if cut else comps
+            parts = sorted((d & region for d in at), key=lambda d: d & -d)
+        steps.append((cut, len(parts)))
+        todo += [(c | cut, cut_vertices & c, True) for c in reversed(parts)]
     return AtomDecomposition(tuple(dict.fromkeys(atoms)), tuple(cutsets),
                              tuple(steps))
 

@@ -95,7 +95,8 @@ class Graph:
     Facts that depend only on the graph are computed once per object and
     kept through ``kept(build, *key)``, keyed by the builder and key; the
     graph never changes, so they can never go stale.  The wheel record
-    of ``detectors.hub_set``, the atoms of ``cutsets.clique_cutset_atoms``,
+    of ``detectors.hub_set``, the ``cut_vertex_splits`` of each region
+    ``cutsets`` asks about, the atoms of ``cutsets.clique_cutset_atoms``,
     the pyramid search that ``balanced_vertex_separator`` runs before
     its apex check, the hub order of ``hub_division``, the sides of each
     canonical separation (per center and B side), each revised
@@ -270,6 +271,54 @@ def _split(g: Graph, x: int) -> tuple[int, ...]:
     return tuple(components(g, x))
 
 
+def cut_vertex_splits(g: Graph, region: int):
+    """(components, splits) of the subgraph induced on `region`, kept on g
+    per mask: its components as `components` orders them, and a dict from
+    each cut vertex v to the components of v's component minus v, ordered
+    by least vertex.  One depth-first search per component, from its
+    least vertex (Hopcroft & Tarjan 1973): a child's subtree whose only
+    neighbor outside it is its parent p (its lowpoint does not pass p) is
+    one of p's pieces, and what is left is one more unless p is the root."""
+    return g.kept(_cut_vertex_dfs, region)
+
+
+def _cut_vertex_dfs(g: Graph, region: int):
+    """The search of cut_vertex_splits.  A frame is [v, the vertices seen
+    before v, reach], reach gathering the neighbors of v's subtree."""
+    g.check_vertex_set(region)
+    adj = g.adj
+    comps, splits = [], {}
+    seen = 0
+    while rest := region & ~seen:
+        root = (rest & -rest).bit_length() - 1
+        start, seen = seen, seen | 1 << root
+        stack = [[root, start, adj[root] & region]]
+        cut_off: dict[int, list[int]] = {}  # vertex -> subtrees it cuts off
+        while stack:
+            if todo := stack[-1][2] & ~seen:
+                bit = todo & -todo
+                u = bit.bit_length() - 1
+                stack.append([u, seen, adj[u] & region])
+                seen |= bit
+                continue
+            _, before, reach = stack.pop()
+            if stack:
+                p = stack[-1][0]
+                stack[-1][2] |= reach
+                subtree = seen & ~before
+                if reach & ~subtree == 1 << p:
+                    cut_off.setdefault(p, []).append(subtree)
+        comp = seen & ~start
+        comps.append(comp)
+        for v, pieces in cut_off.items():
+            # the subtrees are disjoint, so their sum is their union
+            if left := comp & ~(1 << v) & ~sum(pieces):  # none at the root
+                pieces.append(left)
+            if len(pieces) > 1:
+                splits[v] = tuple(sorted(pieces, key=lambda d: d & -d))
+    return tuple(comps), splits
+
+
 def far_components(g: Graph, v: int) -> tuple[int, ...]:
     """Components of the graph minus the closed neighborhood of v, ordered
     by smallest contained vertex: the kept split of that mask, so only
@@ -387,12 +436,12 @@ class WeightFn:
                                  "a float")
         for v in parsed:  # refuses NaN and infinities too
             if not (_leq(0, v, exact) and _leq(v, 1, exact)):
-                raise InputError(f"weight {v} outside [0, 1]")
+                raise InputError(f"weight {_shown(v)} outside [0, 1]")
         self._fill(n, *_stored(parsed))
         everything = (1 << n) - 1
         if not self.weighs_one(everything):
             raise InputError(
-                f"weights must sum to 1, got {self.of(everything)}")
+                f"weights must sum to 1, got {_shown(self.of(everything))}")
 
     def __setattr__(self, *a):
         raise AttributeError("WeightFn is immutable")
@@ -537,6 +586,14 @@ def _leq(value, bound, exact: bool) -> bool:
     if exact:
         return value <= bound
     return float(value) <= float(bound) + FLOAT_TOL
+
+
+def _shown(x) -> str:
+    """str(x), or a stand-in past Python's int-to-string digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        return "(too long to print)"
 
 
 def fraction_str(num: int, den: int) -> str:

@@ -281,7 +281,7 @@ def test_recognize_malformed_file_exits_2(runner, tmp_path, name):
 
 def test_malformed_weights_file_exits_2(runner, w93_file, tmp_path):
     wp = tmp_path / "w.json"
-    for text in ("[", "5", '{"a": 1}'):
+    for text in ("[", "5", '{"a": 1}', "[" + "1" * 5000 + ", 0]"):
         wp.write_text(text)
         res = runner.invoke(main, ["separator", "--t", "4",
                                    "--weights", str(wp), w93_file])
@@ -293,6 +293,7 @@ def test_malformed_weights_file_exits_2(runner, w93_file, tmp_path):
     (["1e400", 0.5], 2),   # too large for a float: out of [0, 1]
     (["-1e400", 0.5], 2),
     (["1/2", 0.5], 0),     # a string beside a float is still read
+    (["1e5000", "0"], 2),  # exact, with more digits than str() prints
 ])
 def test_weight_too_large_for_a_float_is_out_of_range(runner, tmp_path,
                                                       weights, code):

@@ -13,14 +13,15 @@ from starsep.cutsets import (attachment_trichotomy, clique_cutset_atoms,
 from starsep.detectors import (class_membership, classify_wheels,
                                make_wheel_witness)
 from starsep.errors import HypothesisViolation, InputError
-from starsep.generators import (bowtie_graph, cycle_graph, sample_class,
-                                wheel_graph)
-from starsep.graph_core import (Graph, bit_list, cliques, components,
+from starsep.generators import (bowtie_graph, cycle_graph, make,
+                                sample_class, wheel_graph)
+from starsep.graph_core import (Graph, bit_list, bits, cliques, components,
                                 mask_of, popcount)
 from starsep.treewidth import exact_treewidth
 
 from . import oracles
 from .conftest import _edge_graph, glue, seeded_random_graphs
+from .test_detectors import c5_chain
 
 
 def test_atoms_examples(p9, c6):
@@ -170,11 +171,27 @@ def _parent_find_clique_cutset(g, within):
     return _parent_least_cutset(g, within, *_parent_cut_vertices(g, within))
 
 
-def _parent_decompose(g, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(cutsets, "_least_cutset", _parent_least_cutset)
-        m.setattr(cutsets, "_cut_vertices", _parent_cut_vertices)
-        return cutsets._decompose(g)
+def _parent_decompose(g):
+    """The reference atom walk: one lowpoint search on the graph, each
+    piece inheriting the cut vertices inside it, and every split a
+    components call."""
+    atoms, cuts, steps = [], [], []
+    todo = [(g.verts, *_parent_cut_vertices(g, g.verts))] if g.verts else []
+    while todo:
+        region, cut_vertices, connected = todo.pop()
+        cut = None
+        if popcount(region) > 1:
+            cut = _parent_least_cutset(g, region, cut_vertices, connected)
+        if cut is None:
+            atoms.append(region)
+            steps.append(region)
+            continue
+        cuts.append(cut)
+        comps = components(g, region & ~cut)
+        steps.append((cut, len(comps)))
+        todo += [(c | cut, cut_vertices & c, True) for c in reversed(comps)]
+    return cutsets.AtomDecomposition(tuple(dict.fromkeys(atoms)),
+                                     tuple(cuts), tuple(steps))
 
 
 def _random_graphs(count, seed):
@@ -188,41 +205,135 @@ def _random_graphs(count, seed):
         yield g, [rng.getrandbits(n) for _ in range(3)]
 
 
-def _matches_parent(g, masks, monkeypatch):
-    """find_clique_cutset on the full vertex set and on each mask,
-    _cut_vertices, and the whole atom decomposition equal the parent's;
-    returns the cutsets found."""
+def _matches_parent(g, masks):
+    """find_clique_cutset on the full vertex set and on each mask, the
+    kept record's cut vertices and connectivity, and the whole atom
+    decomposition equal the parent's; returns the cutsets found."""
     found = []
     for within in [g.verts] + masks:
         cut = find_clique_cutset(g, within)
         assert cut == _parent_find_clique_cutset(g, within), \
             (g, within)
         if within:
-            assert cutsets._cut_vertices(g, within) == \
+            comps, splits = graph_core.cut_vertex_splits(g, within)
+            assert (mask_of(splits), len(comps) == 1) == \
                 _parent_cut_vertices(g, within)
         found.append(cut)
     ours = clique_cutset_atoms(Graph(g.n, g.edges()))
-    ref = _parent_decompose(Graph(g.n, g.edges()), monkeypatch)
-    assert ours == ref, g
+    assert ours == _parent_decompose(Graph(g.n, g.edges())), g
     return found
 
 
-def test_least_cutset_matches_parent_on_random_graphs(monkeypatch):
+def test_least_cutset_matches_parent_on_random_graphs():
     sizes = set()
     for g, masks in _random_graphs(1500, 17):
-        sizes |= {popcount(c) for c in _matches_parent(g, masks, monkeypatch)
+        sizes |= {popcount(c) for c in _matches_parent(g, masks)
                   if c is not None}
     assert sizes >= {0, 1, 2, 3}
 
 
 @pytest.mark.parametrize("workload", corpus.WORKLOADS)
-def test_least_cutset_matches_parent_on_benchmark_pools(workload,
-                                                        monkeypatch):
+def test_least_cutset_matches_parent_on_benchmark_pools(workload):
     rng = random.Random(workload)
     for e in corpus.load_pool(workload)["graphs"]:
         g = Graph(e["n"], e["edges"])
-        _matches_parent(g, [rng.getrandbits(g.n) for _ in range(3)],
-                        monkeypatch)
+        _matches_parent(g, [rng.getrandbits(g.n) for _ in range(3)])
+
+
+def _split_without(g, region, v):
+    """The components of the region minus v, read off the kept record:
+    the region's components with v's own replaced by v's split, or by
+    what is left of it when v is no cut vertex."""
+    comps, splits = graph_core.cut_vertex_splits(g, region)
+    own = next(c for c in comps if c >> v & 1)
+    pieces = splits.get(v, [own & ~(1 << v)] if own != 1 << v else [])
+    return sorted([c for c in comps if c != own] + list(pieces),
+                  key=lambda d: d & -d)
+
+
+def _glued_members():
+    """Pairs of sample_class members joined along a clique of 0-3
+    vertices."""
+    rng = random.Random(7)
+    members = [sample_class(n, 4, s).graph for n in (8, 12) for s in range(4)]
+    out = []
+    while len(out) < 24:
+        g = glue(rng.choice(members), rng.choice(members), len(out) % 4, rng)
+        out += [g] if g is not None else []
+    return out
+
+
+def test_cut_vertex_splits_match_components():
+    """For every region asked about and each of its vertices v, the split
+    read off the kept record is components(g, region minus v)."""
+    cases = [(g, [g.verts] + masks) for g, masks in _random_graphs(1500, 17)]
+    cases += [(g, [g.verts]) for g in [make("P1200"), *_glued_members(),
+                                       *map(c5_chain, (1, 2, 3, 16, 64))]]
+    cut_sizes = set()
+    for g, regions in cases:
+        for region in regions:
+            for v in bits(region):
+                split = _split_without(g, region, v)
+                assert split == components(g, region & ~(1 << v)), (g, v)
+            splits = graph_core.cut_vertex_splits(g, region)[1]
+            cut_sizes |= {len(pieces) for pieces in splits.values()}
+    assert cut_sizes >= {2, 3}
+
+
+def _decompose_work(g, monkeypatch):
+    """(components calls inside _decompose, cut_vertex_splits builds)
+    while clique_cutset_atoms runs on g."""
+    count = {"components": 0, "builds": 0}
+    inside = False
+
+    def counted_components(h, x):
+        count["components"] += inside
+        return graph_core.components(h, x)
+
+    def counted_builds(h, region, _orig=graph_core._cut_vertex_dfs):
+        count["builds"] += 1
+        return _orig(h, region)
+
+    def watched(h, _orig=cutsets._decompose):
+        nonlocal inside
+        inside = True
+        try:
+            return _orig(h)
+        finally:
+            inside = False
+
+    with monkeypatch.context() as m:
+        m.setattr(cutsets, "components", counted_components)
+        m.setattr(graph_core, "_cut_vertex_dfs", counted_builds)
+        m.setattr(cutsets, "_decompose", watched)
+        clique_cutset_atoms(g)
+    return count
+
+
+def test_block_chains_split_without_components(monkeypatch):
+    """A count, not a timing: on the 1,200-vertex path and on a chain of
+    64 five-holes, every split is read off one kept record, with no
+    components call."""
+    for g in (make("P1200"), c5_chain(64)):
+        assert _decompose_work(g, monkeypatch) == {"components": 0,
+                                                   "builds": 1}
+
+
+def test_recognition_and_atoms_share_one_record(monkeypatch):
+    """class_membership and then clique_cutset_atoms build the record of
+    the whole graph once."""
+    builds = []
+
+    def counted(h, region, _orig=graph_core._cut_vertex_dfs):
+        builds.append((h, region))
+        return _orig(h, region)
+
+    monkeypatch.setattr(graph_core, "_cut_vertex_dfs", counted)
+    for g in [c5_chain(8), make("P30"), *_glued_members()]:
+        del builds[:]
+        class_membership(g, 4)
+        assert clique_cutset_atoms(g).cutsets
+        assert builds == [(g, g.verts)], g
 
 
 @pytest.mark.parametrize("n, edges, cutset", [

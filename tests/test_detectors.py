@@ -579,18 +579,18 @@ def c5_chain(k):
 
 def test_c5_chains_are_recognised_atom_by_atom(monkeypatch):
     """Every C5 chain up to k = 16 is a member, and the work counted by
-    cut-vertex searches, holes yielded and induced paths listed grows
-    linearly in k (a whole-graph search lists exponentially many induced
-    paths between the shared vertices)."""
-    import starsep.cutsets as cutsets_mod
+    cut-vertex record builds, holes yielded and induced paths listed
+    grows linearly in k (a whole-graph search lists exponentially many
+    induced paths between the shared vertices)."""
     import starsep.detectors as det
-    count = {"cutsets": 0, "holes": 0, "paths": 0}
-    cut_vertices, all_holes, paths = (cutsets_mod._cut_vertices,
-                                      det.holes, det._induced_paths)
+    import starsep.graph_core as gc
+    count = {"records": 0, "holes": 0, "paths": 0}
+    lowpoint_splits, all_holes, paths = (gc._cut_vertex_dfs, det.holes,
+                                         det._induced_paths)
 
-    def counted_cutset(g, within):
-        count["cutsets"] += 1
-        return cut_vertices(g, within)
+    def counted_record(g, region):
+        count["records"] += 1
+        return lowpoint_splits(g, region)
 
     def counted_holes(*args, **kwargs):
         for hole in all_holes(*args, **kwargs):
@@ -602,14 +602,14 @@ def test_c5_chains_are_recognised_atom_by_atom(monkeypatch):
         count["paths"] += 1 + len(out)
         return out
 
-    monkeypatch.setattr(cutsets_mod, "_cut_vertices", counted_cutset)
+    monkeypatch.setattr(gc, "_cut_vertex_dfs", counted_record)
     monkeypatch.setattr(det, "holes", counted_holes)
     monkeypatch.setattr(det, "_induced_paths", counted_paths)
     for k in range(1, 17):
         for key in count:
             count[key] = 0
         assert class_membership(c5_chain(k), 4).member, k
-        assert count["cutsets"] <= 2 * k, (k, count)
+        assert count["records"] <= 2 * k, (k, count)
         assert count["holes"] <= k, (k, count)
         assert count["paths"] <= 4 * k, (k, count)
 

@@ -109,6 +109,9 @@ def test_weightfn_validation():
         WeightFn(3, [0.5, 0.2, 0.2])  # sums to 0.9
     with pytest.raises(InputError):
         WeightFn(3, [2, -1, 0])
+    for far in ([10 ** 5000, 0], ["1e-5000", 0]):  # too long to print
+        with pytest.raises(InputError, match="too long to print"):
+            WeightFn(2, far)
     w = WeightFn(3, ["1/2", "1/4", "1/4"])
     assert w.exact and w.of(mask_of([1, 2])) == Fraction(1, 2)
     wf = WeightFn(3, [0.5, 0.25, 0.25])

@@ -477,6 +477,7 @@ def test_certify_keeps_only_the_atoms_on_the_host_graph(monkeypatch):
     counts = []
     for _ in range(2):
         certify(g, 4)
-        assert list(g._kept) == [starsep.cutsets._decompose]
+        assert list(g._kept) == [(starsep.graph_core._cut_vertex_dfs,
+                                  g.verts), starsep.cutsets._decompose]
         counts.append([len(b) for b in builders])
     assert counts[1] == [2 * k for k in counts[0]] and all(counts[0])

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from perfbench import corpus
-from starsep import cutsets, detectors
+from starsep import detectors, graph_core
 from starsep.cutsets import clique_cutset_atoms, find_clique_cutset
 from starsep.detectors import (_atom_graphs, _find_c4, _find_diamond,
                                _spoked, class_membership, find_even_wheel,
@@ -134,18 +134,16 @@ def _called_from(name):
 
 def test_recognize_mutants_pass_checks_each_precondition(monkeypatch):
     """The seed-0 recognize-mutants pass, on graphs built afresh: the
-    lowpoint search of find_clique_cutset runs only on connected regions,
+    lowpoint search builds one record per (graph, region) asked about,
     find_even_wheel classifies only even spoke counts, and _atom_graphs
     looks for a non-edge only in atoms of four or more vertices.  The
     counts are the work left after the skips."""
-    calls = {"cut": 0, "wheel": 0, "nonedge": 0}
+    calls = {"wheel": 0, "nonedge": 0}
+    built = []
 
-    def cut_vertices(g, within, _orig=cutsets._cut_vertices):
-        out = _orig(g, within)
-        if _called_from("find_clique_cutset"):
-            calls["cut"] += 1
-            assert out[1], "lowpoint search on a disconnected region"
-        return out
+    def record_build(g, region, _orig=graph_core._cut_vertex_dfs):
+        built.append((g, region))  # holds g, so no id is reused
+        return _orig(g, region)
 
     def wheel_witness(g, hole, center, _orig=make_wheel_witness):
         if _called_from("find_even_wheel"):
@@ -159,7 +157,7 @@ def test_recognize_mutants_pass_checks_each_precondition(monkeypatch):
             assert popcount(mask) >= 4
         return _orig(g, mask)
 
-    monkeypatch.setattr(cutsets, "_cut_vertices", cut_vertices)
+    monkeypatch.setattr(graph_core, "_cut_vertex_dfs", record_build)
     monkeypatch.setattr(detectors, "make_wheel_witness", wheel_witness)
     monkeypatch.setattr(detectors, "least_nonedge", nonedge)
     pool = corpus.load_pool("recognize-mutants")
@@ -167,5 +165,7 @@ def test_recognize_mutants_pass_checks_each_precondition(monkeypatch):
         g = Graph(e["n"], e["edges"])
         rep = class_membership(g, 4, "C_t")
         assert rep.member or verify_obstruction(g, rep.kind, rep.embedding, 4)
-    # without the skips: 93, 52 and 1,090 calls
-    assert calls == {"cut": 33, "wheel": 20, "nonedge": 83}
+    assert len({(id(g), region) for g, region in built}) == len(built)
+    # one record per graph that reaches find_clique_cutset; without the
+    # skips, 52 and 1,090 calls
+    assert (len(built), calls) == (93, {"wheel": 20, "nonedge": 83})

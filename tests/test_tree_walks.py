@@ -10,8 +10,7 @@ from typing import NamedTuple
 
 import pytest
 
-from starsep.cutsets import (DecompositionStep, _cut_vertices, _least_cutset,
-                             clique_cutset_atoms)
+from starsep.cutsets import DecompositionStep, clique_cutset_atoms
 from starsep.errors import InputError
 from starsep.generators import make, sample_class
 from starsep.graph_core import (Graph, WeightFn, components, lowest_bit,
@@ -20,6 +19,7 @@ from starsep.treewidth import (CertifyResult, TreeDecomposition,
                                _contract_redundant, _glue, build_td)
 
 from .conftest import seeded_random_graphs
+from .test_cutsets import _parent_cut_vertices, _parent_least_cutset
 from .test_detectors import c5_chain
 
 
@@ -36,7 +36,7 @@ def reference_decompose(g: Graph) -> ReferenceDecomposition:
     def rec(region: int, cut_vertices: int, connected=True):
         cut = None
         if popcount(region) > 1:
-            cut = _least_cutset(g, region, cut_vertices, connected)
+            cut = _parent_least_cutset(g, region, cut_vertices, connected)
         if cut is None:
             atoms.append(region)
             return region
@@ -45,7 +45,7 @@ def reference_decompose(g: Graph) -> ReferenceDecomposition:
             rec(comp | cut, cut_vertices & comp)
             for comp in components(g, region & ~cut)))
 
-    tree = rec(g.verts, *_cut_vertices(g, g.verts)) if g.verts else 0
+    tree = rec(g.verts, *_parent_cut_vertices(g, g.verts)) if g.verts else 0
     return ReferenceDecomposition(tuple(dict.fromkeys(atoms)),
                                   tuple(cutsets), tree)
 
