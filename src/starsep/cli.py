@@ -211,7 +211,7 @@ def verify_cert(graph_file, td_file):
     with open(td_file) as fh:
         try:
             obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except ValueError as e:  # bad JSON or UTF-8, or a huge int
             raise InputError(f"bad decomposition file {td_file}: {e}")
     if not isinstance(obj, dict):
         raise InputError(f"decomposition file {td_file} must hold a "

@@ -4,7 +4,8 @@ Vertices are dense integers 0..n-1 and vertex sets are plain Python ints
 used as bitmasks.  Arbitrary-precision ints make the same representation
 work past 64 vertices, so there is a single code path at any desk scale.
 Induced subgraphs keep the original vertex identities by carrying an
-active-vertex mask instead of relabeling.
+active-vertex mask instead of relabeling; ``compact`` relabels, in
+vertex order, and ``lift`` maps its masks back.
 
 Everything here is immutable after construction; all operations are pure
 and safe to call concurrently on shared graphs.  The only state set after
@@ -90,7 +91,9 @@ class Graph:
 
     ``verts`` is the mask of active vertices: induced subgraphs share the
     universe 0..n-1 and simply restrict the mask, so vertex identities are
-    stable across restriction.  No loops, no parallel edges.
+    stable across restriction, at the cost of n adjacency slots each;
+    ``compact`` renumbers a mask 0..k-1 instead, as certify's atoms are.
+    No loops, no parallel edges.
 
     Facts that depend only on the graph are computed once per object and
     kept through ``kept(build, *key)``, keyed by the builder and key; the
@@ -109,9 +112,9 @@ class Graph:
     per mask, through ``kept_components``: far sides, auxiliary frames
     and the constructions' balance tests read it, and
     ``separator_engine._small_splits`` indexes it per region that the
-    least-separator search asks about.  A new graph, ``induced`` ones
-    included, starts with none, and kept facts take no part in equality
-    or hashing.
+    least-separator search asks about.  A new graph, ``induced`` and
+    ``compact`` ones included, starts with none, and kept facts take no
+    part in equality or hashing.
     """
 
     __slots__ = ("n", "verts", "adj", "_kept")
@@ -224,6 +227,24 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, verts={self.vertex_list()}, edges={self.edges()})"
+
+
+def compact(g: Graph, x: int) -> tuple[Graph, tuple[int, ...]]:
+    """The subgraph induced on the mask x with its vertices renumbered
+    0..k-1 in ascending order, and its labels: labels[i] is the vertex
+    of g that i stands for.  The order is kept, so every least-vertex
+    choice on it falls on the vertex it stands for."""
+    g.check_vertex_set(x)
+    labels = tuple(bits(x))
+    index = {v: i for i, v in enumerate(labels)}
+    adj = tuple(mask_of(index[u] for u in bits(g.adj[v] & x))
+                for v in labels)
+    return Graph._raw(len(labels), (1 << len(labels)) - 1, adj), labels
+
+
+def lift(mask: int, labels: Sequence[int]) -> int:
+    """The vertices that a mask of a compact graph stands for."""
+    return mask_of(labels[i] for i in bits(mask))
 
 
 def neighborhood(g: Graph, x: int) -> int:
@@ -679,7 +700,7 @@ def dumps_graph(g: Graph, w: WeightFn | None = None) -> str:
 def loads_graph(text: str) -> tuple[Graph, WeightFn | None]:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also an int past Python's digit limit
         raise InputError(f"bad JSON: {e}")
     return graph_from_json_obj(obj)
 
@@ -689,7 +710,6 @@ def to_graph6(g: Graph) -> str:
     to 0..k-1 in vertex order; format limit n <= MAX_VERTICES)."""
     vl = g.vertex_list()
     k = len(vl)
-    pos = {v: i for i, v in enumerate(vl)}
     if k > MAX_VERTICES:
         raise CapacityError(f"graph6 supports at most {MAX_VERTICES} vertices")
     if k <= 62:

@@ -32,7 +32,7 @@ none of this: it splits afresh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
@@ -41,7 +41,7 @@ from .central_bag import grow_separator, is_balanced_separator
 from .detectors import clique_number, detect_pyramid, hub_set
 from .errors import HypothesisViolation, InputError
 from .graph_core import (Graph, WeightFn, bit_list, bits, components,
-                         kept_components, least_nonedge, mask_of,
+                         kept_components, least_nonedge, lift, mask_of,
                          neighborhood, popcount, subsets_of_size)
 from .hub_division import HubDivision, hub_division
 from .separations import HALF
@@ -296,6 +296,27 @@ class SeparatorCertificate:
                 "component_weights": list(self.component_weights),
                 "ledger": list(self.ledger),
                 "provenance": self.provenance}
+
+    def relabeled(self, labels) -> "SeparatorCertificate":
+        """The certificate of a compact graph (graph_core.compact) read on
+        its host: each vertex v it names becomes labels[v].  The auxiliary
+        graph's edges and aux_separator name its nodes and stay."""
+        def ids(vs):
+            return [labels[v] for v in vs]
+
+        lists = ("hub_neighbors", "M", "bag_separator", "beta")
+        prov = {k: ids(v) if k in lists else labels[v] if k == "vertex"
+                else v for k, v in self.provenance.items()}
+        if "aux" in prov:
+            aux = prov["aux"]
+            prov["aux"] = {**aux,
+                           "cliques": [ids(k) for k in aux["cliques"]],
+                           "components": [ids(d) for d in aux["components"]]}
+        ledger = tuple({**e, "vertex": labels[e["vertex"]]} if "vertex" in e
+                       else e for e in self.ledger)
+        return replace(self, region=lift(self.region, labels),
+                       separator=lift(self.separator, labels),
+                       ledger=ledger, provenance=prov)
 
 
 def _component_weights(g, w, region, sep):

@@ -6,8 +6,9 @@ reductions (isolated, pendant, degree-two, simplicial vertices), capped at
 desk scale.  The builder consumes any oracle that returns verified
 balanced separators for uniform-on-subset weight functions and splits
 the components left over in turn on an explicit stack.  The atoms'
-decompositions are glued along their cutset bags in one pass over the
-atom tree's flat pre-order steps.
+decompositions, built once per atom shape (see certify), are glued
+along their cutset bags in one pass over the atom tree's flat pre-order
+steps.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .cutsets import AtomDecomposition, clique_cutset_atoms
 from .detectors import class_membership
 from .errors import (CapacityError, HypothesisViolation, InputError,
                      NotAMember)
-from .graph_core import (Graph, WeightFn, bit_list, bits, components,
-                         degeneracy, lowest_bit, mask_of,
+from .graph_core import (Graph, WeightFn, bit_list, bits, compact,
+                         components, degeneracy, lift, lowest_bit, mask_of,
                          neighborhood, popcount, read_int)
 
 EXACT_TW_CAP = 14
@@ -341,7 +342,12 @@ def certify(g: Graph, t: int, variant: str = "C_t") -> CertifyResult:
     """Atoms, per-atom decompositions driven by the full separator
     pipeline, gluing along cutset bags, validation, and a bound report
     comparing the achieved width with the measured per-instance bounds.
-    A graph outside the class raises NotAMember with its obstruction."""
+    A graph outside the class raises NotAMember with its obstruction.
+    Each distinct compact atom (graph_core.compact) is decomposed once,
+    and lifted back to each atom of its shape; the order is kept, so the
+    result is the atom's induced subgraph's.  An atom that raises is run
+    again on that subgraph, so the error names g's vertices; should that
+    run not raise, the two runs disagree and HypothesisViolation says so."""
     from .separator_engine import main_separator, ramsey_vs_4
 
     membership = class_membership(g, t, variant)
@@ -351,16 +357,36 @@ def certify(g: Graph, t: int, variant: str = "C_t") -> CertifyResult:
             f"{list(membership.embedding)}", membership)
     atoms = clique_cutset_atoms(g)  # kept on g if class_membership split it
     certificates = []
+    shapes = {}  # compact adjacency -> (decomposition, certificates)
 
-    def decompose_atom(mask):
-        sub = g.induced(mask)
+    def decomposed(h):
+        certs = []
 
         def oracle(graph, w):
             cert = main_separator(graph, w, t)
-            certificates.append(cert)
+            certs.append(cert)
             return cert.separator
 
-        return build_td(sub, oracle)
+        return build_td(h, oracle), certs
+
+    def decompose_atom(mask):
+        h, labels = compact(g, mask)
+        found = shapes.get(h.adj)
+        if found is None:
+            try:
+                found = shapes[h.adj] = decomposed(h)
+            except (HypothesisViolation, InputError):
+                decomposed(g.induced(mask))  # raises, naming g's vertices
+                raise HypothesisViolation(
+                    "an atom failed on its compact graph only",
+                    witness={"atom": bit_list(mask)})
+        td, certs = found
+        if labels[-1] != len(labels) - 1:  # the labels are not 0..k-1
+            td = TreeDecomposition(
+                tuple(lift(b, labels) for b in td.bags), td.edges)
+            certs = [c.relabeled(labels) for c in certs]
+        certificates.extend(certs)
+        return td
 
     td = _contract_redundant(_glue(atoms.steps, decompose_atom))
     validation = validate_td(g, td)

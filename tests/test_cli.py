@@ -8,7 +8,8 @@ import starsep.cli
 import starsep.errors
 import starsep.treewidth
 from starsep.cli import main
-from starsep.graph_core import dumps_graph
+from starsep.cutsets import clique_cutset_atoms
+from starsep.graph_core import Graph, dumps_graph
 from starsep.generators import make
 
 from . import oracles
@@ -253,6 +254,8 @@ MALFORMED = {
     "bad.json": b'{"n": 3, "edges": [[0, "1"]]}',
     "bad_edges.json": b'{"n": 3, "edges": 5}',
     "bad.g6": b"\xc3\x28\n",
+    # a count past Python's 4,300-digit limit for reading an int
+    "huge_n.json": b'{"n": ' + b"9" * 5000 + b', "edges": []}',
 }
 
 
@@ -504,6 +507,18 @@ def test_integers_read_from_files_are_checked(runner, tmp_path, command,
     assert _json_out(res)["error"] == "input"
 
 
+def test_verify_cert_reads_a_huge_integer_as_bad_json(runner, w93_file,
+                                                     tmp_path):
+    """A decomposition file holding an integer too long for Python to
+    read is a bad file, not a crash."""
+    td = tmp_path / "td.json"
+    td.write_text('{"bags": [], "edges": [], "width": %s}' % ("9" * 5000))
+    res = runner.invoke(main, ["verify-cert", w93_file, str(td)])
+    assert res.exit_code == 2
+    out = _json_out(res)
+    assert out["error"] == "input" and "digits" in out["message"]
+
+
 def test_verify_cert_names_an_obstruction_report(runner, tmp_path):
     """decompose's exit-3 output is an obstruction report: verify-cert
     says so rather than naming a missing key."""
@@ -650,3 +665,22 @@ def test_star_member_with_apex_hub_exits_4_with_the_pyramid(runner,
     assert (wit["apex"], wit["base"]) == (4, [0, 1, 12])
     assert oracles.is_pyramid_witness(oracles.to_nx(g), wit["apex"],
                                       wit["base"], wit["paths"])
+
+
+def test_apex_atom_behind_a_pendant_vertex_names_the_host_vertices(
+        runner, tmp_path):
+    """The same graph with every vertex moved up by one and a pendant
+    vertex 0 on vertex 1: certify decomposes its apex atom, vertices 1
+    to 13 but 4, on a renumbered graph, and the pyramid it exits 4 with
+    still names this graph's vertices."""
+    a = star_member_with_apex_hub()
+    g = Graph(a.n + 1, [(0, 1)] + [(u + 1, v + 1) for u, v in a.edges()])
+    assert clique_cutset_atoms(g).atoms == (0b11, 0b11111111101110, 0b111000)
+    p = tmp_path / "star14.json"
+    p.write_text(dumps_graph(g))
+    res = runner.invoke(main, ["decompose", "--t", "5", "--variant", "star",
+                               str(p)])
+    assert res.exit_code == 4
+    assert _json_out(res)["witness"] == {
+        "apex": 5, "base": [1, 2, 13],
+        "paths": [[5, 6, 1], [5, 3, 2], [5, 12, 13]]}

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 from starsep.errors import CapacityError, InputError
 import starsep.graph_core
 from starsep.graph_core import (MAX_VERTICES, Graph, WeightFn, bit_list,
-                                cliques, components, dumps_graph,
+                                cliques, compact, components, dumps_graph,
                                 far_components, fraction_str, from_dimacs,
                                 from_graph6, graph_from_json_obj,
-                                load_graph_file, loads_graph, mask_of,
+                                lift, load_graph_file, loads_graph, mask_of,
                                 neighborhood, subsets_of_size, to_graph6)
 from starsep.separations import HALF
 
@@ -54,6 +55,20 @@ def test_induced_examples(c6, w93):
     nine = w93.induced(mask_of(range(9)))
     assert nine.num_edges() == 9  # the base cycle
     assert c6.induced(c6.verts) == c6
+
+
+def test_compact_renumbers_in_order_and_lift_maps_back(w93):
+    """compact renumbers the mask's vertices 0..k-1 in ascending order,
+    keeping the edges among them, and lift reads a mask back."""
+    g = Graph(7, [(1, 3), (3, 6), (6, 1), (0, 2), (4, 6)])
+    h, labels = compact(g, mask_of([1, 3, 4, 6]))
+    assert labels == (1, 3, 4, 6)
+    assert h == Graph(4, [(0, 1), (1, 3), (0, 3), (2, 3)])
+    assert lift(0b1010, labels) == mask_of([3, 6])
+    assert compact(w93, w93.verts) == (w93, tuple(range(10)))
+    assert compact(g, 0) == (Graph(0), ())
+    with pytest.raises(InputError):
+        compact(g.induced(0b11), 0b100)
 
 
 @given(small_graphs(), st.randoms(use_true_random=False))
@@ -447,6 +462,23 @@ def test_only_graph_core_knows_how_graphs_and_weights_are_stored():
             for word in ("object.__setattr__", "FLOAT_TOL"):
                 assert word not in text, (path.name, word)
     assert Graph.__slots__ == ("n", "verts", "adj", "_kept")
+
+
+def test_the_library_imports_only_the_stdlib_and_click():
+    """src/starsep needs nothing beyond the standard library and click:
+    networkx and the other test tools stay test-only."""
+    import ast
+    src = Path(starsep.graph_core.__file__).parent
+    allowed = set(sys.stdlib_module_names) | {"click"}
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module.split(".")[0])
+    assert "click" in found and "json" in found
+    assert found <= allowed, sorted(found - allowed)
 
 
 @given(exact_weights_and_masks() | uniform_weights_and_masks())

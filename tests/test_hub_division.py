@@ -12,6 +12,7 @@ import starsep.separations
 import starsep.separator_engine
 from starsep.central_bag import (CentralBag, RevisedCollection,
                                  SmoothCollection)
+from starsep.cutsets import clique_cutset_atoms
 from starsep.detectors import hub_set
 from starsep.errors import HypothesisViolation, InputError
 from starsep.generators import (cycle_graph, sample_cutset_free_member,
@@ -25,7 +26,7 @@ from starsep.hub_division import (DegeneracyPartition, HubDivision,
 from starsep.separations import (HALF, Separation, classify_balanced,
                                  nearly_noncrossing, validate_separation)
 from starsep.separator_engine import main_separator
-from starsep.treewidth import certify
+from starsep.treewidth import build_td, certify
 
 from .conftest import counted_calls, greedy_star_member, skewed_weights
 
@@ -169,23 +170,23 @@ def test_division_invariants_on_corpus():
         assert check_no_wheels_in_bag(g, div).passed
 
 
-def _certify_queries(monkeypatch, runs):
-    """(graph, weights, t) of every main_separator query that certify
-    makes on each (graph, t, variant) of runs, up to a raise."""
-    real = starsep.separator_engine.main_separator
+def _certify_queries(runs):
+    """(graph, weights, t) of every main_separator query of build_td on
+    the induced subgraph of each atom of each (graph, t, variant) of
+    runs, in certify's order, up to a raise: the queries certify makes
+    when it decomposes every atom on its own graph.  (certify itself
+    decomposes each atom shape once, on a renumbered graph.)"""
     queries = []
+    for g, t, _ in runs:
+        def oracle(h, w, t=t):
+            queries.append((h, w, t))
+            return main_separator(h, w, t).separator
 
-    def recording(g, w, t, *rest):
-        queries.append((g, w, t))
-        return real(g, w, t, *rest)
-
-    with monkeypatch.context() as m:
-        m.setattr(starsep.separator_engine, "main_separator", recording)
-        for g, t, variant in runs:
-            try:
-                certify(g, t, variant)
-            except HypothesisViolation:
-                pass
+        try:
+            for mask in clique_cutset_atoms(g).atoms:
+                build_td(g.induced(mask), oracle)
+        except HypothesisViolation:
+            pass
     return queries
 
 
@@ -213,7 +214,7 @@ def test_divisions_match_the_full_classification(monkeypatch):
     runs.append((sample_cutset_free_member(16, 4, 3), 4, "C_t_star"))
     runs += [(greedy_star_member(12 + s % 13, 5, s, 300), 5, "C_t_star")
              for s in range(22, 34)]
-    queries = _certify_queries(monkeypatch, runs)
+    queries = _certify_queries(runs)
     ours = [_query_outcome(g, w, t) for g, w, t in queries]
     monkeypatch.setattr(hd, "classify_balanced",
                         lambda g, w, among=None: classify_balanced(g, w))
@@ -420,7 +421,7 @@ def test_kept_division_answers_as_the_reference(monkeypatch):
     members = [g for g in members if 1 <= popcount(hub_set(g, g.verts)) <= 2]
     runs = (_pool_graphs("certify-hubs") + _pool_graphs("batch-atoms")
             + [(g, 4, "C_t_star") for g in members[:10]])
-    queries = _certify_queries(monkeypatch, runs)
+    queries = _certify_queries(runs)
     atoms = {id(g): (g, t) for g, _, t in queries}
     for i, (g, t) in enumerate(atoms.values()):
         queries += [(g, w, t) for w in skewed_weights(g, i)]

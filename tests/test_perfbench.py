@@ -12,7 +12,10 @@ from starsep.cli import main
 from starsep.cutsets import clique_cutset_atoms
 from starsep.generators import sample_class
 from starsep.graph_core import Graph
+from starsep.separator_engine import verify_certificate
+from starsep.treewidth import build_td
 
+from .conftest import counted_calls
 from .test_detectors import c5_chain
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,13 +51,66 @@ def test_certificate_replay_walks_multi_atom_trees(monkeypatch):
     certificate valid and used."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # run.py extends it
     hubs = _perfbench_module("run").CertifyHubs(starsep, None)
-    graphs = [c5_chain(4), c5_chain(12)]
-    graphs += [sample_class(n, 4, s).graph
-               for n in (16, 24, 32) for s in range(8)]
-    multi = [g for g in graphs if len(clique_cutset_atoms(g).atoms) > 1]
+    multi = _multi_atom_graphs()
     assert len(multi) == 26
     for g in multi:
         assert hubs._replay_certificates(g, certify(g, 4, "C_t")) == []
+
+
+def _multi_atom_graphs():
+    """C5 chains and sample_class members with more than one atom."""
+    graphs = [c5_chain(4), c5_chain(12)]
+    graphs += [sample_class(n, 4, s).graph
+               for n in (16, 24, 32) for s in range(8)]
+    return [g for g in graphs if len(clique_cutset_atoms(g).atoms) > 1]
+
+
+def test_multi_atom_certificates_are_pinned():
+    """The certify JSON, in both variants, of every batch-atoms pool
+    member, of the multi-atom graphs above and of each certify-hubs pool
+    graph behind a pendant vertex hashes to one pinned digest, so each
+    vertex that a certificate of an atom off 0..k-1 names (region,
+    separator, hubs and centers in provenance and ledger) stays the
+    host graph's."""
+    corpus = _perfbench_module("corpus")
+    pool = corpus.load_pool("batch-atoms")["graphs"]
+    graphs = [Graph(e["n"], e["edges"]) for e in pool
+              if e["expect"]["row"]["member"]]
+    assert len(graphs) == 108
+    graphs += _multi_atom_graphs()
+    # every vertex moved up by one, and a pendant vertex 0 on vertex 1
+    graphs += [Graph(e["n"] + 1, [(0, 1)] + [(u + 1, v + 1)
+                                             for u, v in e["edges"]])
+               for e in corpus.load_pool("certify-hubs")["graphs"]]
+    assert all(len(clique_cutset_atoms(g).atoms) > 1 for g in graphs)
+    out = [certify(g, 4, variant).as_json()
+           for g in graphs for variant in ("C_t", "C_t_star")]
+    assert corpus.sha256_json(out) == \
+        "d07dd62f58cf334dfa94d638a3991149315a2ed274ecda3438d1c070a2c37ac6"
+
+
+def test_block_chain_decomposes_its_one_atom_shape_once(monkeypatch):
+    """The 1,199 atoms of the 1,200-vertex path are all one edge, so
+    certify runs the separator pipeline once and relabels its answer:
+    every atom still gets its own certificate, and each replays."""
+    calls = counted_calls(monkeypatch, starsep.separator_engine,
+                          "main_separator")
+    g = Graph(1200, [(i, i + 1) for i in range(1199)])
+    res = certify(g, 4, "C_t")
+    assert len(calls) == 1
+    assert res.report["oracle_calls"] == len(res.certificates) == 1199
+    assert [c.region for c in res.certificates] == \
+        [3 << i for i in range(1199)]
+    certs = iter(res.certificates)
+
+    def replay(h, w):  # the benchmark's replay recurses once per step
+        cert = next(certs)
+        assert verify_certificate(h, w, cert)
+        return cert.separator
+
+    for mask in res.atoms.atoms:
+        build_td(g.induced(mask), replay)
+    assert next(certs, None) is None
 
 
 def test_every_pool_graph_matches_its_pinned_digest(tmp_path):

@@ -40,6 +40,44 @@ def test_certificate_json_reports_every_field(w93):
     assert "host_n" not in names and set(cert.as_json()) == names
 
 
+def test_relabeled_reads_every_vertex_through_the_labels():
+    """A certificate of a compact graph, relabeled, names the host's
+    vertices wherever it names a vertex: region, separator, ledger and
+    provenance, hubs and centers included.  The auxiliary graph's edges
+    and separator name its nodes and stay, as does every key order."""
+    entry = {"check": "size", "measured": 2, "bound": 3, "ok": True}
+    cert = SeparatorCertificate(
+        region=0b1111, separator=0b0101, balance=HALF,
+        component_weights=("1/4", "1/4"),
+        ledger=(entry, {**entry, "vertex": 2}),
+        provenance={"branch": "balanced_vertex", "vertex": 0,
+                    "hub_neighbors": [1],
+                    "aux": {"cliques": [[1], [3]], "components": [[2]],
+                            "edges": [[0, 2], [1, 2]],
+                            "weights": ["1/4", "1/4", "1/4"]},
+                    "aux_separator": [2], "omega_beta": 2, "m": 1, "k": 0,
+                    "M": [3], "instance_bound": 18, "bag_separator": [0, 2],
+                    "beta": [0, 1, 2, 3], "back_degree": 0, "t": 4})
+    before = cert.as_json()
+    got = cert.relabeled((5, 7, 8, 11))
+    assert cert.as_json() == before
+    assert (got.region, got.separator) == (mask_of([5, 7, 8, 11]),
+                                           mask_of([5, 8]))
+    assert got.ledger == (entry, {**entry, "vertex": 8})
+    assert got.provenance == {
+        **cert.provenance, "vertex": 5, "hub_neighbors": [7],
+        "aux": {**cert.provenance["aux"], "cliques": [[7], [11]],
+                "components": [[8]]},
+        "M": [11], "bag_separator": [5, 8], "beta": [5, 7, 8, 11]}
+    assert list(got.provenance) == list(cert.provenance)
+    assert list(got.provenance["aux"]) == list(cert.provenance["aux"])
+    assert list(got.ledger[1]) == list(cert.ledger[1])
+    wheel_free = replace(cert, provenance={"branch": "wheel_free",
+                                           "budget": 19})
+    assert wheel_free.relabeled((5, 7, 8, 11)).provenance == \
+        wheel_free.provenance
+
+
 def test_ramsey_budgets():
     assert ramsey_vs_4(3) == 9
     assert ramsey_vs_4(4) == 18

@@ -213,6 +213,27 @@ def test_certify_nonmember_carries_its_report():
     assert str(e.value) == "not a class member: contains K_t on [0, 1, 2, 3]"
 
 
+def test_certify_names_an_atom_that_fails_on_its_compact_graph_only(
+        monkeypatch):
+    """certify decomposes an atom again on its induced subgraph when the
+    compact run raises; should that run go through, the two disagree,
+    and certify says so instead of going on with either answer."""
+    import starsep.treewidth
+    real = starsep.treewidth.build_td
+
+    def compact_only_failure(h, oracle):
+        if h.n == popcount(h.verts):  # a compact graph
+            raise HypothesisViolation("compact run failed")
+        return real(h, oracle)
+
+    monkeypatch.setattr(starsep.treewidth, "build_td", compact_only_failure)
+    g = Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(HypothesisViolation) as e:
+        certify(g, 4)
+    assert str(e.value) == "an atom failed on its compact graph only"
+    assert e.value.witness == {"atom": [0, 1]}
+
+
 def test_certify_enumerates_holes_at_most_twice(monkeypatch):
     """One hole pass for the even-wheel test of the graph and one for the
     wheels of its single atom; every separator query reuses the latter."""
