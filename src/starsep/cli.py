@@ -295,7 +295,7 @@ def _batch_row(args):
             return row
         row.update({
             "member": True,
-            "width": res.td.width,
+            "width": res.report["width"],
             "exact_treewidth": res.report["exact_treewidth"],
             "separator_sizes": sorted(c.size for c in res.certificates),
             "checks": {

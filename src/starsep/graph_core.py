@@ -546,23 +546,31 @@ class WeightFn:
         return shares, self._print(nums)
 
     def at_most(self, mask: int, c) -> bool:
-        """Whether the mask weighs at most c: the one balance test.
+        """Whether the mask weighs at most c."""
+        return self.all_at_most((mask,), c)
 
-        Exact weights compare integers, num * c_den <= c_num * den with
-        (c_num, c_den) = c.as_integer_ratio(), which is exact for a
-        Fraction, an int or a float and so the same test as Fraction <= c.
-        Float weights keep the tolerance rule of ``leq``."""
+    def all_at_most(self, parts, c) -> bool:
+        """Whether every mask of parts (a split) weighs at most c, the one
+        balance test.  Exact weights compare integers,
+        num * c_den <= c_num * den with (c_num, c_den) =
+        c.as_integer_ratio() read once per call: exact for a Fraction, an
+        int or a float, so the test is Fraction <= c.  Float weights keep
+        the tolerance rule of ``leq``."""
         if not self.exact:
-            return self.leq(self.of(mask), c)
+            return all(self.leq(self.of(d), c) for d in parts)
         try:
             c_num, c_den = c.as_integer_ratio()
         except (OverflowError, ValueError):  # an infinite or NaN float
-            return self.of(mask) <= c
-        return self.num(mask) * c_den <= c_num * self.den
-
-    def all_at_most(self, parts, c) -> bool:
-        """Whether every mask of parts (a split) weighs at most c."""
-        return all(self.at_most(d, c) for d in parts)
+            return all(self.of(d) <= c for d in parts)
+        bound = c_num * self.den
+        classes = self._classes
+        for d in parts:
+            total = 0
+            for num, m in classes:
+                total += num * (d & m).bit_count()
+            if total * c_den > bound:
+                return False
+        return True
 
     def leq(self, value, bound) -> bool:
         """value <= bound, with float tolerance when inexact."""

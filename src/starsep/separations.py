@@ -81,8 +81,7 @@ def canonical_separation(g: Graph, w: WeightFn, v: int) -> Separation:
     b = best_w = None
     for comp in far_components(g, v):
         cw = w.num(comp)
-        if b is None or cw > best_w or (
-                cw == best_w and bit_list(comp) < bit_list(b)):
+        if b is None or cw > best_w:
             b, best_w = comp, cw
     if b is None or w.at_most(b, HALF):
         raise InputError(f"vertex {v} is balanced; no canonical separation")

@@ -13,9 +13,13 @@ the hubs of each central bag (``g.kept(hub_set, beta)``), for each
 central bag its induced subgraph (the graph itself when the bag is all
 of it) and clique number, and for each (bag, vertex) the apex search and
 the certified auxiliary frame (neighborhood cliques, far components,
-contact graph, and their JSON lists).  Each is built and checked on the
+contact graph and its JSON edge list).  Each is built and checked on the
 first query that needs it; a build that raises keeps nothing, so it
 raises again on the next query.
+
+A certificate keeps its vertex sets as masks, so a query lists none; its
+``as_json`` lists them through a mask -> list memo that
+``CertifyResult.as_json`` shares, so each distinct mask is listed once.
 
 The splits come from graph_core's one split record, ``kept_components``,
 per (graph, mask).  An auxiliary frame's far components are the kept
@@ -32,7 +36,7 @@ none of this: it splits afresh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
@@ -93,19 +97,32 @@ class AuxGraph:
     def num_clique_nodes(self) -> int:
         return len(self.cliques)
 
+    def record(self) -> dict:
+        """As a certificate keeps it: masks, kept edge list, weights."""
+        return {"cliques": self.cliques, "components": self.comps,
+                "edges": self.graph.kept(_edge_lists),
+                "weights": self.printed}
+
     def as_json(self) -> dict:
-        """The graph's pieces and edges, then the weights.  The lists that
-        do not depend on the weights are built once per (graph, cliques,
-        components) and kept on the graph, so every call shares them."""
-        return {**self.graph.kept(_aux_lists, self.cliques, self.comps),
-                "weights": list(self.printed)}
+        """The graph's pieces and edges, then the weights."""
+        return _aux_json(self.record(), {})
 
 
-def _aux_lists(h: Graph, cliques: tuple[int, ...],
-               comps: tuple[int, ...]) -> dict:
-    return {"cliques": [bit_list(k) for k in cliques],
-            "components": [bit_list(d) for d in comps],
-            "edges": [list(e) for e in h.edges()]}
+def _edge_lists(h: Graph) -> list[list[int]]:
+    return [list(e) for e in h.edges()]
+
+
+def _listed(memo: dict, mask: int) -> list[int]:
+    """bit_list(mask), built once per memo."""
+    if mask not in memo:
+        memo[mask] = bit_list(mask)
+    return memo[mask]
+
+
+def _aux_json(aux: dict, memo: dict) -> dict:
+    return {**aux, "cliques": [_listed(memo, k) for k in aux["cliques"]],
+            "components": [_listed(memo, d) for d in aux["components"]],
+            "weights": list(aux["weights"])}
 
 
 def aux_graph(g: Graph, beta: int, w_bag: WeightFn, v: int) -> AuxGraph:
@@ -268,12 +285,21 @@ def _small_splits(g: Graph, region: int) -> tuple[tuple[int, tuple], ...]:
 # certificates
 
 
+# provenance masks; aux_separator's bits are auxiliary graph nodes
+_MASKS = frozenset({"hub_neighbors", "M", "bag_separator", "beta",
+                    "aux_separator"})
+_HOST_MASKS = _MASKS - {"aux_separator"}
+
+
 @dataclass(frozen=True)
 class SeparatorCertificate:
     """A verified balanced separator with its size ledger and provenance.
 
     Every ledger entry is recomputed from the data it mentions; consumers
     can re-verify with verify_certificate instead of trusting the flags.
+    Vertex sets are masks: region, separator, provenance hub_neighbors, M,
+    bag_separator, beta and aux_separator, and the aux cliques and
+    components (tuples of masks).  Only as_json lists them.
     """
     region: int                 # vertex mask the balance statement is about
     separator: int
@@ -289,34 +315,38 @@ class SeparatorCertificate:
     def ok(self) -> bool:
         return all(entry.get("ok", False) for entry in self.ledger)
 
-    def as_json(self) -> dict:
-        return {"separator": bit_list(self.separator),
-                "region": bit_list(self.region),
+    def as_json(self, _lists: dict | None = None) -> dict:
+        """The certificate with every mask listed.  ``_lists`` is a mask ->
+        list memo: CertifyResult.as_json passes one to all its
+        certificates, so each distinct mask is listed once."""
+        memo = {} if _lists is None else _lists
+        prov = {k: _listed(memo, v) if k in _MASKS else v
+                for k, v in self.provenance.items()}
+        if "aux" in prov:
+            prov["aux"] = _aux_json(prov["aux"], memo)
+        return {"separator": _listed(memo, self.separator),
+                "region": _listed(memo, self.region),
                 "balance": str(self.balance),
                 "component_weights": list(self.component_weights),
                 "ledger": list(self.ledger),
-                "provenance": self.provenance}
+                "provenance": prov}
 
     def relabeled(self, labels) -> "SeparatorCertificate":
         """The certificate of a compact graph (graph_core.compact) read on
         its host: each vertex v it names becomes labels[v].  The auxiliary
         graph's edges and aux_separator name its nodes and stay."""
-        def ids(vs):
-            return [labels[v] for v in vs]
-
-        lists = ("hub_neighbors", "M", "bag_separator", "beta")
-        prov = {k: ids(v) if k in lists else labels[v] if k == "vertex"
-                else v for k, v in self.provenance.items()}
+        prov = {k: lift(v, labels) if k in _HOST_MASKS
+                else labels[v] if k == "vertex" else v
+                for k, v in self.provenance.items()}
         if "aux" in prov:
             aux = prov["aux"]
-            prov["aux"] = {**aux,
-                           "cliques": [ids(k) for k in aux["cliques"]],
-                           "components": [ids(d) for d in aux["components"]]}
+            prov["aux"] = {**aux, **{k: tuple(lift(m, labels) for m in aux[k])
+                                     for k in ("cliques", "components")}}
         ledger = tuple({**e, "vertex": labels[e["vertex"]]} if "vertex" in e
                        else e for e in self.ledger)
-        return replace(self, region=lift(self.region, labels),
-                       separator=lift(self.separator, labels),
-                       ledger=ledger, provenance=prov)
+        return SeparatorCertificate(
+            lift(self.region, labels), lift(self.separator, labels),
+            self.balance, self.component_weights, ledger, prov)
 
 
 def _component_weights(g, w, region, sep):
@@ -381,8 +411,8 @@ def balanced_vertex_separator(g: Graph, beta: int, w_bag: WeightFn, v: int,
         raise HypothesisViolation("size ledger failed",
                                   witness={"ledger": entries})
     prov = {"branch": "balanced_vertex", "vertex": v,
-            "hub_neighbors": bit_list(hub_nbrs),
-            "aux": aux.as_json(), "aux_separator": bit_list(x),
+            "hub_neighbors": hub_nbrs,
+            "aux": aux.record(), "aux_separator": x,
             "omega_beta": omega}
     return SeparatorCertificate(
         region=beta, separator=y, balance=c,
@@ -431,10 +461,8 @@ def central_bag_separator(g: Graph, div: HubDivision,
     bound = max(budget, 6 * omega + div.partition.back_degree)
     entries = cert.ledger + (
         _entry("bag_separator_vs_instance_bound", cert.size, bound),)
-    prov = dict(cert.provenance)
-    prov.update({"m": div.m, "k": div.k,
-                 "M": bit_list(div.minimal_set),
-                 "instance_bound": bound})
+    prov = {**cert.provenance, "m": div.m, "k": div.k,
+            "M": div.minimal_set, "instance_bound": bound}
     return SeparatorCertificate(
         region=cert.region, separator=cert.separator, balance=cert.balance,
         component_weights=cert.component_weights, ledger=entries,
@@ -474,12 +502,10 @@ def main_separator(g: Graph, w: WeightFn, t: int,
     if not lift_entry["ok"]:
         raise HypothesisViolation("lifted separator exceeded the extension "
                                   "factor", witness=lift_entry)
-    prov = dict(bag_cert.provenance)
-    prov.update({"pipeline": "hub_division -> bag_separator -> lift",
-                 "bag_separator": bit_list(x),
-                 "beta": bit_list(beta),
-                 "back_degree": div.partition.back_degree,
-                 "t": t})
+    prov = {**bag_cert.provenance,
+            "pipeline": "hub_division -> bag_separator -> lift",
+            "bag_separator": x, "beta": beta,
+            "back_degree": div.partition.back_degree, "t": t}
     if y == x and beta == g.verts and div.bag.weights is w:
         # the bag is the graph under the same weights and the lift added
         # nothing, so the bag certificate weighed these very components

@@ -332,9 +332,10 @@ class CertifyResult:
     report: dict
 
     def as_json(self) -> dict:
+        lists: dict = {}  # one mask -> list memo for all the certificates
         return {"decomposition": self.td.as_json(),
                 "atoms": self.atoms.as_json(),
-                "certificates": [c.as_json() for c in self.certificates],
+                "certificates": [c.as_json(lists) for c in self.certificates],
                 "report": self.report}
 
 
@@ -406,20 +407,21 @@ def certify(g: Graph, t: int, variant: str = "C_t") -> CertifyResult:
     exact = None
     if popcount(g.verts) <= EXACT_TW_CAP:
         exact = exact_treewidth(g)
+    width = td.width
     report = {
         "n": popcount(g.verts),
         "t": t,
         "member": True,
-        "width": td.width,
+        "width": width,
         "exact_treewidth": exact,
         "atoms": len(atoms.atoms),
         "oracle_calls": len(sizes),
         "max_separator_size": max_sep,
-        "width_le_2x_max_separator": td.width <= 2 * max_sep,
-        "width_ge_exact": exact is None or td.width >= exact,
+        "width_le_2x_max_separator": width <= 2 * max_sep,
+        "width_ge_exact": exact is None or width >= exact,
         "measured_bound": measured_bound,
         "composed_shape_bound": composed_shape,
-        "width_le_measured_bound": td.width <= measured_bound,
+        "width_le_measured_bound": width <= measured_bound,
         "validation_passed": validation.passed,
     }
     return CertifyResult(td=td, certificates=tuple(certificates),

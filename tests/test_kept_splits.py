@@ -224,8 +224,8 @@ def test_no_split_is_kept_for_a_tested_subset_of_two_or_more(monkeypatch):
         certify(g, 4)
     allowed = {}
     for (g, *_), cert in zip(queries, certs):
-        beta = mask_of(cert.provenance["beta"])
-        bag_sep = mask_of(cert.provenance["bag_separator"])
+        beta = cert.provenance["beta"]
+        bag_sep = cert.provenance["bag_separator"]
         mine = allowed.setdefault(id(g), set())
         mine.update({cert.region & ~cert.separator, beta & ~bag_sep})
         mine.update(g.verts & ~g.closed_nbr(v)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 
 from starsep.errors import InputError
 from starsep.generators import sample_c4_diamond_free_no_clique_cutset
-from starsep.graph_core import WeightFn, bit_list, bits, mask_of
+from starsep.graph_core import (WeightFn, bit_list, bits, far_components,
+                                mask_of)
 from starsep.separations import (Separation, canonical_separation,
                                  classify_balanced, leq_a_order,
                                  nearly_noncrossing, shield_check,
@@ -151,6 +152,26 @@ def _reference_weightings(g, seed):
     return (uniform, exact, exact.shifted(deltas),
             uniform.shifted({v: 1 for v in g.vertex_list()}),
             WeightFn.uniform_on(g, mask_of(rng.sample(g.vertex_list(), 4))))
+
+
+def test_tied_heaviest_far_sides_keep_the_first():
+    """With every vertex weighing 1 + 1/n (a total past one, as shifted
+    weights allow), far sides of equal size tie as the heaviest.  The B
+    side chosen is the one the lexicographic tie rule picks: of the
+    heaviest sides, the one with the least sorted vertex list."""
+    from .conftest import seeded_random_graphs
+    ties = 0
+    for g in seeded_random_graphs(60, 12, base_seed=500):
+        w = WeightFn.uniform(g).shifted({v: 1 for v in g.vertex_list()})
+        for v in g.vertex_list():
+            sides = far_components(g, v)
+            if not sides:
+                continue
+            heaviest = max(map(w.num, sides))
+            ties += sum(w.num(d) == heaviest for d in sides) > 1
+            old = min(sides, key=lambda d: (-w.num(d), bit_list(d)))
+            assert canonical_separation(g, w, v).b == old
+    assert ties > 20
 
 
 def test_classification_matches_reference():

@@ -40,24 +40,36 @@ def test_certificate_json_reports_every_field(w93):
     assert "host_n" not in names and set(cert.as_json()) == names
 
 
+ENTRY = {"check": "size", "measured": 2, "bound": 3, "ok": True}
+
+
+def _hand_built_certificate():
+    """A balanced-vertex certificate naming a vertex in every entry that
+    can name one."""
+    return SeparatorCertificate(
+        region=0b1111, separator=0b0101, balance=HALF,
+        component_weights=("1/4", "1/4"),
+        ledger=(ENTRY, {**ENTRY, "vertex": 2}),
+        provenance={"branch": "balanced_vertex", "vertex": 0,
+                    "hub_neighbors": mask_of([1]),
+                    "aux": {"cliques": (mask_of([1]), mask_of([3])),
+                            "components": (mask_of([2]),),
+                            "edges": [[0, 2], [1, 2]],
+                            "weights": ("1/4", "1/4", "1/4")},
+                    "aux_separator": mask_of([2]), "omega_beta": 2, "m": 1,
+                    "k": 0, "M": mask_of([3]), "instance_bound": 18,
+                    "bag_separator": mask_of([0, 2]),
+                    "beta": mask_of([0, 1, 2, 3]), "back_degree": 0,
+                    "t": 4})
+
+
 def test_relabeled_reads_every_vertex_through_the_labels():
     """A certificate of a compact graph, relabeled, names the host's
     vertices wherever it names a vertex: region, separator, ledger and
     provenance, hubs and centers included.  The auxiliary graph's edges
     and separator name its nodes and stay, as does every key order."""
-    entry = {"check": "size", "measured": 2, "bound": 3, "ok": True}
-    cert = SeparatorCertificate(
-        region=0b1111, separator=0b0101, balance=HALF,
-        component_weights=("1/4", "1/4"),
-        ledger=(entry, {**entry, "vertex": 2}),
-        provenance={"branch": "balanced_vertex", "vertex": 0,
-                    "hub_neighbors": [1],
-                    "aux": {"cliques": [[1], [3]], "components": [[2]],
-                            "edges": [[0, 2], [1, 2]],
-                            "weights": ["1/4", "1/4", "1/4"]},
-                    "aux_separator": [2], "omega_beta": 2, "m": 1, "k": 0,
-                    "M": [3], "instance_bound": 18, "bag_separator": [0, 2],
-                    "beta": [0, 1, 2, 3], "back_degree": 0, "t": 4})
+    entry = ENTRY
+    cert = _hand_built_certificate()
     before = cert.as_json()
     got = cert.relabeled((5, 7, 8, 11))
     assert cert.as_json() == before
@@ -65,8 +77,15 @@ def test_relabeled_reads_every_vertex_through_the_labels():
                                            mask_of([5, 8]))
     assert got.ledger == (entry, {**entry, "vertex": 8})
     assert got.provenance == {
-        **cert.provenance, "vertex": 5, "hub_neighbors": [7],
-        "aux": {**cert.provenance["aux"], "cliques": [[7], [11]],
+        **cert.provenance, "vertex": 5, "hub_neighbors": mask_of([7]),
+        "aux": {**cert.provenance["aux"],
+                "cliques": (mask_of([7]), mask_of([11])),
+                "components": (mask_of([8]),)},
+        "M": mask_of([11]), "bag_separator": mask_of([5, 8]),
+        "beta": mask_of([5, 7, 8, 11])}
+    assert got.as_json()["provenance"] == {
+        **before["provenance"], "vertex": 5, "hub_neighbors": [7],
+        "aux": {**before["provenance"]["aux"], "cliques": [[7], [11]],
                 "components": [[8]]},
         "M": [11], "bag_separator": [5, 8], "beta": [5, 7, 8, 11]}
     assert list(got.provenance) == list(cert.provenance)
@@ -76,6 +95,66 @@ def test_relabeled_reads_every_vertex_through_the_labels():
                                            "budget": 19})
     assert wheel_free.relabeled((5, 7, 8, 11)).provenance == \
         wheel_free.provenance
+
+
+def _relabeled_json(js: dict, labels) -> dict:
+    """A certificate's JSON with every vertex id it names mapped through
+    the labels; the auxiliary graph's edges and separator name its nodes
+    and stay."""
+    def ids(vs):
+        return [labels[v] for v in vs]
+
+    prov = {k: ids(v) if k in VERTEX_SETS and k != "aux_separator"
+            else labels[v] if k == "vertex" else v
+            for k, v in js["provenance"].items()}
+    if "aux" in prov:
+        aux = prov["aux"]
+        prov["aux"] = {**aux, "cliques": list(map(ids, aux["cliques"])),
+                       "components": list(map(ids, aux["components"]))}
+    ledger = [{**e, "vertex": labels[e["vertex"]]} if "vertex" in e else e
+              for e in js["ledger"]]
+    return {**js, "separator": ids(js["separator"]),
+            "region": ids(js["region"]), "ledger": ledger,
+            "provenance": prov}
+
+
+def test_relabeling_commutes_with_as_json():
+    """Relabeling a certificate and then listing it gives its JSON with
+    every vertex id mapped through the labels, key order included: on
+    the hand-built certificate and on seeded certificates of both
+    branches, relabeled through ascending labels as compact graphs'
+    are."""
+    import json
+    certs = [(_hand_built_certificate(), 4)]
+    for seed in range(12):
+        g = sample_cutset_free_member(11 + seed % 8, 4, seed + 7)
+        for w in (WeightFn.uniform(g), *skewed_weights(g, seed)):
+            certs.append((main_separator(g, w, 4), g.n))
+    branches = set()
+    for i, (cert, n) in enumerate(certs):
+        labels = sorted(random.Random(i).sample(range(3 * n), n))
+        got = cert.relabeled(labels).as_json()
+        want = _relabeled_json(cert.as_json(), labels)
+        assert json.dumps(got) == json.dumps(want)
+        branches.add(cert.provenance["branch"])
+    assert branches == {"balanced_vertex", "wheel_free"}
+
+
+def test_certify_lists_no_mask_and_as_json_each_distinct_one_once(
+        monkeypatch):
+    """certify on C300 lists no vertex set of its certificates; as_json
+    lists each distinct mask among them once, the 300-vertex atom (every
+    certificate's region and beta) among them."""
+    import starsep.separator_engine as engine
+    listed = counted_calls(monkeypatch, engine, "bit_list")
+    g = make("C300")
+    res = certify(g, 4)
+    assert listed == [] and len(res.certificates) > 100
+    js = res.as_json()
+    masks = [m for (m,) in listed]
+    assert masks.count(g.verts) == 1
+    assert len(masks) == len(set(masks))
+    assert {mask_of(c["region"]) for c in js["certificates"]} == {g.verts}
 
 
 def test_ramsey_budgets():
@@ -534,9 +613,29 @@ def test_aux_graph_rejects_a_neighborhood_piece_that_is_an_induced_p3():
         assert info.value.witness == {"piece": [1, 2, 3], "nonedge": [2, 3]}
 
 
+VERTEX_SETS = ("hub_neighbors", "M", "bag_separator", "beta",
+               "aux_separator")
+
+
+def _read_back(prov: dict) -> dict:
+    """The in-memory provenance that a certificate's JSON provenance
+    lists: each vertex set read back as a mask, the aux pieces as tuples
+    of masks and its weights as a tuple."""
+    out = {k: mask_of(v) if k in VERTEX_SETS else v
+           for k, v in prov.items()}
+    if "aux" in out:
+        aux = out["aux"]
+        out["aux"] = {**aux,
+                      "cliques": tuple(map(mask_of, aux["cliques"])),
+                      "components": tuple(map(mask_of, aux["components"])),
+                      "weights": tuple(aux["weights"])}
+    return out
+
+
 def test_provenance_is_plain_json():
-    """Provenance holds only ints, strings, lists and dicts, so
-    as_json emits it as it is: it equals its own JSON round trip."""
+    """as_json lists the provenance as ints, strings, lists and dicts: it
+    equals its own JSON round trip, names each vertex set in ascending
+    order, and reads back as the provenance the certificate keeps."""
     import json
     branches = set()
     for seed in range(20):
@@ -549,7 +648,11 @@ def test_provenance_is_plain_json():
                   WeightFn.uniform(g)):
             cert = main_separator(g, w, 4)
             prov = cert.as_json()["provenance"]
-            assert json.loads(json.dumps(prov)) == prov == cert.provenance
+            assert json.loads(json.dumps(prov)) == prov
+            assert all(prov[k] == sorted(prov[k])
+                       for k in VERTEX_SETS if k in prov)
+            assert _read_back(prov) == cert.provenance
+            assert list(prov) == list(cert.provenance)
             branches.add(prov["branch"])
     assert branches == {"balanced_vertex", "wheel_free"}
 
@@ -569,8 +672,8 @@ def test_certify_builds_weight_free_bag_facts_once(monkeypatch):
         res = certify(sample_cutset_free_member(20, 4, s), 4, "C_t_star")
         provs = [c.provenance for c in res.certificates]
         queries += len(provs)
-        bags += len({tuple(p["beta"]) for p in provs})
-        pairs += len({(tuple(p["beta"]), p["vertex"])
+        bags += len({p["beta"] for p in provs})
+        pairs += len({(p["beta"], p["vertex"])
                       for p in provs if "vertex" in p})
     assert len(omegas) == bags < queries
     assert len(frames) == pairs > 0
@@ -620,4 +723,4 @@ def test_kept_bag_facts_answer_as_fresh_ones(monkeypatch):
             assert str(e) == "vertex is a pyramid apex in the bag"
             raised += 1
     assert raised > 0
-    assert len({(id(g), tuple(b)) for g, b in betas}) < len(betas)
+    assert len({(id(g), b) for g, b in betas}) < len(betas)
