@@ -11,11 +11,13 @@ more.  K_t, the clique number and the triangles of pyramids and prisms
 come from ``graph_core.cliques``.  A hole is an induced path closed at
 its least vertex, so ``holes`` lists the paths of ``_induced_paths``, the
 one chordless-path search of the package, and orders the holes by
-length; every wheel scan (the even-wheel test, the taxonomy, the hub
-record, the no-wheel check of a central bag) walks them through
-``_spoked``, which pairs each hole with the vertices that have three or
-more spokes on it.  The even-wheel test classifies only centers with an
-even spoke count, as an even wheel has four spokes or an even count.
+length; every wheel scan walks them through ``_spokes``, which pairs
+each hole with the vertices that have three or more spokes on it and
+flags the wheels.  Recognition (the even-wheel test, the taxonomy) runs
+it afresh; ``hub_set`` and the no-wheel check of a central bag read it
+kept on the graph and filter it by their mask (``_spoked``).  The
+even-wheel test classifies only centers with an even spoke count, as an
+even wheel has four spokes or an even count.
 ``_induced_paths`` is a depth-first search on an explicit stack,
 children pushed highest first so the pre-order is the recursive one;
 its depth is not bounded by the interpreter's recursion limit.
@@ -459,21 +461,37 @@ def _sectors(hole, nbr_mask):
     return tuple(out)
 
 
-def _spoked(g: Graph, x: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """(hole, hole mask, v) for every hole inside x, in hole order, and
-    every vertex v of x off the hole with at least three neighbors on it."""
-    for hole in holes(g, within=x):
+def _spokes(g: Graph) -> tuple[tuple[tuple[int, ...], int, int, bool], ...]:
+    """(hole, hole mask, v, wheel) for each hole of g, in hole order, and
+    each vertex v off the hole with at least three spokes (neighbors) on
+    it; wheel tells whether three of those spokes are pairwise
+    non-adjacent.  The one hole pass behind every wheel scan."""
+    out = []
+    for hole in holes(g):
         hole_mask = mask_of(hole)
-        for v in bits(x & ~hole_mask):
+        for v in bits(g.verts & ~hole_mask):
             if popcount(g.adj[v] & hole_mask) >= 3:
-                yield hole, hole_mask, v
+                spokes = [u for u in hole if (g.adj[v] >> u) & 1]
+                out.append((hole, hole_mask, v,
+                            _has_independent_triple(g, spokes)))
+    return tuple(out)
+
+
+def _spoked(g: Graph, x: int) -> list[tuple[tuple[int, ...], int, int, bool]]:
+    """The entries of g's spoke record, kept on g, whose hole and vertex
+    lie inside x: the spoke record of the subgraph induced on x.  The
+    holes of that subgraph are exactly the holes of g inside x, in the
+    same order, and a vertex's spokes depend only on g, the hole and the
+    vertex, so the filter is exact."""
+    g.check_vertex_set(x)
+    return [s for s in g.kept(_spokes) if not (s[1] | 1 << s[2]) & ~x]
 
 
 def classify_wheels(g: Graph) -> list[WheelWitness]:
     """One witness per (center, kind); holes are scanned in increasing
     length, so each witness uses the earliest qualifying hole."""
     seen: dict[tuple[int, str], WheelWitness] = {}
-    for hole, _, v in _spoked(g, g.verts):
+    for hole, _, v, _ in _spokes(g):
         w = make_wheel_witness(g, hole, v)
         for kind in w.kinds():
             seen.setdefault((v, kind), w)
@@ -481,35 +499,19 @@ def classify_wheels(g: Graph) -> list[WheelWitness]:
     return [seen[key] for key in sorted(seen, key=lambda kv: (kv[0], order[kv[1]]))]
 
 
-def _wheel_pairs(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Every wheel of g as (center, hole masks) per center: the holes on
-    which the center has three pairwise non-adjacent spokes.  One hole
-    pass, kept on the graph by ``hub_set``."""
-    found: dict[int, list[int]] = {}
-    for hole, hole_mask, v in _spoked(g, g.verts):
-        spokes = tuple(u for u in hole if (g.adj[v] >> u) & 1)
-        if _has_independent_triple(g, spokes):
-            found.setdefault(v, []).append(hole_mask)
-    return tuple((v, tuple(masks)) for v, masks in sorted(found.items()))
-
-
 def hub_set(g: Graph, x: int) -> int:
-    """Vertices of x centering a wheel whose hole lies inside x.
-
-    The holes of the subgraph induced on x are exactly the holes of g
-    inside x, and the spoke test depends only on g, the hole and the
-    center, so filtering the wheels of g by x is exact.
-    """
-    g.check_vertex_set(x)
+    """Vertices of x centering a wheel whose hole lies inside x, read off
+    the spoke record kept on g (``_spoked``).  A loop, not mask_of over
+    a generator: separator queries call this about three times each."""
     hubs = 0
-    for v, hole_masks in g.kept(_wheel_pairs):
-        if (x >> v) & 1 and any(not (m & ~x) for m in hole_masks):
+    for _, _, v, wheel in _spoked(g, x):
+        if wheel:
             hubs |= 1 << v
     return hubs
 
 
 def find_even_wheel(g: Graph) -> Optional[WheelWitness]:
-    for hole, hole_mask, v in _spoked(g, g.verts):
+    for hole, hole_mask, v, _ in _spokes(g):
         if popcount(g.adj[v] & hole_mask) % 2:  # never an even wheel
             continue
         w = make_wheel_witness(g, hole, v)

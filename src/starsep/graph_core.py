@@ -96,21 +96,20 @@ class Graph:
     No loops, no parallel edges.
 
     Facts that depend only on the graph are computed once per object and
-    kept through ``kept(build, *key)``, keyed by the builder and key; the
-    graph never changes, so they can never go stale.  The wheel record
-    of ``detectors.hub_set``, the ``cut_vertex_splits`` of each region
-    ``cutsets`` asks about, the atoms of ``cutsets.clique_cutset_atoms``,
-    the pyramid search that ``balanced_vertex_separator`` runs before
-    its apex check, the hub order of ``hub_division``, the sides of each
-    canonical separation (per center and B side), each revised
-    collection, smoothness check and central bag with its A-side
-    partition (per collection), the hubs of each central bag, the
-    ``separator_engine`` records of each central bag (subgraph, clique
-    number) and of each (bag, vertex) (apex search, auxiliary frame),
-    and the JSON lists of each auxiliary graph (on its contact graph)
-    are kept this way.  So is the one record of splits into components,
-    per mask, through ``kept_components``: far sides, auxiliary frames
-    and the constructions' balance tests read it, and
+    kept through ``kept(build, *key)``, keyed by the builder and key;
+    the graph never changes, so they can never go stale.  The spoke
+    record that ``detectors.hub_set`` filters by mask, the
+    ``cut_vertex_splits`` of each region ``cutsets`` asks about, the
+    atoms of ``cutsets.clique_cutset_atoms``, the hub order of
+    ``hub_division``, the sides of each canonical separation (per center
+    and B side), each revised collection, smoothness check and central
+    bag with its A-side partition (per collection), the
+    ``separator_engine`` records of each central bag (clique number) and
+    of each (bag, vertex) (apex search, auxiliary frame), and the JSON
+    lists of each auxiliary graph (on its contact graph) are kept this
+    way.  So is the one record of splits into components, per mask,
+    through ``kept_components``: far sides, auxiliary frames and the
+    constructions' balance tests read it, and
     ``separator_engine._small_splits`` indexes it per region that the
     least-separator search asks about.  A new graph, ``induced`` and
     ``compact`` ones included, starts with none, and kept facts take no
@@ -197,7 +196,8 @@ class Graph:
         return out
 
     def num_edges(self) -> int:
-        return sum(self.degree(v) for v in bits(self.verts)) // 2
+        # the row of a vertex outside verts is 0 in every constructor
+        return sum(map(popcount, self.adj)) // 2
 
     def check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n and (self.verts >> v) & 1):

@@ -2,16 +2,17 @@
 the hub division with its central bag.
 
 Hubs (wheel centers) are partitioned greedily into independent sets; the
-measured degeneracy and back-degree replace the unknown class constant in
-every downstream size bound, turning them into per-instance certificates.
-The hub set, its partition and the hub ordering depend only on the graph
-and are kept on it, as are the hubs of each central bag.  The weights
-only choose: which hubs are balanced, and the B side of each canonical
-separation.  Each separation, revised collection, smoothness check and
-central bag with its A-side partition that those choices reach is built
-and checked once per graph (see ``central_bag`` and ``separations``);
-per query the weights are classified, inherited and checked to total 1.
-A hub-free graph weighs nothing: its bag is the whole graph.
+measured degeneracy and back-degree replace the unknown class constant
+in every downstream size bound, turning them into per-instance
+certificates.  The hub partition and ordering depend only on the graph
+and are kept on it; the hubs of a mask are read off the spoke record
+that ``detectors.hub_set`` keeps on it.  The weights only choose: which
+hubs are balanced, and the B side of each canonical separation.  Each
+separation, revised collection, smoothness check and central bag with
+its A-side partition that those choices reach is built and checked once
+per graph (see ``central_bag`` and ``separations``); per query the
+weights are classified, inherited and checked to total 1.  A hub-free
+graph weighs nothing: its bag is the whole graph.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from .central_bag import (CentralBag, SmoothCollection, central_bag,
                           revised_collection, validate_smooth)
-from .detectors import _spoked, hub_set, make_wheel_witness
+from .detectors import _spoked, hub_set
 from .errors import HypothesisViolation, InputError
 from .graph_core import (Graph, WeightFn, bit_list, bits, degeneracy, mask_of,
                          popcount)
@@ -56,19 +57,18 @@ def degeneracy_partition(g: Graph, hubs: int) -> DegeneracyPartition:
     g.check_vertex_set(hubs)
     if not hubs:
         return DegeneracyPartition((), 0, 0, True)
-    sub = g.induced(hubs)
     delta = degeneracy(g, hubs)
     threshold = 2 * delta
     parts = []
     remaining = hubs
     while remaining:
-        deg = {v: popcount(sub.adj[v] & remaining) for v in bits(remaining)}
+        deg = {v: popcount(g.adj[v] & remaining) for v in bits(remaining)}
         low = mask_of(v for v in bits(remaining) if deg[v] <= threshold)
         if not low:  # cannot happen: min degree <= degeneracy
             low = remaining
         part = 0
         for v in bits(low):
-            if not (sub.adj[v] & part):
+            if not (g.adj[v] & part):
                 part |= 1 << v
         parts.append(part)
         remaining &= ~part
@@ -76,7 +76,7 @@ def degeneracy_partition(g: Graph, hubs: int) -> DegeneracyPartition:
     earlier = 0
     for part in parts:
         for v in bits(part):
-            back = max(back, popcount(sub.adj[v] & ~earlier))
+            back = max(back, popcount(g.adj[v] & hubs & ~earlier))
         earlier |= part
     k = popcount(hubs)
     bound = max(1, math.ceil(math.log2(k))) if k > 1 else 1
@@ -148,10 +148,8 @@ def hub_division(g: Graph, w: WeightFn, t: int) -> HubDivision:
 
 
 def _hub_order(g: Graph) -> tuple[DegeneracyPartition, tuple[int, ...]]:
-    """The degeneracy partition of g's hubs and the hubs by part, then id.
-    The hubs are the kept entry that the central bag of the whole graph
-    reads too."""
-    hubs = g.kept(hub_set, g.verts)
+    """The degeneracy partition of g's hubs and the hubs by part, then id."""
+    hubs = hub_set(g, g.verts)
     part = degeneracy_partition(g, hubs)
     index = part.part_index()
     return part, tuple(sorted(bits(hubs), key=lambda v: (index[v], v)))
@@ -164,7 +162,7 @@ def _check_division(g, w, div):
         raise HypothesisViolation(
             "first balanced hub fell outside the central bag",
             witness={"v_m": v_m, "beta": bit_list(bag.beta)})
-    hub_beta = g.kept(hub_set, bag.beta)
+    hub_beta = hub_set(g, bag.beta)
     later = mask_of(div.ordering[div.m - 1:])
     if hub_beta & ~later:
         raise HypothesisViolation(
@@ -194,15 +192,15 @@ class NoWheelReport:
 def check_no_wheels_in_bag(g: Graph, div: HubDivision) -> NoWheelReport:
     """Certify that no hub before the cut centers a wheel inside the
     central bag; failures are reported with the witness wheel, the first
-    hole in hole order per hub, in the order of the hubs.  One hole pass
-    over the bag serves every hub, and none runs when no checked hub
-    lies in the bag."""
+    hole in hole order per hub, in the order of the hubs.  The spoke
+    record kept on g serves every hub, and is not read when no checked
+    hub lies in the bag."""
     checked = div.prefix_before_m()
     todo = mask_of(checked) & div.bag.beta
     first = {}
     if todo:
-        for hole, _, v in _spoked(g, div.bag.beta):
-            if (todo >> v) & 1 and make_wheel_witness(g, hole, v).is_wheel:
+        for hole, _, v, wheel in _spoked(g, div.bag.beta):
+            if wheel and (todo >> v) & 1:
                 first[v] = list(hole)
                 todo &= ~(1 << v)
     failures = tuple({"center": v, "hole": first[v]}

@@ -9,13 +9,12 @@ downstream needs to be trusted.
 
 What does not depend on the weights is kept on the queried graph: the
 hub division's separations, collections and bags (see hub_division),
-the hubs of each central bag (``g.kept(hub_set, beta)``), for each
-central bag its induced subgraph (the graph itself when the bag is all
-of it) and clique number, and for each (bag, vertex) the apex search and
-the certified auxiliary frame (neighborhood cliques, far components,
-contact graph and its JSON edge list).  Each is built and checked on the
-first query that needs it; a build that raises keeps nothing, so it
-raises again on the next query.
+the spoke record that the hubs of each central bag are read off
+(``hub_set``), the clique number of each central bag, and for each (bag,
+vertex) the apex search and the certified auxiliary frame (neighborhood
+cliques, far components, contact graph and its JSON edge list).  Each
+is built and checked on the first query that needs it; a build that
+raises keeps nothing, so it raises again on the next query.
 
 A certificate keeps its vertex sets as masks, so a query lists none; its
 ``as_json`` lists them through a mask -> list memo that
@@ -150,28 +149,22 @@ def _check_bag_vertex(g: Graph, beta: int, v: int) -> None:
 # weight-free facts of central bags
 
 
-class _Bag(NamedTuple):
-    sub: Graph                  # the bag's induced subgraph
-    omega: int                  # its clique number
-
-
 class _Frame(NamedTuple):
     cliques: tuple[int, ...]    # hub-free neighborhood pieces of the vertex
     comps: tuple[int, ...]      # far components of the vertex in the bag
     graph: Graph                # their certified contact graph
 
 
-def _bag(g: Graph, beta: int) -> _Bag:
-    sub = g if beta == g.verts else g.induced(beta)
-    return _Bag(sub, clique_number(sub))
+def _omega(g: Graph, beta: int) -> int:
+    return clique_number(g.induced(beta))
 
 
 def _apex(g: Graph, beta: int, v: int):
-    return detect_pyramid(g.kept(_bag, beta).sub, apex=v)
+    return detect_pyramid(g.induced(beta), apex=v)
 
 
 def _frame(g: Graph, beta: int, v: int) -> _Frame:
-    nbr_pieces = g.adj[v] & beta & ~g.kept(hub_set, beta)
+    nbr_pieces = g.adj[v] & beta & ~hub_set(g, beta)
     cliques = []
     for piece in components(g, nbr_pieces):
         pair = least_nonedge(g, piece)
@@ -373,21 +366,19 @@ def balanced_vertex_separator(g: Graph, beta: int, w_bag: WeightFn, v: int,
     its hub neighbors, and the cliques the auxiliary separator touches.
     Balance and the size bound (six times the bag clique number plus the
     hub neighbor count) are verified before returning.  The vertex must
-    not be a pyramid apex in the bag; a pyramid in the bag is one in g,
-    so the bag is searched only when g's pyramid search, kept on g,
-    found one, and then once per (bag, vertex), its answer kept on g.
-    An apex raises HypothesisViolation with the pyramid.
+    not be a pyramid apex in the bag: the bag is searched once per (bag,
+    vertex), its answer kept on g, and an apex raises
+    HypothesisViolation with the pyramid.
     """
     _check_bag_vertex(g, beta, v)
-    omega = g.kept(_bag, beta).omega
-    hub_nbrs = g.adj[v] & g.kept(hub_set, beta)
-    if g.kept(detect_pyramid) is not None:
-        pyr = g.kept(_apex, beta, v)
-        if pyr is not None:
-            raise HypothesisViolation(
-                "vertex is a pyramid apex in the bag",
-                witness={"apex": pyr.apex, "base": list(pyr.base),
-                         "paths": [list(p) for p in pyr.paths]})
+    omega = g.kept(_omega, beta)
+    hub_nbrs = g.adj[v] & hub_set(g, beta)
+    pyr = g.kept(_apex, beta, v)
+    if pyr is not None:
+        raise HypothesisViolation(
+            "vertex is a pyramid apex in the bag",
+            witness={"apex": pyr.apex, "base": list(pyr.base),
+                     "paths": [list(p) for p in pyr.paths]})
     aux = aux_graph(g, beta, w_bag, v)
     x = _aux_balanced_separator(aux)
     t_nodes = aux.num_clique_nodes()
@@ -429,7 +420,7 @@ def wheelfree_separator(g: Graph, beta: int, w_bag: WeightFn, budget: int,
                         c=HALF) -> SeparatorCertificate:
     """Balanced separator of a wheel-free bag by ascending exhaustive
     search (smallest size, then lexicographically least)."""
-    if g.kept(hub_set, beta):
+    if hub_set(g, beta):
         raise InputError("bag is not wheel-free")
     found = _least_balanced_separator(g, w_bag, beta, budget, c)
     if found is None:
@@ -457,7 +448,7 @@ def central_bag_separator(g: Graph, div: HubDivision,
         cert = wheelfree_separator(g, beta, w_bag, budget, c)
     else:
         cert = balanced_vertex_separator(g, beta, w_bag, div.v_m(), c)
-    omega = g.kept(_bag, beta).omega
+    omega = g.kept(_omega, beta)
     bound = max(budget, 6 * omega + div.partition.back_degree)
     entries = cert.ledger + (
         _entry("bag_separator_vs_instance_bound", cert.size, bound),)
@@ -483,7 +474,7 @@ def main_separator(g: Graph, w: WeightFn, t: int,
     x = bag_cert.separator
     y = grow_separator(g, w, div.bag, x, c)
     beta = div.bag.beta
-    hub_beta = g.kept(hub_set, beta)
+    hub_beta = hub_set(g, beta)
     entries = list(bag_cert.ledger)
     for u in bits(div.minimal_set):
         measured = popcount(g.adj[u] & beta & ~hub_beta)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from perfbench import corpus
-from starsep.detectors import (_KIND_ORDER, _induced_paths, _spoked,
+from starsep.detectors import (_KIND_ORDER, _induced_paths, _spokes,
                                class_membership,
                                classify_wheels, clique_number, detect_fixed,
                                detect_prism, detect_pyramid, detect_theta,
@@ -126,14 +126,15 @@ def test_wheel_witnesses_of_the_benchmark_pools_are_pinned():
     """Every spoked (hole, center) pair of the three benchmark pools, in
     hole order, classified and hashed: a wheel is always proper and a
     path of one edge is never a wheel, so dropping those terms from the
-    flags changes no witness."""
+    flags changes no witness.  The spoke record's wheel flag is the
+    witness's."""
     rows = []
     for workload in corpus.WORKLOADS:
         for e in corpus.load_pool(workload)["graphs"]:
             g = Graph(e["n"], e["edges"])
-            for hole, _, v in _spoked(g, g.verts):
+            for hole, _, v, wheel in _spokes(g):
                 w = make_wheel_witness(g, hole, v)
-                assert w.is_proper_wheel == w.is_wheel
+                assert w.is_proper_wheel == w.is_wheel == wheel
                 rows.append(w.as_json())
     blob = json.dumps(rows, sort_keys=True).encode()
     assert len(rows) == 156 and hashlib.sha256(blob).hexdigest() == \
@@ -146,7 +147,7 @@ def test_shortest_hole_names_the_even_wheel():
     find_even_wheel report the 12-vertex one."""
     g = sample_cutset_free_member(19, 4, 3)
     g = Graph(g.n, set(g.edges()) ^ {(7, 17)})
-    even = [len(hole) for hole, _, v in _spoked(g, g.verts)
+    even = [len(hole) for hole, _, v, _ in _spokes(g)
             if make_wheel_witness(g, hole, v).is_even_wheel]
     assert sorted(even) == [12, 17]
     hole = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 18)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starsep.errors import CapacityError, InputError
+import starsep.generators
 import starsep.graph_core
 from starsep.graph_core import (MAX_VERTICES, Graph, WeightFn, bit_list,
                                 cliques, compact, components, dumps_graph,
@@ -55,6 +56,24 @@ def test_induced_examples(c6, w93):
     nine = w93.induced(mask_of(range(9)))
     assert nine.num_edges() == 9  # the base cycle
     assert c6.induced(c6.verts) == c6
+
+
+def test_rows_outside_the_vertex_mask_are_empty():
+    """Every constructor leaves the adjacency row of an inactive vertex
+    0 and each active row inside the mask, so num_edges may sum all rows:
+    it counts the edges of the graph the mask induces."""
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(1, 14)
+        g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                      if rng.random() < 0.4])
+        x = rng.getrandbits(n)
+        v = rng.randrange(n)
+        for h in (g, g.induced(x), compact(g, x)[0],
+                  starsep.generators._isolate(g.induced(x), v)):
+            assert all(not row & ~h.verts if (h.verts >> u) & 1 else not row
+                       for u, row in enumerate(h.adj)), h
+            assert h.num_edges() == len(h.edges()), h
 
 
 def test_compact_renumbers_in_order_and_lift_maps_back(w93):

@@ -128,9 +128,11 @@ def _division_with_bag(g, ordering, m, beta):
 def test_no_wheels_in_bag_reports_failures(monkeypatch, w93):
     """A checked hub that centers a wheel inside the bag fails with the
     first such hole; failures follow the ordering, and a checked hub
-    outside the bag is not searched.  One hole pass serves every hub,
-    and none runs when no checked hub lies in the bag."""
+    outside the bag is not searched.  One hole pass per graph serves
+    every hub and every bag, and none runs when no checked hub lies in
+    the bag."""
     passes = counted_calls(monkeypatch, starsep.detectors, "holes")
+    w93 = Graph(w93.n, w93.edges())  # w93_graph's hub_set kept a record
     rep = check_no_wheels_in_bag(w93, _division_with_bag(w93, (9,), 2,
                                                           w93.verts))
     assert rep.as_json() == {"passed": False, "checked": [9], "failures": [
@@ -144,6 +146,11 @@ def test_no_wheels_in_bag_reports_failures(monkeypatch, w93):
         "failures": [{"center": 10, "hole": list(range(9))},
                      {"center": 9, "hole": list(range(9))}]}
     assert len(passes) == 2
+    rep = check_no_wheels_in_bag(g, _division_with_bag(g, (10,), 2,
+                                                        g.verts))
+    assert rep.failures == ({"center": 10, "hole": list(range(9))},)
+    assert len(passes) == 2
+    g = Graph(g.n, g.edges())
     rep = check_no_wheels_in_bag(g, _division_with_bag(g, (10, 9), 1,
                                                         g.verts))
     assert rep.passed and rep.checked == ()

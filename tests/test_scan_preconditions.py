@@ -13,12 +13,13 @@ from perfbench import corpus
 from starsep import detectors, graph_core
 from starsep.cutsets import clique_cutset_atoms, find_clique_cutset
 from starsep.detectors import (_atom_graphs, _find_c4, _find_diamond,
-                               _spoked, class_membership, find_even_wheel,
+                               class_membership, find_even_wheel,
                                make_wheel_witness, verify_obstruction)
 from starsep.graph_core import (Graph, bits, components, least_nonedge,
                                 mask_of, neighborhood, popcount)
 
 from .test_cutsets import _parent_find_clique_cutset
+from .test_spoke_record import fresh_spoked
 
 
 def _reference_c4(g):
@@ -54,7 +55,7 @@ def _reference_diamond(g):
 
 
 def _reference_even_wheel(g):
-    for hole, _, v in _spoked(g, g.verts):
+    for hole, _, v in fresh_spoked(g, g.verts):
         w = make_wheel_witness(g, hole, v)
         if w.is_even_wheel:
             return w
@@ -77,7 +78,7 @@ def _fired(g, fired):
         fired.add("c4 vertex")
     if any(min(popcount(adj[u]), popcount(adj[v])) < 3 for u, v in g.edges()):
         fired.add("diamond edge")
-    if any(popcount(adj[v] & m) % 2 for _, m, v in _spoked(g, g.verts)):
+    if any(popcount(adj[v] & m) % 2 for _, m, v in fresh_spoked(g, g.verts)):
         fired.add("odd spokes")
     if find_clique_cutset(g, g.verts) is not None and any(
             popcount(a) <= 3 for a in clique_cutset_atoms(g).atoms):

@@ -274,11 +274,11 @@ def test_balanced_vertex_separator_rejects_a_pyramid_apex():
                                       wit["base"], wit["paths"])
 
 
-def test_graph_is_searched_for_pyramids_once(monkeypatch):
-    """The whole-graph pyramid search is kept on the graph: two central
-    bag queries under different weights and a direct call make one.  On
-    a graph that holds a pyramid the apex search runs once per (bag,
-    vertex), and a repeated query at an apex raises the same pyramid."""
+def test_bag_is_searched_for_an_apex_once_per_vertex(monkeypatch):
+    """The apex search runs on the bag once per (bag, vertex) and its
+    answer is kept on the graph: two central bag queries under different
+    weights and a direct call make one search per distinct (bag, vertex),
+    and a repeated query at an apex raises the same pyramid."""
     import starsep.separator_engine as engine
     calls = []
     search = engine.detect_pyramid
@@ -296,7 +296,8 @@ def test_graph_is_searched_for_pyramids_once(monkeypatch):
     div = divs[0]
     direct = balanced_vertex_separator(g, div.bag.beta, div.bag.weights,
                                        div.v_m())
-    assert calls == [(g, None)]
+    pairs = dict.fromkeys((c.region, c.provenance["vertex"]) for c in certs)
+    assert calls == [(g.induced(beta), v) for beta, v in pairs]
     assert certs[0].separator == direct.separator
     assert certs[0].ledger[:len(direct.ledger)] == direct.ledger
 
@@ -310,8 +311,7 @@ def test_graph_is_searched_for_pyramids_once(monkeypatch):
             balanced_vertex_separator(h, h.verts, w, 9)
         witnesses.append(info.value.witness)
         balanced_vertex_separator(h, h.verts, w, 10)
-    assert [apex for _, apex in calls] == [None, 10, 9]
-    assert calls[0][0] is h
+    assert calls == [(h, 10), (h, 9)]
     assert witnesses[0] == witnesses[1] and witnesses[0]["apex"] == 9
 
 
