@@ -167,12 +167,12 @@ def central_bag(g: Graph, w: WeightFn, coll: SmoothCollection) -> CentralBag:
     earliest owner in the collection ordering.  The bag and the partition
     do not depend on the weights: they are built, checked and kept on g
     once per collection, and each query only inherits the weights and
-    checks that they total 1 on the bag.
+    checks that they total 1 on the bag.  The empty collection's bag is
+    the whole graph, and its weights get the same check.
     """
     beta, a_star = g.kept(_bag_parts, coll)
-    parts = dict(zip(coll.centers, a_star))
-    w_bag = w.inherited(parts) if parts else w
-    if coll.centers and not w_bag.weighs_one(beta):
+    w_bag = w.inherited(dict(zip(coll.centers, a_star)))
+    if not w_bag.weighs_one(beta):
         raise HypothesisViolation(
             "inherited weights do not total 1 on the central bag",
             witness={"total": str(w_bag.of(beta))})

@@ -16,8 +16,8 @@ from .cutsets import find_clique_cutset
 from .detectors import (class_membership, detect_fixed, detect_prism,
                         detect_pyramid, detect_theta, hub_set,
                         ObstructionReport)
-from .errors import InputError, SamplingError
-from .graph_core import Graph, bit_list
+from .errors import CapacityError, InputError, SamplingError
+from .graph_core import MAX_VERTICES, Graph, bit_list
 
 SAMPLE_CAP = 32
 
@@ -131,12 +131,27 @@ def w93_graph() -> Graph:
 
 _MAKE_RE = re.compile(r"^([A-Za-z_]+)\s*\(([^)]*)\)$")
 
+_NUMBERED = {"P": path_graph, "C": cycle_graph, "K": complete_graph}
+# builder and branch vertices; a path of length l adds l - 1 inner ones
+_THREE_PATHS = {"THETA": (theta_graph, 2), "PRISM": (prism_graph, 6),
+                "PYRAMID": (pyramid_graph, 4)}
+
+
+def _capped(name: str, n: int) -> int:
+    """A named graph's vertex count, refused above MAX_VERTICES."""
+    if n > MAX_VERTICES:
+        raise CapacityError(f"named graphs hold at most {MAX_VERTICES} "
+                            f"vertices, not {n}: {name!r}")
+    return n
+
 
 def make(name: str) -> Graph:
     """Build a named graph from a compact identifier.
 
     Accepts P<n>, C<n>, K<n>, W93, diamond, bowtie, THETA(l1,l2,l3),
-    PRISM(l1,l2,l3), PYRAMID(l1,l2,l3), WHEEL(n,{p1,p2,...}).
+    PRISM(l1,l2,l3), PYRAMID(l1,l2,l3), WHEEL(n,{p1,p2,...}).  A name
+    of more than MAX_VERTICES vertices raises CapacityError before any
+    edge is built.
     """
     s = name.strip()
     if s == "W93":
@@ -147,12 +162,7 @@ def make(name: str) -> Graph:
         return bowtie_graph()
     m = re.match(r"^([PCK])(\d+)$", s)
     if m:
-        kind, num = m.group(1), int(m.group(2))
-        if kind == "P":
-            return path_graph(num)
-        if kind == "C":
-            return cycle_graph(num)
-        return complete_graph(num)
+        return _NUMBERED[m.group(1)](_capped(name, int(m.group(2))))
     m = _MAKE_RE.match(s)
     if m:
         kind = m.group(1).upper()
@@ -161,6 +171,7 @@ def make(name: str) -> Graph:
             nums = [int(x) for x in re.findall(r"\d+", body)]
             if len(nums) < 4:
                 raise InputError(f"WHEEL needs n and at least 3 spokes: {name!r}")
+            _capped(name, nums[0] + 1)  # the cycle and the hub
             return wheel_graph(nums[0], tuple(nums[1:]))
         try:
             nums = [int(x) for x in body.split(",")]
@@ -168,12 +179,10 @@ def make(name: str) -> Graph:
             raise InputError(f"{kind} lengths must be integers: {name!r}")
         if len(nums) != 3:
             raise InputError(f"{kind} takes three lengths: {name!r}")
-        if kind == "THETA":
-            return theta_graph(*nums)
-        if kind == "PRISM":
-            return prism_graph(*nums)
-        if kind == "PYRAMID":
-            return pyramid_graph(*nums)
+        if kind in _THREE_PATHS:
+            build, branch = _THREE_PATHS[kind]
+            _capped(name, branch + sum(nums) - 3)
+            return build(*nums)
     raise InputError(f"unknown named graph {name!r}")
 
 

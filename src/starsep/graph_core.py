@@ -5,7 +5,7 @@ used as bitmasks.  Arbitrary-precision ints make the same representation
 work past 64 vertices, so there is a single code path at any desk scale.
 Induced subgraphs keep the original vertex identities by carrying an
 active-vertex mask instead of relabeling; ``compact`` relabels, in
-vertex order, and ``lift`` maps its masks back.
+vertex order, and ``lift`` maps a mask through any relabeling.
 
 Everything here is immutable after construction; all operations are pure
 and safe to call concurrently on shared graphs.  The only state set after
@@ -92,7 +92,7 @@ class Graph:
     ``verts`` is the mask of active vertices: induced subgraphs share the
     universe 0..n-1 and simply restrict the mask, so vertex identities are
     stable across restriction, at the cost of n adjacency slots each;
-    ``compact`` renumbers a mask 0..k-1 instead, as certify's atoms are.
+    ``compact`` renumbers a mask 0..k-1 instead, so shapes compare.
     No loops, no parallel edges.
 
     Facts that depend only on the graph are computed once per object and
@@ -232,8 +232,8 @@ class Graph:
 def compact(g: Graph, x: int) -> tuple[Graph, tuple[int, ...]]:
     """The subgraph induced on the mask x with its vertices renumbered
     0..k-1 in ascending order, and its labels: labels[i] is the vertex
-    of g that i stands for.  The order is kept, so every least-vertex
-    choice on it falls on the vertex it stands for."""
+    of g that i stands for.  Masks with equal compact graphs have one
+    shape: pairing their labels in order maps one onto the other."""
     g.check_vertex_set(x)
     labels = tuple(bits(x))
     index = {v: i for i, v in enumerate(labels)}
@@ -243,7 +243,8 @@ def compact(g: Graph, x: int) -> tuple[Graph, tuple[int, ...]]:
 
 
 def lift(mask: int, labels: Sequence[int]) -> int:
-    """The vertices that a mask of a compact graph stands for."""
+    """The vertices that a mask stands for under labels, indexed by
+    vertex: a compact graph's, or a map between atoms of one shape."""
     return mask_of(labels[i] for i in bits(mask))
 
 

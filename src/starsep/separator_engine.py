@@ -325,9 +325,9 @@ class SeparatorCertificate:
                 "provenance": prov}
 
     def relabeled(self, labels) -> "SeparatorCertificate":
-        """The certificate of a compact graph (graph_core.compact) read on
-        its host: each vertex v it names becomes labels[v].  The auxiliary
-        graph's edges and aux_separator name its nodes and stay."""
+        """The certificate of one atom moved onto another of its shape:
+        each vertex v it names becomes labels[v].  The auxiliary graph's
+        edges and aux_separator name its nodes and stay."""
         prov = {k: lift(v, labels) if k in _HOST_MASKS
                 else labels[v] if k == "vertex" else v
                 for k, v in self.provenance.items()}
@@ -497,12 +497,7 @@ def main_separator(g: Graph, w: WeightFn, t: int,
             "pipeline": "hub_division -> bag_separator -> lift",
             "bag_separator": x, "beta": beta,
             "back_degree": div.partition.back_degree, "t": t}
-    if y == x and beta == g.verts and div.bag.weights is w:
-        # the bag is the graph under the same weights and the lift added
-        # nothing, so the bag certificate weighed these very components
-        weights = bag_cert.component_weights
-    else:
-        weights = _component_weights(g, w, g.verts, y)
     return SeparatorCertificate(
-        region=g.verts, separator=y, balance=c, component_weights=weights,
+        region=g.verts, separator=y, balance=c,
+        component_weights=_component_weights(g, w, g.verts, y),
         ledger=tuple(entries), provenance=prov)

@@ -344,11 +344,11 @@ def certify(g: Graph, t: int, variant: str = "C_t") -> CertifyResult:
     pipeline, gluing along cutset bags, validation, and a bound report
     comparing the achieved width with the measured per-instance bounds.
     A graph outside the class raises NotAMember with its obstruction.
-    Each distinct compact atom (graph_core.compact) is decomposed once,
-    and lifted back to each atom of its shape; the order is kept, so the
-    result is the atom's induced subgraph's.  An atom that raises is run
-    again on that subgraph, so the error names g's vertices; should that
-    run not raise, the two runs disagree and HypothesisViolation says so."""
+    The first atom of each shape (graph_core.compact) is decomposed on
+    its induced subgraph, in g's ids, so an error names g's vertices;
+    each later atom of the shape gets that result relabeled, its i-th
+    vertex for the first one's i-th.  The order is kept, so the result
+    is the one its own induced subgraph gives."""
     from .separator_engine import main_separator, ramsey_vs_4
 
     membership = class_membership(g, t, variant)
@@ -358,7 +358,7 @@ def certify(g: Graph, t: int, variant: str = "C_t") -> CertifyResult:
             f"{list(membership.embedding)}", membership)
     atoms = clique_cutset_atoms(g)  # kept on g if class_membership split it
     certificates = []
-    shapes = {}  # compact adjacency -> (decomposition, certificates)
+    shapes = {}  # compact adjacency -> (labels, decomposition, certificates)
 
     def decomposed(h):
         certs = []
@@ -372,20 +372,14 @@ def certify(g: Graph, t: int, variant: str = "C_t") -> CertifyResult:
 
     def decompose_atom(mask):
         h, labels = compact(g, mask)
-        found = shapes.get(h.adj)
-        if found is None:
-            try:
-                found = shapes[h.adj] = decomposed(h)
-            except (HypothesisViolation, InputError):
-                decomposed(g.induced(mask))  # raises, naming g's vertices
-                raise HypothesisViolation(
-                    "an atom failed on its compact graph only",
-                    witness={"atom": bit_list(mask)})
-        td, certs = found
-        if labels[-1] != len(labels) - 1:  # the labels are not 0..k-1
-            td = TreeDecomposition(
-                tuple(lift(b, labels) for b in td.bags), td.edges)
-            certs = [c.relabeled(labels) for c in certs]
+        if h.adj not in shapes:  # the first atom of its shape
+            shapes[h.adj] = labels, *decomposed(g.induced(mask))
+        first, td, certs = shapes[h.adj]
+        if first is not labels:  # a later atom: relabel the first's
+            to = dict(zip(first, labels))
+            td = TreeDecomposition(tuple(lift(b, to) for b in td.bags),
+                                   td.edges)
+            certs = [c.relabeled(to) for c in certs]
         certificates.extend(certs)
         return td
 

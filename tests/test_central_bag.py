@@ -106,6 +106,15 @@ def test_central_bag_empty_collection(p9):
     assert bag.weights.values == w.values
 
 
+def test_central_bag_empty_collection_checks_the_total(p9):
+    """The empty collection's bag is the whole graph, and weights that
+    do not total 1 on it raise, as they do for any other collection."""
+    w = WeightFn.uniform(p9).shifted({v: 1 for v in p9.vertex_list()})
+    with pytest.raises(HypothesisViolation) as e:
+        central_bag(p9, w, validate_smooth(p9, (), ()))
+    assert e.value.witness == {"total": "10"}
+
+
 def test_central_bag_a_star_partition():
     for seed in range(40):
         g = sample_cutset_free_member(13, 4, seed)

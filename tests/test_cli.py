@@ -192,6 +192,31 @@ def test_recognize_over_vertex_cap_exits_5(runner, tmp_path, name, text):
     assert obj["error"] == "capacity" and "258048" in obj["message"]
 
 
+@pytest.mark.parametrize("at_cap,over_cap", [
+    ("P10", "P11"), ("C10", "C11"), ("K10", "K11"),
+    ("WHEEL(9,{1,4,7})", "WHEEL(10,{1,4,7})"),
+    ("THETA(2,3,6)", "THETA(2,3,7)"),
+])
+def test_gen_named_graph_over_vertex_cap_exits_5(runner, monkeypatch,
+                                                 at_cap, over_cap):
+    """A named graph may have as many vertices as a graph file, and no
+    more: above the cap it is refused from its name before any edge is
+    built.  The cap is lowered to 10 here, so that no test builds a
+    graph of the real cap's size."""
+    import starsep.generators
+    from starsep.graph_core import MAX_VERTICES
+    assert starsep.generators.MAX_VERTICES == MAX_VERTICES
+    monkeypatch.setattr(starsep.generators, "MAX_VERTICES", 10)
+    res = runner.invoke(main, ["gen", "--kind", at_cap])
+    assert res.exit_code == 0 and _json_out(res)["n"] == 10
+    res = runner.invoke(main, ["gen", "--kind", over_cap])
+    assert res.exit_code == 5
+    assert _json_out(res) == {
+        "error": "capacity",
+        "message": f"named graphs hold at most 10 vertices, not 11: "
+                   f"{over_cap!r}"}
+
+
 def test_gen_graph6(runner):
     res = runner.invoke(main, ["gen", "--kind", "C6", "--g6"])
     assert res.exit_code == 0
@@ -671,8 +696,8 @@ def test_apex_atom_behind_a_pendant_vertex_names_the_host_vertices(
         runner, tmp_path):
     """The same graph with every vertex moved up by one and a pendant
     vertex 0 on vertex 1: certify decomposes its apex atom, vertices 1
-    to 13 but 4, on a renumbered graph, and the pyramid it exits 4 with
-    still names this graph's vertices."""
+    to 13 but 4, in this graph's vertex ids, and the pyramid it exits 4
+    with names this graph's vertices."""
     a = star_member_with_apex_hub()
     g = Graph(a.n + 1, [(0, 1)] + [(u + 1, v + 1) for u, v in a.edges()])
     assert clique_cutset_atoms(g).atoms == (0b11, 0b11111111101110, 0b111000)

@@ -182,7 +182,8 @@ def _certify_queries(runs):
     the induced subgraph of each atom of each (graph, t, variant) of
     runs, in certify's order, up to a raise: the queries certify makes
     when it decomposes every atom on its own graph.  (certify itself
-    decomposes each atom shape once, on a renumbered graph.)"""
+    decomposes the first atom of each shape and relabels the result for
+    the others.)"""
     queries = []
     for g, t, _ in runs:
         def oracle(h, w, t=t):

@@ -64,10 +64,11 @@ def _hand_built_certificate():
 
 
 def test_relabeled_reads_every_vertex_through_the_labels():
-    """A certificate of a compact graph, relabeled, names the host's
-    vertices wherever it names a vertex: region, separator, ledger and
-    provenance, hubs and centers included.  The auxiliary graph's edges
-    and separator name its nodes and stay, as does every key order."""
+    """A certificate relabeled onto other vertices, as certify moves one
+    atom's onto another of its shape, names them wherever it names a
+    vertex: region, separator, ledger and provenance, hubs and centers
+    included.  The auxiliary graph's edges and separator name its nodes
+    and stay, as does every key order."""
     entry = ENTRY
     cert = _hand_built_certificate()
     before = cert.as_json()
@@ -122,7 +123,7 @@ def test_relabeling_commutes_with_as_json():
     """Relabeling a certificate and then listing it gives its JSON with
     every vertex id mapped through the labels, key order included: on
     the hand-built certificate and on seeded certificates of both
-    branches, relabeled through ascending labels as compact graphs'
+    branches, relabeled through ascending labels as certify's atoms
     are."""
     import json
     certs = [(_hand_built_certificate(), 4)]

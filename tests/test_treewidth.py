@@ -213,25 +213,42 @@ def test_certify_nonmember_carries_its_report():
     assert str(e.value) == "not a class member: contains K_t on [0, 1, 2, 3]"
 
 
-def test_certify_names_an_atom_that_fails_on_its_compact_graph_only(
-        monkeypatch):
-    """certify decomposes an atom again on its induced subgraph when the
-    compact run raises; should that run go through, the two disagree,
-    and certify says so instead of going on with either answer."""
-    import starsep.treewidth
-    real = starsep.treewidth.build_td
+def test_each_atom_gets_the_certificates_of_its_own_subgraph():
+    """certify decomposes one atom of each shape and relabels the result
+    for the others; each atom's certificates still equal, field by
+    field, those that the separator pipeline gives on that atom's own
+    induced subgraph, later atoms of a shape included."""
+    from dataclasses import fields
 
-    def compact_only_failure(h, oracle):
-        if h.n == popcount(h.verts):  # a compact graph
-            raise HypothesisViolation("compact run failed")
-        return real(h, oracle)
+    from starsep.graph_core import compact
+    from starsep.separator_engine import main_separator
 
-    monkeypatch.setattr(starsep.treewidth, "build_td", compact_only_failure)
-    g = Graph(3, [(0, 1), (1, 2)])
-    with pytest.raises(HypothesisViolation) as e:
-        certify(g, 4)
-    assert str(e.value) == "an atom failed on its compact graph only"
-    assert e.value.witness == {"atom": [0, 1]}
+    from .test_perfbench import _multi_atom_graphs
+    graphs = _multi_atom_graphs() + [Graph(30, [(i, i + 1)
+                                                for i in range(29)])]
+    relabeled = 0
+    for g in graphs:
+        res = certify(g, 4, "C_t")
+        certs = iter(res.certificates)
+        shapes = set()
+        for mask in res.atoms.atoms:
+            want = []
+
+            def oracle(h, w):
+                want.append(main_separator(h, w, 4))
+                return want[-1].separator
+
+            build_td(g.induced(mask), oracle)
+            for cert in want:
+                got = next(certs)
+                for f in fields(cert):
+                    assert getattr(got, f.name) == getattr(cert, f.name), \
+                        (bit_list(mask), f.name)
+            shape = compact(g, mask)[0].adj
+            relabeled += shape in shapes
+            shapes.add(shape)
+        assert next(certs, None) is None
+    assert relabeled > len(graphs)
 
 
 def test_certify_enumerates_holes_at_most_twice(monkeypatch):
