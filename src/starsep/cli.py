@@ -20,7 +20,7 @@ from .errors import (CapacityError, HypothesisViolation, InputError,
                      NotAMember, SamplingError)
 from .generators import make, sample_class
 from .graph_core import (Graph, WeightFn, bit_list, dumps_graph,
-                         load_graph_file, to_graph6)
+                         load_graph_file, read_fraction, to_graph6)
 from .hub_division import check_no_wheels_in_bag, hub_division
 from .separations import leq_a_order
 from .separator_engine import main_separator, verify_certificate
@@ -84,10 +84,14 @@ def _weights(g: Graph, source: str) -> WeightFn:
         return WeightFn.uniform(g)
     with open(source) as fh:
         try:
-            values = json.load(fh)
+            values = json.load(fh, parse_float=read_fraction)
         except ValueError as e:  # also an int past Python's digit limit
             raise InputError(f"bad weights file {source}: {e}")
-    return WeightFn(g.n, values)
+    w = WeightFn(g.n, values)
+    if not w.weighs_one(g.verts):
+        raise InputError(f"weights file {source} puts weight on vertices "
+                         "outside the graph")
+    return w
 
 
 def _library_variant(ctx, param, value) -> str:
@@ -154,15 +158,11 @@ def hubdiv(t, weights, file):
     _emit({"division": div.as_json(), "no_wheels_in_bag": report.as_json()})
 
 
-def _parse_balance(text: str):
-    try:
-        value = Fraction(text) if "/" in text or text.isdigit() else float(text)
-        exact = Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"balance constant must be a number, got {text}")
-    if not Fraction(1, 2) <= exact < 1:
+def _parse_balance(text: str) -> Fraction:
+    c = read_fraction(text)
+    if not Fraction(1, 2) <= c < 1:
         raise InputError(f"balance constant must lie in [1/2, 1), got {text}")
-    return value
+    return c
 
 
 @main.command()

@@ -137,6 +137,15 @@ _THREE_PATHS = {"THETA": (theta_graph, 2), "PRISM": (prism_graph, 6),
                 "PYRAMID": (pyramid_graph, 4)}
 
 
+def _ints(name: str, texts) -> list[int]:
+    """The numbers of a name, read with int(): a non-integer, or one past
+    Python's int digit limit, raises InputError."""
+    try:
+        return [int(x) for x in texts]
+    except ValueError as e:
+        raise InputError(f"bad number in {name!r}: {e}")
+
+
 def _capped(name: str, n: int) -> int:
     """A named graph's vertex count, refused above MAX_VERTICES."""
     if n > MAX_VERTICES:
@@ -162,21 +171,18 @@ def make(name: str) -> Graph:
         return bowtie_graph()
     m = re.match(r"^([PCK])(\d+)$", s)
     if m:
-        return _NUMBERED[m.group(1)](_capped(name, int(m.group(2))))
+        return _NUMBERED[m.group(1)](_capped(name, _ints(name, [m[2]])[0]))
     m = _MAKE_RE.match(s)
     if m:
         kind = m.group(1).upper()
         body = m.group(2)
         if kind == "WHEEL":
-            nums = [int(x) for x in re.findall(r"\d+", body)]
+            nums = _ints(name, re.findall(r"\d+", body))
             if len(nums) < 4:
                 raise InputError(f"WHEEL needs n and at least 3 spokes: {name!r}")
             _capped(name, nums[0] + 1)  # the cycle and the hub
             return wheel_graph(nums[0], tuple(nums[1:]))
-        try:
-            nums = [int(x) for x in body.split(",")]
-        except ValueError:
-            raise InputError(f"{kind} lengths must be integers: {name!r}")
+        nums = _ints(name, body.split(","))
         if len(nums) != 3:
             raise InputError(f"{kind} takes three lengths: {name!r}")
         if kind in _THREE_PATHS:

@@ -17,6 +17,7 @@ race to fill one store the same value.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -24,8 +25,6 @@ from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, InputError
-
-FLOAT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -403,43 +402,53 @@ def cliques(g: Graph, size: int) -> Iterator[tuple[int, ...]]:
 # weight functions
 
 
-def _parse_weight(value):
-    """Accept ints, Fractions, 'p/q' strings and floats.  Exact inputs
-    stay exact."""
-    if isinstance(value, bool):
-        raise InputError(f"weight {value!r} is not a number")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"cannot parse weight {value!r}")
-    if isinstance(value, float):
-        return value
-    raise InputError(f"cannot parse weight {value!r}")
+def read_fraction(x) -> Fraction:
+    """A number read from outside (a file, the command line or a caller's
+    list) as the Fraction it was written as: an int or a Fraction as it
+    is, a string ("1/3", "0.1", "1e-3") as Fraction(text), and a float as
+    its shortest decimal, Fraction(repr(x)), so 0.1 is 1/10.  A bool, a
+    NaN, an infinity or anything else raises InputError, and so does an
+    exponent above Python's default int digit limit, before its power of
+    ten is built."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return Fraction(x)
+    if isinstance(x, float):
+        x = repr(x)
+    if not isinstance(x, str):
+        raise InputError(f"{x!r} is not a number")
+    _, e, exponent = x.lower().partition("e")
+    # the limit itself came with Python 3.10.7, at this value
+    limit = getattr(sys.int_info, "default_max_str_digits", 4300)
+    try:
+        if e and abs(int(exponent)) > limit:
+            raise InputError(f"the exponent of {x!r} is above {limit}")
+        return Fraction(x)
+    except InputError:
+        raise
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"cannot read {x!r} as a number")
 
 
 class WeightFn:
     """Normalized vertex weights on a host graph.
 
-    Every weight is kept as an integer numerator over one common
-    denominator ``den``, grouped into ``_classes``: ``((num, mask), ...)``,
-    one entry per distinct non-zero numerator with the mask of the
-    vertices that carry it, set once when the WeightFn is made.  A float
-    is read as the binary fraction it holds, so every sum is exact and
-    independent of the vertex order.  ``exact`` (no float among the
-    inputs) only says how sums are judged and shown: as Fractions,
-    compared in integers so that ties (such as against 1/2) are
-    reproducible, or as the nearest float with a 1e-9 tolerance
-    (``_leq``).  Past parsing, exact weights build a Fraction only in
-    ``of``, in ``values`` on read and for witnesses.  The total must be
-    1 (``weighs_one``); anything else is rejected rather than rescaled.
-    No other module reads how the weights are stored: it asks
-    ``at_most``, ``weighs_one``, ``printed`` and ``contracted``.
+    Every weight is an exact rational, read by ``read_fraction``, and is
+    kept as an integer numerator over one common denominator ``den``,
+    grouped into ``_classes``: ``((num, mask), ...)``, one entry per
+    distinct non-zero numerator with the mask of the vertices that carry
+    it, set once when the WeightFn is made.  So every sum is exact and
+    independent of the vertex order, and every comparison is made in
+    integers, so that ties (such as against 1/2) are reproducible.  Past
+    reading, a Fraction is built only in ``of``, in ``values`` on read
+    and for witnesses.  The total must be 1 (``weighs_one``); anything
+    else is rejected rather than rescaled.  No other module reads how the
+    weights are stored: it asks ``at_most``, ``weighs_one``, ``printed``
+    and ``contracted``.
     """
 
-    __slots__ = ("n", "exact", "den", "_classes")
+    __slots__ = ("n", "den", "_classes")
 
     def __init__(self, n: int, values: list | tuple):
         # a dict or string has a length too, but its keys or characters
@@ -448,16 +457,9 @@ class WeightFn:
             raise InputError(f"weights {values!r} is not a list")
         if len(values) != n:
             raise InputError(f"expected {n} weights, got {len(values)}")
-        parsed = [_parse_weight(v) for v in values]
-        exact = all(isinstance(v, Fraction) for v in parsed)
-        if not exact:
-            try:
-                parsed = [float(v) for v in parsed]
-            except OverflowError:  # only a Fraction far outside [0, 1]
-                raise InputError("weight outside [0, 1]: too large for "
-                                 "a float")
-        for v in parsed:  # refuses NaN and infinities too
-            if not (_leq(0, v, exact) and _leq(v, 1, exact)):
+        parsed = [read_fraction(v) for v in values]
+        for v in parsed:
+            if not 0 <= v <= 1:
                 raise InputError(f"weight {_shown(v)} outside [0, 1]")
         self._fill(n, *_stored(parsed))
         everything = (1 << n) - 1
@@ -482,15 +484,14 @@ class WeightFn:
         return cls._made(g.n, k, ((1, support),))
 
     @classmethod
-    def _made(cls, n: int, den: int, classes, exact=True) -> "WeightFn":
+    def _made(cls, n: int, den: int, classes) -> "WeightFn":
         """Unchecked constructor from the stored form (see _stored)."""
         w = cls.__new__(cls)
-        w._fill(n, den, classes, exact)
+        w._fill(n, den, classes)
         return w
 
-    def _fill(self, n, den, classes, exact):
+    def _fill(self, n, den, classes):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_classes", classes)
 
@@ -507,28 +508,19 @@ class WeightFn:
             total += num * (mask & m).bit_count()
         return total
 
-    def of(self, mask: int):
-        """Total weight of a vertex mask: the normalized Fraction for exact
-        weights, the float nearest to it otherwise."""
-        if self.exact:
-            return Fraction(self.num(mask), self.den)
-        return self.num(mask) / self.den  # int / int rounds correctly
+    def of(self, mask: int) -> Fraction:
+        """Total weight of a vertex mask, as a normalized Fraction."""
+        return Fraction(self.num(mask), self.den)
 
     def weighs_one(self, mask: int) -> bool:
-        """Whether the mask weighs exactly 1, within the float tolerance
-        for float weights: the sum-to-1 test."""
-        total = self.num(mask)
-        if self.exact:
-            return total == self.den
-        return _leq(abs(total / self.den - 1), 0, False)
+        """Whether the mask weighs exactly 1: the sum-to-1 test."""
+        return self.num(mask) == self.den
 
     def printed(self, masks) -> tuple[str, ...]:
         """str(self.of(m)) for each mask, built from the numerators."""
         return self._print([self.num(m) for m in masks])
 
     def _print(self, nums) -> tuple[str, ...]:
-        if not self.exact:
-            return tuple(str(x / self.den) for x in nums)
         return tuple(fraction_str(x, self.den) for x in nums)
 
     def contracted(self, masks) -> tuple["WeightFn", tuple[str, ...]]:
@@ -539,11 +531,8 @@ class WeightFn:
         The shares are the masks' numerators over their sum."""
         nums = [self.num(m) for m in masks]
         total = sum(nums)
-        # only float weights, which may dip below 0 within the tolerance,
-        # can have a negative total
         shares = WeightFn._made(len(nums), max(total, 1),
-                                _classes_of(nums) if total > 0 else (),
-                                self.exact)
+                                _classes_of(nums) if total > 0 else ())
         return shares, self._print(nums)
 
     def at_most(self, mask: int, c) -> bool:
@@ -552,17 +541,12 @@ class WeightFn:
 
     def all_at_most(self, parts, c) -> bool:
         """Whether every mask of parts (a split) weighs at most c, the one
-        balance test.  Exact weights compare integers,
-        num * c_den <= c_num * den with (c_num, c_den) =
-        c.as_integer_ratio() read once per call: exact for a Fraction, an
-        int or a float, so the test is Fraction <= c.  Float weights keep
-        the tolerance rule of ``leq``."""
-        if not self.exact:
-            return all(self.leq(self.of(d), c) for d in parts)
-        try:
-            c_num, c_den = c.as_integer_ratio()
-        except (OverflowError, ValueError):  # an infinite or NaN float
-            return all(self.of(d) <= c for d in parts)
+        balance test.  It compares integers, num * c_den <= c_num * den
+        with (c_num, c_den) the ratio of c read by ``read_fraction`` once
+        per call, so a float c is the decimal it prints as."""
+        if type(c) is not Fraction:  # no call for the usual bound
+            c = read_fraction(c)
+        c_num, c_den = c.as_integer_ratio()
         bound = c_num * self.den
         classes = self._classes
         for d in parts:
@@ -573,16 +557,12 @@ class WeightFn:
                 return False
         return True
 
-    def leq(self, value, bound) -> bool:
-        """value <= bound, with float tolerance when inexact."""
-        return _leq(value, bound, self.exact)
-
     def shifted(self, deltas: dict[int, object]) -> "WeightFn":
-        """New WeightFn with values[v] += deltas[v]; used for inherited
-        weights, where totals stay 1 by construction."""
+        """New WeightFn with values[v] += deltas[v], each delta read by
+        ``read_fraction``; totals are not checked."""
         vals = list(self.values)
         for v, d in deltas.items():
-            vals[v] = vals[v] + d
+            vals[v] = vals[v] + read_fraction(d)
         return WeightFn._made(self.n, *_stored(vals))
 
     def inherited(self, parts: dict[int, int]) -> "WeightFn":
@@ -598,24 +578,13 @@ class WeightFn:
             num = self.num(1 << v) + self.num(part)
             if num:
                 classes[num] = classes.get(num, 0) | 1 << v
-        return WeightFn._made(self.n, self.den, tuple(classes.items()),
-                              self.exact)
+        return WeightFn._made(self.n, self.den, tuple(classes.items()))
 
     def as_json(self) -> list:
-        if not self.exact:
-            return list(self.values)
         return list(self.printed(1 << v for v in range(self.n)))
 
     def __repr__(self):
         return f"WeightFn({list(self.values)!r})"
-
-
-def _leq(value, bound, exact: bool) -> bool:
-    """value <= bound, exactly or within the float tolerance: the one
-    reader of FLOAT_TOL."""
-    if exact:
-        return value <= bound
-    return float(value) <= float(bound) + FLOAT_TOL
 
 
 def _shown(x) -> str:
@@ -643,15 +612,11 @@ def _classes_of(nums) -> tuple[tuple[int, int], ...]:
 
 
 def _stored(values) -> tuple:
-    """(den, classes, exact) of unchecked finite values: numerators over
-    their lcm denominator, each float read as the binary fraction it
-    holds; exact iff every value is a Fraction."""
-    exact = all(isinstance(v, Fraction) for v in values)
-    if not exact:
-        values = [Fraction(v) for v in values]
+    """(den, classes) of unchecked Fractions: their numerators over their
+    lcm denominator."""
     den = lcm(*(v.denominator for v in values))
     return den, _classes_of([v.numerator * (den // v.denominator)
-                             for v in values]), exact
+                             for v in values])
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +673,7 @@ def dumps_graph(g: Graph, w: WeightFn | None = None) -> str:
 
 def loads_graph(text: str) -> tuple[Graph, WeightFn | None]:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_float=read_fraction)
     except ValueError as e:  # also an int past Python's digit limit
         raise InputError(f"bad JSON: {e}")
     return graph_from_json_obj(obj)

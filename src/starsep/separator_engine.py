@@ -86,8 +86,7 @@ class AuxGraph:
 
     @property
     def weights(self) -> tuple:
-        parse = Fraction if self.shares.exact else float
-        return tuple(map(parse, self.printed))
+        return tuple(map(Fraction, self.printed))
 
     @property
     def normalized(self) -> tuple:

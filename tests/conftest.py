@@ -108,16 +108,23 @@ def greedy_star_member(n: int, t: int, seed: int, tries: int) -> Graph:
 
 
 def skewed_weights(g, seed):
-    """Exact and float weights on g's vertices, one of them heavy enough
-    to leave hubs unbalanced."""
+    """Two weightings of g's vertices, one vertex heavy enough to leave
+    hubs unbalanced: the raw weights over their total as Fractions, and
+    rounded down to millionths as decimal strings, the heavy vertex
+    taking what the rounding left."""
     rng = random.Random(seed)
     raw = [0] * g.n
     for v in bits(g.verts):
         raw[v] = rng.randint(1, 4)
-    raw[rng.choice(g.vertex_list())] += 6 * popcount(g.verts)
+    heavy = rng.choice(g.vertex_list())
+    raw[heavy] += 6 * popcount(g.verts)
     total = sum(raw)
+    scale = 10 ** 6
+    millionths = [x * scale // total for x in raw]
+    millionths[heavy] += scale - sum(millionths)
     return (WeightFn(g.n, [Fraction(x, total) for x in raw]),
-            WeightFn(g.n, [x / total for x in raw]))
+            WeightFn(g.n, [f"{m // scale}.{m % scale:06d}"
+                           for m in millionths]))
 
 
 def counted_calls(monkeypatch, module, name):

@@ -91,6 +91,67 @@ def test_separator_with_weights_file(runner, w93_file, tmp_path):
     assert res2.exit_code == 0
 
 
+def test_float_weights_are_read_as_decimals(runner, w93_file, tmp_path):
+    """JSON numbers in a weights file are the decimals they are written
+    as: ten 0.1 total exactly 1 and print as fractions, and three
+    0.3333333333 total 1 only within a rounding error, so they exit 2."""
+    wp = tmp_path / "w.json"
+    wp.write_text("[" + ", ".join(["0.1"] * 10) + "]")
+    res = runner.invoke(main, ["separator", "--t", "4",
+                               "--weights", str(wp), w93_file])
+    assert res.exit_code == 0
+    uniform = runner.invoke(main, ["separator", "--t", "4", w93_file])
+    assert res.output == uniform.output
+    gp = tmp_path / "p3.json"
+    gp.write_text(dumps_graph(make("P3")))
+    wp.write_text("[0.3333333333, 0.3333333333, 0.3333333333]")
+    res = runner.invoke(main, ["separator", "--t", "4",
+                               "--weights", str(wp), str(gp)])
+    assert res.exit_code == 2
+    assert "must sum to 1" in _json_out(res)["message"]
+
+
+@pytest.mark.parametrize("args, text", [
+    (["--weights", "W"], '["1e-999999999", "1"]'),
+    (["--weights", "W"], "[1e-999999999, 1]"),
+    (["--balance", "1e-999999999"], None),
+])
+def test_huge_exponent_exits_2_at_once(runner, tmp_path, args, text):
+    """A decimal exponent above Python's int digit limit is refused
+    before its power of ten is built, in a weights file (a string or a
+    JSON number) and as a balance constant."""
+    import time
+    gp, wp = tmp_path / "g.json", tmp_path / "w.json"
+    gp.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+    if text is not None:
+        wp.write_text(text)
+    args = [str(wp) if a == "W" else a for a in args]
+    start = time.perf_counter()
+    res = runner.invoke(main, ["separator", "--t", "4", *args, str(gp)])
+    assert time.perf_counter() - start < 1
+    assert res.exit_code == 2
+    out = _json_out(res)
+    assert out["error"] == "input" and "exponent" in out["message"]
+
+
+def test_weight_outside_the_vertex_list_exits_2(runner, tmp_path):
+    """Weights that total 1 over all n slots but put some of it on a
+    vertex outside the file's vertex list are bad input."""
+    gp, wp = tmp_path / "g.json", tmp_path / "w.json"
+    gp.write_text(json.dumps({"n": 4, "vertices": [0, 1, 2],
+                              "edges": [[0, 1], [1, 2]]}))
+    wp.write_text(json.dumps(["0", "0", "1/2", "1/2"]))
+    res = runner.invoke(main, ["separator", "--t", "4",
+                               "--weights", str(wp), str(gp)])
+    assert res.exit_code == 2
+    out = _json_out(res)
+    assert out["error"] == "input" and "outside the graph" in out["message"]
+    wp.write_text(json.dumps(["0", "1/2", "1/2", "0"]))
+    res = runner.invoke(main, ["separator", "--t", "4",
+                               "--weights", str(wp), str(gp)])
+    assert res.exit_code == 0
+
+
 def test_separator_failed_recheck_exits_4(runner, w93_file, monkeypatch):
     monkeypatch.setattr(starsep.cli, "verify_certificate",
                         lambda g, w, cert: False)
@@ -175,6 +236,19 @@ def test_gen_non_integer_lengths_exit_2(runner, kind):
     assert res.exit_code == 2
     obj = _json_out(res)
     assert obj["error"] == "input" and kind in obj["message"]
+
+
+@pytest.mark.parametrize("kind", [
+    "P" + "9" * 5000, "WHEEL(" + "9" * 5000 + ",{1,2,3})",
+    "THETA(" + "9" * 5000 + ",2,2)",
+])
+def test_gen_number_past_the_digit_limit_exits_2(runner, kind):
+    """A name's number past Python's int digit limit is bad input."""
+    res = runner.invoke(main, ["gen", "--kind", kind])
+    assert res.exit_code == 2
+    obj = _json_out(res)
+    assert obj["error"] == "input" and kind in obj["message"]
+    assert "digits" in obj["message"]
 
 
 @pytest.mark.parametrize("name,text", [
@@ -321,7 +395,7 @@ def test_malformed_weights_file_exits_2(runner, w93_file, tmp_path):
     (["1e400", 0.5], 2),   # too large for a float: out of [0, 1]
     (["-1e400", 0.5], 2),
     (["1/2", 0.5], 0),     # a string beside a float is still read
-    (["1e5000", "0"], 2),  # exact, with more digits than str() prints
+    (["1e4300", "0"], 2),  # exact, with more digits than str() prints
 ])
 def test_weight_too_large_for_a_float_is_out_of_range(runner, tmp_path,
                                                       weights, code):
@@ -428,8 +502,8 @@ def test_separator_bad_balance_exits_2(runner, w93_file, balance):
 
 
 @pytest.mark.parametrize("args,digest", [
-    (["separator", "--t", "4", "--balance", "0.6"],
-     "52141b006dd2c23bfe019b01f2485a752a8cc856e1810d1252b4780ff9bbd258"),
+    (["separator", "--t", "4", "--balance", "0.6"],  # prints "3/5"
+     "9b06a14173d1f9dd6ac20cc65666ece775051670b2445b7688aade4d30e6905d"),
     (["separator", "--t", "4", "--balance", "2/3"],
      "b0651f9df07f62ed9fc02056fc596af19b7029d7b15e54ff97da4c6084599972"),
     (["hubdiv", "--t", "4"],  # prints the inherited weights
@@ -440,6 +514,22 @@ def test_valid_balance_and_hubdiv_output_pinned(runner, w93_file, args,
     res = runner.invoke(main, args + [w93_file])
     assert res.exit_code == 0
     assert hashlib.sha256(res.output.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("balance", ["0.60", "6e-1", "3/5"])
+def test_decimal_balance_is_read_exactly(runner, w93_file, balance):
+    """A decimal balance constant is the Fraction it was written as, so
+    0.6 and 3/5 give one certificate, and the certificate of 0.6 is the
+    one pinned before decimals were read exactly, but for its balance."""
+    res = runner.invoke(main, ["separator", "--t", "4", "--balance", balance,
+                               w93_file])
+    out = runner.invoke(main, ["separator", "--t", "4", "--balance", "0.6",
+                               w93_file]).output
+    assert res.exit_code == 0 and res.output == out
+    assert json.loads(out)["balance"] == "3/5"
+    pinned = out.replace('"balance": "3/5"', '"balance": "0.6"', 1)
+    assert hashlib.sha256(pinned.encode()).hexdigest() == \
+        "52141b006dd2c23bfe019b01f2485a752a8cc856e1810d1252b4780ff9bbd258"
 
 
 @pytest.mark.parametrize("name,digest", [

@@ -143,14 +143,14 @@ def test_weightfn_validation():
         WeightFn(3, [0.5, 0.2, 0.2])  # sums to 0.9
     with pytest.raises(InputError):
         WeightFn(3, [2, -1, 0])
-    for far in ([10 ** 5000, 0], ["1e-5000", 0]):  # too long to print
+    # too long to print: 10 ** 4300 has one digit more than str() prints
+    for far in ([10 ** 5000, 0], ["1e-4300", 0]):
         with pytest.raises(InputError, match="too long to print"):
             WeightFn(2, far)
     w = WeightFn(3, ["1/2", "1/4", "1/4"])
-    assert w.exact and w.of(mask_of([1, 2])) == Fraction(1, 2)
+    assert w.of(mask_of([1, 2])) == Fraction(1, 2)
     wf = WeightFn(3, [0.5, 0.25, 0.25])
-    assert not wf.exact
-    assert wf.leq(wf.of(mask_of([0])), Fraction(1, 2))
+    assert wf.values == w.values and wf.at_most(mask_of([0]), HALF)
 
 
 def _sum_one_by_one(w, mask):
@@ -200,23 +200,17 @@ def test_exact_weight_sum_matches_fraction_sum(case):
         assert got == want and str(got) == str(want)
     if sum(w.values) == 1:  # built through __init__, uniform_on matches it
         checked = WeightFn(w.n, list(w.values))
-        assert checked.values == w.values and checked.exact
+        assert checked.values == w.values
+        assert all(type(x) is Fraction for x in checked.values)
         assert [checked.of(m) for m in masks] == [w.of(m) for m in masks]
 
 
-@st.composite
-def float_weights_and_masks(draw):
-    """Float weights summing to one within tolerance, with a few masks."""
-    n = draw(st.integers(min_value=1, max_value=12))
-    raw = draw(st.lists(st.integers(min_value=0, max_value=40),
-                        min_size=n, max_size=n).filter(any))
-    w = WeightFn(n, [r / sum(raw) for r in raw])
-    masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
-                          min_size=1, max_size=4))
-    return w, masks
-
-
 BOUNDS = (Fraction(1, 2), Fraction(2, 3), 1, 0.6)
+
+
+def _decimal(c):
+    """A bound as at_most reads it: a float as the decimal it prints as."""
+    return Fraction(repr(c)) if isinstance(c, float) else c
 
 
 @given(exact_weights_and_masks() | uniform_weights_and_masks())
@@ -225,46 +219,86 @@ def test_at_most_matches_fraction_comparison(case):
     w, masks = case
     for mask in masks + [(1 << (w.n // 2)) - 1]:  # often a tie at 1/2
         for c in BOUNDS:
-            assert w.at_most(mask, c) == (w.of(mask) <= c)
+            assert w.at_most(mask, c) == (w.of(mask) <= _decimal(c))
 
 
-@given(float_weights_and_masks())
+@st.composite
+def decimal_weights_and_masks(draw):
+    """Weights in hundredths summing to one, given as floats (r / 100),
+    with a few masks: the inputs whose binary values stray from the
+    decimals."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=100),
+                                min_size=n - 1, max_size=n - 1)))
+    hundredths = [b - a for a, b in zip([0] + cuts, cuts + [100])]
+    w = WeightFn(n, [r / 100 for r in hundredths])
+    masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
+                          min_size=1, max_size=4))
+    return w, hundredths, masks
+
+
+@given(decimal_weights_and_masks())
 @settings(max_examples=100, deadline=None)
-def test_at_most_keeps_the_float_tolerance(case):
-    w, masks = case
-    assert not w.exact
-    for mask in masks:
-        for c in BOUNDS:
-            assert w.at_most(mask, c) == w.leq(w.of(mask), c)
+def test_at_most_reads_float_bounds_as_decimals(case):
+    """Float weights and float bounds are the decimals they print as:
+    a mask is at most c exactly when its hundredths over 100 are at most
+    the decimal of c, ties against 0.6 included."""
+    w, hundredths, masks = case
+    for mask in masks + [(1 << w.n) - 1]:
+        weight = Fraction(sum(hundredths[v] for v in bit_list(mask)), 100)
+        assert w.of(mask) == weight
+        for c in BOUNDS + (0.3, 0.7):
+            assert w.at_most(mask, c) == (weight <= _decimal(c))
+    for c in (float("nan"), float("inf"), float("-inf"), "1e-5000", True):
+        with pytest.raises(InputError):
+            w.at_most(1, c)
 
 
-def test_float_sums_are_exact_then_rounded_once():
-    """A float mask's weight is the exact sum s of the input floats, as
-    Fractions: it prints as str(float(s)) and is judged by leq(float(s),
-    c), whatever the order of the vertices.  Some masks are chosen where
-    adding the floats one by one rounds to another float."""
+def test_float_weights_are_read_as_their_decimals():
+    """A float weight is its shortest decimal, so floats whose decimals
+    total 1 weigh 1 exactly and print as fractions, although the binary
+    values they hold do not total 1; weights that total 1 only within a
+    rounding error, and NaN, infinite or huge-exponent weights, raise."""
+    w = WeightFn(3, [0.1, 0.2, 0.7])
+    assert sum(map(Fraction, (0.1, 0.2, 0.7))) != 1
+    assert w.weighs_one(0b111) and w.of(0b111) == 1
+    assert w.as_json() == ["1/10", "1/5", "7/10"]
+    assert w.values == (Fraction(1, 10), Fraction(1, 5), Fraction(7, 10))
     rng = random.Random(227)
     rounded_apart = 0
     for _ in range(400):
         n = rng.randint(3, 12)
-        raw = [rng.randint(0, 10 ** 6) for _ in range(n)]
-        raw[rng.randrange(n)] += 1
-        floats = [r / sum(raw) for r in raw]
+        cuts = sorted(rng.randrange(10 ** 6) for _ in range(n - 1))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [10 ** 6])]
+        floats = [p / 10 ** 6 for p in parts]
         w = WeightFn(n, floats)
-        assert not w.exact and w.values == tuple(floats)
-        masks = [rng.randrange(1 << n) for _ in range(4)] + [(1 << n) - 1]
-        for mask in masks:
-            s = sum(map(Fraction, (floats[v] for v in bit_list(mask))),
-                    Fraction(0))
-            assert w.of(mask) == float(s)
-            assert w.printed([mask]) == (str(float(s)),)
-            for c in BOUNDS:
-                assert w.at_most(mask, c) == w.leq(float(s), c)
-            one_by_one = 0.0
-            for v in bit_list(mask):
-                one_by_one += floats[v]
-            rounded_apart += one_by_one != float(s)
+        assert w.values == tuple(Fraction(p, 10 ** 6) for p in parts)
+        assert w.as_json() == [str(Fraction(p, 10 ** 6)) for p in parts]
+        rounded_apart += sum(map(Fraction, floats)) != 1
     assert rounded_apart >= 20
+    for thirds in (["0.3333333333"] * 3, [0.3333333333] * 3, [1 / 3] * 3):
+        with pytest.raises(InputError, match="must sum to 1"):
+            WeightFn(3, thirds)
+    for bad in (float("nan"), float("inf"), float("-inf"), "nan", "inf",
+                "1e-5000", "1e+999999999"):
+        with pytest.raises(InputError):
+            WeightFn(2, [bad, 0])
+
+
+def test_graph_file_weights_are_read_as_written():
+    """A graph file's JSON numbers are read as the decimals they are
+    written as, not as the floats nearest to them: 0.3 and 0.7 total 1,
+    and 0.30000000000000000001 and 0.7, whose floats also total 1.0, do
+    not."""
+    g, w = loads_graph('{"n": 2, "edges": [[0, 1]], "weights": [0.3, 0.7]}')
+    assert w.values == (Fraction(3, 10), Fraction(7, 10))
+    with pytest.raises(InputError, match="must sum to 1"):
+        loads_graph('{"n": 2, "edges": [[0, 1]], '
+                    '"weights": [0.30000000000000000001, 0.7]}')
+    for text in ('{"n": 2.0, "edges": []}', '{"n": 2, "edges": [[0, 1.0]]}',
+                 '{"n": 2, "edges": [], "weights": [1e-999999999, 1]}'):
+        with pytest.raises(InputError):
+            loads_graph(text)
 
 
 def test_at_most_ties_and_float_bounds():
@@ -272,13 +306,17 @@ def test_at_most_ties_and_float_bounds():
     assert w.at_most(mask_of([0, 1]), Fraction(1, 2))
     assert not w.at_most(mask_of([0, 1, 2]), Fraction(2, 3))
     assert w.at_most(0b1111, 1)
-    # 3/5 is above the binary value of the float 0.6, as Fraction <= 0.6 says
+    # the float 0.6 is read as 3/5, not as its binary value below 3/5
     w35 = WeightFn(2, ["3/5", "2/5"])
-    assert not w35.at_most(1, 0.6) and not (w35.of(1) <= 0.6)
-    assert w35.at_most(1, Fraction(3, 5))
-    assert w35.at_most(1, float("inf")) and not w35.at_most(1, float("nan"))
+    assert w35.at_most(1, 0.6) and not (w35.of(1) <= 0.6)
+    assert w35.at_most(1, Fraction(3, 5)) and w35.at_most(1, "0.6")
+    assert not w35.at_most(1, 0.5999999999999999)
+    for c in (float("inf"), float("nan")):
+        with pytest.raises(InputError):
+            w35.at_most(1, c)
     wf = WeightFn(2, [0.6, 0.4])
     assert wf.at_most(1, Fraction(3, 5)) and wf.at_most(1, 0.6)
+    assert wf.values == w35.values
 
 
 @given(exact_weights_and_masks() | uniform_weights_and_masks())
@@ -468,19 +506,23 @@ def test_no_function_calls_itself():
 
 
 def test_only_graph_core_knows_how_graphs_and_weights_are_stored():
-    """No other module writes a Graph's or WeightFn's fields or applies
-    the float tolerance itself, and no module passes per-graph facts
-    through a context variable: they are kept through Graph.kept."""
+    """No other module writes a Graph's or WeightFn's fields, no module
+    keeps a float tolerance or an exactness flag, and no module passes
+    per-graph facts through a context variable: they are kept through
+    Graph.kept."""
+    import re
     src = Path(starsep.graph_core.__file__).parent
     modules = sorted(src.glob("*.py"))
     assert len(modules) > 10
     for path in modules:
         text = path.read_text()
         assert "contextvars" not in text, path.name
+        for word in (r"\bFLOAT_TOL\b", r"\b_leq\b", r"\.exact\b"):
+            assert not re.search(word, text), (path.name, word)
         if path.name != "graph_core.py":
-            for word in ("object.__setattr__", "FLOAT_TOL"):
-                assert word not in text, (path.name, word)
+            assert "object.__setattr__" not in text, path.name
     assert Graph.__slots__ == ("n", "verts", "adj", "_kept")
+    assert WeightFn.__slots__ == ("n", "den", "_classes")
 
 
 def test_the_library_imports_only_the_stdlib_and_click():
@@ -509,7 +551,7 @@ def test_contracted_and_weighs_one_match_fraction_arithmetic(case):
     total = sum(weights)
     assert list(printed) == [str(x) for x in weights]
     assert list(shares.values) == [x / total if total else 0 for x in weights]
-    assert shares.exact and shares.n == len(masks)
+    assert shares.n == len(masks)
     assert all(type(x) is Fraction for x in shares.values)
     for nodes in range(1 << len(masks)):
         part = sum(x for i, x in enumerate(shares.values) if nodes >> i & 1)

@@ -391,18 +391,15 @@ def _reference_aux(g, beta, w, v):
     """The auxiliary graph's separator and JSON as they were computed
     with Fractions: each node's weight as the Fraction sum of its
     vertices' weights, its share as the Fraction quotient by their sum,
-    0 when that sum is not positive, both rounded once to floats when
-    the bag weights are floats, and the separator under the shares
+    0 when that sum is not positive, and the separator under the shares
     stored from those values."""
     aux = aux_graph(g, beta, w, v)
     values = w.values
     sums = [sum((Fraction(values[u]) for u in bit_list(m)), Fraction(0))
             for m in aux.cliques + aux.comps]
     total = sum(sums)
-    shares = [x / total if total > 0 else 0 * x for x in sums]
-    rounded = Fraction if w.exact else float
-    weights = tuple(map(rounded, sums))
-    normalized = tuple(map(rounded, shares))
+    weights = tuple(sums)
+    normalized = tuple(x / total if total > 0 else 0 * x for x in sums)
     h = aux.graph
     x = _least_balanced_separator(
         h, WeightFn._made(h.n, *_stored(normalized)), h.verts, 3, HALF)
@@ -414,28 +411,30 @@ def _reference_aux(g, beta, w, v):
 
 
 def _aux_cases():
-    """(g, w, v): weights resting on v and its hub neighbors alone, so
-    the auxiliary nodes weigh 0 in total, exact and float; and float
-    skewed weights."""
+    """(g, w, v, decimal): weights resting on v and its hub neighbors
+    alone, so the auxiliary nodes weigh 0 in total, as Fractions and as
+    decimal floats (thousandths, the last such vertex taking the rest);
+    and decimal skewed weights."""
     for s in range(6):
         g = sample_cutset_free_member(16 + 2 * (s % 3), 4, s)
         hubs = hub_set(g, g.verts)
         for v in g.vertex_list():
             rest = (1 << v) | (g.adj[v] & hubs)
             k = rest.bit_count()
-            yield g, WeightFn.uniform_on(g, rest), v
-            yield g, WeightFn(g.n, [1 / k if rest >> u & 1 else 0.0
-                                    for u in range(g.n)]), v
+            yield g, WeightFn.uniform_on(g, rest), v, False
+            share = [1000 // k * (rest >> u & 1) for u in range(g.n)]
+            share[rest.bit_length() - 1] += 1000 - sum(share)
+            yield g, WeightFn(g.n, [x / 1000 for x in share]), v, True
         for v in g.vertex_list():
-            yield g, skewed_weights(g, s * 31 + v)[1], v
+            yield g, skewed_weights(g, s * 31 + v)[1], v, True
 
 
 def test_aux_weights_on_zero_total_and_float_bags():
     """The auxiliary separator, JSON, weights and shares agree with the
     Fraction reference when the auxiliary nodes weigh nothing in total
-    and when the bag weights are floats."""
-    zero_totals = floats = 0
-    for g, w, v in _aux_cases():
+    and when the bag weights were given as decimals."""
+    zero_totals = decimals = 0
+    for g, w, v, decimal in _aux_cases():
         aux = aux_graph(g, g.verts, w, v)
         x, aux_json, weights, normalized = _reference_aux(g, g.verts, w, v)
         assert _aux_balanced_separator(aux) == x
@@ -444,8 +443,8 @@ def test_aux_weights_on_zero_total_and_float_bags():
         assert [type(y) for y in aux.weights + aux.normalized] == \
             [type(y) for y in weights + normalized]
         zero_totals += aux.graph.n > 0 and not sum(weights)
-        floats += not w.exact
-    assert zero_totals >= 50 and floats >= 100
+        decimals += decimal
+    assert zero_totals >= 50 and decimals >= 100
 
 
 def _count_fractions(monkeypatch):
