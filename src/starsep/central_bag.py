@@ -19,7 +19,7 @@ balance tests weigh the splits of graph_core's one split record,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import HypothesisViolation, InputError
 from .graph_core import (Graph, WeightFn, bit_list, bits, components,
@@ -28,8 +28,7 @@ from .separations import (HALF, Separation, canonical_separation,
                           nearly_noncrossing, validate_separation)
 
 
-@dataclass(frozen=True)
-class RevisedCollection:
+class RevisedCollection(NamedTuple):
     """Per-center separations whose C side is enlarged by the common
     neighborhoods with the other centers."""
     centers: tuple[int, ...]          # in collection order
@@ -86,10 +85,10 @@ def _revise(g: Graph, canon: tuple[Separation, ...]) -> RevisedCollection:
     return RevisedCollection(centers=centers, separations=tuple(seps))
 
 
-@dataclass(frozen=True)
-class SmoothCollection:
+class SmoothCollection(NamedTuple):
     """Validated smooth collection: pairwise nearly non-crossing star
-    separations, one per center, no center inside any A side."""
+    separations, one per center, no center inside any A side.  len()
+    counts the centers, not the two fields."""
     centers: tuple[int, ...]
     separations: tuple[Separation, ...]
 
@@ -102,6 +101,11 @@ class SmoothCollection:
     def as_json(self) -> dict:
         return {"centers": list(self.centers),
                 "separations": [s.as_json() for s in self.separations]}
+
+
+# the generated _make, which _replace calls, checks len() against the
+# field count; _replace always passes the two fields
+SmoothCollection._make = classmethod(tuple.__new__)
 
 
 def validate_smooth(g: Graph, separations, centers) -> SmoothCollection:
@@ -145,8 +149,7 @@ def _smooth(g: Graph, separations: tuple[Separation, ...],
     return SmoothCollection(centers=centers, separations=separations)
 
 
-@dataclass(frozen=True)
-class CentralBag:
+class CentralBag(NamedTuple):
     beta: int
     a_star: tuple[int, ...]           # aligned with collection order
     weights: WeightFn                 # inherited weights, supported on beta

@@ -20,7 +20,8 @@ from .errors import (CapacityError, HypothesisViolation, InputError,
                      NotAMember, SamplingError)
 from .generators import make, sample_class
 from .graph_core import (Graph, WeightFn, bit_list, dumps_graph,
-                         load_graph_file, read_fraction, to_graph6)
+                         graph_weights, load_graph_file, read_fraction,
+                         to_graph6)
 from .hub_division import check_no_wheels_in_bag, hub_division
 from .separations import leq_a_order
 from .separator_engine import main_separator, verify_certificate
@@ -87,11 +88,7 @@ def _weights(g: Graph, source: str) -> WeightFn:
             values = json.load(fh, parse_float=read_fraction)
         except ValueError as e:  # also an int past Python's digit limit
             raise InputError(f"bad weights file {source}: {e}")
-    w = WeightFn(g.n, values)
-    if not w.weighs_one(g.verts):
-        raise InputError(f"weights file {source} puts weight on vertices "
-                         "outside the graph")
-    return w
+    return graph_weights(g, values, f"weights file {source}")
 
 
 def _library_variant(ctx, param, value) -> str:

@@ -11,8 +11,7 @@ the one vertex of H an attachment vertex sees fixes its leg.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import HypothesisViolation, InputError
 from .graph_core import (Graph, bit_list, bits, cliques, components,
@@ -68,21 +67,18 @@ def _least_cutset(g, within, cut_vertices, connected):
                 return clique
 
 
-@dataclass(frozen=True)
-class DecompositionStep:
+class DecompositionStep(NamedTuple):
     """One node of the nested atom tree: the cutset and the pieces it
     produced, each a DecompositionStep or an atom mask."""
     cutset: int
     pieces: tuple[object, ...]
 
 
-@dataclass(frozen=True)
-class AtomDecomposition:
+class AtomDecomposition(NamedTuple):
     """Atoms in the order first reached, cutsets in the order used, and
     the atom tree as one flat pre-order tuple `steps`: (cutset, piece
     count) for a step, the mask for an atom; () for the empty graph.
-    Flat, the generated methods compare, hash and print it at any
-    depth."""
+    Flat, the record compares, hashes and prints at any depth."""
     atoms: tuple[int, ...]
     cutsets: tuple[int, ...]
     steps: tuple[int | tuple[int, int], ...]
@@ -163,8 +159,7 @@ def _decompose(g: Graph) -> AtomDecomposition:
 # star cutset from a proper wheel
 
 
-@dataclass(frozen=True)
-class WheelCutset:
+class WheelCutset(NamedTuple):
     """Star cutset extracted from a proper, non-universal wheel.
 
     The cutset is the center plus its neighbors outside `far_spokes`; it
@@ -177,7 +172,7 @@ class WheelCutset:
     far_rest: int
     cutset: int
     near_side: int  # sector interior
-    components_after: tuple[int, ...] = field(default=())
+    components_after: tuple[int, ...] = ()
 
     def as_json(self) -> dict:
         return {
@@ -269,8 +264,7 @@ def _connecting_path(g, allowed, src, dst):
 # three-vertex attachment trichotomy
 
 
-@dataclass(frozen=True)
-class Trichotomy:
+class Trichotomy(NamedTuple):
     h: int                     # the minimal connected attachment set
     case: str                  # "i", "ii", or "iii"
     witness: dict

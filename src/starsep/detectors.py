@@ -46,9 +46,8 @@ an independent subset-enumeration oracle that shares no code with them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .cutsets import clique_cutset_atoms, find_clique_cutset
 from .errors import InputError
@@ -266,18 +265,17 @@ def _join(g, ends, tri_masks, shared=0, memo=None):
     return None
 
 
-class _ThreePaths:
+def _path_vertices(self) -> tuple[int, ...]:
     """The vertices() of a witness made of three paths."""
-
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(set(v for p in self.paths for v in p)))
+    return tuple(sorted(set(v for p in self.paths for v in p)))
 
 
-@dataclass(frozen=True)
-class ThetaWitness(_ThreePaths):
+class ThetaWitness(NamedTuple):
     a: int
     b: int
     paths: tuple[tuple[int, ...], ...]
+
+    vertices = _path_vertices
 
 
 def detect_theta(g: Graph) -> Optional[ThetaWitness]:
@@ -301,11 +299,12 @@ def detect_theta(g: Graph) -> Optional[ThetaWitness]:
     return None
 
 
-@dataclass(frozen=True)
-class PyramidWitness(_ThreePaths):
+class PyramidWitness(NamedTuple):
     apex: int
     base: tuple[int, int, int]
     paths: tuple[tuple[int, ...], ...]  # paths[i] runs apex .. base[i]
+
+    vertices = _path_vertices
 
 
 def detect_pyramid(g: Graph, apex: int | None = None) -> Optional[PyramidWitness]:
@@ -328,11 +327,12 @@ def detect_pyramid(g: Graph, apex: int | None = None) -> Optional[PyramidWitness
     return None
 
 
-@dataclass(frozen=True)
-class PrismWitness(_ThreePaths):
+class PrismWitness(NamedTuple):
     tri_a: tuple[int, int, int]
     tri_b: tuple[int, int, int]
     paths: tuple[tuple[int, ...], ...]  # paths[i] runs tri_a[i] .. tri_b[i]
+
+    vertices = _path_vertices
 
 
 def detect_prism(g: Graph) -> Optional[PrismWitness]:
@@ -355,8 +355,7 @@ def detect_prism(g: Graph) -> Optional[PrismWitness]:
 # wheels
 
 
-@dataclass(frozen=True)
-class WheelWitness:
+class WheelWitness(NamedTuple):
     """One hole/center pair with its taxonomy flags and sectors."""
     hole: tuple[int, ...]
     center: int
@@ -368,7 +367,7 @@ class WheelWitness:
     is_short_pyramid: bool
     is_proper_wheel: bool
     is_universal_wheel: bool
-    sectors: tuple[tuple[int, ...], ...] = field(default=())
+    sectors: tuple[tuple[int, ...], ...] = ()
 
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.hole) | {self.center}))
@@ -524,8 +523,7 @@ def find_even_wheel(g: Graph) -> Optional[WheelWitness]:
 # class membership
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     member: bool
     t: int
     variant: str

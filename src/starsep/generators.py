@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cutsets import find_clique_cutset
 from .detectors import (class_membership, detect_fixed, detect_prism,
@@ -196,8 +196,7 @@ def make(name: str) -> Graph:
 # random sampling
 
 
-@dataclass(frozen=True)
-class SampleResult:
+class SampleResult(NamedTuple):
     graph: Graph
     report: ObstructionReport
     attempts: int

@@ -663,8 +663,18 @@ def graph_from_json_obj(obj) -> tuple[Graph, WeightFn | None]:
         g = g.induced(keep)
     w = None
     if obj.get("weights") is not None:
-        w = WeightFn(n, obj["weights"])
+        w = graph_weights(g, obj["weights"], "the graph's weight list")
     return g, w
+
+
+def graph_weights(g: Graph, values, source: str) -> WeightFn:
+    """WeightFn(g.n, values), refused unless it weighs 1 on g's vertices:
+    weight on an id outside a file's vertex list is an input error."""
+    w = WeightFn(g.n, values)
+    if not w.weighs_one(g.verts):
+        raise InputError(f"{source} puts weight on vertices outside the "
+                         "graph")
+    return w
 
 
 def dumps_graph(g: Graph, w: WeightFn | None = None) -> str:

@@ -18,7 +18,7 @@ graph weighs nothing: its bag is the whole graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .central_bag import (CentralBag, SmoothCollection, central_bag,
                           revised_collection, validate_smooth)
@@ -29,8 +29,7 @@ from .graph_core import (Graph, WeightFn, bit_list, bits, degeneracy, mask_of,
 from .separations import canonical_separation, classify_balanced, minimal_under_leq_a
 
 
-@dataclass(frozen=True)
-class DegeneracyPartition:
+class DegeneracyPartition(NamedTuple):
     parts: tuple[int, ...]      # independent sets, in extraction order
     delta: int                  # measured degeneracy of the hub subgraph
     back_degree: int            # max |N(v) minus earlier parts| over parts
@@ -84,8 +83,7 @@ def degeneracy_partition(g: Graph, hubs: int) -> DegeneracyPartition:
                                len(parts) <= bound)
 
 
-@dataclass(frozen=True)
-class HubDivision:
+class HubDivision(NamedTuple):
     ordering: tuple[int, ...]   # hubs, non-decreasing part index, then id
     m: int                      # 1-based; k+1 when every hub is unbalanced
     minimal_set: int            # mask of the chosen centers
@@ -178,8 +176,7 @@ def _check_division(g, w, div):
                          "back_degree": div.partition.back_degree})
 
 
-@dataclass(frozen=True)
-class NoWheelReport:
+class NoWheelReport(NamedTuple):
     passed: bool
     checked: tuple[int, ...]
     failures: tuple[dict, ...] = ()

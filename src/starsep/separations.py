@@ -9,8 +9,8 @@ the graph minus its closed neighborhood on the B side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import HypothesisViolation, InputError
 from .graph_core import (Graph, WeightFn, bit_list, bits, components,
@@ -19,8 +19,7 @@ from .graph_core import (Graph, WeightFn, bit_list, bits, components,
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class Separation:
+class Separation(NamedTuple):
     a: int
     c: int
     b: int
@@ -115,8 +114,7 @@ def nearly_noncrossing(g: Graph, s1: Separation, s2: Separation) -> bool:
     return all(c in comp1 or c in comp2 for c in components(g, union))
 
 
-@dataclass(frozen=True)
-class OrderDigest:
+class OrderDigest(NamedTuple):
     unbalanced: int
     pairs: frozenset[tuple[int, int]]   # (x, y) meaning x <= y in the order
     minimal: int

@@ -35,7 +35,6 @@ none of this: it splits afresh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
@@ -66,8 +65,7 @@ def ramsey_vs_4(t: int) -> int:
 # auxiliary graph
 
 
-@dataclass(frozen=True)
-class AuxGraph:
+class AuxGraph(NamedTuple):
     """Bipartite contact graph between the clique pieces of a vertex
     neighborhood (minus hubs) and the far components of the bag.
 
@@ -283,8 +281,7 @@ _MASKS = frozenset({"hub_neighbors", "M", "bag_separator", "beta",
 _HOST_MASKS = _MASKS - {"aux_separator"}
 
 
-@dataclass(frozen=True)
-class SeparatorCertificate:
+class SeparatorCertificate(NamedTuple):
     """A verified balanced separator with its size ledger and provenance.
 
     Every ledger entry is recomputed from the data it mentions; consumers
@@ -298,7 +295,7 @@ class SeparatorCertificate:
     balance: object             # the constant c
     component_weights: tuple[str, ...]
     ledger: tuple[dict, ...]
-    provenance: dict = field(default_factory=dict)
+    provenance: dict
 
     @property
     def size(self) -> int:

@@ -14,8 +14,7 @@ steps.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cutsets import AtomDecomposition, clique_cutset_atoms
 from .detectors import class_membership
@@ -119,8 +118,7 @@ def _is_simplicial(adj, v):
 # tree decompositions
 
 
-@dataclass(frozen=True)
-class TreeDecomposition:
+class TreeDecomposition(NamedTuple):
     bags: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
@@ -150,8 +148,7 @@ class TreeDecomposition:
         return cls(tuple(map(mask_of, bags)), edges)
 
 
-@dataclass(frozen=True)
-class TdValidation:
+class TdValidation(NamedTuple):
     passed: bool
     failures: tuple[dict, ...] = ()
 
@@ -324,8 +321,7 @@ def _contract_redundant(td: TreeDecomposition) -> TreeDecomposition:
 # certification pipeline
 
 
-@dataclass(frozen=True)
-class CertifyResult:
+class CertifyResult(NamedTuple):
     td: TreeDecomposition
     certificates: tuple
     atoms: AtomDecomposition

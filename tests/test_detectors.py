@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -440,7 +439,7 @@ def test_three_path_witnesses_match_definitions():
 
 
 def _witness_json(w):
-    return None if w is None else dataclasses.asdict(w)
+    return None if w is None else w._asdict()
 
 
 def test_three_path_witnesses_are_pinned():

@@ -301,6 +301,24 @@ def test_graph_file_weights_are_read_as_written():
             loads_graph(text)
 
 
+def test_graph_file_weights_outside_the_vertex_list_are_input_errors(tmp_path):
+    """A graph file's weights that total 1 over all n slots but put some
+    of it on an id outside its vertex list are refused as the CLI refuses
+    such a --weights file, through loads_graph and load_graph_file."""
+    obj = {"n": 4, "vertices": [0, 1, 2], "edges": [[0, 1], [1, 2]],
+           "weights": ["0", "0", "1/2", "1/2"]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(InputError, match="outside the graph"):
+        loads_graph(json.dumps(obj))
+    with pytest.raises(InputError, match="outside the graph"):
+        load_graph_file(str(path))
+    obj["weights"] = ["0", "1/2", "1/2", "0"]
+    path.write_text(json.dumps(obj))
+    g, w = load_graph_file(str(path))
+    assert g.vertex_list() == [0, 1, 2] and w.weighs_one(g.verts)
+
+
 def test_at_most_ties_and_float_bounds():
     w = WeightFn(4, ["1/4"] * 4)
     assert w.at_most(mask_of([0, 1]), Fraction(1, 2))

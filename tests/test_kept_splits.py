@@ -11,7 +11,6 @@ import inspect
 import random
 import sys
 import textwrap
-from dataclasses import replace
 from fractions import Fraction
 
 from starsep.detectors import hub_set
@@ -126,7 +125,7 @@ def test_verification_ignores_the_kept_splits():
     cert = main_separator(g, w, 4)
     key = (gc._split, cert.region & ~cert.separator)
     assert key in g._kept
-    forged = replace(cert, separator=0)
+    forged = cert._replace(separator=0)
     for wrong in ((), (g.verts,)):
         g._kept[key] = wrong
         g._kept[(gc._split, cert.region)] = wrong

@@ -1,0 +1,203 @@
+"""Records are NamedTuples: immutable tuples that keep the field names,
+field order, defaults, methods and repr text of the frozen dataclasses
+they replaced, and whose classes are built without generated code."""
+
+import importlib
+import json
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import starsep
+from starsep import (Graph, WeightFn, attachment_trichotomy, aux_graph,
+                     canonical_separation, certify, check_no_wheels_in_bag,
+                     class_membership, classify_wheels, clique_cutset_atoms,
+                     detect_prism, detect_pyramid, detect_theta, hub_division,
+                     leq_a_order, main_separator, make, revised_collection,
+                     sample_class, sample_cutset_free_member, validate_td,
+                     wheel_star_cutset)
+from starsep.central_bag import SmoothCollection
+from starsep.detectors import ObstructionReport, ThetaWitness
+from starsep.graph_core import bits
+
+SRC = Path(starsep.__file__).parent
+
+
+def _heavy_w93():
+    """W93 with one sector vertex weighing 7/10: its hub is unbalanced,
+    so the hub division has a one-center collection."""
+    vals = [Fraction(1, 30)] * 10
+    vals[1] = Fraction(7, 10)
+    return make("W93"), WeightFn(10, vals)
+
+
+def _records():
+    """One record of each public record class, made by the pipeline."""
+    w93, heavy = _heavy_w93()
+    div = hub_division(w93, heavy, 4)
+    res = certify(w93, 4)
+    wheel = next(w for w in classify_wheels(w93) if w.is_proper_wheel)
+    center = next(bits(div.minimal_set))
+    return [
+        detect_theta(make("THETA(2,2,3)")),
+        detect_pyramid(make("PYRAMID(1,2,2)")),
+        detect_prism(make("PRISM(1,1,1)")),
+        wheel,
+        class_membership(make("THETA(3,3,3)"), 4),
+        clique_cutset_atoms(make("P5")).tree,
+        res.atoms,
+        wheel_star_cutset(w93, wheel, sector=(0, 1, 2, 3)),
+        attachment_trichotomy(Graph(4, [(0, 1), (0, 2), (0, 3)]),
+                              1, 2, 3, 1 << 0),
+        sample_class(10, 4, 0),
+        div.partition, div, check_no_wheels_in_bag(w93, div),
+        canonical_separation(w93, heavy, center),
+        leq_a_order(w93, heavy),
+        revised_collection(w93, heavy, div.minimal_set),
+        div.bag.collection, div.bag,
+        aux_graph(w93, w93.verts, WeightFn.uniform(w93), 9),
+        res.certificates[0], res.td, validate_td(w93, res.td), res,
+    ]
+
+
+@pytest.fixture(scope="module")
+def records():
+    return _records()
+
+
+def _without_graphs(rec):
+    """rec with each field holding a Graph or WeightFn, or a record that
+    does, set to None: those two classes refuse pickling (their
+    __setattr__ blocks the unpickler), as they did under dataclasses."""
+    def holds(v):
+        return isinstance(v, (Graph, WeightFn)) or (
+            hasattr(v, "_fields") and any(map(holds, v)))
+    return rec._replace(**{k: None for k, v in rec._asdict().items()
+                           if holds(v)})
+
+
+def test_import_runs_no_dataclass_machinery():
+    """A fresh interpreter imports the package and its CLI without the
+    dataclasses module: no record class is built by generated code."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, starsep, starsep.cli; "
+         "print('dataclasses' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_no_module_uses_dataclasses():
+    """Records are NamedTuples; no module of the package names the
+    dataclasses module, so a later record cannot bring its generated
+    methods back unnoticed."""
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        assert "dataclass" not in path.read_text(), path.name
+
+
+def test_every_public_record_class_is_covered(records):
+    """The records above cover every public NamedTuple class of the
+    package, 23 of them, and each record is a tuple of its fields."""
+    modules = [importlib.import_module(f"starsep.{p.stem}")
+               for p in SRC.glob("*.py") if p.stem != "__main__"]
+    found = {cls for mod in modules for cls in vars(mod).values()
+             if isinstance(cls, type) and issubclass(cls, tuple)
+             and cls.__module__ == mod.__name__
+             and not cls.__name__.startswith("_")}
+    assert {type(r) for r in records} == found and len(found) == 23
+    assert all(hasattr(cls, "_fields") for cls in found)
+    exported = found & {v for v in vars(starsep).values()
+                        if isinstance(v, type)}
+    assert len(exported) == 17
+
+
+def test_records_are_immutable(records):
+    for rec in records:
+        with pytest.raises(AttributeError):
+            setattr(rec, rec._fields[0], None)
+
+
+def test_replace_and_pickle_round_trips_keep_the_record(records):
+    for rec in records:
+        same = rec._replace(**rec._asdict())
+        assert type(same) is type(rec) and same == rec
+        plain = _without_graphs(rec)
+        back = pickle.loads(pickle.dumps(plain))
+        assert type(back) is type(rec) and back == plain
+
+
+def test_repr_text_is_the_dataclass_text():
+    """Pinned to the frozen dataclasses' repr of the same records."""
+    assert repr(detect_theta(make("THETA(2,2,3)"))) == (
+        "ThetaWitness(a=0, b=1, paths=((0, 2, 1), (0, 3, 1), (0, 4, 5, 1)))")
+    assert repr(class_membership(make("THETA(3,3,3)"), 4)) == (
+        "ObstructionReport(member=False, t=4, variant='C_t', kind='theta', "
+        "embedding=(0, 1, 2, 3, 4, 5, 6, 7), detail=ThetaWitness(a=0, b=1, "
+        "paths=((0, 2, 3, 1), (0, 4, 5, 1), (0, 6, 7, 1))))")
+
+
+def test_smooth_collection_len_counts_its_centers():
+    """len() of a smooth collection is its number of centers, not its
+    field count, and _replace, _asdict, repr and pickling still work."""
+    w93, heavy = _heavy_w93()
+    coll = hub_division(w93, heavy, 4).bag.collection
+    assert len(coll) == len(coll.centers) == 1
+    assert coll._replace(centers=coll.centers) == coll
+    assert coll._asdict() == {"centers": coll.centers,
+                              "separations": coll.separations}
+    assert repr(coll) == ("SmoothCollection(centers=(9,), separations=("
+                          "Separation(a=496, c=521, b=6, center=9),))")
+    assert pickle.loads(pickle.dumps(coll)) == coll
+    empty = SmoothCollection((), ())
+    assert len(empty) == 0 and not empty
+    assert empty._replace() == empty
+
+
+def test_records_have_tuple_semantics():
+    """Equality is tuple equality, and a record is a sequence that
+    json.dumps writes as a list."""
+    w = ThetaWitness(0, 1, ((0, 2, 1), (0, 3, 1), (0, 4, 1)))
+    assert w == (0, 1, ((0, 2, 1), (0, 3, 1), (0, 4, 1)))
+    assert len(w) == 3 and w[0] == 0 and list(w)[2] == w.paths
+    assert json.loads(json.dumps(ObstructionReport(True, 4, "C_t"))) == [
+        True, 4, "C_t", None, [], None]
+
+
+def _record_classes(key):
+    """The record classes of a Graph.kept key, read through plain tuples."""
+    if hasattr(key, "_fields"):
+        return {type(key)}
+    if type(key) is tuple:
+        return set().union(*map(_record_classes, key))
+    return set()
+
+
+def test_each_builder_keeps_records_of_one_class():
+    """Records are tuples, so a record key equals any tuple of its
+    values.  Kept keys cannot collide across classes: the builder is part
+    of the key, and each builder is given records of one class."""
+    w93, heavy = _heavy_w93()
+    member = sample_cutset_free_member(18, 4, 2)
+    wheel = make("WHEEL(13,{1,5,9})")
+    by_builder = {}
+    for g, w in ((w93, heavy), (member, WeightFn.uniform(member)),
+                 (wheel, WeightFn.uniform(wheel))):
+        main_separator(g, w, 4)
+        certify(g, 4)
+        for key in g._kept:
+            if isinstance(key, tuple):
+                by_builder.setdefault(key[0].__name__, set()).update(
+                    _record_classes(key[1:]))
+    with_records = {b: {c.__name__ for c in cs}
+                    for b, cs in by_builder.items() if cs}
+    assert with_records == {"_revise": {"Separation"},
+                            "_smooth": {"Separation"},
+                            "_bag_parts": {"SmoothCollection"}}
