@@ -8,8 +8,7 @@ path, with the discarded end weights pushed onto the two centers.
 
 from starsep import (WeightFn, canonical_separation, central_bag,
                      classify_balanced, grow_separator, leq_a_order, make,
-                     nearly_noncrossing, revised_collection, shield_check,
-                     validate_smooth)
+                     nearly_noncrossing, revised_collection, shield_check)
 from starsep.graph_core import bit_list, bits, mask_of
 
 p9 = make("P9")
@@ -39,8 +38,8 @@ print("minimal unbalanced vertices:", bit_list(digest.minimal))
 
 print()
 print("=== central bag for the minimal pair ===")
-rc = revised_collection(p9, w, digest.minimal)
-coll = validate_smooth(p9, rc.separations, rc.centers)
+coll = revised_collection(p9, tuple(digest.separations[v]
+                                    for v in bits(digest.minimal)))
 bag = central_bag(p9, w, coll)
 print("bag:", bit_list(bag.beta))
 print("discarded sides per center:",

@@ -25,8 +25,8 @@ from .cutsets import (AtomDecomposition, Trichotomy, WheelCutset,
 from .separations import (OrderDigest, Separation, canonical_separation,
                           classify_balanced, leq_a_order, nearly_noncrossing,
                           shield_check, validate_separation)
-from .central_bag import (CentralBag, RevisedCollection, SmoothCollection,
-                          central_bag, grow_separator, is_balanced_separator,
+from .central_bag import (CentralBag, SmoothCollection, central_bag,
+                          grow_separator, is_balanced_separator,
                           revised_collection, validate_smooth)
 from .hub_division import (DegeneracyPartition, HubDivision,
                            check_no_wheels_in_bag, degeneracy_partition,

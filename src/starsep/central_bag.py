@@ -7,14 +7,13 @@ centers, so balanced separators found inside the bag lift to balanced
 separators of the whole graph by adding the closed neighborhoods of the
 centers they touch.
 
-Only the choice of each B side depends on the weights.  The revised
-collection of each set of canonical separations, the smoothness check
-of each collection and the bag with its A-side partition of each smooth
-collection are built and checked once and kept on the graph, through
-``Graph.kept``; a check that raises keeps nothing.  Per query the
-weights are inherited onto the centers and checked to total 1.  The
-balance tests weigh the splits of graph_core's one split record,
-``kept_components``.
+Only the choice of each B side depends on the weights.  The smooth
+collection revised from each tuple of canonical separations, and the bag
+with its A-side partition of each smooth collection, are built and
+checked once and kept on the graph, through ``Graph.kept``; a check that
+raises keeps nothing.  Per query the weights are inherited onto the
+centers and checked to total 1.  The balance tests weigh the splits of
+graph_core's one split record, ``kept_components``.
 """
 
 from __future__ import annotations
@@ -24,65 +23,8 @@ from typing import NamedTuple
 from .errors import HypothesisViolation, InputError
 from .graph_core import (Graph, WeightFn, bit_list, bits, components,
                          kept_components, mask_of, neighborhood)
-from .separations import (HALF, Separation, canonical_separation,
-                          nearly_noncrossing, validate_separation)
-
-
-class RevisedCollection(NamedTuple):
-    """Per-center separations whose C side is enlarged by the common
-    neighborhoods with the other centers."""
-    centers: tuple[int, ...]          # in collection order
-    separations: tuple[Separation, ...]
-
-    def as_json(self) -> dict:
-        return {"centers": list(self.centers),
-                "separations": [s.as_json() for s in self.separations]}
-
-
-def revised_collection(g: Graph, w: WeightFn, x: int,
-                       order: tuple[int, ...] | None = None) -> RevisedCollection:
-    """Revised separations for a set of unbalanced vertices.
-
-    For each center u: B is unchanged from the canonical separation, and
-    C grows by every common neighborhood N(u) & N(v) over centers v
-    adjacent to u.  The four containment relations tying the revised
-    triple to the canonical one are validated; they are consequences of
-    the construction, so a failure is an internal error.  A balanced
-    center has no canonical separation and raises InputError.  The
-    weights only choose the canonical separations; the collection
-    revised from them is built, validated and kept on g once.
-    """
-    centers = tuple(order) if order is not None else tuple(bit_list(x))
-    if mask_of(centers) != x:
-        raise InputError("order does not enumerate the center set")
-    return g.kept(_revise, tuple(canonical_separation(g, w, u)
-                                 for u in centers))
-
-
-def _revise(g: Graph, canon: tuple[Separation, ...]) -> RevisedCollection:
-    centers = tuple(s.center for s in canon)
-    x = mask_of(centers)
-    seps = []
-    for u, can in zip(centers, canon):
-        b = can.b
-        c = (1 << u) | (g.adj[u] & neighborhood(g, b))
-        for v in bits(g.adj[u] & x):
-            c |= g.adj[u] & g.adj[v]
-        a = g.verts & ~(b | c)
-        sep = Separation(a=a, c=c, b=b, center=u)
-        validate_separation(g, sep)
-        if sep.b != can.b:
-            raise HypothesisViolation("revised B side changed", sep.as_json())
-        if can.c & ~sep.c or sep.c & ~g.closed_nbr(u):
-            raise HypothesisViolation("revised C side out of bounds",
-                                      sep.as_json())
-        if sep.a & ~can.a:
-            raise HypothesisViolation("revised A side grew", sep.as_json())
-        if (can.a & ~g.adj[u]) & ~sep.a:
-            raise HypothesisViolation("revised A side lost far vertices",
-                                      sep.as_json())
-        seps.append(sep)
-    return RevisedCollection(centers=centers, separations=tuple(seps))
+from .separations import (HALF, Separation, nearly_noncrossing,
+                          validate_separation)
 
 
 class SmoothCollection(NamedTuple):
@@ -112,13 +54,9 @@ def validate_smooth(g: Graph, separations, centers) -> SmoothCollection:
     """Check the three smoothness conditions in definition order (pairwise
     near-non-crossing, star shape at each center, no center inside any A
     side) and package the collection with its fixed center ordering.
-    Violations report a witness.  The checked collection is kept on g
-    per (separations, centers)."""
-    return g.kept(_smooth, tuple(separations), tuple(centers))
-
-
-def _smooth(g: Graph, separations: tuple[Separation, ...],
-            centers: tuple[int, ...]) -> SmoothCollection:
+    Violations report a witness.  Each call checks afresh and keeps
+    nothing."""
+    separations, centers = tuple(separations), tuple(centers)
     if len(separations) != len(centers):
         raise InputError("need exactly one center per separation")
     if len(set(centers)) != len(centers):
@@ -147,6 +85,50 @@ def _smooth(g: Graph, separations: tuple[Separation, ...],
                 witness={"A": bit_list(s.a),
                          "centers": bit_list(cmask & s.a)})
     return SmoothCollection(centers=centers, separations=separations)
+
+
+def revised_collection(g: Graph,
+                       canon: tuple[Separation, ...]) -> SmoothCollection:
+    """The smooth collection revised from a tuple of canonical
+    separations, one per center, in collection order.
+
+    For each center u: B is unchanged from the canonical separation, and
+    C grows by every common neighborhood N(u) & N(v) over centers v
+    adjacent to u.  The four containment relations tying the revised
+    triple to the canonical one are validated (a failure is an internal
+    error), then the collection is checked smooth (``validate_smooth``).
+    The weights only chose the separations: the collection revised from
+    them is built, checked and kept on g once.
+    """
+    if any(s.center is None for s in canon):
+        raise InputError("a canonical separation needs a center")
+    return g.kept(_revise, canon)
+
+
+def _revise(g: Graph, canon: tuple[Separation, ...]) -> SmoothCollection:
+    centers = tuple(s.center for s in canon)
+    x = mask_of(centers)
+    seps = []
+    for u, can in zip(centers, canon):
+        b = can.b
+        c = (1 << u) | (g.adj[u] & neighborhood(g, b))
+        for v in bits(g.adj[u] & x):
+            c |= g.adj[u] & g.adj[v]
+        a = g.verts & ~(b | c)
+        sep = Separation(a=a, c=c, b=b, center=u)
+        validate_separation(g, sep)
+        if sep.b != can.b:
+            raise HypothesisViolation("revised B side changed", sep.as_json())
+        if can.c & ~sep.c or sep.c & ~g.closed_nbr(u):
+            raise HypothesisViolation("revised C side out of bounds",
+                                      sep.as_json())
+        if sep.a & ~can.a:
+            raise HypothesisViolation("revised A side grew", sep.as_json())
+        if (can.a & ~g.adj[u]) & ~sep.a:
+            raise HypothesisViolation("revised A side lost far vertices",
+                                      sep.as_json())
+        seps.append(sep)
+    return validate_smooth(g, tuple(seps), centers)
 
 
 class CentralBag(NamedTuple):

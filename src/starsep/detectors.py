@@ -72,8 +72,9 @@ class WheelKind(Enum):
 # hole enumeration
 
 
-def holes(g: Graph, within: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Enumerate holes (induced cycles of length >= 4) inside a mask.
+def holes(g: Graph) -> Iterator[tuple[int, ...]]:
+    """Enumerate the holes (induced cycles of length >= 4) of g; those
+    inside a mask x are the holes of ``g.induced(x)``.
 
     A hole is an induced path closed at its least vertex v0: its two
     hole neighbors v1 < v2 are non-adjacent, and the rest is an induced
@@ -81,8 +82,7 @@ def holes(g: Graph, within: int | None = None) -> Iterator[tuple[int, ...]]:
     v0.  Holes come out in increasing length; within one length,
     canonical tuples (v0, v1, ..., v2) in lexicographic order.
     """
-    x = g.verts if within is None else within
-    g.check_vertex_set(x)
+    x = g.verts
     if popcount(x) < 4:  # too small for a hole, as most atom masks are
         return
     adj = g.adj

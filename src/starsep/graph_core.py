@@ -101,18 +101,18 @@ class Graph:
     ``cut_vertex_splits`` of each region ``cutsets`` asks about, the
     atoms of ``cutsets.clique_cutset_atoms``, the hub order of
     ``hub_division``, the sides of each canonical separation (per center
-    and B side), each revised collection, smoothness check and central
-    bag with its A-side partition (per collection), the
-    ``separator_engine`` records of each central bag (clique number) and
-    of each (bag, vertex) (apex search, auxiliary frame), and the JSON
-    lists of each auxiliary graph (on its contact graph) are kept this
-    way.  So is the one record of splits into components, per mask,
-    through ``kept_components``: far sides, auxiliary frames and the
-    constructions' balance tests read it, and
+    and B side), each smooth collection revised from a tuple of
+    canonical separations, the central bag with its A-side partition of
+    each collection, the ``separator_engine`` records of each central
+    bag (clique number) and of each (bag, vertex) (apex search,
+    auxiliary frame), and the JSON lists of each auxiliary graph (on its
+    contact graph) are kept this way.  So is the one record of splits
+    into components, per mask, through ``kept_components``: far sides,
+    auxiliary frames and the constructions' balance tests read it, and
     ``separator_engine._small_splits`` indexes it per region that the
     least-separator search asks about.  A new graph, ``induced`` and
     ``compact`` ones included, starts with none, and kept facts take no
-    part in equality or hashing.
+    part in equality, hashing or pickling.
     """
 
     __slots__ = ("n", "verts", "adj", "_kept")
@@ -157,6 +157,10 @@ class Graph:
         g = cls.__new__(cls)
         g._set(n, verts, adj)
         return g
+
+    def __reduce__(self):
+        # the default would restore the slots through __setattr__
+        return Graph._raw, (self.n, self.verts, self.adj)
 
     def kept(self, build, *key):
         """build(self, *key), computed on the first call with this builder
@@ -489,6 +493,9 @@ class WeightFn:
         w = cls.__new__(cls)
         w._fill(n, den, classes)
         return w
+
+    def __reduce__(self):
+        return WeightFn._made, (self.n, self.den, self._classes)
 
     def _fill(self, n, den, classes):
         object.__setattr__(self, "n", n)

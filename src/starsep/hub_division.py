@@ -8,7 +8,7 @@ certificates.  The hub partition and ordering depend only on the graph
 and are kept on it; the hubs of a mask are read off the spoke record
 that ``detectors.hub_set`` keeps on it.  The weights only choose: which
 hubs are balanced, and the B side of each canonical separation.  Each
-separation, revised collection, smoothness check and central bag with
+separation, revised and checked smooth collection and central bag with
 its A-side partition that those choices reach is built and checked once
 per graph (see ``central_bag`` and ``separations``); per query the
 weights are classified, inherited and checked to total 1.  A hub-free
@@ -21,7 +21,7 @@ import math
 from typing import NamedTuple
 
 from .central_bag import (CentralBag, SmoothCollection, central_bag,
-                          revised_collection, validate_smooth)
+                          revised_collection)
 from .detectors import _spoked, hub_set
 from .errors import HypothesisViolation, InputError
 from .graph_core import (Graph, WeightFn, bit_list, bits, degeneracy, mask_of,
@@ -109,13 +109,10 @@ class HubDivision(NamedTuple):
                 "inherited_weights": self.bag.weights.as_json()}
 
 
-_NO_CENTERS = SmoothCollection((), ())
-
-
 def hub_division(g: Graph, w: WeightFn, t: int) -> HubDivision:
     """Order the hubs by degeneracy part, cut at the first balanced hub,
     take the minimal unbalanced prefix under the A-side order, and build
-    the revised collection with its central bag.  A hub-free graph
+    the revised smooth collection with its central bag.  A hub-free graph
     weighs nothing: its division is empty and its bag the whole graph.
 
     Smoothness of the collection is validated; on class members with no
@@ -124,7 +121,7 @@ def hub_division(g: Graph, w: WeightFn, t: int) -> HubDivision:
     if t < 4:
         raise InputError("hub division needs t >= 4")
     part, ordering = g.kept(_hub_order)
-    m, minimal, smooth = 1, 0, _NO_CENTERS
+    m, minimal, smooth = 1, 0, SmoothCollection((), ())
     if ordering:
         _, unbal = classify_balanced(g, w, mask_of(ordering))
         m = len(ordering) + 1
@@ -135,13 +132,12 @@ def hub_division(g: Graph, w: WeightFn, t: int) -> HubDivision:
         prefix = ordering[:m - 1]
         seps = {v: canonical_separation(g, w, v) for v in prefix}
         minimal = minimal_under_leq_a(seps, mask_of(prefix))
-        order_m = tuple(v for v in ordering if (minimal >> v) & 1)
-        revised = revised_collection(g, w, minimal, order=order_m)
-        smooth = validate_smooth(g, revised.separations, revised.centers)
+        smooth = revised_collection(
+            g, tuple(seps[v] for v in prefix if (minimal >> v) & 1))
     bag = central_bag(g, w, smooth)
     div = HubDivision(ordering=ordering, m=m, minimal_set=minimal,
                       partition=part, bag=bag, t=t)
-    _check_division(g, w, div)
+    _check_division(g, div)
     return div
 
 
@@ -153,7 +149,7 @@ def _hub_order(g: Graph) -> tuple[DegeneracyPartition, tuple[int, ...]]:
     return part, tuple(sorted(bits(hubs), key=lambda v: (index[v], v)))
 
 
-def _check_division(g, w, div):
+def _check_division(g, div):
     bag = div.bag
     v_m = div.v_m()
     if v_m is not None and not ((bag.beta >> v_m) & 1):

@@ -2,27 +2,64 @@ from fractions import Fraction
 
 import pytest
 
-from starsep.central_bag import (central_bag, grow_separator,
-                                 is_balanced_separator, revised_collection,
-                                 validate_smooth)
+from starsep.central_bag import (SmoothCollection, _revise, central_bag,
+                                 grow_separator, is_balanced_separator,
+                                 revised_collection, validate_smooth)
 from starsep.errors import HypothesisViolation, InputError
 from starsep.generators import sample_cutset_free_member
 from starsep.graph_core import WeightFn, bits, components, mask_of
-from starsep.separations import HALF, Separation, classify_balanced
+from starsep.separations import (HALF, Separation, canonical_separation,
+                                 classify_balanced, minimal_under_leq_a)
+
+
+def _revised(g, w, x):
+    """The smooth collection revised from the canonical separations of
+    the centers in the mask x, in ascending order."""
+    return revised_collection(g, tuple(canonical_separation(g, w, u)
+                                       for u in bits(x)))
+
+
+def _revise_keys(g):
+    return [k for k in g._kept if isinstance(k, tuple) and k[0] is _revise]
 
 
 def test_revised_collection_examples(p9):
     w = WeightFn.uniform(p9)
-    rc = revised_collection(p9, w, mask_of([2, 6]))
+    rc = _revised(p9, w, mask_of([2, 6]))
+    assert type(rc) is SmoothCollection and rc.centers == (2, 6)
+    assert validate_smooth(p9, rc.separations, rc.centers) == rc
     s3 = rc.separations[0]
     assert (s3.a, s3.c, s3.b) == (mask_of([0, 1]), mask_of([2, 3]),
                                   mask_of([4, 5, 6, 7, 8]))
     # empty set, singleton collapse
-    assert revised_collection(p9, w, 0).separations == ()
-    single = revised_collection(p9, w, 1 << 2).separations[0]
+    assert _revised(p9, w, 0).separations == ()
+    single = _revised(p9, w, 1 << 2).separations[0]
     assert single.c == mask_of([2, 3])
+    with pytest.raises(InputError) as e:
+        canonical_separation(p9, w, 4)  # balanced center
+    assert "balanced" in str(e.value)
+
+
+def test_revised_collection_raises_the_smoothness_check(p9):
+    """On P9 under uniform weights, vertex 1 lies in the A side of 2, so
+    the collection revised from their canonical separations is not
+    smooth: it raises on every call and keeps nothing."""
+    w = WeightFn.uniform(p9)
+    canon = (canonical_separation(p9, w, 1), canonical_separation(p9, w, 2))
+    for _ in range(2):
+        with pytest.raises(HypothesisViolation) as e:
+            revised_collection(p9, canon)
+        assert str(e.value).startswith("a center lies in an A side")
+        assert not _revise_keys(p9)
+
+
+def test_revised_collection_needs_centers(p9):
+    """A separation without a center raises before anything is kept."""
+    w = WeightFn.uniform(p9)
+    s = canonical_separation(p9, w, 2)
     with pytest.raises(InputError):
-        revised_collection(p9, w, 1 << 4)  # balanced center
+        revised_collection(p9, (s, s._replace(center=None)))
+    assert not _revise_keys(p9)
 
 
 def test_adjacent_centers_extend_c():
@@ -32,10 +69,9 @@ def test_adjacent_centers_extend_c():
         g = sample_cutset_free_member(14, 4, seed)
         w = _skew_weights(g, seed)
         _, unbal = classify_balanced(g, w)
-        from starsep.separations import canonical_separation, minimal_under_leq_a
         seps = {v: canonical_separation(g, w, v) for v in bits(unbal)}
         m = minimal_under_leq_a(seps, unbal)
-        rc = revised_collection(g, w, m)
+        rc = _revised(g, w, m)
         for i, u in enumerate(rc.centers):
             for j, v in enumerate(rc.centers):
                 if i != j and g.has_edge(u, v):
@@ -68,7 +104,7 @@ def test_validate_smooth_flags_crossings(c6):
 
 def test_validate_smooth_flags_center_in_a(p9):
     w = WeightFn.uniform(p9)
-    rc = revised_collection(p9, w, mask_of([2, 6]))
+    rc = _revised(p9, w, mask_of([2, 6]))
     # a star separation at 6 whose A side swallows the other center
     wide = Separation(a=mask_of([0, 1, 2, 3, 4]), c=mask_of([5, 6]),
                       b=mask_of([7, 8]), center=6)
@@ -79,7 +115,7 @@ def test_validate_smooth_flags_center_in_a(p9):
 
 def test_validate_smooth_flags_nonstar_member(p9):
     w = WeightFn.uniform(p9)
-    rc = revised_collection(p9, w, mask_of([2, 6]))
+    rc = _revised(p9, w, mask_of([2, 6]))
     with pytest.raises(HypothesisViolation) as e:
         validate_smooth(p9, rc.separations, (2, 0))  # wrong second center
     assert "star separation" in str(e.value)
@@ -87,8 +123,7 @@ def test_validate_smooth_flags_nonstar_member(p9):
 
 def test_central_bag_p9_example(p9):
     w = WeightFn.uniform(p9)
-    rc = revised_collection(p9, w, mask_of([2, 6]))
-    sm = validate_smooth(p9, rc.separations, rc.centers)
+    sm = _revised(p9, w, mask_of([2, 6]))
     bag = central_bag(p9, w, sm)
     assert bag.beta == mask_of([2, 3, 4, 5, 6])
     assert bag.a_star == (mask_of([0, 1]), mask_of([7, 8]))
@@ -101,6 +136,7 @@ def test_central_bag_p9_example(p9):
 def test_central_bag_empty_collection(p9):
     w = WeightFn.uniform(p9)
     sm = validate_smooth(p9, (), ())
+    assert not p9._kept  # the check keeps nothing
     bag = central_bag(p9, w, sm)
     assert bag.beta == p9.verts
     assert bag.weights.values == w.values
@@ -119,12 +155,10 @@ def test_central_bag_a_star_partition():
     for seed in range(40):
         g = sample_cutset_free_member(13, 4, seed)
         w = _skew_weights(g, seed + 1)
-        from starsep.separations import canonical_separation, minimal_under_leq_a
         _, unbal = classify_balanced(g, w)
         seps = {v: canonical_separation(g, w, v) for v in bits(unbal)}
         m = minimal_under_leq_a(seps, unbal)
-        rc = revised_collection(g, w, m)
-        sm = validate_smooth(g, rc.separations, rc.centers)
+        sm = _revised(g, w, m)
         bag = central_bag(g, w, sm)
         union = 0
         for s in sm.separations:
@@ -139,8 +173,7 @@ def test_central_bag_a_star_partition():
 
 def test_grow_separator_examples(p9):
     w = WeightFn.uniform(p9)
-    rc = revised_collection(p9, w, mask_of([2, 6]))
-    sm = validate_smooth(p9, rc.separations, rc.centers)
+    sm = _revised(p9, w, mask_of([2, 6]))
     bag = central_bag(p9, w, sm)
     # no center touched: identity lift
     assert grow_separator(p9, w, bag, 1 << 4) == 1 << 4

@@ -66,12 +66,12 @@ def test_detect_prism_examples():
 
 def test_holes_in_fewer_than_four_vertices(c6):
     """A mask of fewer than four vertices holds no hole; it is still
-    checked first."""
-    assert list(holes(c6, within=mask_of([0, 1, 2]))) == []
+    checked first, by the induced subgraph."""
+    assert list(holes(c6.induced(mask_of([0, 1, 2])))) == []
     assert list(holes(Graph(3, [(0, 1), (1, 2), (0, 2)]))) == []
     for bad in (1 << 6, -1):
         with pytest.raises(InputError):
-            list(holes(c6, within=bad))
+            list(holes(c6.induced(bad)))
 
 
 def test_hole_enumeration_order(c6, w93):
@@ -306,7 +306,8 @@ def test_hole_order_is_pinned():
             want = sorted((_canonical_hole(tuple(o))
                            for o in oracles.all_holes(h, pool)),
                           key=lambda o: (len(o), o))
-            assert list(holes(g, within=within)) == want, (i, within)
+            inside = g if within is None else g.induced(within)
+            assert list(holes(inside)) == want, (i, within)
 
 
 def test_induced_path_order_is_pinned():

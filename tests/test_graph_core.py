@@ -1,5 +1,6 @@
 import itertools
 import json
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -365,6 +366,24 @@ def test_json_roundtrip(w93):
     obj["weights"] = ["1/10"] * 10
     g3, w3 = loads_graph(json.dumps(obj))
     assert w3.of(g3.verts) == 1
+
+
+def test_graphs_and_weights_pickle_without_their_kept_records(w93):
+    """A Graph, an induced one with inactive vertices included, and a
+    WeightFn pickle back through their unchecked constructors; the kept
+    records stay behind."""
+    w93.kept(Graph.num_edges)
+    inner = w93.induced(mask_of([0, 2, 4, 6, 9]))
+    for g in (w93, inner):
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and (back.n, back.verts) == (g.n, g.verts)
+        assert back._kept == {} and type(back) is Graph
+    assert w93._kept
+    for w in (WeightFn.uniform(w93), WeightFn.uniform_on(inner, inner.verts),
+              WeightFn(10, ["7/10"] + ["1/30"] * 9)):
+        back = pickle.loads(pickle.dumps(w))
+        assert back.values == w.values and back.den == w.den
+        assert back.weighs_one(w93.verts) and type(back) is WeightFn
 
 
 def test_graph6_roundtrip_against_networkx(p9, c6, w93):

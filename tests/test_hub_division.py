@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,8 +11,7 @@ import starsep.detectors
 import starsep.graph_core
 import starsep.separations
 import starsep.separator_engine
-from starsep.central_bag import (CentralBag, RevisedCollection,
-                                 SmoothCollection)
+from starsep.central_bag import CentralBag, SmoothCollection
 from starsep.cutsets import clique_cutset_atoms
 from starsep.detectors import hub_set
 from starsep.errors import HypothesisViolation, InputError
@@ -300,13 +300,11 @@ def _ref_canonical_separation(g, w, v):
     return sep
 
 
-def _ref_revised_collection(g, w, x, order=None):
-    centers = tuple(order) if order is not None else tuple(bit_list(x))
-    if mask_of(centers) != x:
-        raise InputError("order does not enumerate the center set")
+def _ref_revised_collection(g, canonical):
+    centers = tuple(s.center for s in canonical)
+    x = mask_of(centers)
     seps = []
-    for u in centers:
-        canon = _ref_canonical_separation(g, w, u)
+    for u, canon in zip(centers, canonical):
         b = canon.b
         c = (1 << u) | (g.adj[u] & neighborhood(g, b))
         for v in bits(g.adj[u] & x):
@@ -325,7 +323,7 @@ def _ref_revised_collection(g, w, x, order=None):
             raise HypothesisViolation("revised A side lost far vertices",
                                       sep.as_json())
         seps.append(sep)
-    return RevisedCollection(centers=centers, separations=tuple(seps))
+    return _ref_validate_smooth(g, seps, centers)
 
 
 def _ref_validate_smooth(g, separations, centers):
@@ -441,7 +439,6 @@ def test_kept_division_answers_as_the_reference(monkeypatch):
     assert [_query_outcome(g, w, t) for g, w, t in queries] == warm
     for name, ref in (("canonical_separation", _ref_canonical_separation),
                       ("revised_collection", _ref_revised_collection),
-                      ("validate_smooth", _ref_validate_smooth),
                       ("central_bag", _ref_central_bag)):
         monkeypatch.setattr(hd, name, ref)
     assert [_query_outcome(g, w, t) for g, w, t in queries] == warm
@@ -469,12 +466,42 @@ def test_collections_are_revised_and_checked_once_per_atom(monkeypatch):
     queries = counted_calls(monkeypatch, starsep.separator_engine,
                             "main_separator")
     revised = counted_calls(monkeypatch, cb, "_revise")
-    smooth = counted_calls(monkeypatch, cb, "_smooth")
+    smooth = counted_calls(monkeypatch, cb, "validate_smooth")
     for g in _certify_hubs_pass(0):
         certify(g, 4, "C_t_star")
     assert len(queries) > 300
     assert 0 < 4 * len(revised) <= len(queries)
     assert 0 < 4 * len(smooth) <= len(queries)
+
+
+def test_each_prefix_hub_is_weighed_once_per_query(monkeypatch):
+    """Over a seed-0 certify-hubs pass on fresh graphs, the canonical
+    separations made are those of the hubs before each division's cut,
+    one per hub and query: the revised collection takes the separations
+    the division weighed instead of making them again."""
+    original = starsep.separations.canonical_separation
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("starsep."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    divisions = []
+    division = hd.hub_division
+
+    def recorded(*args):
+        divisions.append(division(*args))
+        return divisions[-1]
+
+    monkeypatch.setattr(starsep.separator_engine, "hub_division", recorded)
+    for g in _certify_hubs_pass(0):
+        certify(g, 4, "C_t_star")
+    assert len(made) == sum(d.m - 1 for d in divisions) > 0
 
 
 def test_certify_keeps_only_the_atoms_on_the_host_graph(monkeypatch):
@@ -483,7 +510,7 @@ def test_certify_keeps_only_the_atoms_on_the_host_graph(monkeypatch):
     a second certify on it builds every record again."""
     builders = [counted_calls(monkeypatch, module, name) for module, name in (
         (hd, "_hub_order"), (starsep.separations, "_star_sides"),
-        (cb, "_revise"), (cb, "_smooth"), (cb, "_bag_parts"))]
+        (cb, "_revise"), (cb, "_bag_parts"))]
     g = sample_cutset_free_member(20, 4, 1)
     assert popcount(hub_set(g, g.verts)) == 2
     g = Graph(g.n, g.edges())  # hub_set kept the wheels on the first copy

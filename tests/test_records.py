@@ -58,7 +58,8 @@ def _records():
         div.partition, div, check_no_wheels_in_bag(w93, div),
         canonical_separation(w93, heavy, center),
         leq_a_order(w93, heavy),
-        revised_collection(w93, heavy, div.minimal_set),
+        revised_collection(w93, tuple(canonical_separation(w93, heavy, v)
+                                      for v in bits(div.minimal_set))),
         div.bag.collection, div.bag,
         aux_graph(w93, w93.verts, WeightFn.uniform(w93), 9),
         res.certificates[0], res.td, validate_td(w93, res.td), res,
@@ -70,15 +71,14 @@ def records():
     return _records()
 
 
-def _without_graphs(rec):
-    """rec with each field holding a Graph or WeightFn, or a record that
-    does, set to None: those two classes refuse pickling (their
-    __setattr__ blocks the unpickler), as they did under dataclasses."""
-    def holds(v):
-        return isinstance(v, (Graph, WeightFn)) or (
-            hasattr(v, "_fields") and any(map(holds, v)))
-    return rec._replace(**{k: None for k, v in rec._asdict().items()
-                           if holds(v)})
+def _by_value(rec):
+    """rec with each WeightFn, in a field or in a record field, read as
+    its values: a WeightFn compares by identity, a Graph by value."""
+    def value(v):
+        if isinstance(v, WeightFn):
+            return v.values
+        return _by_value(v) if hasattr(v, "_fields") else v
+    return rec._replace(**{k: value(v) for k, v in rec._asdict().items()})
 
 
 def test_import_runs_no_dataclass_machinery():
@@ -105,18 +105,18 @@ def test_no_module_uses_dataclasses():
 
 def test_every_public_record_class_is_covered(records):
     """The records above cover every public NamedTuple class of the
-    package, 23 of them, and each record is a tuple of its fields."""
+    package, 22 of them, and each record is a tuple of its fields."""
     modules = [importlib.import_module(f"starsep.{p.stem}")
                for p in SRC.glob("*.py") if p.stem != "__main__"]
     found = {cls for mod in modules for cls in vars(mod).values()
              if isinstance(cls, type) and issubclass(cls, tuple)
              and cls.__module__ == mod.__name__
              and not cls.__name__.startswith("_")}
-    assert {type(r) for r in records} == found and len(found) == 23
+    assert {type(r) for r in records} == found and len(found) == 22
     assert all(hasattr(cls, "_fields") for cls in found)
     exported = found & {v for v in vars(starsep).values()
                         if isinstance(v, type)}
-    assert len(exported) == 17
+    assert len(exported) == 16
 
 
 def test_records_are_immutable(records):
@@ -129,9 +129,21 @@ def test_replace_and_pickle_round_trips_keep_the_record(records):
     for rec in records:
         same = rec._replace(**rec._asdict())
         assert type(same) is type(rec) and same == rec
-        plain = _without_graphs(rec)
-        back = pickle.loads(pickle.dumps(plain))
-        assert type(back) is type(rec) and back == plain
+        back = pickle.loads(pickle.dumps(rec))
+        assert type(back) is type(rec) and _by_value(back) == _by_value(rec)
+
+
+def test_a_hub_division_pickles_with_its_bag_and_weights():
+    """A division holds a central bag and its inherited weights; it
+    pickles back equal, its weights by value, and the graph it was made
+    on keeps its records while the unpickled copy holds none."""
+    w93, heavy = _heavy_w93()
+    div = hub_division(w93, heavy, 4)
+    back = pickle.loads(pickle.dumps(div))
+    assert back.bag.weights.values == div.bag.weights.values
+    assert back._replace(bag=back.bag._replace(weights=div.bag.weights)) == div
+    assert div.bag.collection.centers == (9,)
+    assert w93._kept and not pickle.loads(pickle.dumps(w93))._kept
 
 
 def test_repr_text_is_the_dataclass_text():
@@ -199,5 +211,4 @@ def test_each_builder_keeps_records_of_one_class():
     with_records = {b: {c.__name__ for c in cs}
                     for b, cs in by_builder.items() if cs}
     assert with_records == {"_revise": {"Separation"},
-                            "_smooth": {"Separation"},
                             "_bag_parts": {"SmoothCollection"}}

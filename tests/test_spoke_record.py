@@ -31,8 +31,8 @@ _NOT_WHEELS = {"line_wheel", "twin_wheel", "short_pyramid"}
 def fresh_spoked(g, x):
     """(hole, hole mask, v) for every hole inside x, in hole order, and
     every vertex v of x off the hole with at least three neighbors on it,
-    found by a hole pass over x itself."""
-    for hole in holes(g, within=x):
+    found by a hole pass over the subgraph induced on x."""
+    for hole in holes(g.induced(x)):
         hole_mask = mask_of(hole)
         for v in bits(x & ~hole_mask):
             if popcount(g.adj[v] & hole_mask) >= 3:
