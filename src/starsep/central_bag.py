@@ -8,11 +8,11 @@ separators of the whole graph by adding the closed neighborhoods of the
 centers they touch.
 
 Only the choice of each B side depends on the weights.  The smooth
-collection revised from each tuple of canonical separations, and the bag
-with its A-side partition of each smooth collection, are built and
-checked once and kept on the graph, through ``Graph.kept``; a check that
-raises keeps nothing.  Per query the weights are inherited onto the
-centers and checked to total 1.  The balance tests weigh the splits of
+collection revised from each tuple of canonical separations, which
+carries its bag and A-side partition, is built and checked once and
+kept on the graph, through ``Graph.kept``; a check that raises keeps
+nothing.  Per query the weights are inherited onto the centers and
+checked to total 1.  The balance tests weigh the splits of
 graph_core's one split record, ``kept_components``.
 """
 
@@ -29,13 +29,13 @@ from .separations import (HALF, Separation, nearly_noncrossing,
 
 class SmoothCollection(NamedTuple):
     """Validated smooth collection: pairwise nearly non-crossing star
-    separations, one per center, no center inside any A side.  len()
-    counts the centers, not the two fields."""
+    separations, one per center, no center inside any A side, with its
+    central bag ``beta`` and the first-owner partition ``a_star`` of its
+    union of A sides (aligned with collection order)."""
     centers: tuple[int, ...]
     separations: tuple[Separation, ...]
-
-    def __len__(self) -> int:
-        return len(self.separations)
+    beta: int
+    a_star: tuple[int, ...]
 
     def center_mask(self) -> int:
         return mask_of(self.centers)
@@ -45,17 +45,16 @@ class SmoothCollection(NamedTuple):
                 "separations": [s.as_json() for s in self.separations]}
 
 
-# the generated _make, which _replace calls, checks len() against the
-# field count; _replace always passes the two fields
-SmoothCollection._make = classmethod(tuple.__new__)
-
-
 def validate_smooth(g: Graph, separations, centers) -> SmoothCollection:
     """Check the three smoothness conditions in definition order (pairwise
     near-non-crossing, star shape at each center, no center inside any A
-    side) and package the collection with its fixed center ordering.
-    Violations report a witness.  Each call checks afresh and keeps
-    nothing."""
+    side), then build the central bag (the intersection of the B-with-C
+    sides; the whole graph for no member) and give each component of the
+    union of A sides to its earliest owner, a member whose A side holds
+    it.  Every center must lie in the bag, and the parts must be disjoint
+    and cover the union, so weights that total 1 on the graph total 1 on
+    the bag once inherited.  Violations report a witness.  Each call
+    checks afresh and keeps nothing."""
     separations, centers = tuple(separations), tuple(centers)
     if len(separations) != len(centers):
         raise InputError("need exactly one center per separation")
@@ -84,7 +83,31 @@ def validate_smooth(g: Graph, separations, centers) -> SmoothCollection:
                 "a center lies in an A side",
                 witness={"A": bit_list(s.a),
                          "centers": bit_list(cmask & s.a)})
-    return SmoothCollection(centers=centers, separations=separations)
+    beta, union_a = g.verts, 0
+    for s in separations:
+        beta &= s.side_bc()
+        union_a |= s.a
+    a_star = [0] * k
+    for comp in components(g, union_a):
+        owner = next((i for i, s in enumerate(separations)
+                      if not (comp & ~s.a)), None)
+        if owner is None:
+            raise HypothesisViolation(
+                "a component of the union of A sides fits no member",
+                witness={"component": bit_list(comp)})
+        a_star[owner] |= comp
+    if cmask & ~beta:
+        raise HypothesisViolation(
+            "a center fell outside the central bag",
+            witness={"centers": bit_list(cmask & ~beta)})
+    covered = 0
+    for part in a_star:
+        if part & covered:
+            raise HypothesisViolation("A-side parts overlap", None)
+        covered |= part
+    if covered != union_a:
+        raise HypothesisViolation("A-side parts do not cover the union", None)
+    return SmoothCollection(centers, separations, beta, tuple(a_star))
 
 
 def revised_collection(g: Graph,
@@ -96,9 +119,9 @@ def revised_collection(g: Graph,
     C grows by every common neighborhood N(u) & N(v) over centers v
     adjacent to u.  The four containment relations tying the revised
     triple to the canonical one are validated (a failure is an internal
-    error), then the collection is checked smooth (``validate_smooth``).
-    The weights only chose the separations: the collection revised from
-    them is built, checked and kept on g once.
+    error), then the collection is checked smooth and given its bag
+    (``validate_smooth``).  The weights only chose the separations: the
+    collection revised from them is built, checked and kept on g once.
     """
     if any(s.center is None for s in canon):
         raise InputError("a canonical separation needs a center")
@@ -144,61 +167,21 @@ class CentralBag(NamedTuple):
 
 
 def central_bag(g: Graph, w: WeightFn, coll: SmoothCollection) -> CentralBag:
-    """Intersection of the B-with-C sides, the first-owner partition of
-    the union of A sides, and the inherited weights.
+    """The central bag of a smooth collection with its inherited weights:
+    each center also carries the weight of its part of the A sides.
 
-    Each component of the union of A sides must be an A-component of some
-    member (a consequence of near-non-crossing); it is assigned to the
-    earliest owner in the collection ordering.  The bag and the partition
-    do not depend on the weights: they are built, checked and kept on g
-    once per collection, and each query only inherits the weights and
-    checks that they total 1 on the bag.  The empty collection's bag is
-    the whole graph, and its weights get the same check.
+    The bag and the partition are the collection's, built and checked by
+    ``validate_smooth`` and trusted here; each query only inherits the
+    weights and checks that they total 1 on the bag, the empty
+    collection's whole-graph bag included.
     """
-    beta, a_star = g.kept(_bag_parts, coll)
-    w_bag = w.inherited(dict(zip(coll.centers, a_star)))
-    if not w_bag.weighs_one(beta):
+    w_bag = w.inherited(dict(zip(coll.centers, coll.a_star)))
+    if not w_bag.weighs_one(coll.beta):
         raise HypothesisViolation(
             "inherited weights do not total 1 on the central bag",
-            witness={"total": str(w_bag.of(beta))})
-    return CentralBag(beta=beta, a_star=a_star, weights=w_bag,
+            witness={"total": str(w_bag.of(coll.beta))})
+    return CentralBag(beta=coll.beta, a_star=coll.a_star, weights=w_bag,
                       collection=coll)
-
-
-def _bag_parts(g: Graph,
-               coll: SmoothCollection) -> tuple[int, tuple[int, ...]]:
-    """The central bag of a collection and the first-owner partition of
-    its union of A sides, with the checks that need no weights: every
-    center lies in the bag, and the parts are disjoint and cover the
-    union.  Together they make weights that total 1 on the graph total
-    1 on the bag once inherited."""
-    beta = g.verts
-    for s in coll.separations:
-        beta &= s.side_bc()
-    union_a = 0
-    for s in coll.separations:
-        union_a |= s.a
-    a_star = [0] * len(coll)
-    for comp in components(g, union_a):
-        owner = next((i for i, s in enumerate(coll.separations)
-                      if not (comp & ~s.a)), None)
-        if owner is None:
-            raise HypothesisViolation(
-                "a component of the union of A sides fits no member",
-                witness={"component": bit_list(comp)})
-        a_star[owner] |= comp
-    if coll.center_mask() & ~beta:
-        raise HypothesisViolation(
-            "a center fell outside the central bag",
-            witness={"centers": bit_list(coll.center_mask() & ~beta)})
-    covered = 0
-    for part in a_star:
-        if part & covered:
-            raise HypothesisViolation("A-side parts overlap", None)
-        covered |= part
-    if covered != union_a:
-        raise HypothesisViolation("A-side parts do not cover the union", None)
-    return beta, tuple(a_star)
 
 
 def is_balanced_separator(g: Graph, w: WeightFn, region: int, x: int,

@@ -11,6 +11,7 @@ the one vertex of H an attachment vertex sees fixes its leg.
 from __future__ import annotations
 
 import itertools
+from copy import deepcopy
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import HypothesisViolation, InputError
@@ -270,7 +271,8 @@ class Trichotomy(NamedTuple):
     witness: dict
 
     def as_json(self) -> dict:
-        return {"H": bit_list(self.h), "case": self.case, **self.witness}
+        return {"H": bit_list(self.h), "case": self.case,
+                **deepcopy(self.witness)}
 
 
 def attachment_trichotomy(g: Graph, x1: int, x2: int, x3: int,

@@ -101,14 +101,14 @@ class Graph:
     ``cut_vertex_splits`` of each region ``cutsets`` asks about, the
     atoms of ``cutsets.clique_cutset_atoms``, the hub order of
     ``hub_division``, the sides of each canonical separation (per center
-    and B side), each smooth collection revised from a tuple of
-    canonical separations, the central bag with its A-side partition of
-    each collection, the ``separator_engine`` records of each central
-    bag (clique number) and of each (bag, vertex) (apex search,
-    auxiliary frame), and the JSON lists of each auxiliary graph (on its
-    contact graph) are kept this way.  So is the one record of splits
-    into components, per mask, through ``kept_components``: far sides,
-    auxiliary frames and the constructions' balance tests read it, and
+    and B side), each smooth collection, with its central bag and A-side
+    partition, revised from a tuple of canonical separations, the
+    ``separator_engine`` records of each central bag (clique number) and
+    of each (bag, vertex) (apex search, auxiliary frame), and the edge
+    pairs of each auxiliary graph (on its contact graph) are kept this
+    way.  So is the one record of splits into components, per mask,
+    through ``kept_components``: far sides, auxiliary frames and the
+    constructions' balance tests read it, and
     ``separator_engine._small_splits`` indexes it per region that the
     least-separator search asks about.  A new graph, ``induced`` and
     ``compact`` ones included, starts with none, and kept facts take no
@@ -496,6 +496,13 @@ class WeightFn:
 
     def __reduce__(self):
         return WeightFn._made, (self.n, self.den, self._classes)
+
+    def __eq__(self, other) -> bool:
+        """An equal weight on each of n vertices, however it is stored."""
+        return isinstance(other, WeightFn) and self.values == other.values
+
+    def __hash__(self):
+        return hash(self.values)
 
     def _fill(self, n, den, classes):
         object.__setattr__(self, "n", n)

@@ -8,20 +8,21 @@ certificates.  The hub partition and ordering depend only on the graph
 and are kept on it; the hubs of a mask are read off the spoke record
 that ``detectors.hub_set`` keeps on it.  The weights only choose: which
 hubs are balanced, and the B side of each canonical separation.  Each
-separation, revised and checked smooth collection and central bag with
-its A-side partition that those choices reach is built and checked once
-per graph (see ``central_bag`` and ``separations``); per query the
-weights are classified, inherited and checked to total 1.  A hub-free
-graph weighs nothing: its bag is the whole graph.
+separation, and each revised and checked smooth collection with its
+central bag and A-side partition, that those choices reach is built and
+checked once per graph (see ``central_bag`` and ``separations``); per
+query the weights are classified, inherited and checked to total 1.  A
+hub-free graph weighs nothing: its collection is empty and its bag the
+whole graph.
 """
 
 from __future__ import annotations
 
 import math
+from copy import deepcopy
 from typing import NamedTuple
 
-from .central_bag import (CentralBag, SmoothCollection, central_bag,
-                          revised_collection)
+from .central_bag import CentralBag, central_bag, revised_collection
 from .detectors import _spoked, hub_set
 from .errors import HypothesisViolation, InputError
 from .graph_core import (Graph, WeightFn, bit_list, bits, degeneracy, mask_of,
@@ -121,7 +122,7 @@ def hub_division(g: Graph, w: WeightFn, t: int) -> HubDivision:
     if t < 4:
         raise InputError("hub division needs t >= 4")
     part, ordering = g.kept(_hub_order)
-    m, minimal, smooth = 1, 0, SmoothCollection((), ())
+    m, minimal, canon = 1, 0, ()
     if ordering:
         _, unbal = classify_balanced(g, w, mask_of(ordering))
         m = len(ordering) + 1
@@ -132,9 +133,8 @@ def hub_division(g: Graph, w: WeightFn, t: int) -> HubDivision:
         prefix = ordering[:m - 1]
         seps = {v: canonical_separation(g, w, v) for v in prefix}
         minimal = minimal_under_leq_a(seps, mask_of(prefix))
-        smooth = revised_collection(
-            g, tuple(seps[v] for v in prefix if (minimal >> v) & 1))
-    bag = central_bag(g, w, smooth)
+        canon = tuple(seps[v] for v in prefix if (minimal >> v) & 1)
+    bag = central_bag(g, w, revised_collection(g, canon))
     div = HubDivision(ordering=ordering, m=m, minimal_set=minimal,
                       partition=part, bag=bag, t=t)
     _check_division(g, div)
@@ -179,7 +179,7 @@ class NoWheelReport(NamedTuple):
 
     def as_json(self) -> dict:
         return {"passed": self.passed, "checked": list(self.checked),
-                "failures": list(self.failures)}
+                "failures": list(deepcopy(self.failures))}
 
 
 def check_no_wheels_in_bag(g: Graph, div: HubDivision) -> NoWheelReport:

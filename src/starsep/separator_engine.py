@@ -94,7 +94,7 @@ class AuxGraph(NamedTuple):
         return len(self.cliques)
 
     def record(self) -> dict:
-        """As a certificate keeps it: masks, kept edge list, weights."""
+        """As a certificate keeps it: masks, kept edge pairs, weights."""
         return {"cliques": self.cliques, "components": self.comps,
                 "edges": self.graph.kept(_edge_lists),
                 "weights": self.printed}
@@ -104,8 +104,8 @@ class AuxGraph(NamedTuple):
         return _aux_json(self.record(), {})
 
 
-def _edge_lists(h: Graph) -> list[list[int]]:
-    return [list(e) for e in h.edges()]
+def _edge_lists(h: Graph) -> tuple[tuple[int, int], ...]:
+    return tuple(h.edges())
 
 
 def _listed(memo: dict, mask: int) -> list[int]:
@@ -118,6 +118,7 @@ def _listed(memo: dict, mask: int) -> list[int]:
 def _aux_json(aux: dict, memo: dict) -> dict:
     return {**aux, "cliques": [_listed(memo, k) for k in aux["cliques"]],
             "components": [_listed(memo, d) for d in aux["components"]],
+            "edges": [list(e) for e in aux["edges"]],
             "weights": list(aux["weights"])}
 
 
@@ -317,7 +318,7 @@ class SeparatorCertificate(NamedTuple):
                 "region": _listed(memo, self.region),
                 "balance": str(self.balance),
                 "component_weights": list(self.component_weights),
-                "ledger": list(self.ledger),
+                "ledger": [dict(e) for e in self.ledger],
                 "provenance": prov}
 
     def relabeled(self, labels) -> "SeparatorCertificate":
@@ -450,10 +451,7 @@ def central_bag_separator(g: Graph, div: HubDivision,
         _entry("bag_separator_vs_instance_bound", cert.size, bound),)
     prov = {**cert.provenance, "m": div.m, "k": div.k,
             "M": div.minimal_set, "instance_bound": bound}
-    return SeparatorCertificate(
-        region=cert.region, separator=cert.separator, balance=cert.balance,
-        component_weights=cert.component_weights, ledger=entries,
-        provenance=prov)
+    return cert._replace(ledger=entries, provenance=prov)
 
 
 def main_separator(g: Graph, w: WeightFn, t: int,

@@ -14,6 +14,7 @@ steps.
 from __future__ import annotations
 
 import heapq
+from copy import deepcopy
 from typing import Callable, NamedTuple
 
 from .cutsets import AtomDecomposition, clique_cutset_atoms
@@ -153,7 +154,8 @@ class TdValidation(NamedTuple):
     failures: tuple[dict, ...] = ()
 
     def as_json(self) -> dict:
-        return {"passed": self.passed, "failures": list(self.failures)}
+        return {"passed": self.passed,
+                "failures": list(deepcopy(self.failures))}
 
 
 def validate_td(g: Graph, td: TreeDecomposition) -> TdValidation:
@@ -332,7 +334,7 @@ class CertifyResult(NamedTuple):
         return {"decomposition": self.td.as_json(),
                 "atoms": self.atoms.as_json(),
                 "certificates": [c.as_json(lists) for c in self.certificates],
-                "report": self.report}
+                "report": dict(self.report)}
 
 
 def certify(g: Graph, t: int, variant: str = "C_t") -> CertifyResult:

@@ -7,7 +7,7 @@ from starsep.central_bag import (SmoothCollection, _revise, central_bag,
                                  revised_collection, validate_smooth)
 from starsep.errors import HypothesisViolation, InputError
 from starsep.generators import sample_cutset_free_member
-from starsep.graph_core import WeightFn, bits, components, mask_of
+from starsep.graph_core import Graph, WeightFn, bits, components, mask_of
 from starsep.separations import (HALF, Separation, canonical_separation,
                                  classify_balanced, minimal_under_leq_a)
 
@@ -133,6 +133,20 @@ def test_central_bag_p9_example(p9):
     assert bag.weights.of(bag.beta) == 1
 
 
+def test_the_bag_is_built_with_the_collection(p9):
+    """validate_smooth builds the bag and its A-side parts, and
+    central_bag reads them: on a fresh graph neither keeps anything."""
+    w = WeightFn.uniform(p9)
+    rc = _revised(p9, w, mask_of([2, 6]))
+    fresh = Graph(p9.n, p9.edges())
+    coll = validate_smooth(fresh, rc.separations, rc.centers)
+    bag = central_bag(fresh, w, coll)
+    assert coll == rc and bag.collection is coll
+    assert (coll.beta, coll.a_star) == (bag.beta, bag.a_star) == (
+        mask_of([2, 3, 4, 5, 6]), (mask_of([0, 1]), mask_of([7, 8])))
+    assert not fresh._kept
+
+
 def test_central_bag_empty_collection(p9):
     w = WeightFn.uniform(p9)
     sm = validate_smooth(p9, (), ())
@@ -194,7 +208,6 @@ def test_grow_separator_empty(c6):
     # C6 uniform minus nothing is balanced only after removing something;
     # with an empty collection the bag is the whole graph, so the empty
     # separator is only valid when every component is light
-    from starsep.graph_core import Graph
     two = Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
     wu = WeightFn.uniform(two)
     bag2 = central_bag(two, wu, validate_smooth(two, (), ()))
@@ -229,4 +242,4 @@ def test_balance_tests_build_no_fraction(monkeypatch):
 
     monkeypatch.setattr(WeightFn, "of", no_fraction)
     assert [run(*case) for case in cases] == want
-    assert sum(len(bag.collection) for _, _, bag, _ in cases) > 0
+    assert sum(len(bag.collection.centers) for _, _, bag, _ in cases) > 0

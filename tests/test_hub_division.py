@@ -11,7 +11,8 @@ import starsep.detectors
 import starsep.graph_core
 import starsep.separations
 import starsep.separator_engine
-from starsep.central_bag import CentralBag, SmoothCollection
+from starsep.central_bag import (CentralBag, SmoothCollection, central_bag,
+                                 validate_smooth)
 from starsep.cutsets import clique_cutset_atoms
 from starsep.detectors import hub_set
 from starsep.errors import HypothesisViolation, InputError
@@ -119,7 +120,8 @@ def test_no_wheels_in_bag_reports(w93):
 
 def _division_with_bag(g, ordering, m, beta):
     """A hub division by hand: the given ordering and cut, a bag beta."""
-    bag = CentralBag(beta, (), WeightFn.uniform(g), SmoothCollection((), ()))
+    bag = CentralBag(beta, (), WeightFn.uniform(g),
+                     SmoothCollection((), (), beta, ()))
     return HubDivision(ordering=ordering, m=m, minimal_set=0,
                        partition=DegeneracyPartition((), 0, 0, True),
                        bag=bag, t=4)
@@ -356,25 +358,34 @@ def _ref_validate_smooth(g, separations, centers):
                 "a center lies in an A side",
                 witness={"A": bit_list(s.a),
                          "centers": bit_list(cmask & s.a)})
-    return SmoothCollection(centers=centers, separations=separations)
+    beta, a_star, _ = _ref_bag(g, separations)
+    return SmoothCollection(centers=centers, separations=separations,
+                            beta=beta, a_star=tuple(a_star))
 
 
-def _ref_central_bag(g, w, coll):
+def _ref_bag(g, separations):
+    """The bag, the first-owner parts and the union of the A sides."""
     beta = g.verts
-    for s in coll.separations:
+    for s in separations:
         beta &= s.side_bc()
     union_a = 0
-    for s in coll.separations:
+    for s in separations:
         union_a |= s.a
-    a_star = [0] * len(coll)
+    a_star = [0] * len(separations)
     for comp in components(g, union_a):
-        owner = next((i for i, s in enumerate(coll.separations)
+        owner = next((i for i, s in enumerate(separations)
                       if not (comp & ~s.a)), None)
         if owner is None:
             raise HypothesisViolation(
                 "a component of the union of A sides fits no member",
                 witness={"component": bit_list(comp)})
         a_star[owner] |= comp
+    return beta, a_star, union_a
+
+
+def _ref_central_bag(g, w, coll):
+    """The bag of coll rebuilt from its separations alone."""
+    beta, a_star, union_a = _ref_bag(g, coll.separations)
     parts = dict(zip(coll.centers, a_star))
     w_bag = w.inherited(parts) if parts else w
     if coll.centers and not w_bag.weighs_one(beta):
@@ -474,6 +485,62 @@ def test_collections_are_revised_and_checked_once_per_atom(monkeypatch):
     assert 0 < 4 * len(smooth) <= len(queries)
 
 
+def test_each_collection_carries_the_bag_of_its_separations(monkeypatch,
+                                                           p9):
+    """The bag and A-side parts that a division's collection carries are
+    those the reference rebuilds from its separations alone, and so is
+    the whole central bag, inherited weights included: on every division
+    of a seed-0 certify-hubs pass, on W93 under a heavy sector vertex and
+    on P9, hub-free and with the collection at centers 2 and 6."""
+    made = []
+    division = hd.hub_division
+
+    def recorded(g, w, t):
+        div = division(g, w, t)
+        made.append((g, w, div.bag))
+        return div
+
+    monkeypatch.setattr(starsep.separator_engine, "hub_division", recorded)
+    for g in _certify_hubs_pass(0):
+        certify(g, 4, "C_t_star")
+    w93 = w93_graph()
+    heavy = WeightFn(10, [Fraction(7, 10) if v == 1 else Fraction(1, 30)
+                          for v in range(10)])
+    w = WeightFn.uniform(p9)
+    canon = tuple(starsep.separations.canonical_separation(p9, w, v)
+                  for v in (2, 6))
+    made += [(w93, heavy, hub_division(w93, heavy, 4).bag),
+             (p9, w, hub_division(p9, w, 4).bag),
+             (p9, w, central_bag(p9, w, cb.revised_collection(p9, canon)))]
+    for g, w, bag in made:
+        coll = bag.collection
+        ref = _ref_central_bag(g, w, coll)
+        assert (coll.beta, coll.a_star) == (ref.beta, ref.a_star)
+        assert bag == ref
+    assert len(made) > 300
+    assert sum(len(bag.collection.centers) > 1 for _, _, bag in made) > 0
+    assert sum(not bag.collection.centers for _, _, bag in made) > 0
+
+
+def test_a_hub_free_division_reads_the_kept_empty_collection(monkeypatch):
+    """A hub-free graph's division takes the one path: its collection is
+    the checked empty collection, whose bag is the whole graph, revised
+    once per atom graph however many queries certify makes on it."""
+    c9 = cycle_graph(9)
+    div = hub_division(c9, WeightFn.uniform(c9), 4)
+    assert div.bag.collection == validate_smooth(c9, (), ())
+    assert div.bag.collection.beta == div.bag.beta == c9.verts
+    queries = counted_calls(monkeypatch, starsep.separator_engine,
+                            "main_separator")
+    revised = counted_calls(monkeypatch, cb, "_revise")
+    for g in (cycle_graph(9), cycle_graph(11)):
+        certify(g, 4)
+    assert all(canon == () for _, canon in revised)
+    atoms = {id(g) for g, *_ in queries}
+    assert len(revised) == len(atoms) == len({id(g) for g, _ in revised})
+    assert len(queries) >= 3 * len(atoms)
+
+
 def test_each_prefix_hub_is_weighed_once_per_query(monkeypatch):
     """Over a seed-0 certify-hubs pass on fresh graphs, the canonical
     separations made are those of the hubs before each division's cut,
@@ -510,7 +577,7 @@ def test_certify_keeps_only_the_atoms_on_the_host_graph(monkeypatch):
     a second certify on it builds every record again."""
     builders = [counted_calls(monkeypatch, module, name) for module, name in (
         (hd, "_hub_order"), (starsep.separations, "_star_sides"),
-        (cb, "_revise"), (cb, "_bag_parts"))]
+        (cb, "_revise"))]
     g = sample_cutset_free_member(20, 4, 1)
     assert popcount(hub_set(g, g.verts)) == 2
     g = Graph(g.n, g.edges())  # hub_set kept the wheels on the first copy

@@ -21,9 +21,12 @@ from starsep import (Graph, WeightFn, attachment_trichotomy, aux_graph,
                      leq_a_order, main_separator, make, revised_collection,
                      sample_class, sample_cutset_free_member, validate_td,
                      wheel_star_cutset)
-from starsep.central_bag import SmoothCollection
+from starsep.central_bag import SmoothCollection, validate_smooth
 from starsep.detectors import ObstructionReport, ThetaWitness
 from starsep.graph_core import bits
+from starsep.treewidth import TreeDecomposition
+
+from .test_hub_division import _division_with_bag
 
 SRC = Path(starsep.__file__).parent
 
@@ -69,16 +72,6 @@ def _records():
 @pytest.fixture(scope="module")
 def records():
     return _records()
-
-
-def _by_value(rec):
-    """rec with each WeightFn, in a field or in a record field, read as
-    its values: a WeightFn compares by identity, a Graph by value."""
-    def value(v):
-        if isinstance(v, WeightFn):
-            return v.values
-        return _by_value(v) if hasattr(v, "_fields") else v
-    return rec._replace(**{k: value(v) for k, v in rec._asdict().items()})
 
 
 def test_import_runs_no_dataclass_machinery():
@@ -130,18 +123,18 @@ def test_replace_and_pickle_round_trips_keep_the_record(records):
         same = rec._replace(**rec._asdict())
         assert type(same) is type(rec) and same == rec
         back = pickle.loads(pickle.dumps(rec))
-        assert type(back) is type(rec) and _by_value(back) == _by_value(rec)
+        assert type(back) is type(rec) and back == rec
 
 
 def test_a_hub_division_pickles_with_its_bag_and_weights():
     """A division holds a central bag and its inherited weights; it
-    pickles back equal, its weights by value, and the graph it was made
-    on keeps its records while the unpickled copy holds none."""
+    pickles back equal, its weights compared by value, and the graph it
+    was made on keeps its records while the unpickled copy holds none."""
     w93, heavy = _heavy_w93()
     div = hub_division(w93, heavy, 4)
     back = pickle.loads(pickle.dumps(div))
-    assert back.bag.weights.values == div.bag.weights.values
-    assert back._replace(bag=back.bag._replace(weights=div.bag.weights)) == div
+    assert back == div and back.bag.weights is not div.bag.weights
+    assert pickle.loads(pickle.dumps(div.bag)) == div.bag
     assert div.bag.collection.centers == (9,)
     assert w93._kept and not pickle.loads(pickle.dumps(w93))._kept
 
@@ -156,21 +149,25 @@ def test_repr_text_is_the_dataclass_text():
         "paths=((0, 2, 3, 1), (0, 4, 5, 1), (0, 6, 7, 1))))")
 
 
-def test_smooth_collection_len_counts_its_centers():
-    """len() of a smooth collection is its number of centers, not its
-    field count, and _replace, _asdict, repr and pickling still work."""
+def test_smooth_collection_carries_its_bag():
+    """A smooth collection is a record of four fields, its central bag
+    and A-side parts among them: len() is the field count, and _replace,
+    _asdict, repr and pickling see all four.  The empty collection's bag
+    is the whole graph, and it is a non-empty tuple."""
     w93, heavy = _heavy_w93()
     coll = hub_division(w93, heavy, 4).bag.collection
-    assert len(coll) == len(coll.centers) == 1
+    assert len(coll) == 4 and len(coll.centers) == 1
     assert coll._replace(centers=coll.centers) == coll
     assert coll._asdict() == {"centers": coll.centers,
-                              "separations": coll.separations}
+                              "separations": coll.separations,
+                              "beta": coll.beta, "a_star": coll.a_star}
     assert repr(coll) == ("SmoothCollection(centers=(9,), separations=("
-                          "Separation(a=496, c=521, b=6, center=9),))")
+                          "Separation(a=496, c=521, b=6, center=9),), "
+                          "beta=527, a_star=(496,))")
     assert pickle.loads(pickle.dumps(coll)) == coll
-    empty = SmoothCollection((), ())
-    assert len(empty) == 0 and not empty
-    assert empty._replace() == empty
+    empty = validate_smooth(w93, (), ())
+    assert empty == SmoothCollection((), (), w93.verts, ())
+    assert len(empty) == 4 and empty and empty._replace() == empty
 
 
 def test_records_have_tuple_semantics():
@@ -210,5 +207,69 @@ def test_each_builder_keeps_records_of_one_class():
                     _record_classes(key[1:]))
     with_records = {b: {c.__name__ for c in cs}
                     for b, cs in by_builder.items() if cs}
-    assert with_records == {"_revise": {"Separation"},
-                            "_bag_parts": {"SmoothCollection"}}
+    assert with_records == {"_revise": {"Separation"}}
+
+
+def _containers(x):
+    """Every dict and list in a JSON value, x included."""
+    if isinstance(x, (dict, list)):
+        yield x
+    for v in x.values() if isinstance(x, dict) else \
+            x if isinstance(x, (list, tuple)) else ():
+        yield from _containers(v)
+
+
+def test_as_json_hands_out_no_container_a_record_holds(records):
+    """Changing every dict and list of one as_json() output changes no
+    record, nor any record kept on a graph: the next as_json() prints
+    the same bytes.  The records include failed checks, whose failures
+    hold lists."""
+    w93 = make("W93")
+    res = certify(w93, 4)
+    broken = TreeDecomposition(res.td.bags, res.td.edges[1:])
+    failing = [validate_td(w93, broken),
+               check_no_wheels_in_bag(w93, _division_with_bag(
+                   w93, (9,), 2, w93.verts))]
+    assert not any(r.passed for r in failing)
+    checked = 0
+    for rec in records + failing:
+        if not hasattr(rec, "as_json"):
+            continue
+        before = json.dumps(rec.as_json())
+        out = rec.as_json()
+        for c in list(_containers(out)):
+            if isinstance(c, dict):
+                c.update({k: "changed" for k in c}, added=True)
+            else:
+                c[:] = ["changed"] * len(c) + ["added"]
+        assert json.dumps(rec.as_json()) == before, type(rec).__name__
+        checked += 1
+    assert checked >= 20
+
+
+def test_weights_compare_by_value():
+    """Two WeightFns are equal, and hash alike, when they give every
+    vertex the same weight, whatever their stored denominator or class
+    order; so the records that hold one compare by value too."""
+    g = make("P5")
+    support = 0b10110
+    on = WeightFn.uniform_on(g, support)
+    listed = WeightFn(5, ["0", "1/3", "1/3", "0", "1/3"])
+    doubled = WeightFn._made(5, 6, ((2, support),))
+    assert on == listed == doubled
+    assert hash(on) == hash(listed) == hash(doubled)
+    assert on != WeightFn.uniform(g) and on != list(on.values)
+    skew = WeightFn(5, ["1/2", "1/4", "1/8", "1/16", "1/16"])
+    reordered = WeightFn._made(5, 16, tuple(reversed(skew._classes)))
+    assert skew == reordered and hash(skew) == hash(reordered)
+    # vertex 0 also carries vertex 1's weight; inherited lists the
+    # classes of the vertices it leaves alone first, shifted in vertex
+    # order
+    inherited = skew.inherited({0: 0b10})
+    shifted = skew.shifted({0: "1/4"})
+    assert inherited._classes != shifted._classes
+    assert inherited == shifted and hash(inherited) == hash(shifted)
+    w93, heavy = _heavy_w93()
+    div = hub_division(w93, heavy, 4)
+    assert hub_division(w93, heavy, 4) == div
+    assert pickle.loads(pickle.dumps(div.bag)) == div.bag

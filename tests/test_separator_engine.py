@@ -619,7 +619,7 @@ VERTEX_SETS = ("hub_neighbors", "M", "bag_separator", "beta",
 def _read_back(prov: dict) -> dict:
     """The in-memory provenance that a certificate's JSON provenance
     lists: each vertex set read back as a mask, the aux pieces as tuples
-    of masks and its weights as a tuple."""
+    of masks, its edges as pairs and its weights as a tuple."""
     out = {k: mask_of(v) if k in VERTEX_SETS else v
            for k, v in prov.items()}
     if "aux" in out:
@@ -627,6 +627,7 @@ def _read_back(prov: dict) -> dict:
         out["aux"] = {**aux,
                       "cliques": tuple(map(mask_of, aux["cliques"])),
                       "components": tuple(map(mask_of, aux["components"])),
+                      "edges": tuple(map(tuple, aux["edges"])),
                       "weights": tuple(aux["weights"])}
     return out
 
