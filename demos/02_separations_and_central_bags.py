@@ -8,7 +8,7 @@ path, with the discarded end weights pushed onto the two centers.
 
 from starsep import (WeightFn, canonical_separation, central_bag,
                      classify_balanced, grow_separator, leq_a_order, make,
-                     nearly_noncrossing, revised_collection, shield_check)
+                     nearly_noncrossing, revised_collection)
 from starsep.graph_core import bit_list, bits, mask_of
 
 p9 = make("P9")
@@ -27,8 +27,6 @@ for v in bits(unbalanced):
     print(f"v={v}: A={bit_list(s.a)} C={bit_list(s.c)} B={bit_list(s.b)}")
 
 print()
-print("shield: (B|C of v=1) inside (B|C of v=0)?",
-      shield_check(seps[1], seps[0]))
 print("v=2 and v=6 nearly non-crossing?",
       nearly_noncrossing(p9, seps[2], seps[6]))
 

@@ -1,31 +1,20 @@
-"""Star cutsets from wheels, hub divisions, and the auxiliary graph.
+"""Hub divisions and the auxiliary graph.
 
 W93 (nine-cycle plus a hub on three spokes) is the running example: the
-hub's star cutset breaks the long sectors apart, and since the hub is
-balanced under uniform weights, the pipeline takes the auxiliary-graph
-route, whose contact graph here is a six-cycle.
+hub is balanced under uniform weights, so the pipeline takes the
+auxiliary-graph route, whose contact graph here is a six-cycle.
 """
 
 from fractions import Fraction
 
 from starsep import (WeightFn, aux_graph, balanced_vertex_separator,
-                     check_no_wheels_in_bag, classify_wheels, hub_division,
-                     main_separator, make, wheel_star_cutset)
+                     check_no_wheels_in_bag, hub_division, main_separator,
+                     make)
 from starsep.graph_core import bit_list
 
 w93 = make("W93")
 u = WeightFn.uniform(w93)
 
-print("=== star cutset from the wheel ===")
-witness = next(w for w in classify_wheels(w93) if w.is_proper_wheel)
-cut = wheel_star_cutset(w93, witness, sector=(0, 1, 2, 3))
-print("sector 0-1-2-3, cutset:", bit_list(cut.cutset))
-print("separates the sector interior from:",
-      bit_list(cut.far_spokes | cut.far_rest))
-print("components after removal:",
-      [bit_list(c) for c in cut.components_after])
-
-print()
 print("=== hub division under uniform weights ===")
 div = hub_division(w93, u, t=4)
 print(f"hub ordering {div.ordering}, cut index m={div.m}, "

@@ -19,12 +19,11 @@ from .detectors import (ObstructionReport, WheelWitness, class_membership,
                         detect_prism, detect_pyramid, detect_theta,
                         holes, hub_set, make_wheel_witness,
                         verify_obstruction)
-from .cutsets import (AtomDecomposition, Trichotomy, WheelCutset,
-                      attachment_trichotomy, clique_cutset_atoms,
-                      find_clique_cutset, wheel_star_cutset)
+from .cutsets import (AtomDecomposition, clique_cutset_atoms,
+                      find_clique_cutset)
 from .separations import (OrderDigest, Separation, canonical_separation,
                           classify_balanced, leq_a_order, nearly_noncrossing,
-                          shield_check, validate_separation)
+                          validate_separation)
 from .central_bag import (CentralBag, SmoothCollection, central_bag,
                           grow_separator, is_balanced_separator,
                           revised_collection, validate_smooth)
@@ -39,9 +38,7 @@ from .separator_engine import (AuxGraph, SeparatorCertificate, aux_graph,
 from .treewidth import (CertifyResult, TreeDecomposition, build_td, certify,
                         exact_treewidth, validate_td)
 from .generators import (SampleResult, make, sample_class,
-                         sample_c4_diamond_free_no_clique_cutset,
-                         sample_cutset_free_member,
-                         sample_theta_triangle_wheel_free)
+                         sample_cutset_free_member)
 
 __version__ = "0.1.0"
 

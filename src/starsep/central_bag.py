@@ -155,10 +155,16 @@ def _revise(g: Graph, canon: tuple[Separation, ...]) -> SmoothCollection:
 
 
 class CentralBag(NamedTuple):
-    beta: int
-    a_star: tuple[int, ...]           # aligned with collection order
     weights: WeightFn                 # inherited weights, supported on beta
     collection: SmoothCollection
+
+    @property
+    def beta(self) -> int:
+        return self.collection.beta
+
+    @property
+    def a_star(self) -> tuple[int, ...]:  # aligned with collection order
+        return self.collection.a_star
 
     def as_json(self) -> dict:
         return {"beta": bit_list(self.beta),
@@ -180,8 +186,7 @@ def central_bag(g: Graph, w: WeightFn, coll: SmoothCollection) -> CentralBag:
         raise HypothesisViolation(
             "inherited weights do not total 1 on the central bag",
             witness={"total": str(w_bag.of(coll.beta))})
-    return CentralBag(beta=coll.beta, a_star=coll.a_star, weights=w_bag,
-                      collection=coll)
+    return CentralBag(w_bag, coll)
 
 
 def is_balanced_separator(g: Graph, w: WeightFn, region: int, x: int,

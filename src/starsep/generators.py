@@ -251,62 +251,6 @@ def sample_class(n: int, t: int, seed: int,
         stats={"attempts": attempts, "repairs": repairs})
 
 
-def sample_theta_triangle_wheel_free(n: int, seed: int) -> Graph:
-    """Random (theta, triangle, wheel)-free graph by isolation repair."""
-    rng = random.Random(seed)
-    g = random_graph(n, min(1.0, 2.5 / max(1, n - 1)), rng)
-    for _ in range(8 * n + 40):
-        bad = detect_fixed(g, "K_t", 3)
-        if bad is None:
-            w = detect_theta(g)
-            bad = w.vertices() if w else None
-        if bad is None:
-            hubs = hub_set(g, g.verts)
-            bad = (bit_list(hubs)[0],) if hubs else None
-        if bad is None:
-            return g
-        g = _isolate(g, _repair_vertex(g, bad))
-    raise SamplingError(f"repair budget exhausted for n={n}, seed={seed}")
-
-
-def sample_c4_diamond_free_no_clique_cutset(n: int, seed: int) -> Graph:
-    """Cycle plus random chords, with chords deleted until the graph is
-    (C4, diamond)-free and has no clique cutset; the base cycle keeps it
-    2-connected, so every clique cutset holds a chord to delete."""
-    if n < 5:
-        raise InputError("need n >= 5")
-    rng = random.Random(seed)
-    cycle = set()
-    for i in range(n):
-        cycle.add((min(i, (i + 1) % n), max(i, (i + 1) % n)))
-    chords = set()
-    for _ in range(max(1, n // 3)):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        e = (min(u, v), max(u, v))
-        if u != v and e not in cycle:
-            chords.add(e)
-
-    def build():
-        return Graph(n, sorted(cycle | chords))
-
-    g = build()
-    while True:
-        emb = detect_fixed(g, "C4") or detect_fixed(g, "diamond")
-        if emb is None:
-            cut = find_clique_cutset(g, g.verts)
-            if cut is None:
-                return g
-            emb = bit_list(cut)
-        culprit = next((e for e in sorted(chords)
-                        if e[0] in emb and e[1] in emb), None)
-        if culprit is None:
-            # no chord involved; only the pure cycle can reach this
-            raise SamplingError(f"repair stalled for n={n}, seed={seed}")
-        chords.remove(culprit)
-        g = build()
-
-
 def sample_cutset_free_member(n: int, t: int, seed: int,
                               variant: str = "C_t_star") -> Graph:
     """Member with no clique cutset: a long cycle, optionally with one hub

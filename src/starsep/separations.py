@@ -1,5 +1,5 @@
 """Star separations: balanced/unbalanced vertices, canonical star
-separations, shields, near-non-crossing, and the A-side order.
+separations, near-non-crossing, and the A-side order.
 
 A separation splits the vertex set into (A, C, B) with A anticomplete to
 B; a star separation keeps C inside one closed neighborhood.  For an
@@ -97,11 +97,6 @@ def _star_sides(g: Graph, v: int, b: int) -> Separation:
             "N(B) != C minus the center on a canonical separation",
             witness=sep.as_json())
     return sep
-
-
-def shield_check(s1: Separation, s2: Separation) -> bool:
-    """s1 shields s2 when B1 together with C1 is inside B2 with C2."""
-    return (s1.side_bc() & ~s2.side_bc()) == 0
 
 
 def nearly_noncrossing(g: Graph, s1: Separation, s2: Separation) -> bool:

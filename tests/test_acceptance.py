@@ -18,9 +18,7 @@ from networkx.algorithms.approximation import treewidth_min_degree
 from starsep.detectors import (classify_wheels, detect_fixed,
                                detect_prism, detect_pyramid, detect_theta,
                                holes, hub_set)
-from starsep.generators import (make, sample_c4_diamond_free_no_clique_cutset,
-                                sample_class, sample_cutset_free_member,
-                                sample_theta_triangle_wheel_free)
+from starsep.generators import make, sample_class, sample_cutset_free_member
 from starsep.graph_core import (Graph, WeightFn, bits, components, mask_of,
                                 popcount)
 from starsep.hub_division import check_no_wheels_in_bag, hub_division
@@ -30,6 +28,8 @@ from starsep.treewidth import certify, exact_treewidth, validate_td
 
 from . import oracles
 from .conftest import named_graph_zoo, seeded_random_graphs
+from .lemmas import (sample_c4_diamond_free_no_clique_cutset,
+                     sample_theta_triangle_wheel_free)
 
 T = 4
 

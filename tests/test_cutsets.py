@@ -8,8 +8,7 @@ import pytest
 
 from perfbench import corpus
 from starsep import cutsets, graph_core
-from starsep.cutsets import (attachment_trichotomy, clique_cutset_atoms,
-                             find_clique_cutset, wheel_star_cutset)
+from starsep.cutsets import clique_cutset_atoms, find_clique_cutset
 from starsep.detectors import (class_membership, classify_wheels,
                                make_wheel_witness)
 from starsep.errors import HypothesisViolation, InputError
@@ -21,6 +20,9 @@ from starsep.treewidth import exact_treewidth
 
 from . import oracles
 from .conftest import _edge_graph, glue, seeded_random_graphs
+from .lemmas import (_as_path, _attachment_ok, _classify_attachment,
+                     _minimize_attachment, _walk, attachment_trichotomy,
+                     wheel_star_cutset)
 from .test_detectors import c5_chain
 
 
@@ -471,7 +473,6 @@ def test_trichotomy_case_iii():
 
 def test_trichotomy_minimality():
     """Deleting any single vertex of H breaks the attachment property."""
-    from starsep.cutsets import _attachment_ok
     g = Graph(9, [(4, 5), (5, 6), (6, 7), (7, 8),
                   (1, 4), (2, 8), (3, 6)])
     tr = attachment_trichotomy(g, 1, 2, 3, mask_of([4, 5, 6, 7, 8]))
@@ -488,7 +489,6 @@ def test_trichotomy_validates_inputs():
 
 
 def test_walk_and_as_path():
-    from starsep.cutsets import _as_path, _walk
     g = Graph(5, [(0, 1), (1, 2), (2, 3)])
     p4 = mask_of([0, 1, 2, 3])
     assert _walk(g, 1 << 0, p4) == (0, 1, 2, 3)
@@ -516,7 +516,6 @@ def _is_induced_path(h, path, closed=False):
 
 
 def _check_trichotomy(g, h, xs, d, tr):
-    from starsep.cutsets import _attachment_ok
     hv = set(bit_list(tr.h))
     assert hv <= set(bit_list(d)) and _attachment_ok(g, xs, tr.h)
     for v in hv:
@@ -637,7 +636,6 @@ def test_wheel_cutset_rejects_a_witness_of_another_graph(w93):
 def _classify_by_product(g, xs, h):
     """Reference: the case analysis as first written, assigning legs by a
     product over each attachment vertex's options."""
-    from starsep.cutsets import _as_path, _walk
     sub = g.induced(h)
     tri = next(cliques(sub, 3), None)
     if tri is not None:
@@ -717,7 +715,6 @@ def test_trichotomy_matches_the_product_assignment():
     on the seeded inputs of test_trichotomy_witnesses_match_definitions
     and on planted triangles with legs; and the same case analysis of D
     itself, before minimizing, where legs may go unused or be shared."""
-    from starsep.cutsets import _classify_attachment, _minimize_attachment
 
     def classified(g, xs, h):
         try:

@@ -10,11 +10,11 @@ from starsep.detectors import (class_membership, detect_fixed, detect_prism,
                                detect_pyramid, detect_theta, hub_set)
 from starsep.errors import InputError, SamplingError
 from starsep.generators import (make, prism_graph, pyramid_graph,
-                                sample_c4_diamond_free_no_clique_cutset,
                                 sample_class, sample_cutset_free_member,
-                                sample_theta_triangle_wheel_free,
                                 theta_graph)
 
+from .lemmas import (sample_c4_diamond_free_no_clique_cutset,
+                     sample_theta_triangle_wheel_free)
 
 
 def test_make_named_graphs():

@@ -120,8 +120,7 @@ def test_no_wheels_in_bag_reports(w93):
 
 def _division_with_bag(g, ordering, m, beta):
     """A hub division by hand: the given ordering and cut, a bag beta."""
-    bag = CentralBag(beta, (), WeightFn.uniform(g),
-                     SmoothCollection((), (), beta, ()))
+    bag = CentralBag(WeightFn.uniform(g), SmoothCollection((), (), beta, ()))
     return HubDivision(ordering=ordering, m=m, minimal_set=0,
                        partition=DegeneracyPartition((), 0, 0, True),
                        bag=bag, t=4)
@@ -403,8 +402,7 @@ def _ref_central_bag(g, w, coll):
         covered |= part
     if covered != union_a:
         raise HypothesisViolation("A-side parts do not cover the union", None)
-    return CentralBag(beta=beta, a_star=tuple(a_star), weights=w_bag,
-                      collection=coll)
+    return CentralBag(w_bag, coll._replace(beta=beta, a_star=tuple(a_star)))
 
 
 def _bench_corpus():

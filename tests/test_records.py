@@ -14,18 +14,19 @@ from pathlib import Path
 import pytest
 
 import starsep
-from starsep import (Graph, WeightFn, attachment_trichotomy, aux_graph,
-                     canonical_separation, certify, check_no_wheels_in_bag,
-                     class_membership, classify_wheels, clique_cutset_atoms,
-                     detect_prism, detect_pyramid, detect_theta, hub_division,
-                     leq_a_order, main_separator, make, revised_collection,
-                     sample_class, sample_cutset_free_member, validate_td,
-                     wheel_star_cutset)
-from starsep.central_bag import SmoothCollection, validate_smooth
+from starsep import (Graph, WeightFn, aux_graph, canonical_separation,
+                     certify, check_no_wheels_in_bag, class_membership,
+                     classify_wheels, clique_cutset_atoms, detect_prism,
+                     detect_pyramid, detect_theta, hub_division, leq_a_order,
+                     main_separator, make, revised_collection, sample_class,
+                     sample_cutset_free_member, validate_td)
+from starsep.central_bag import CentralBag, SmoothCollection, validate_smooth
 from starsep.detectors import ObstructionReport, ThetaWitness
 from starsep.graph_core import bits
 from starsep.treewidth import TreeDecomposition
 
+from .lemmas import (Trichotomy, WheelCutset, attachment_trichotomy,
+                     wheel_star_cutset)
 from .test_hub_division import _division_with_bag
 
 SRC = Path(starsep.__file__).parent
@@ -54,9 +55,6 @@ def _records():
         class_membership(make("THETA(3,3,3)"), 4),
         clique_cutset_atoms(make("P5")).tree,
         res.atoms,
-        wheel_star_cutset(w93, wheel, sector=(0, 1, 2, 3)),
-        attachment_trichotomy(Graph(4, [(0, 1), (0, 2), (0, 3)]),
-                              1, 2, 3, 1 << 0),
         sample_class(10, 4, 0),
         div.partition, div, check_no_wheels_in_bag(w93, div),
         canonical_separation(w93, heavy, center),
@@ -69,9 +67,18 @@ def _records():
     ]
 
 
+def _lemma_records():
+    """One record of each lemma illustration the tests keep."""
+    w93 = make("W93")
+    wheel = next(w for w in classify_wheels(w93) if w.is_proper_wheel)
+    return [wheel_star_cutset(w93, wheel, sector=(0, 1, 2, 3)),
+            attachment_trichotomy(Graph(4, [(0, 1), (0, 2), (0, 3)]),
+                                  1, 2, 3, 1 << 0)]
+
+
 @pytest.fixture(scope="module")
 def records():
-    return _records()
+    return _records() + _lemma_records()
 
 
 def test_import_runs_no_dataclass_machinery():
@@ -98,18 +105,19 @@ def test_no_module_uses_dataclasses():
 
 def test_every_public_record_class_is_covered(records):
     """The records above cover every public NamedTuple class of the
-    package, 22 of them, and each record is a tuple of its fields."""
+    package, 20 of them, and each record is a tuple of its fields."""
     modules = [importlib.import_module(f"starsep.{p.stem}")
                for p in SRC.glob("*.py") if p.stem != "__main__"]
     found = {cls for mod in modules for cls in vars(mod).values()
              if isinstance(cls, type) and issubclass(cls, tuple)
              and cls.__module__ == mod.__name__
              and not cls.__name__.startswith("_")}
-    assert {type(r) for r in records} == found and len(found) == 22
+    assert {type(r) for r in records} == found | {Trichotomy, WheelCutset}
+    assert len(found) == 20
     assert all(hasattr(cls, "_fields") for cls in found)
     exported = found & {v for v in vars(starsep).values()
                         if isinstance(v, type)}
-    assert len(exported) == 16
+    assert len(exported) == 14
 
 
 def test_records_are_immutable(records):
@@ -168,6 +176,16 @@ def test_smooth_collection_carries_its_bag():
     empty = validate_smooth(w93, (), ())
     assert empty == SmoothCollection((), (), w93.verts, ())
     assert len(empty) == 4 and empty and empty._replace() == empty
+
+
+def test_central_bag_reads_its_bag_off_the_collection():
+    """A bag's beta and a_star are its collection's, not copies."""
+    w93, heavy = _heavy_w93()
+    bag = hub_division(w93, heavy, 4).bag
+    assert CentralBag._fields == ("weights", "collection")
+    assert bag.beta is bag.collection.beta
+    assert bag.a_star is bag.collection.a_star
+    assert list(bag.as_json()) == ["beta", "a_star", "weights"]
 
 
 def test_records_have_tuple_semantics():

@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings
 
 from starsep.errors import InputError
-from starsep.generators import sample_c4_diamond_free_no_clique_cutset
 from starsep.graph_core import (WeightFn, bit_list, bits, far_components,
                                 mask_of)
 from starsep.separations import (Separation, canonical_separation,
                                  classify_balanced, leq_a_order,
-                                 nearly_noncrossing, shield_check,
-                                 validate_separation)
+                                 nearly_noncrossing, validate_separation)
 
 from . import oracles
 from .conftest import small_graphs
+from .lemmas import sample_c4_diamond_free_no_clique_cutset, shield_check
 
 
 def test_classify_balanced_examples(p9, c6, w93):
