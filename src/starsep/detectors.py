@@ -10,17 +10,18 @@ two neighbors above it, and both hubs of a diamond have degree three or
 more.  K_t, the clique number and the triangles of pyramids and prisms
 come from ``graph_core.cliques``.  A hole is an induced path closed at
 its least vertex, so ``holes`` lists the paths of ``_induced_paths``, the
-one chordless-path search of the package, and orders the holes by
-length; every wheel scan walks them through ``_spokes``, which pairs
-each hole with the vertices that have three or more spokes on it and
-flags the wheels.  Recognition (the even-wheel test, the taxonomy) runs
-it afresh; ``hub_set`` and the no-wheel check of a central bag read it
-kept on the graph and filter it by their mask (``_spoked``).  The
-even-wheel test classifies only centers with an even spoke count, as an
-even wheel has four spokes or an even count.
-``_induced_paths`` is a depth-first search on an explicit stack,
-children pushed highest first so the pre-order is the recursive one;
-its depth is not bounded by the interpreter's recursion limit.
+one chordless-path search of the package, one walk per least vertex and
+next vertex, and orders the holes by length; every wheel scan walks them
+through ``_spokes``, which pairs each hole with the vertices near it
+that have three or more spokes on it and flags the wheels.  Recognition
+(the even-wheel test, the taxonomy) runs it afresh; ``hub_set`` and the
+no-wheel check of a central bag read it kept on the graph and filter it
+by their mask (``_spoked``).  The even-wheel test classifies only
+centers with an even spoke count, as an even wheel has four spokes or
+an even count.
+``_induced_paths``, from a vertex to a mask of ends, is a depth-first
+search on an explicit stack, in the recursive pre-order; its depth is
+not bounded by the interpreter's recursion limit.
 The three-path configurations (theta, pyramid, prism) build one leg
 record ``(path, body, conflict)`` per induced path between two ends
 (``_legs``).  The body is what no other leg may use: the interior for a
@@ -29,7 +30,8 @@ conflict adds the neighbors of the interior and, at each end that is a
 triangle corner, that end's neighbors outside its triangle.  Two legs
 fit iff one's conflict misses the other's body; theta takes the first
 fitting triple i < j < l of one leg list, pyramid and prism the first in
-product order over three (``_join``).
+product order over three (``_join``).  Theta ends and pyramid apexes
+are claw centres (``_claw_centres``), so only those are tried.
 ``class_membership`` runs C4, diamond and K_t on the whole graph: they
 are cheap mask tests, and a graph that has one never pays for a
 clique-cutset decomposition.  Theta, pyramid, prism and even wheel have
@@ -51,8 +53,8 @@ from typing import Iterator, NamedTuple, Optional
 
 from .cutsets import clique_cutset_atoms, find_clique_cutset
 from .errors import InputError
-from .graph_core import (Graph, bits, cliques, least_nonedge, mask_of,
-                         neighborhood, popcount)
+from .graph_core import (Graph, bit_list, bits, cliques, least_nonedge,
+                         mask_of, neighborhood, popcount)
 
 # deterministic obstruction search order for membership tests
 _KIND_ORDER = ("C4", "diamond", "K_t", "theta", "pyramid", "prism", "even_wheel")
@@ -78,8 +80,9 @@ def holes(g: Graph) -> Iterator[tuple[int, ...]]:
 
     A hole is an induced path closed at its least vertex v0: its two
     hole neighbors v1 < v2 are non-adjacent, and the rest is an induced
-    v1-v2 path (``_induced_paths``) through vertices above v0 that miss
-    v0.  Holes come out in increasing length; within one length,
+    v1-v2 path through vertices above v0 that miss v0.  One walk of
+    ``_induced_paths`` per (v0, v1) lists these paths for every v2 at
+    once.  Holes come out in increasing length; within one length,
     canonical tuples (v0, v1, ..., v2) in lexicographic order.
     """
     x = g.verts
@@ -90,10 +93,11 @@ def holes(g: Graph) -> Iterator[tuple[int, ...]]:
     for v0 in bits(x):
         above = x & ~((1 << (v0 + 1)) - 1)
         far = above & ~adj[v0]
-        for v1, v2 in itertools.combinations(bits(adj[v0] & above), 2):
-            if not (adj[v1] >> v2) & 1:
-                inside = far | (1 << v1) | (1 << v2)
-                found += [(v0, *p) for p in _induced_paths(g, v1, v2, inside)]
+        up = adj[v0] & above
+        for v1 in bits(up):
+            if ends := up & ~((2 << v1) - 1) & ~adj[v1]:
+                found += [(v0, *p) for p in
+                          _induced_paths(g, v1, ends, far | (1 << v1) | ends)]
     found.sort(key=lambda h: (len(h), h))
     yield from found
 
@@ -102,32 +106,45 @@ def holes(g: Graph) -> Iterator[tuple[int, ...]]:
 # induced path enumeration (shared by holes and the three-path detectors)
 
 
-def _induced_paths(g, a, b, within):
-    """All induced a-b paths inside a mask, as vertex tuples starting at
-    a, in lexicographic extension order."""
-    if a == b or not ((within >> a) & 1 and (within >> b) & 1):
+def _induced_paths(g, a, ends, within):
+    """All induced paths from a to a vertex of the mask ends, inside the
+    mask within and with no interior vertex in ends, as vertex tuples
+    starting at a.  Depth-first pre-order: at each vertex, the paths it
+    completes by its ends (ascending) before its extensions (ascending)."""
+    ends &= within & ~(1 << a)
+    if not ((within >> a) & 1 and ends):
         return []
     adj = g.adj
-    out = []
-    b_bit = 1 << b
-    inner = within & ~b_bit
-    # forbidden = the path plus everything adjacent to path[:-1]
-    stack = [((a,), 1 << a)]
-    while stack:
-        path, forbidden = stack.pop()
-        last = path[-1]
-        if adj[last] & b_bit:
-            # every longer path would have the chord last-b
-            out.append(path + (b,))
-            continue
-        new_forbidden = forbidden | adj[last] | (1 << last)
-        # highest first, so the least extension is popped first
-        m = adj[last] & inner & ~forbidden
-        while m:
-            w = m.bit_length() - 1
-            m ^= 1 << w
-            stack.append((path + (w,), new_forbidden))
-    return out
+    inner = within & ~ends
+    # a frame (untried extensions, ruled out: a and the path's neighbors,
+    # so the whole path; depth) per path vertex with extensions left
+    out, path, frames = [], [], []
+    v, ruled = a, 1 << a
+    while True:
+        path.append(v)
+        nbrs = adj[v]
+        ext = nbrs & inner & ~ruled
+        if nbrs & ends:
+            # an end stays reachable below v unless v's own were the last
+            hit = nbrs & ends & ~ruled
+            while hit:
+                low = hit & -hit
+                out.append((*path, low.bit_length() - 1))
+                hit ^= low
+            if not ends & ~(ruled | nbrs):
+                ext = 0
+        if ext:  # go down to the least extension
+            ruled |= nbrs
+            depth = len(path)
+        elif frames:  # or back to the deepest vertex with extensions left
+            ext, ruled, depth = frames.pop()
+            del path[depth:]
+        else:
+            return out
+        low = ext & -ext
+        if ext ^ low:
+            frames.append((ext ^ low, ruled, depth))
+        v = low.bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +235,20 @@ def _legs(g, a, b, within, shared=0, tri_masks=()):
     interior and, for each end that is a corner of a triangle in
     tri_masks, that end's neighbors outside its triangle.  Legs p and q
     fit iff p's conflict misses q's body (adjacency is symmetric)."""
+    adj = g.adj
     corner_nbrs = 0
     for m in tri_masks:
         for end in (a, b):
             if (m >> end) & 1:
-                corner_nbrs |= g.adj[end] & ~m
+                corner_nbrs |= adj[end] & ~m
+    ends = ((1 << a) | (1 << b)) & ~shared
     out = []
-    for p in _induced_paths(g, a, b, within):
-        body = mask_of(p) & ~shared
-        conflict = body | corner_nbrs
+    for p in _induced_paths(g, a, 1 << b, within):
+        body, conflict = ends, corner_nbrs
         for v in p[1:-1]:
-            conflict |= g.adj[v]
-        out.append((p, body, conflict))
+            body |= 1 << v
+            conflict |= adj[v]
+        out.append((p, body, conflict | body))
     return out
 
 
@@ -278,12 +297,32 @@ class ThetaWitness(NamedTuple):
     vertices = _path_vertices
 
 
+def _claw_centres(g: Graph) -> int:
+    """The vertices of g with three pairwise non-adjacent neighbors, by
+    bit loops: a least_nonedge call per neighbor took twice as long."""
+    adj = g.adj
+    centres = 0
+    for v in bits(g.verts):
+        rest = adj[v]
+        while rest.bit_count() > 2:  # neighbors u < w < x, none adjacent
+            u = rest & -rest
+            rest ^= u
+            far = rest & ~adj[u.bit_length() - 1]
+            while far & (far - 1):
+                w = far & -far
+                far ^= w
+                if far & ~adj[w.bit_length() - 1]:
+                    centres |= 1 << v
+                    rest = far = 0
+    return centres
+
+
 def detect_theta(g: Graph) -> Optional[ThetaWitness]:
     """Two non-adjacent branch vertices joined by three induced paths of
     length >= 2 with pairwise disjoint, anticomplete interiors: the
-    first leg triple i < j < l whose legs pairwise fit."""
-    branch = [v for v in g.vertex_list() if g.degree(v) >= 3]
-    for a, b in itertools.combinations(branch, 2):
+    first leg triple i < j < l whose legs pairwise fit.  Only claw
+    centres are paired: an end's neighbors on the legs are a claw."""
+    for a, b in itertools.combinations(bits(_claw_centres(g)), 2):
         if g.has_edge(a, b):
             continue
         legs = _legs(g, a, b, g.verts, (1 << a) | (1 << b))
@@ -311,11 +350,12 @@ def detect_pyramid(g: Graph, apex: int | None = None) -> Optional[PyramidWitness
     """Apex joined to a triangle by three paths meeting only at the apex,
     at least two of them of length >= 2; the only edges between different
     legs are the triangle edges.  An explicit apex restricts the search.
-    Apexes next to two corners are skipped; from any other apex at most
-    one leg, the edge to an adjacent corner, has length one."""
+    Only claw centres are tried, apexes next to two corners skipped; from
+    any other apex at most one leg, an edge to a corner, has length one."""
     if apex is not None:
         g.check_vertex(apex)
-    apexes = g.vertex_list() if apex is None else [apex]
+    centres = _claw_centres(g)
+    apexes = bit_list(centres if apex is None else centres & 1 << apex)
     for tri in cliques(g, 3):
         tri_mask = mask_of(tri)
         for a in apexes:
@@ -400,7 +440,7 @@ class WheelWitness(NamedTuple):
 
 def make_wheel_witness(g: Graph, hole: tuple[int, ...], center: int) -> WheelWitness:
     """Classify a hole/center pair (center off the hole, >= 3 neighbors
-    on it) against every wheel kind.
+    on it, all in g, else InputError) against every wheel kind.
 
     A wheel proper needs three pairwise non-adjacent spokes.  A line wheel
     has exactly four spokes forming two disjoint edges.  An even wheel is
@@ -408,10 +448,16 @@ def make_wheel_witness(g: Graph, hole: tuple[int, ...], center: int) -> WheelWit
     consecutive spokes) and short pyramids (three spokes, exactly one
     adjacent pair) are the non-proper shapes.
     """
+    for v in (center, *hole):
+        g.check_vertex(v)
     hole_mask = mask_of(hole)
+    if (hole_mask >> center) & 1:
+        raise InputError(f"center {center} lies on the hole")
     nbrs = g.adj[center] & hole_mask
     spokes = tuple(v for v in hole if (nbrs >> v) & 1)
     k = len(spokes)
+    if k < 3:
+        raise InputError(f"center {center} has {k} spokes on the hole")
 
     adj_pairs = sum(1 for u, v in itertools.combinations(spokes, 2)
                     if g.has_edge(u, v))
@@ -465,12 +511,16 @@ def _spokes(g: Graph) -> tuple[tuple[tuple[int, ...], int, int, bool], ...]:
     each vertex v off the hole with at least three spokes (neighbors) on
     it; wheel tells whether three of those spokes are pairwise
     non-adjacent.  The one hole pass behind every wheel scan."""
+    adj = g.adj
     out = []
     for hole in holes(g):
-        hole_mask = mask_of(hole)
-        for v in bits(g.verts & ~hole_mask):
-            if popcount(g.adj[v] & hole_mask) >= 3:
-                spokes = [u for u in hole if (g.adj[v] >> u) & 1]
+        hole_mask = near = 0
+        for u in hole:
+            hole_mask |= 1 << u
+            near |= adj[u]
+        for v in bits(near & ~hole_mask):  # a spoke makes v near
+            if popcount(adj[v] & hole_mask) >= 3:
+                spokes = [u for u in hole if (adj[v] >> u) & 1]
                 out.append((hole, hole_mask, v,
                             _has_independent_triple(g, spokes)))
     return tuple(out)

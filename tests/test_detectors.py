@@ -115,6 +115,26 @@ def test_wheel_taxonomy_flags():
     assert not wit5.long_sectors()
 
 
+# a six-hole, and vertex 6 with two spokes on it
+_C6_PLUS_7 = [(i, (i + 1) % 6) for i in range(6)] + [(6, 0), (6, 3)]
+
+
+@pytest.mark.parametrize("edges, hole, center, message", [
+    # the center outside the graph, above n and negative
+    (_C6_PLUS_7[:6], tuple(range(6)), 9, "vertex 9 is not in the graph"),
+    (_C6_PLUS_7[:6], tuple(range(6)), -1, "vertex -1 is not in the graph"),
+    # the center on the hole
+    (_C6_PLUS_7[:6], tuple(range(6)), 0, "center 0 lies on the hole"),
+    # a hole vertex outside the graph
+    (_C6_PLUS_7, (0, 1, 2, 3, 4, 9), 6, "vertex 9 is not in the graph"),
+    # two spokes
+    (_C6_PLUS_7, tuple(range(6)), 6, "center 6 has 2 spokes on the hole"),
+])
+def test_wheel_witness_input_is_checked(edges, hole, center, message):
+    with pytest.raises(InputError, match=message):
+        make_wheel_witness(Graph(7, edges), hole, center)
+
+
 def test_sectors(w93):
     wit = [w for w in classify_wheels(w93) if w.center == 9][0]
     assert wit.sectors == ((0, 1, 2, 3), (3, 4, 5, 6), (6, 7, 8, 0))
@@ -315,12 +335,15 @@ def test_induced_path_order_is_pinned():
     depth-first pre-order: a path's completion by b before its extensions,
     the extensions by ascending vertex.  That is the order of the paths
     with b read as -1; the theta, pyramid and prism witnesses depend on
-    it."""
+    it.  With several ends, it lists every induced path from a to an end
+    whose interior misses the ends, a vertex's ends (ascending) before
+    its extensions (ascending): the order with each end v read as v - n.
+    Ends outside the mask and a itself are never reached."""
     def chordless(p):
         return not any(h.has_edge(p[i], p[j]) for i in range(len(p))
                        for j in range(i + 2, len(p)))
 
-    rng = random.Random(11)
+    rng, ends_rng = random.Random(11), random.Random(12)
     for i, g in enumerate(seeded_random_graphs(60, 8, 400)):
         h = oracles.to_nx(g)
         for within in (g.verts, _sparse_mask(g, rng)):
@@ -333,7 +356,19 @@ def test_induced_path_order_is_pinned():
                         key=lambda p: tuple(-1 if v == b else v for v in p))
                 else:
                     want = []
-                assert _induced_paths(g, a, b, within) == want, (i, a, b)
+                assert _induced_paths(g, a, 1 << b, within) == want, (i, a, b)
+            for a in g.vertex_list():
+                for ends in (ends_rng.getrandbits(g.n), ends_rng.getrandbits(
+                        g.n) | 1 << a, g.verts & ~within, 0):
+                    targets = [b for b in bit_list(ends & within) if b != a]
+                    want = sorted(
+                        (tuple(p) for b in targets if a in inside
+                         for p in nx.all_simple_paths(inside, a, b)
+                         if chordless(p) and not mask_of(p[1:-1]) & ends),
+                        key=lambda p: tuple(v - g.n if (ends >> v) & 1 else v
+                                            for v in p[1:]))
+                    assert _induced_paths(g, a, ends, within) == want, \
+                        (i, a, ends, within)
 
 
 def test_long_cycle_searches_need_no_recursion():
@@ -342,7 +377,7 @@ def test_long_cycle_searches_need_no_recursion():
     paths come out of the iterative searches all the same."""
     g = cycle_graph(1200)
     assert list(holes(g)) == [tuple(range(1200))]
-    assert _induced_paths(g, 0, 600, g.verts) == [
+    assert _induced_paths(g, 0, 1 << 600, g.verts) == [
         tuple(range(601)), (0,) + tuple(range(1199, 599, -1))]
 
 

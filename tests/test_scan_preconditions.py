@@ -1,4 +1,4 @@
-"""The recognition scans skip what their pattern's degree or
+"""The recognition scans skip what their pattern's degree, claw or
 connectivity precondition rules out.  The references below are the
 scans without those skips; every answer and witness must equal theirs,
 and on the seed-0 recognize-mutants pass each skipped call is counted."""
@@ -7,16 +7,21 @@ import itertools
 import random
 import sys
 
+import networkx as nx
 import pytest
 
 from perfbench import corpus
 from starsep import detectors, graph_core
 from starsep.cutsets import clique_cutset_atoms, find_clique_cutset
-from starsep.detectors import (_atom_graphs, _find_c4, _find_diamond,
-                               class_membership, find_even_wheel,
-                               make_wheel_witness, verify_obstruction)
-from starsep.graph_core import (Graph, bits, components, least_nonedge,
-                                mask_of, neighborhood, popcount)
+from starsep.detectors import (PyramidWitness, ThetaWitness, _atom_graphs,
+                               _claw_centres, _find_c4, _find_diamond, _join,
+                               _legs, _spokes, class_membership, detect_fixed,
+                               detect_pyramid, detect_theta, find_even_wheel,
+                               holes, make_wheel_witness, verify_obstruction)
+from starsep.generators import make
+from starsep.graph_core import (Graph, bit_list, bits, cliques, components,
+                                least_nonedge, mask_of, neighborhood,
+                                popcount)
 
 from .test_cutsets import _parent_find_clique_cutset
 from .test_spoke_record import fresh_spoked
@@ -60,6 +65,46 @@ def _reference_even_wheel(g):
         if w.is_even_wheel:
             return w
     return None
+
+
+def _reference_theta(g):
+    """Every pair of vertices of degree three or more, claw centres or
+    not."""
+    branch = [v for v in g.vertex_list() if g.degree(v) >= 3]
+    for a, b in itertools.combinations(branch, 2):
+        if g.has_edge(a, b):
+            continue
+        legs = _legs(g, a, b, g.verts, (1 << a) | (1 << b))
+        for i, (p, _, pc) in enumerate(legs):
+            for j in range(i + 1, len(legs)):
+                q, qb, qc = legs[j]
+                if pc & qb:
+                    continue
+                c = pc | qc
+                for r, rb, _ in legs[j + 1:]:
+                    if not c & rb:
+                        return ThetaWitness(a, b, (p, q, r))
+    return None
+
+
+def _reference_pyramid(g, apex=None):
+    """Every vertex as apex, or the given one, claw centre or not."""
+    apexes = g.vertex_list() if apex is None else [apex]
+    for tri in cliques(g, 3):
+        tri_mask = mask_of(tri)
+        for a in apexes:
+            if (tri_mask >> a) & 1 or popcount(g.adj[a] & tri_mask) >= 2:
+                continue
+            legs = _join(g, [(a, b) for b in tri], (tri_mask,), 1 << a)
+            if legs:
+                return PyramidWitness(a, tri, legs)
+    return None
+
+
+def _reference_claw_centres(g):
+    return mask_of(v for v in g.vertex_list() if any(
+        not (g.has_edge(u, w) or g.has_edge(u, x) or g.has_edge(w, x))
+        for u, w, x in itertools.combinations(bit_list(g.adj[v]), 3)))
 
 
 def _reference_atom_graphs(g):
@@ -120,7 +165,9 @@ def test_scans_match_their_references_on_benchmark_pools(workload):
     rng = random.Random(workload)
     fired = set()
     for e in corpus.load_pool(workload)["graphs"]:
-        _assert_same_as_reference(Graph(e["n"], e["edges"]), rng, fired)
+        g = Graph(e["n"], e["edges"])
+        _assert_same_as_reference(g, rng, fired)
+        _assert_claw_searches_as_reference(g)
     assert fired >= {"c4 vertex", "diamond edge", "odd spokes"}
 
 
@@ -170,3 +217,127 @@ def test_recognize_mutants_pass_checks_each_precondition(monkeypatch):
     # one record per graph that reaches find_clique_cutset; without the
     # skips, 52 and 1,090 calls
     assert (len(built), calls) == (93, {"wheel": 20, "nonedge": 83})
+
+
+def _c4_diamond_free(g):
+    """g less the first edge of each C4 and diamond found, until none is
+    left."""
+    edges = set(g.edges())
+    while True:
+        quad = detect_fixed(g, "C4") or detect_fixed(g, "diamond")
+        if quad is None:
+            return g
+        edges.discard(next(e for e in sorted(edges) if set(e) <= set(quad)))
+        g = Graph(g.n, sorted(edges))
+
+
+def _assert_claw_searches_as_reference(g):
+    """Theta pairs and pyramid apexes are tried only at claw centres; the
+    witnesses, also from each given apex, equal those of the scans over
+    every vertex.  Returns the witnesses found."""
+    assert _claw_centres(g) == _reference_claw_centres(g), g
+    found = [detect_theta(g), detect_pyramid(g)] + [
+        detect_pyramid(g, apex=v) for v in g.vertex_list()]
+    assert found == [_reference_theta(g), _reference_pyramid(g)] + [
+        _reference_pyramid(g, v) for v in g.vertex_list()], g
+    return found
+
+
+def test_claw_centre_searches_match_their_references_on_random_graphs():
+    """On seeded random graphs, and on the same graphs made C4- and
+    diamond-free, as recognition meets them."""
+    rng = random.Random(38)
+    found = {"theta": 0, "pyramid": 0, "apex": 0}
+    for _ in range(120):
+        n = rng.randint(4, 14)
+        p = rng.uniform(0.1, 0.5)
+        g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                      if rng.random() < p])
+        for h in (g, _c4_diamond_free(g)):
+            theta, pyramid, *apexes = _assert_claw_searches_as_reference(h)
+            found["theta"] += theta is not None
+            found["pyramid"] += pyramid is not None
+            found["apex"] += sum(w is not None for w in apexes)
+    assert min(found.values()) >= 10, found
+
+
+def test_claw_free_graphs_walk_no_induced_path(monkeypatch):
+    """A line graph has no claw, so neither theta nor pyramid lists a
+    path there, where the scans over every vertex list many."""
+    walks = []
+
+    def counted(*args, _orig=detectors._induced_paths):
+        walks.append(args)
+        return _orig(*args)
+
+    monkeypatch.setattr(detectors, "_induced_paths", counted)
+    for seed in range(3):
+        h = nx.line_graph(nx.random_regular_graph(3, 12, seed=seed))
+        index = {e: i for i, e in enumerate(sorted(h))}
+        g = Graph(len(index), [(index[u], index[w]) for u, w in h.edges()])
+        assert _claw_centres(g) == 0 and next(cliques(g, 3), None)
+        assert detect_theta(g) is None and detect_pyramid(g) is None
+        assert all(detect_pyramid(g, apex=v) is None
+                   for v in g.vertex_list())
+        assert walks == []
+        assert _reference_theta(g) is None and _reference_pyramid(g) is None
+        assert walks
+        walks.clear()
+
+
+def _spoked_wheel(n):
+    """WHEEL(n, {1, 4, ..., n - 2}): a hub with a spoke on every third rim
+    vertex, a member of the class."""
+    return make(f"WHEEL({n},{{{','.join(map(str, range(1, n - 1, 3)))}}})")
+
+
+@pytest.mark.parametrize("name", ["W93", "WHEEL(183)"])
+def test_holes_walk_once_per_least_vertex_and_next(monkeypatch, name):
+    """holes makes one _induced_paths walk per (v0, v1) that closes a
+    hole, v1 < v2 being non-adjacent neighbors of the least hole vertex
+    v0 above it, and not one per pair (v1, v2); the holes equal those of
+    one walk per pair, which takes more walks."""
+    g = make(name) if name == "W93" else _spoked_wheel(183)
+    walks = []
+
+    def counted(*args, _orig=detectors._induced_paths):
+        walks.append(args)
+        return _orig(*args)
+
+    monkeypatch.setattr(detectors, "_induced_paths", counted)
+    found = list(holes(g))
+    walked = len(walks)
+    per_pair, firsts = [], set()
+    for v0 in g.vertex_list():
+        above = g.verts & ~((2 << v0) - 1)
+        far = above & ~g.adj[v0]
+        for v1, v2 in itertools.combinations(bits(g.adj[v0] & above), 2):
+            if not g.has_edge(v1, v2):
+                firsts.add((v0, v1))
+                within = far | (1 << v1) | (1 << v2)
+                per_pair += [(v0, *p) for p in counted(g, v1, 1 << v2, within)]
+    assert found == sorted(per_pair, key=lambda h: (len(h), h))
+    assert len(set(walks[:walked])) == walked == len(firsts)
+    assert len(walks) - walked > walked
+
+
+@pytest.mark.parametrize("name", ["W93", "WHEEL(183)"])
+def test_spoke_counts_are_taken_only_next_to_the_hole(monkeypatch, name):
+    """_spokes counts spokes only for the vertices off a hole that are
+    adjacent to it, never for one with no spoke."""
+    g = make(name) if name == "W93" else _spoked_wheel(183)
+    counted = []
+
+    def count(mask, _orig=popcount):
+        if _called_from("_spokes"):
+            counted.append(mask)
+        return _orig(mask)
+
+    monkeypatch.setattr(detectors, "popcount", count)
+    _spokes(g)
+    monkeypatch.undo()
+    want = []
+    for hole in holes(g):
+        m = mask_of(hole)
+        want += [g.adj[v] & m for v in bits(g.verts & ~m) if g.adj[v] & m]
+    assert counted == want and all(counted)
