@@ -28,10 +28,11 @@ record ``(path, body, conflict)`` per induced path between two ends
 theta, all but the apex for a pyramid, the whole path for a prism.  The
 conflict adds the neighbors of the interior and, at each end that is a
 triangle corner, that end's neighbors outside its triangle.  Two legs
-fit iff one's conflict misses the other's body; theta takes the first
-fitting triple i < j < l of one leg list, pyramid and prism the first in
-product order over three (``_join``).  Theta ends and pyramid apexes
-are claw centres (``_claw_centres``), so only those are tried.
+fit iff one's conflict misses the other's body.  Each configuration
+takes the first fitting triple in product order over its three end
+pairs' leg lists (``_join``), for a theta one list thrice: its first
+i < j < l.  Only claw centres (``_claw_centres``) are tried as theta
+ends and pyramid apexes.
 ``class_membership`` runs C4, diamond and K_t on the whole graph: they
 are cheap mask tests, and a graph that has one never pays for a
 clique-cutset decomposition.  Theta, pyramid, prism and even wheel have
@@ -257,8 +258,8 @@ def _join(g, ends, tri_masks, shared=0, memo=None):
     three end pairs, whose legs pairwise fit; None as soon as an end pair
     has no leg.  Leg i runs ends[i][0] .. ends[i][1] and avoids the other
     triangle corners, which only prunes: each lies in another leg's body.
-    A memo dict, shared by calls with the same tri_masks and shared,
-    keeps each end pair's leg list for the next call."""
+    The memo, shared by calls with the same tri_masks and shared, builds
+    each end pair's leg list once, for a repeated pair or the next call."""
     corners = 0
     for m in tri_masks:
         corners |= m
@@ -318,23 +319,16 @@ def _claw_centres(g: Graph) -> int:
 
 
 def detect_theta(g: Graph) -> Optional[ThetaWitness]:
-    """Two non-adjacent branch vertices joined by three induced paths of
-    length >= 2 with pairwise disjoint, anticomplete interiors: the
-    first leg triple i < j < l whose legs pairwise fit.  Only claw
-    centres are paired: an end's neighbors on the legs are a claw."""
+    """Two non-adjacent claw centres (an end's leg neighbors are a claw)
+    joined by three induced paths of length >= 2 with pairwise disjoint,
+    anticomplete interiors: ``_join`` over one leg list thrice.  No leg
+    fits itself and fitting is symmetric, so that is the first i < j < l."""
     for a, b in itertools.combinations(bits(_claw_centres(g)), 2):
         if g.has_edge(a, b):
             continue
-        legs = _legs(g, a, b, g.verts, (1 << a) | (1 << b))
-        for i, (p, _, pc) in enumerate(legs):
-            for j in range(i + 1, len(legs)):
-                q, qb, qc = legs[j]
-                if pc & qb:
-                    continue
-                c = pc | qc
-                for r, rb, _ in legs[j + 1:]:
-                    if not c & rb:
-                        return ThetaWitness(a, b, (p, q, r))
+        legs = _join(g, ((a, b),) * 3, (), (1 << a) | (1 << b))
+        if legs:
+            return ThetaWitness(a, b, legs)
     return None
 
 
@@ -439,18 +433,24 @@ class WheelWitness(NamedTuple):
 
 
 def make_wheel_witness(g: Graph, hole: tuple[int, ...], center: int) -> WheelWitness:
-    """Classify a hole/center pair (center off the hole, >= 3 neighbors
-    on it, all in g, else InputError) against every wheel kind.
+    """Classify a hole of g (four or more distinct vertices, each adjacent
+    to exactly its two cyclic neighbors) and a center off it with >= 3
+    neighbors on it, else InputError, against every wheel kind.
 
     A wheel proper needs three pairwise non-adjacent spokes.  A line wheel
-    has exactly four spokes forming two disjoint edges.  An even wheel is
-    a line wheel or a wheel with an even spoke count.  Twin wheels (three
-    consecutive spokes) and short pyramids (three spokes, exactly one
-    adjacent pair) are the non-proper shapes.
+    has exactly four spokes forming two disjoint edges, so each spoke has
+    one spoke neighbor.  An even wheel is a line wheel or a wheel with an
+    even spoke count.  Twin wheels (three consecutive spokes) and short
+    pyramids (three spokes, exactly one adjacent pair) are the non-proper
+    shapes.
     """
     for v in (center, *hole):
         g.check_vertex(v)
-    hole_mask = mask_of(hole)
+    hole_mask, L = mask_of(hole), len(hole)
+    if L < 4 or popcount(hole_mask) != L or any(
+            g.adj[v] & hole_mask != 1 << hole[i - 1] | 1 << hole[i + 1 - L]
+            for i, v in enumerate(hole)):
+        raise InputError(f"{list(hole)} is not a hole of the graph")
     if (hole_mask >> center) & 1:
         raise InputError(f"center {center} lies on the hole")
     nbrs = g.adj[center] & hole_mask
@@ -459,10 +459,10 @@ def make_wheel_witness(g: Graph, hole: tuple[int, ...], center: int) -> WheelWit
     if k < 3:
         raise InputError(f"center {center} has {k} spokes on the hole")
 
-    adj_pairs = sum(1 for u, v in itertools.combinations(spokes, 2)
-                    if g.has_edge(u, v))
+    degs = [popcount(g.adj[s] & nbrs) for s in spokes]
+    adj_pairs = sum(degs) // 2
     wheel = _has_independent_triple(g, spokes)
-    line = k == 4 and adj_pairs == 2 and _is_two_disjoint_edges(g, spokes)
+    line = k == 4 and adj_pairs == 2 and max(degs) == 1
     twin = k == 3 and adj_pairs == 2
     short_pyr = k == 3 and adj_pairs == 1
     universal = nbrs == hole_mask
@@ -483,15 +483,6 @@ def _has_independent_triple(g, spokes):
         if not (g.has_edge(u, v) or g.has_edge(u, w) or g.has_edge(v, w)):
             return True
     return False
-
-
-def _is_two_disjoint_edges(g, spokes):
-    pairs = [(u, v) for u, v in itertools.combinations(spokes, 2)
-             if g.has_edge(u, v)]
-    if len(pairs) != 2:
-        return False
-    (a, b), (c, d) = pairs
-    return len({a, b, c, d}) == 4
 
 
 def _sectors(hole, nbr_mask):

@@ -682,9 +682,16 @@ def graph_from_json_obj(obj) -> tuple[Graph, WeightFn | None]:
 
 
 def graph_weights(g: Graph, values, source: str) -> WeightFn:
-    """WeightFn(g.n, values), refused unless it weighs 1 on g's vertices:
-    weight on an id outside a file's vertex list is an input error."""
-    w = WeightFn(g.n, values)
+    """WeightFn(g.n, values), refused unless it fits g (``check_weights``)."""
+    return check_weights(g, WeightFn(g.n, values), source)
+
+
+def check_weights(g: Graph, w: WeightFn, source="the weight function"):
+    """w, refused unless it has a weight per id of g and totals 1 on g's
+    vertices, so none on an id outside a file's vertex list or dropped by
+    an induced subgraph."""
+    if w.n != g.n:
+        raise InputError(f"{source} has {w.n} weights for {g.n} vertex ids")
     if not w.weighs_one(g.verts):
         raise InputError(f"{source} puts weight on vertices outside the "
                          "graph")

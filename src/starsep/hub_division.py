@@ -25,8 +25,8 @@ from typing import NamedTuple
 from .central_bag import CentralBag, central_bag, revised_collection
 from .detectors import _spoked, hub_set
 from .errors import HypothesisViolation, InputError
-from .graph_core import (Graph, WeightFn, bit_list, bits, degeneracy, mask_of,
-                         popcount)
+from .graph_core import (Graph, WeightFn, bit_list, bits, check_weights,
+                         degeneracy, mask_of, popcount)
 from .separations import canonical_separation, classify_balanced, minimal_under_leq_a
 
 
@@ -121,6 +121,7 @@ def hub_division(g: Graph, w: WeightFn, t: int) -> HubDivision:
     """
     if t < 4:
         raise InputError("hub division needs t >= 4")
+    check_weights(g, w)
     part, ordering = g.kept(_hub_order)
     m, minimal, canon = 1, 0, ()
     if ordering:

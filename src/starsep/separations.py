@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import HypothesisViolation, InputError
-from .graph_core import (Graph, WeightFn, bit_list, bits, components,
-                         far_components, neighborhood)
+from .graph_core import (Graph, WeightFn, bit_list, bits, check_weights,
+                         components, far_components, neighborhood)
 
 HALF = Fraction(1, 2)
 
@@ -128,33 +128,32 @@ class OrderDigest(NamedTuple):
 
 def leq_a_order(g: Graph, w: WeightFn) -> OrderDigest:
     """Materialize the order on unbalanced vertices where x precedes y
-    when y lies in the A side of x, and verify it is a partial order.
-
-    Antisymmetry or transitivity failures raise with the violating pair;
-    on diamond-free, C4-free graphs with no clique cutset they cannot
-    occur.
-    """
+    when y lies in the A side of x, and verify it is a partial order
+    (``check_partial_order``), as it is on diamond-free, C4-free graphs
+    with no clique cutset.  Weights must fit g (``check_weights``)."""
+    check_weights(g, w)
     _, u = classify_balanced(g, w)
     seps = {v: canonical_separation(g, w, v) for v in bits(u)}
-    pairs = set()
-    for x in bits(u):
-        pairs.add((x, x))
-        ax = seps[x].a
-        for y in bits(u & ax):
-            pairs.add((x, y))
-    for (x, y) in list(pairs):
-        if x != y and (y, x) in pairs:
-            raise HypothesisViolation(
-                "A-side order is not antisymmetric",
-                witness={"x": x, "y": y})
-    for (x, y) in list(pairs):
-        for (y2, z) in list(pairs):
-            if y == y2 and (x, z) not in pairs:
-                raise HypothesisViolation(
-                    "A-side order is not transitive",
-                    witness={"x": x, "y": y, "z": z})
-    return OrderDigest(unbalanced=u, pairs=frozenset(pairs),
-                       minimal=minimal_under_leq_a(seps, u), separations=seps)
+    up = {x: 1 << x | u & seps[x].a for x in bits(u)}
+    check_partial_order(up)
+    return OrderDigest(u, frozenset((x, y) for x in up for y in bits(up[x])),
+                       minimal_under_leq_a(seps, u), seps)
+
+
+def check_partial_order(up: dict[int, int]) -> None:
+    """Raise unless x <= y iff y in up[x] (which holds x) is a partial
+    order, naming the least failing x, then its least y != x in up[x]:
+    x in up[y] fails antisymmetry, else up[y] outside up[x] fails
+    transitivity, at its least z."""
+    for x in sorted(up):
+        for y in bits(up[x] & ~(1 << x)):
+            if (up[y] >> x) & 1:
+                raise HypothesisViolation("A-side order is not antisymmetric",
+                                          witness={"x": x, "y": y})
+            if extra := up[y] & ~up[x]:
+                z = (extra & -extra).bit_length() - 1
+                raise HypothesisViolation("A-side order is not transitive",
+                                          witness={"x": x, "y": y, "z": z})
 
 
 def minimal_under_leq_a(seps: dict[int, Separation], subset: int) -> int:

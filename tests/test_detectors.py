@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -129,6 +130,19 @@ _C6_PLUS_7 = [(i, (i + 1) % 6) for i in range(6)] + [(6, 0), (6, 3)]
     (_C6_PLUS_7, (0, 1, 2, 3, 4, 9), 6, "vertex 9 is not in the graph"),
     # two spokes
     (_C6_PLUS_7, tuple(range(6)), 6, "center 6 has 2 spokes on the hole"),
+    # a path of the rim, not a cycle: (4, 0) is not an edge
+    (_C6_PLUS_7, (0, 1, 2, 3, 4), 6,
+     re.escape("[0, 1, 2, 3, 4] is not a hole of the graph")),
+    # a cycle with the chord 0-3
+    (_C6_PLUS_7 + [(0, 3), (6, 1)], tuple(range(6)), 6,
+     re.escape("[0, 1, 2, 3, 4, 5] is not a hole of the graph")),
+    # repeated vertices: the hole walked twice, each vertex still between
+    # its two hole neighbors
+    (_C6_PLUS_7[:6] + [(6, 1), (6, 3), (6, 5)], tuple(range(6)) * 2, 6,
+     re.escape(f"{list(range(6)) * 2} is not a hole of the graph")),
+    # a triangle, every vertex a spoke
+    ([(0, 1), (1, 2), (0, 2), (3, 0), (3, 1), (3, 2)], (0, 1, 2), 3,
+     re.escape("[0, 1, 2] is not a hole of the graph")),
 ])
 def test_wheel_witness_input_is_checked(edges, hole, center, message):
     with pytest.raises(InputError, match=message):
@@ -158,6 +172,52 @@ def test_wheel_witnesses_of_the_benchmark_pools_are_pinned():
     blob = json.dumps(rows, sort_keys=True).encode()
     assert len(rows) == 156 and hashlib.sha256(blob).hexdigest() == \
         "8c5cd6a7f18f7e2d4c19c8d05410326e0239e4a704b3b4b2d528f39db1558404"
+
+
+def _is_two_disjoint_edges(g, spokes):
+    pairs = [(u, v) for u, v in itertools.combinations(spokes, 2)
+             if g.has_edge(u, v)]
+    if len(pairs) != 2:
+        return False
+    (a, b), (c, d) = pairs
+    return len({a, b, c, d}) == 4
+
+
+def _reference_wheel_flags(g, hole, center):
+    """The taxonomy flags by pair scans over the spokes."""
+    spokes = [v for v in hole if g.has_edge(center, v)]
+    k = len(spokes)
+    adj_pairs = sum(1 for u, v in itertools.combinations(spokes, 2)
+                    if g.has_edge(u, v))
+    wheel = any(not (g.has_edge(u, v) or g.has_edge(u, w) or g.has_edge(v, w))
+                for u, v, w in itertools.combinations(spokes, 3))
+    line = k == 4 and adj_pairs == 2 and _is_two_disjoint_edges(g, spokes)
+    return (wheel, line, line or (wheel and k % 2 == 0),
+            k == 3 and adj_pairs == 2, k == 3 and adj_pairs == 1, wheel,
+            k == len(hole))
+
+
+def test_wheel_flags_match_the_pair_scans():
+    """The flags read off spoke degrees equal the pair scans' on every
+    spoked (hole, center) of the benchmark pools and of seeded random
+    graphs; four spokes with two adjacent pairs come both as two disjoint
+    edges and as a path of three spokes."""
+    graphs = [Graph(e["n"], e["edges"]) for workload in corpus.WORKLOADS
+              for e in corpus.load_pool(workload)["graphs"]]
+    graphs += seeded_random_graphs(100, 12, 39)
+    four = set()
+    for g in graphs:
+        for hole, _, v, _ in _spokes(g):
+            w = make_wheel_witness(g, hole, v)
+            flags = _reference_wheel_flags(g, hole, v)
+            assert (w.is_wheel, w.is_line_wheel, w.is_even_wheel,
+                    w.is_twin_wheel, w.is_short_pyramid, w.is_proper_wheel,
+                    w.is_universal_wheel) == flags, (g, hole, v)
+            if len(w.spokes) == 4 and sum(
+                    g.has_edge(a, b)
+                    for a, b in itertools.combinations(w.spokes, 2)) == 2:
+                four.add(w.is_line_wheel)
+    assert four == {True, False}
 
 
 def test_shortest_hole_names_the_even_wheel():

@@ -261,6 +261,46 @@ def test_claw_centre_searches_match_their_references_on_random_graphs():
     assert min(found.values()) >= 10, found
 
 
+def _generalized_petersen(n, k):
+    """GP(n, k): an outer n-cycle, a spoke from each of its vertices, and
+    the spokes' inner ends joined k apart."""
+    return Graph(2 * n, [(i, (i + 1) % n) for i in range(n)]
+                 + [(i, n + i) for i in range(n)]
+                 + [(n + i, n + (i + k) % n) for i in range(n)])
+
+
+def _girth5_subcubic(n, seed):
+    """A seeded subcubic graph of girth five or more: the vertex pairs in
+    a shuffled order, each joined while both have degree below three and
+    no path of length three or less joins them."""
+    rng = random.Random(seed)
+    h = nx.empty_graph(n)
+    pairs = list(itertools.combinations(range(n), 2))
+    rng.shuffle(pairs)
+    for a, b in pairs:
+        if h.degree(a) < 3 and h.degree(b) < 3 and \
+                b not in nx.single_source_shortest_path_length(h, a, 3):
+            h.add_edge(a, b)
+    return Graph(n, sorted(h.edges()))
+
+
+@pytest.mark.parametrize("name", ["GP(20,3)", "girth5(32)", "girth5(48)",
+                                  "WHEEL(183)"])
+def test_theta_matches_its_reference_where_legs_abound(name):
+    """detect_theta takes the first fitting triple in _join's product
+    order over one leg list three times, which is the reference's first
+    i < j < l, also where an end pair has thousands of legs (the cubic
+    graphs, which hold a theta) or many claw-centre pairs have legs and
+    none fits (the wheel, a class member)."""
+    g = {"GP(20,3)": lambda: _generalized_petersen(20, 3),
+         "girth5(32)": lambda: _girth5_subcubic(32, 1),
+         "girth5(48)": lambda: _girth5_subcubic(48, 2),
+         "WHEEL(183)": lambda: _spoked_wheel(183)}[name]()
+    found = detect_theta(g)
+    assert found == _reference_theta(g)
+    assert (found is None) == (name == "WHEEL(183)")
+
+
 def test_claw_free_graphs_walk_no_induced_path(monkeypatch):
     """A line graph has no claw, so neither theta nor pyramid lists a
     path there, where the scans over every vertex list many."""

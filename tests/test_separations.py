@@ -4,12 +4,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from starsep.errors import InputError
-from starsep.graph_core import (WeightFn, bit_list, bits, far_components,
-                                mask_of)
+from perfbench import corpus
+from starsep.errors import HypothesisViolation, InputError
+from starsep.generators import make
+from starsep.graph_core import (Graph, WeightFn, bit_list, bits,
+                                check_weights, far_components, mask_of)
+from starsep.hub_division import hub_division
 from starsep.separations import (Separation, canonical_separation,
-                                 classify_balanced, leq_a_order,
+                                 check_partial_order, classify_balanced,
+                                 leq_a_order, minimal_under_leq_a,
                                  nearly_noncrossing, validate_separation)
+from starsep.separator_engine import main_separator
 
 from . import oracles
 from .conftest import small_graphs
@@ -271,3 +276,95 @@ def test_classifying_one_vertex_splits_only_its_far_side(monkeypatch):
         split.clear()
         classify_balanced(fresh, WeightFn.uniform(fresh), 1 << v)
         assert split == [fresh.verts & ~fresh.closed_nbr(v)]
+
+
+def _reference_leq_a_order(g, w):
+    """The pair scan: every pair of pairs is tried for transitivity."""
+    _, u = classify_balanced(g, w)
+    seps = {v: canonical_separation(g, w, v) for v in bits(u)}
+    pairs = set()
+    for x in bits(u):
+        pairs.add((x, x))
+        for y in bits(u & seps[x].a):
+            pairs.add((x, y))
+    for (x, y) in list(pairs):
+        if x != y and (y, x) in pairs:
+            raise HypothesisViolation("A-side order is not antisymmetric")
+    for (x, y) in list(pairs):
+        for (y2, z) in list(pairs):
+            if y == y2 and (x, z) not in pairs:
+                raise HypothesisViolation("A-side order is not transitive")
+    return u, frozenset(pairs), minimal_under_leq_a(seps, u)
+
+
+def _outcome(order, g, w):
+    """(U, pairs, minimal), or the message of the violation raised."""
+    try:
+        return order(g, w)[:3]
+    except HypothesisViolation as e:
+        return str(e)
+
+
+def test_leq_a_order_matches_the_pair_scan():
+    """The successor-mask check gives the pair scan's digest on long
+    paths, and on the benchmark pools under seeded rational weights."""
+    for n in (9, 60, 140):
+        g = make(f"P{n}")
+        w = WeightFn.uniform(g)
+        want = _reference_leq_a_order(g, w)
+        assert leq_a_order(g, w)[:3] == want
+        assert len(want[1]) > n
+    checked = 0
+    for workload in corpus.WORKLOADS:
+        for i, e in enumerate(corpus.load_pool(workload)["graphs"][:20]):
+            g = Graph(e["n"], e["edges"])
+            for w in (WeightFn.uniform(g), _random_rational_weights(g, i)):
+                assert _outcome(leq_a_order, g, w) == \
+                    _outcome(_reference_leq_a_order, g, w), g
+                checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("up, message, witness", [
+    # a chain and an empty relation are partial orders
+    ({0: 0b111, 1: 0b110, 2: 0b100}, None, None),
+    ({}, None, None),
+    ({0: 0b011, 1: 0b011}, "antisymmetric", {"x": 0, "y": 1}),
+    ({0: 0b011, 1: 0b110, 2: 0b100}, "transitive", {"x": 0, "y": 1, "z": 2}),
+    # at one (x, y) antisymmetry is tested first
+    ({0: 0b011, 1: 0b111, 2: 0b100}, "antisymmetric", {"x": 0, "y": 1}),
+    # the least failing x, then its least failing y, then the least z;
+    # (1, 3, 0) and (2, 3, 0) fail too
+    ({0: 0b000001, 1: 0b001110, 2: 0b111100, 3: 0b001001, 4: 0b010000,
+      5: 0b100000}, "transitive", {"x": 1, "y": 2, "z": 4}),
+    ({0: 0b0001, 3: 0b1001, 1: 0b1010, 2: 0b1110}, "transitive",
+     {"x": 1, "y": 3, "z": 0}),
+])
+def test_partial_order_check_names_the_least_failure(up, message, witness):
+    if message is None:
+        check_partial_order(up)
+        return
+    with pytest.raises(HypothesisViolation, match=message) as e:
+        check_partial_order(up)
+    assert e.value.witness == witness
+
+
+def test_weights_that_do_not_fit_the_graph_are_refused(w93):
+    """Too few or too many weight slots, or weight on a vertex an induced
+    subgraph dropped, is an input error of the separator pipeline and the
+    order, not a failed conclusion."""
+    dropped = w93.induced(w93.verts & ~1)
+    cases = [(w93, WeightFn(3, [1, 0, 0]), "has 3 weights for 10 vertex ids"),
+             (w93, WeightFn(12, [0] * 11 + [1]),
+              "has 12 weights for 10 vertex ids"),
+             (dropped, WeightFn(10, [1] + [0] * 9),
+              "puts weight on vertices outside the graph")]
+    for g, w, message in cases:
+        for call in (lambda: check_weights(g, w),
+                     lambda: hub_division(g, w, 4),
+                     lambda: main_separator(g, w, 4),
+                     lambda: leq_a_order(g, w)):
+            with pytest.raises(InputError, match=message):
+                call()
+    w = WeightFn.uniform(dropped)
+    assert check_weights(dropped, w) is w
