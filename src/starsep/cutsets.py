@@ -37,11 +37,14 @@ def _least_cutset(g, within, cut_vertices, connected):
     K besides the other k - 1 vertices of K (Tarjan 1985).  Cliques of
     each size are tried in lexicographic order among those vertices, and
     the search stops when fewer than k of them are left, as the set only
-    shrinks as k grows."""
+    shrinks as k grows.  A 2-connected region of at most three vertices
+    is a K2 or a K3, which no clique cuts."""
     if not connected:
         return 0
     if cut_vertices:
         return cut_vertices & -cut_vertices
+    if popcount(within) <= 3:
+        return None
     adj = g.adj
     degree = [(v, popcount(adj[v] & within)) for v in bits(within)]
     for size in itertools.count(2):

@@ -274,12 +274,16 @@ def _join(g, ends, tri_masks, shared=0, memo=None):
         if not legs:
             return None
         lists.append(legs)
-    for p, _, pc in lists[0]:
-        for q, qb, qc in lists[1]:
+    first, second, third = lists
+    for i, (p, _, pc) in enumerate(first):
+        # a list met again (a theta's): a leg fits none of itself and
+        # fitting is symmetric, so the first fitting triple is sorted
+        qs = second[i + 1:] if second is first else second
+        for j, (q, qb, qc) in enumerate(qs, 1):
             if pc & qb:
                 continue
             c = pc | qc
-            for r, rb, _ in lists[2]:
+            for r, rb, _ in qs[j:] if third is second else third:
                 if not c & rb:
                     return (p, q, r)
     return None
@@ -322,7 +326,8 @@ def detect_theta(g: Graph) -> Optional[ThetaWitness]:
     """Two non-adjacent claw centres (an end's leg neighbors are a claw)
     joined by three induced paths of length >= 2 with pairwise disjoint,
     anticomplete interiors: ``_join`` over one leg list thrice.  No leg
-    fits itself and fitting is symmetric, so that is the first i < j < l."""
+    fits itself and fitting is symmetric, so that is the first i < j < l,
+    and ``_join`` scans only those."""
     for a, b in itertools.combinations(bits(_claw_centres(g)), 2):
         if g.has_edge(a, b):
             continue

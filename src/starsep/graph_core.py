@@ -238,17 +238,34 @@ def compact(g: Graph, x: int) -> tuple[Graph, tuple[int, ...]]:
     of g that i stands for.  Masks with equal compact graphs have one
     shape: pairing their labels in order maps one onto the other."""
     g.check_vertex_set(x)
-    labels = tuple(bits(x))
-    index = {v: i for i, v in enumerate(labels)}
-    adj = tuple(mask_of(index[u] for u in bits(g.adj[v] & x))
-                for v in labels)
-    return Graph._raw(len(labels), (1 << len(labels)) - 1, adj), labels
+    bit = {}  # vertex -> its bit in the compact graph, in ascending order
+    m = x
+    while m:
+        low = m & -m
+        bit[low.bit_length() - 1] = 1 << len(bit)
+        m ^= low
+    adj = []
+    for v in bit:
+        row = 0
+        m = g.adj[v] & x
+        while m:
+            low = m & -m
+            row |= bit[low.bit_length() - 1]
+            m ^= low
+        adj.append(row)
+    k = len(bit)
+    return Graph._raw(k, (1 << k) - 1, tuple(adj)), tuple(bit)
 
 
 def lift(mask: int, labels: Sequence[int]) -> int:
     """The vertices that a mask stands for under labels, indexed by
     vertex: a compact graph's, or a map between atoms of one shape."""
-    return mask_of(labels[i] for i in bits(mask))
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << labels[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def neighborhood(g: Graph, x: int) -> int:

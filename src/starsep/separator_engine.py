@@ -325,15 +325,23 @@ class SeparatorCertificate(NamedTuple):
         """The certificate of one atom moved onto another of its shape:
         each vertex v it names becomes labels[v].  The auxiliary graph's
         edges and aux_separator name its nodes and stay."""
-        prov = {k: lift(v, labels) if k in _HOST_MASKS
-                else labels[v] if k == "vertex" else v
-                for k, v in self.provenance.items()}
+        prov = dict(self.provenance)
+        for k in _HOST_MASKS:
+            if k in prov:
+                prov[k] = lift(prov[k], labels)
+        if "vertex" in prov:
+            prov["vertex"] = labels[prov["vertex"]]
         if "aux" in prov:
             aux = prov["aux"]
             prov["aux"] = {**aux, **{k: tuple(lift(m, labels) for m in aux[k])
                                      for k in ("cliques", "components")}}
-        ledger = tuple({**e, "vertex": labels[e["vertex"]]} if "vertex" in e
-                       else e for e in self.ledger)
+        for e in self.ledger:
+            if "vertex" in e:
+                ledger = tuple({**x, "vertex": labels[x["vertex"]]}
+                               if "vertex" in x else x for x in self.ledger)
+                break
+        else:  # no entry names a vertex, as on every hub-free atom
+            ledger = self.ledger
         return SeparatorCertificate(
             lift(self.region, labels), lift(self.separator, labels),
             self.balance, self.component_weights, ledger, prov)

@@ -162,8 +162,16 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdValidation:
     """Check the three decomposition conditions plus tree shape, and that
     every bag vertex is a vertex of g; failures carry the violating
     vertex, edge, or node pair.  One pass over the bags lists the nodes
-    holding each vertex; the edge cover and subtree tests read those
-    lists."""
+    holding each vertex and the union of their bags.
+
+    The edges are covered iff each vertex u's union holds u's higher
+    neighbors; the first failure, least u and then its least missed
+    neighbor, is the first uncovered edge in g.edges() order.  On a tree
+    the nodes holding v span a subtree iff the tree edges between them
+    number one fewer than they do, counted in one pass over the edges;
+    only the first vertex that fails the count is searched, for the
+    nodes its least node does not reach.  Off a tree every vertex is
+    searched so."""
     failures = []
     n_nodes = len(td.bags)
     if n_nodes == 0:
@@ -178,18 +186,26 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdValidation:
         if 0 <= a < n_nodes and 0 <= b < n_nodes:
             nbrs[a].append(b)
             nbrs[b].append(a)
-    if len(td.edges) != n_nodes - 1 \
-            or len(_reach(nbrs, 0, range(n_nodes))) != n_nodes:
+    tree = len(td.edges) == n_nodes - 1 \
+        and len(_reach(nbrs, 0, range(n_nodes))) == n_nodes
+    if not tree:
         failures.append({"condition": "tree_shape",
                          "nodes": n_nodes, "edges": len(td.edges)})
+    bags = td.bags
     covered = 0
-    for b in td.bags:
+    for b in bags:
         covered |= b
-    holders: list[list[int]] = [
-        [] for _ in range(max(g.n, covered.bit_length()))]
-    for i, b in enumerate(td.bags):
-        for v in bits(b):
+    size = max(g.n, covered.bit_length())
+    holders: list[list[int]] = [[] for _ in range(size)]
+    union = [0] * size
+    for i, b in enumerate(bags):
+        m = b
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
             holders[v].append(i)
+            union[v] |= b
+            m ^= low
     if covered & ~g.verts:
         v = lowest_bit(covered & ~g.verts)
         failures.append({"condition": "bag_vertices", "vertex": v,
@@ -197,13 +213,24 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdValidation:
     if g.verts & ~covered:
         failures.append({"condition": "vertex_cover",
                          "vertex": lowest_bit(g.verts & ~covered)})
-    bags = td.bags
-    for u, v in g.edges():
-        x, y = (u, v) if len(holders[u]) <= len(holders[v]) else (v, u)
-        if not any((bags[i] >> y) & 1 for i in holders[x]):
-            failures.append({"condition": "edge_cover", "edge": [u, v]})
+    adj = g.adj
+    for u in bits(g.verts):
+        missed = adj[u] & ~((2 << u) - 1) & ~union[u]
+        if missed:
+            failures.append({"condition": "edge_cover",
+                             "edge": [u, lowest_bit(missed)]})
             break
+    shared = [0] * size  # on a tree: the edges between v's nodes
+    if tree:
+        for a, b in td.edges:
+            m = bags[a] & bags[b]
+            while m:
+                low = m & -m
+                shared[low.bit_length() - 1] += 1
+                m ^= low
     for v in bits(g.verts & covered):
+        if tree and shared[v] == len(holders[v]) - 1:
+            continue
         node_set = set(holders[v])
         seen = _reach(nbrs, holders[v][0], node_set)
         if seen != node_set:
@@ -444,9 +471,10 @@ def _glue(steps, decompose_atom) -> TreeDecomposition:
         edges.extend((a + start, b + start) for a, b in td.edges)
         while open_steps:  # the piece laid out from `start` is finished
             at, cutset, left = open_steps[-1]
-            anchor = next((i for i in range(start, len(bags))
-                           if not (cutset & ~bags[i])), None)
-            if anchor is None:
+            for anchor in range(start, len(bags)):
+                if not cutset & ~bags[anchor]:
+                    break
+            else:
                 raise InputError(
                     "piece decomposition misses its cutset clique")
             edges.append((at, anchor))

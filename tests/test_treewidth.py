@@ -460,7 +460,11 @@ def _td_mutants(g, td, rng):
     """Broken copies of a decomposition of g: a bag vertex dropped, a
     tree edge dropped, an extra edge, a subtree moved to another node
     (which can split a vertex's nodes), a vertex outside the graph added
-    to one or two bags, and the empty decomposition."""
+    to one or two bags, the empty decomposition, a vertex added to two
+    nodes that do not hold it (on the same tree, which can split its
+    nodes in two places), and a vertex with neighbors below and above it
+    dropped from every bag.  The last two draw from their own generator,
+    so the others are the ones drawn before they were added."""
     bags, edges = list(td.bags), list(td.edges)
     out = [TreeDecomposition((), ())]
     for _ in range(4):
@@ -485,6 +489,20 @@ def _td_mutants(g, td, rng):
             out.append(TreeDecomposition(td.bags, tuple(rest + [(b, c)])))
         a, b = rng.randrange(len(bags)), rng.randrange(len(bags))
         out.append(TreeDecomposition(td.bags, tuple(edges + [(a, b)])))
+    own = random.Random(repr(td))
+    for v in g.vertex_list():
+        others = [i for i, b in enumerate(bags) if not (b >> v) & 1]
+        if len(others) >= 2 and own.random() < 0.3:
+            i, k = own.sample(others, 2)
+            out.append(TreeDecomposition(
+                tuple(b | (1 << v) if j in (i, k) else b
+                      for j, b in enumerate(bags)), td.edges))
+    inner = [u for u in g.vertex_list()
+             if g.adj[u] & ((1 << u) - 1) and g.adj[u] >> (u + 1)]
+    if inner:
+        u = own.choice(inner)
+        out.append(TreeDecomposition(tuple(b & ~(1 << u) for b in bags),
+                                     td.edges))
     return out
 
 
@@ -496,10 +514,12 @@ def test_validate_td_matches_the_scan_per_vertex():
     from starsep.generators import make
     graphs = [sample_class(8 + s % 9, 4, s).graph for s in range(12)]
     graphs += [sample_cutset_free_member(12 + s, 4, s) for s in range(4)]
-    graphs += [c5_chain(6), make("P40")]
+    graphs += [c5_chain(6), make("P40"), make("P60")]
     graphs.append(graphs[0].induced(graphs[0].verts & ~0b101))
     rng = random.Random(31)
     seen = {}
+    split = 0  # a tree on which a vertex's nodes split in two places
+    below = 0  # a vertex in no bag whose lower neighbor's edge is missed
     for g in graphs:
         res = certify(g, 4) if g.verts else None
         td = res.td if res else TreeDecomposition((), ())
@@ -510,6 +530,27 @@ def test_validate_td_matches_the_scan_per_vertex():
             assert got == reference_validate_td(g, broken).as_json()
             for f in got["failures"]:
                 seen[f["condition"]] = seen.get(f["condition"], 0) + 1
+            kinds = [f["condition"] for f in got["failures"]]
+            if kinds == ["connected_subtree"]:  # the tree shape holds
+                split += _pieces(broken, got["failures"][0]["vertex"]) > 2
+            if kinds[:2] == ["vertex_cover", "edge_cover"]:
+                u = got["failures"][0]["vertex"]
+                below += got["failures"][1]["edge"][1] == u
     assert set(seen) == {"tree_shape", "bag_vertices", "vertex_cover",
                          "edge_cover", "connected_subtree"}
     assert min(seen.values()) >= 5
+    assert split >= 5 and below >= 5
+
+
+def _pieces(td, v):
+    """The number of pieces the nodes holding v fall into."""
+    nbrs = [[] for _ in td.bags]
+    for a, b in td.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    left = {i for i, b in enumerate(td.bags) if (b >> v) & 1}
+    pieces = 0
+    while left:
+        left -= _reference_reach(nbrs, min(left), left)
+        pieces += 1
+    return pieces
